@@ -11,7 +11,18 @@ Event columns returned by every replay:
            block before the filled place)
     R    : size of the other side, R = s + S - L
     D    : displacement in {0, ..., L-1}
+
+Each embedding has one walk (``_*_walk``) that holds only its union-find
+loop; everything fixed by the step index or by the loop's outputs (prey
+index, D, s and S, the tree's edge endpoints) is computed in numpy by the
+public kernel around it.  With numba the walk is compiled and runs over
+numpy arrays.  Without it the walk runs as plain Python over ``memoryview``s
+of the numpy inputs and outputs, with its union-find state in lists that
+share the int objects of one ``list(range(n))``; both read and write the
+same values, so the streams are bit-identical.
 """
+
+import itertools
 
 import numpy as np
 
@@ -29,40 +40,65 @@ except ImportError:  # pragma: no cover - exercised only without numba
         return wrap
 
 
-@njit(cache=True)
-def direct_chain_replay(n, elem, prey_u, uprime):
-    """Replay the two-stage chain: size-biased predator, uniform prey.
+# Containers the walks run over: numpy arrays for compiled code; lists and
+# memoryviews for the interpreter, which indexes them several times faster
+# than it indexes numpy arrays (each numpy read boxes a new scalar).
+if HAVE_NUMBA:  # pragma: no cover - numba is an optional extra
 
-    elem[k] is a uniform element index in [0, n) whose root is the
-    predator; prey_u[k] picks uniformly among the other live roots;
-    uprime[k] drives the displacement D = floor(u' * L).
+    def _ids(n):
+        return np.arange(n)
+
+    def _ones(n):
+        return np.ones(n, np.int64)
+
+    def _view(a):
+        return a
+
+    def _state(a):
+        return a
+
+else:
+
+    def _ids(n):
+        return list(range(n))
+
+    def _ones(n):
+        return [1] * n
+
+    _view = memoryview
+
+    def _state(a):
+        return a.tolist()
+
+
+def _int64(a):
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _events(L, R, D):
+    return np.minimum(L, R), np.maximum(L, R), L, R, D
+
+
+@njit(cache=True)
+def _direct_walk(elem, prey_j, parent, size, roots, pos, L, R):
+    """Union-find loop of the two-stage chain; fills L[k], R[k].
+
+    At step k the live roots are roots[0 : n-k]; the predator is swapped
+    out of that range, and prey_j[k] indexes the n-1-k that remain.
     """
-    m = n - 1
-    s = np.empty(m, np.int64)
-    S = np.empty(m, np.int64)
-    L = np.empty(m, np.int64)
-    R = np.empty(m, np.int64)
-    D = np.empty(m, np.int64)
-    parent = np.arange(n)
-    size = np.ones(n, np.int64)
-    roots = np.arange(n)
-    pos = np.arange(n)
-    nroots = n
-    for k in range(m):
-        e = elem[k]
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        a = e
+    m = len(L)
+    for k, a, j in zip(range(m), elem, prey_j):
+        p = parent[a]
+        while p != a:  # find with path halving
+            g = parent[p]
+            parent[a] = g
+            a = g
+            p = parent[a]
         # swap the predator out so the prey pick is uniform on the rest
         ia = pos[a]
-        last = roots[nroots - 1]
+        last = roots[m - k]
         roots[ia] = last
         pos[last] = ia
-        nroots -= 1
-        j = int(prey_u[k] * nroots)
-        if j >= nroots:
-            j = nroots - 1
         b = roots[j]
         x = size[a]
         y = size[b]
@@ -77,230 +113,179 @@ def direct_chain_replay(n, elem, prey_u, uprime):
         size[r] = x + y
         L[k] = x
         R[k] = y
-        if x <= y:
-            s[k] = x
-            S[k] = y
-        else:
-            s[k] = y
-            S[k] = x
-        D[k] = int(uprime[k] * x)
-    return s, S, L, R, D
+
+
+def direct_chain_replay(n, elem, prey_u, uprime):
+    """Replay the two-stage chain: size-biased predator, uniform prey.
+
+    elem[k] is a uniform element index in [0, n) whose root is the
+    predator; prey_u[k] picks uniformly among the other n-1-k live roots;
+    uprime[k] drives the displacement D = floor(u' * L).
+    """
+    m = n - 1
+    left = n - 1 - np.arange(m)  # live roots besides the predator at step k
+    prey_j = (prey_u * left).astype(np.int64)
+    np.minimum(prey_j, left - 1, out=prey_j)
+    L = np.empty(m, np.int64)
+    R = np.empty(m, np.int64)
+    ids = _ids(n)
+    _direct_walk(_view(_int64(elem)), _view(prey_j), ids.copy(), _ones(n), ids.copy(), ids,
+                 _view(L), _view(R))
+    return _events(L, R, (uprime * L).astype(np.int64))
 
 
 @njit(cache=True)
+def _parking_walk(tries, parent, bsize, L, R, P):
+    """Union-find loop of circular parking; fills L[c], R[c] and P[c].
+
+    A block is a maximal run of occupied places plus the empty place that
+    ends it (clockwise), and that empty place is the block's representative.
+    Car c fills the empty place P[c] of the block holding its first try,
+    merging that block (size L[c]) into the next one (size R[c]), whose
+    empty place then ends the merged block.
+    """
+    n = len(parent)
+    for c, a in zip(range(len(L)), tries):
+        p = parent[a]
+        while p != a:
+            g = parent[p]
+            parent[a] = g
+            a = g
+            p = parent[a]
+        P[c] = a
+        b = a + 1
+        if b == n:
+            b = 0
+        p = parent[b]
+        while p != b:
+            g = parent[p]
+            parent[b] = g
+            b = g
+            p = parent[b]
+        x = bsize[a]
+        y = bsize[b]
+        parent[a] = b
+        bsize[b] = x + y
+        L[c] = x
+        R[c] = y
+
+
 def parking_replay(n, tries):
     """Replay circular parking with linear probing.
 
-    tries[c] is the c-th car's uniform first try.  A block is a maximal
-    run of occupied places plus the empty place that ends it (clockwise);
-    parking a car merges its block with the next one.  D is the probed
-    distance, L the size of the block holding the first try, R the size
-    of the block after the filled place.
+    tries[c] is the c-th car's uniform first try.  Parking a car merges
+    the block holding its first try with the next block clockwise.  D is
+    the probed distance, L the size of the block holding the first try,
+    R the size of the block after the filled place.
     """
     m = n - 1
-    s = np.empty(m, np.int64)
-    S = np.empty(m, np.int64)
+    tries = _int64(tries)
     L = np.empty(m, np.int64)
     R = np.empty(m, np.int64)
-    D = np.empty(m, np.int64)
-    parent = np.arange(n)  # disjoint blocks of places
-    bsize = np.ones(n, np.int64)
-    empt = np.arange(n)  # the block's unique empty place, stored at the root
-    for c in range(m):
-        t = tries[c]
-        e = t
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        ra = e
-        p = empt[ra]
-        D[c] = (p - t + n) % n
-        e = (p + 1) % n
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        rb = e
-        x = bsize[ra]
-        y = bsize[rb]
-        if x < y:
-            parent[ra] = rb
-            r = rb
-        else:
-            parent[rb] = ra
-            r = ra
-        bsize[r] = x + y
-        empt[r] = empt[rb]
-        L[c] = x
-        R[c] = y
-        if x <= y:
-            s[c] = x
-            S[c] = y
-        else:
-            s[c] = y
-            S[c] = x
-    return s, S, L, R, D
+    P = np.empty(m, np.int64)
+    _parking_walk(_view(tries), _ids(n), _ones(n), _view(L), _view(R), _view(P))
+    return _events(L, R, np.remainder(P - tries, n))
 
 
-@njit(cache=True)
-def tree_parents_from_prufer(n, prufer):
-    """Decode a Prufer sequence and root the tree at vertex 0.
-
-    Returns par[v] = parent of v (par[0] = -1).
-    """
-    e1 = np.empty(n - 1, np.int64)
-    e2 = np.empty(n - 1, np.int64)
-    degree = np.ones(n, np.int64)
-    for i in range(n - 2):
-        degree[prufer[i]] += 1
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for i in range(n - 2):
-        v = prufer[i]
-        e1[i] = leaf
-        e2[i] = v
-        degree[v] -= 1
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    e1[n - 2] = leaf
-    e2[n - 2] = n - 1
-    # CSR adjacency, then BFS from the root
-    cnt = np.zeros(n + 1, np.int64)
-    for i in range(n - 1):
-        cnt[e1[i] + 1] += 1
-        cnt[e2[i] + 1] += 1
-    for i in range(n):
-        cnt[i + 1] += cnt[i]
-    adj = np.empty(2 * (n - 1), np.int64)
-    fill = cnt[:n].copy()
-    for i in range(n - 1):
-        adj[fill[e1[i]]] = e2[i]
-        fill[e1[i]] += 1
-        adj[fill[e2[i]]] = e1[i]
-        fill[e2[i]] += 1
-    par = np.full(n, -1, np.int64)
-    order = np.empty(n, np.int64)
-    visited = np.zeros(n, np.uint8)
-    order[0] = 0
-    visited[0] = 1
-    head = 0
-    tail = 1
-    while head < tail:
-        v = order[head]
-        head += 1
-        for idx in range(cnt[v], cnt[v + 1]):
-            w = adj[idx]
-            if visited[w] == 0:
-                visited[w] = 1
-                par[w] = v
-                order[tail] = w
-                tail += 1
-    return par
-
-
-@njit(cache=True)
-def tree_replay(n, par, perm, uprime):
-    """Insert the rooted tree's edges in permuted order, merging components.
-
-    Edge j (j = 0..n-2) joins vertex j+1 to its parent.  L is the size of
-    the component holding the bottom (parent-side) endpoint, R the size of
-    the top component.
-    """
-    m = n - 1
-    s = np.empty(m, np.int64)
-    S = np.empty(m, np.int64)
-    L = np.empty(m, np.int64)
-    R = np.empty(m, np.int64)
-    D = np.empty(m, np.int64)
-    parent = np.arange(n)
-    csize = np.ones(n, np.int64)
-    for k in range(m):
-        v = perm[k] + 1
-        e = par[v]
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        ra = e
-        e = v
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        rb = e
-        x = csize[ra]
-        y = csize[rb]
-        if x < y:
-            parent[ra] = rb
-            r = rb
-        else:
-            parent[rb] = ra
-            r = ra
-        csize[r] = x + y
-        L[k] = x
-        R[k] = y
-        if x <= y:
-            s[k] = x
-            S[k] = y
-        else:
-            s[k] = y
-            S[k] = x
-        D[k] = int(uprime[k] * x)
-    return s, S, L, R, D
-
-
-@njit(cache=True)
 def parking_last_block_counts(m):
     """Exact counts of the final merge's L over all m**(m-1) parking configs.
 
     counts[k] = number of first-try vectors whose last arrival lands in a
     block of size k.  Integer-exact; divide by m**(m-1) for probabilities.
     """
-    counts = np.zeros(m, np.int64)
-    tries = np.zeros(m - 1, np.int64)
-    parent = np.empty(m, np.int64)
-    bsize = np.empty(m, np.int64)
-    empt = np.empty(m, np.int64)
-    while True:
-        for i in range(m):
-            parent[i] = i
-            bsize[i] = 1
-            empt[i] = i
-        last_l = 0
-        for c in range(m - 1):
-            t = tries[c]
-            e = t
-            while parent[e] != e:
-                e = parent[e]
-            ra = e
-            p = empt[ra]
-            e = (p + 1) % m
-            while parent[e] != e:
-                e = parent[e]
-            rb = e
-            x = bsize[ra]
-            y = bsize[rb]
-            if x < y:
-                parent[ra] = rb
-                r = rb
-            else:
-                parent[rb] = ra
-                r = ra
-            bsize[r] = x + y
-            empt[r] = empt[rb]
-            last_l = x
-        counts[last_l] += 1
-        i = 0
-        while i < m - 1:
-            tries[i] += 1
-            if tries[i] < m:
-                break
-            tries[i] = 0
-            i += 1
-        if i == m - 1:
-            break
-    return counts
+    counts = [0] * m
+    ids = _ids(m)
+    ones = _ones(m)
+    L, R, P = (_view(np.empty(m - 1, np.int64)) for _ in range(3))
+    for tries in itertools.product(range(m), repeat=m - 1):
+        _parking_walk(tries, ids.copy(), ones.copy(), L, R, P)
+        counts[L[m - 2]] += 1
+    return np.array(counts, np.int64)
+
+
+@njit(cache=True)
+def _prufer_walk(prufer, degree, par):
+    """Decode a Prufer sequence into par, rooted at vertex 0.
+
+    degree[v] is 1 + the multiplicity of v in the sequence.  Each removed
+    leaf records its neighbour toward n-1; reversing the path from 0 to
+    n-1 then roots the tree at 0 (par[0] = -1).
+    """
+    n = len(par)
+    ptr = 0
+    while degree[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for v in prufer:
+        par[leaf] = v
+        d = degree[v] - 1
+        degree[v] = d
+        if d == 1 and v < ptr:
+            leaf = v
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    par[leaf] = n - 1
+    prev = -1
+    v = 0
+    while v != n - 1:
+        up = par[v]
+        par[v] = prev
+        prev = v
+        v = up
+    par[n - 1] = prev
+
+
+def tree_parents_from_prufer(n, prufer):
+    """Decode a Prufer sequence and root the tree at vertex 0.
+
+    Returns par[v] = parent of v (par[0] = -1).
+    """
+    prufer = _int64(prufer)
+    degree = np.bincount(prufer, minlength=n) + 1
+    par = np.empty(n, np.int64)
+    _prufer_walk(_view(prufer), _state(degree), _view(par))
+    return par
+
+
+@njit(cache=True)
+def _tree_walk(bottom, top, parent, csize, L, R):
+    """Union-find loop of edge insertion; fills L[k], R[k].
+
+    Edge k joins bottom[k] (parent side) to top[k].  A component's
+    representative is its vertex nearest the root, so top[k], whose edge
+    upward is still missing, represents its own component: only the
+    bottom endpoint needs a find.  L is the size of the component holding
+    the bottom endpoint, R that of the top one.
+    """
+    for k, a, v in zip(range(len(L)), bottom, top):
+        p = parent[a]
+        while p != a:
+            g = parent[p]
+            parent[a] = g
+            a = g
+            p = parent[a]
+        x = csize[a]
+        y = csize[v]
+        parent[v] = a
+        csize[a] = x + y
+        L[k] = x
+        R[k] = y
+
+
+def tree_replay(n, par, perm, uprime):
+    """Insert the rooted tree's edges in permuted order, merging components.
+
+    Edge j (j = 0..n-2) joins vertex j+1 to its parent; the k-th inserted
+    edge is edge perm[k].  L is the size of the component holding the
+    bottom (parent-side) endpoint, R the size of the top component.
+    """
+    m = n - 1
+    top = _int64(perm) + 1
+    bottom = _int64(par)[top]
+    L = np.empty(m, np.int64)
+    R = np.empty(m, np.int64)
+    _tree_walk(_view(bottom), _view(top), _ids(n), _ones(n), _view(L), _view(R))
+    return _events(L, R, (uprime * L).astype(np.int64))

@@ -95,7 +95,7 @@ def _result(cid, passed, measured, target, tolerance, detail="", informative=Fal
         target=str(target),
         tolerance=str(tolerance),
         detail=detail,
-        seconds=round(time.time() - started, 3) if started else 0.0,
+        seconds=round(time.perf_counter() - started, 3) if started is not None else 0.0,
     )
 
 
@@ -106,7 +106,7 @@ def _result(cid, passed, measured, target, tolerance, detail="", informative=Fal
 
 def criterion_oracle_equivalence(max_n: int = 6) -> CriterionResult:
     """Three-way equality of full event-sequence laws at n <= 6."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = Fraction(0)
     for n in range(2, max_n + 1):
         park = enumerate_parking(n).project(("s", "S", "L"))
@@ -130,7 +130,7 @@ def criterion_oracle_equivalence(max_n: int = 6) -> CriterionResult:
 
 def criterion_pmk_exact() -> CriterionResult:
     """p_mk equals the enumerated final-merge law (m <= 8); rows sum to 1."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     mismatch = []
     for m in range(2, 9):
         marginal = parking_final_merge_marginal(m)
@@ -150,7 +150,7 @@ def criterion_pmk_exact() -> CriterionResult:
 
 
 def criterion_borel_limit() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = max(abs(p_mk(10_000, 10_000 - k) - borel_pmf(k)) for k in range(1, 11))
     return _result(
         "borel-limit",
@@ -164,7 +164,7 @@ def criterion_borel_limit() -> CriterionResult:
 
 def criterion_conditional_r(max_n: int = 8) -> CriterionResult:
     """E[R_k | L_k = l] = (n - l)/(n - k), exact for n <= 8."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for n in range(2, max_n + 1):
         dp = partition_dp(n)
@@ -183,7 +183,7 @@ def criterion_conditional_r(max_n: int = 8) -> CriterionResult:
 
 
 def criterion_smoluchowski_identities() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     moment_dev = max(
         abs(moment(t, p, "sum", tol=1e-11) - moment(t, p, "closed"))
         for t in (0.1, 1.0, 3.0)
@@ -223,7 +223,7 @@ _CURVE_FUNCTIONALS = (
 
 def criterion_partial_cost_curves() -> CriterionResult:
     """Normalized partial costs track the limit curves on alpha <= 0.9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = tuple(round(0.05 * i, 2) for i in range(1, 19))  # 0.05 .. 0.90
     spec = ExperimentSpec(
         n=CURVE_N,
@@ -285,7 +285,7 @@ def _displacement_totals_sample():
 def criterion_qf_total_excursion() -> CriterionResult:
     """Total QF cost: mean near sqrt(pi/8) n^1.5; same law as total parking
     displacement (both converge to the excursion area)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     qf = _qf_totals_sample()
     disp = _displacement_totals_sample()
     mean = float(np.mean(qf[:TOTAL_REPS_MEAN]))
@@ -340,7 +340,7 @@ def _nlogn_means(functional):
 
 def criterion_qfb_constant() -> CriterionResult:
     """C^QFB / (n log n) -> 1/2, tested on the 1/log n extrapolation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     means = _nlogn_means(Functional.QFB)
     a = _fit_log_correction(SCALING_NS, means)
     ok = abs(a - 0.5) < 0.05
@@ -356,7 +356,7 @@ def criterion_qfb_constant() -> CriterionResult:
 
 def criterion_qfw_conjecture() -> CriterionResult:
     """Conjectured C^QFW / (n log n) -> 1/pi; informative only."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     means = _nlogn_means(Functional.QFW)
     a = _fit_log_correction(SCALING_NS, means)
     target = 1.0 / math.pi
@@ -374,7 +374,7 @@ def criterion_qfw_conjecture() -> CriterionResult:
 
 def criterion_phase_transition() -> CriterionResult:
     """n^-1.5 C^QF at step floor(n - n^0.75) vanishes with n."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     runs = _scaling_runs()
     means = [float(runs[n].beta_values[Functional.QF][:, 0].mean()) for n in SCALING_NS]
     decreasing = all(a > b for a, b in zip(means, means[1:]))
@@ -391,7 +391,7 @@ def criterion_phase_transition() -> CriterionResult:
 
 def criterion_regime_sweep() -> CriterionResult:
     """Largest cluster: B/n -> 0 in the sparse window, -> 1 near-full."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = regime_sweep(SCALING_NS, REGIME_EPS, reps=REGIME_REPS, seed=SEED_REGIME)
     sparse = [r.sparse.mean for r in rows]
     full = [r.full.mean for r in rows]
@@ -414,7 +414,7 @@ def criterion_determinism() -> CriterionResult:
     """cmd_simulate output bytes identical across runs and worker counts."""
     from . import cli
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"run{i}.csv") for i in range(3)]
         base = [
@@ -445,7 +445,7 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000) -> Crite
     With mutate=True the null is perturbed; the test must then reject,
     demonstrating the harness has power (mutation test mode).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     m = 50
     counts = np.zeros(m - 1, dtype=np.int64)
     for rep in range(runs):
@@ -477,7 +477,7 @@ def criterion_chain_chi_square(reps: int = 1_000_000) -> CriterionResult:
     """
     from .seeding import make_rng
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = 5
     law = dp_sequence_distribution(n)
     keys = sorted(law.probs)
@@ -518,6 +518,9 @@ CRITERIA = {
     "pmk-chi-square": criterion_pmk_chi_square,
     "chain-vs-oracle-chi-square": criterion_chain_chi_square,
 }
+
+
+MUTATIONS = ("pmk",)  # perturbed nulls that `run_criteria(mutate=...)` knows
 
 
 def run_criteria(only=None, mutate=()):

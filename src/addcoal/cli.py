@@ -3,11 +3,14 @@
 Config files are flat UTF-8 ``key = value`` text with keys matching the
 flag names; unknown keys are rejected and explicitly given flags override
 file values.  Every output row leads with provenance (seed, n, reps,
-embedding, version).  Exit codes: 0 success, 1 usage error,
-2 verification failure, 3 runtime failure.
+embedding, version, backend).  Exit codes: 0 success, 1 usage error
+(invalid flags, config or argument values), 2 verification failure,
+3 runtime failure (an error inside a computation or while writing output;
+the error report names the command and the seed).
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -15,7 +18,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from . import __version__, acceptance
+from . import __version__, _replay, acceptance
 from .cost_engine import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -25,15 +28,27 @@ from .exact_oracles import DP_MAX, PMK_EXACT_MAX, p_mk, partition_dp
 from .experiment import ExperimentSpec, regime_sweep, run_monte_carlo
 from .process_core import Embedding
 from .smoluchowski import (
+    check_alpha_grid,
     phi_closed_form,
     phi_comparison_curve,
     phi_curve_quadrature,
     phi_classical_table,
 )
 
+_SEED_LIMIT = 1 << 64  # seeds are 64-bit; larger or negative ones would alias
+
 
 class UsageError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _validating():
+    """Report a ValueError raised while checking arguments as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 _ALL_FUNCTIONALS = tuple(f.value for f in Functional)
@@ -76,6 +91,13 @@ class RunConfig:
                 raise UsageError(f"unknown functional {f!r}; known: {_ALL_FUNCTIONALS}")
         if self.table and self.table not in EXACT_TABLES:
             raise UsageError(f"unknown exact table {self.table!r}; known: {EXACT_TABLES}")
+        if self.reps < 1 or self.workers < 1:
+            raise UsageError("reps and workers must be >= 1")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise UsageError(f"seed must be in [0, 2^64), got {self.seed}")
+        for name, grid in (("alpha-grid", self.alpha_grid), ("beta-grid", self.beta_grid)):
+            if len(set(grid)) != len(grid):
+                raise UsageError(f"{name} lists a point more than once: {grid}")
 
 
 # config (de)serialization ---------------------------------------------------
@@ -196,6 +218,7 @@ def _provenance(config: RunConfig, n) -> dict:
         "reps": config.reps,
         "embedding": config.embedding,
         "version": __version__,
+        "backend": "numba" if _replay.HAVE_NUMBA else "python",
     }
 
 
@@ -206,16 +229,17 @@ def cmd_simulate(config: RunConfig) -> int:
     n = config.n[0]
     # beta checkpoints beyond sqrt(n) would sit at step 0 (value 0); drop them
     beta_grid = tuple(b for b in config.beta_grid if b * b <= n)
-    spec = ExperimentSpec(
-        n=n,
-        embedding=config.embedding,
-        functionals=tuple(Functional(f) for f in config.functionals),
-        reps=config.reps,
-        seed=config.seed,
-        alpha_grid=config.alpha_grid,
-        beta_grid=beta_grid,
-        workers=config.workers,
-    )
+    with _validating():
+        spec = ExperimentSpec(
+            n=n,
+            embedding=config.embedding,
+            functionals=tuple(Functional(f) for f in config.functionals),
+            reps=config.reps,
+            seed=config.seed,
+            alpha_grid=config.alpha_grid,
+            beta_grid=beta_grid,
+            workers=config.workers,
+        )
     result = run_monte_carlo(spec)
     rows = []
     for functional, kind, point, stats in result.rows():
@@ -258,6 +282,13 @@ def _write_raw(result, spec, path: str) -> None:
 
 def cmd_limit(config: RunConfig) -> int:
     grid = config.alpha_grid
+    if config.tol <= 0.0:
+        raise UsageError("tol must be positive")
+    if any(not 0.0 <= a < 1.0 for a in grid):
+        raise UsageError("alpha grid must lie in [0, 1)")
+    if Functional.QFW.value in config.functionals:
+        with _validating():
+            check_alpha_grid(grid)
     rows = []
     for name in config.functionals:
         functional = Functional(name)
@@ -357,6 +388,12 @@ def cmd_exact(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    unknown = [c for c in config.only if c not in acceptance.CRITERIA]
+    if unknown:
+        raise UsageError(f"unknown criteria: {unknown}; known: {list(acceptance.CRITERIA)}")
+    unknown = [m for m in config.mutate if m not in acceptance.MUTATIONS]
+    if unknown:
+        raise UsageError(f"unknown mutations: {unknown}; known: {list(acceptance.MUTATIONS)}")
     results = acceptance.run_criteria(only=config.only or None, mutate=config.mutate)
     for r in results:
         print(f"[{r.status:9s}] {r.cid}: {r.measured} (target {r.target}; tol {r.tolerance})")
@@ -390,6 +427,10 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig) -> int:
     if not config.n:
         raise UsageError("sweep needs at least one n (comma-separated for several)")
+    if min(config.n) < 2:
+        raise UsageError("sweep needs every n >= 2")
+    if not 0.0 < config.eps < 0.5:
+        raise UsageError("eps must be in (0, 1/2)")
     rows_out = []
     for row in regime_sweep(
         config.n, config.eps, reps=config.reps, seed=config.seed,
@@ -525,21 +566,27 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse errors (usage) or --help/--version
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 1
+    config = None
     try:
-        config = config_from_args(ns)
+        with _validating():  # malformed numbers in flags or config text
+            config = config_from_args(ns)
         return _DISPATCH[config.command](config)
-    except (UsageError, ValueError) as exc:
-        json.dump({"error": str(exc), "kind": "usage"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+    except UsageError as exc:
+        return _report_error(1, {"error": str(exc), "kind": "usage"})
     except OSError as exc:
-        json.dump({"error": str(exc), "kind": "io"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
-    except Exception as exc:  # pragma: no cover - defensive
-        json.dump({"error": f"{type(exc).__name__}: {exc}", "kind": "runtime"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        return _report_error(3, {"error": str(exc), "kind": "io"}, config)
+    except Exception as exc:
+        return _report_error(3, {"error": f"{type(exc).__name__}: {exc}", "kind": "runtime"},
+                             config)
+
+
+def _report_error(code: int, payload: dict, config=None) -> int:
+    """One JSON line on stderr; failures after parsing name the command and seed."""
+    if config is not None:
+        payload.update(command=config.command, seed=config.seed)
+    json.dump(payload, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -377,6 +377,17 @@ def phi_quadrature(cost, alpha: float, tol: float = DEFAULT_TOL,
     return QuadratureResult(value, err, panels, kmax)
 
 
+def check_alpha_grid(alphas, eta: float = 0.02) -> None:
+    """Raise ValueError unless alphas increase strictly within [0, 1 - eta]."""
+    alphas = list(alphas)
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("alpha grid must be strictly increasing")
+    if alphas and not 0.0 <= alphas[0]:
+        raise ValueError("alpha grid must be nonnegative")
+    if alphas and alphas[-1] > 1.0 - eta:
+        raise ValueError(f"alpha grid must stay <= {1.0 - eta}")
+
+
 def phi_curve_quadrature(cost, alphas, tol: float = DEFAULT_TOL,
                          eta: float = 0.02):
     """phi^c on an increasing alpha grid, integrating segment by segment.
@@ -385,12 +396,7 @@ def phi_curve_quadrature(cost, alphas, tol: float = DEFAULT_TOL,
     per-point error estimates summed over the segments used.
     """
     alphas = list(alphas)
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alpha grid must be strictly increasing")
-    if alphas and not 0.0 <= alphas[0]:
-        raise ValueError("alpha grid must be nonnegative")
-    if alphas and alphas[-1] > 1.0 - eta:
-        raise ValueError(f"alpha grid must stay <= {1.0 - eta}")
+    check_alpha_grid(alphas, eta)
     if not alphas:
         return []
     t_max = alpha_to_time(alphas[-1])

@@ -181,6 +181,8 @@ def test_verify_single_fast_criterion(tmp_path, capsys):
 
 def test_verify_unknown_criterion():
     assert run_cli(["verify", "--only", "not-a-criterion"]) == 1
+    # a mistyped mutation would otherwise run the unperturbed null and pass
+    assert run_cli(["verify", "--only", "borel-limit", "--mutate", "pkm"]) == 1
 
 
 def test_verify_mutation_mode_fails(tmp_path):
@@ -204,3 +206,62 @@ def test_sweep_command(tmp_path):
     for r in rows:
         assert 0.0 <= float(r["mean_B_over_n_sparse"]) <= 1.0
         assert 0.0 <= float(r["mean_B_over_n_full"]) <= 1.0
+
+
+def _stderr_json(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_argument_validation_exits_1(capsys):
+    # ExperimentSpec and the limit grid check reject these before any computation
+    assert run_cli(["simulate", "--n", "1"]) == 1
+    assert _stderr_json(capsys)["kind"] == "usage"
+    assert run_cli(["simulate", "--n", "10", "--alpha-grid", "1.5"]) == 1
+    assert run_cli(["limit", "--alpha-grid", "0.9,0.5", "--functional", "qfw"]) == 1
+    assert run_cli(["sweep", "--n", "100", "--eps", "0.7"]) == 1
+    assert run_cli(["sweep", "--n", "100", "--reps", "0"]) == 1
+    assert run_cli(["simulate", "--n", "ten"]) == 1
+    assert _stderr_json(capsys)["kind"] == "usage"
+
+
+def test_computation_failure_exits_3_with_context(monkeypatch, capsys):
+    def broken(spec):
+        raise ValueError("bad state deep inside the run")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", broken)
+    assert run_cli(["simulate", "--n", "10", "--seed", "42"]) == 3
+    err = _stderr_json(capsys)
+    assert err["kind"] == "runtime"
+    assert err["command"] == "simulate" and err["seed"] == 42
+    assert "bad state deep inside the run" in err["error"]
+
+
+def test_repeated_grid_point_rejected(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--n", "10", "--alpha-grid", "0.5,0.5", "--out", out]) == 1
+    assert "alpha-grid" in _stderr_json(capsys)["error"]
+    assert run_cli(["simulate", "--n", "100", "--beta-grid", "1,0.5,1.0", "--out", out]) == 1
+    assert "beta-grid" in _stderr_json(capsys)["error"]
+    assert run_cli(["limit", "--alpha-grid", "0.2,0.20", "--functional", "prey"]) == 1
+    assert not out.exists()
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--n", "10", "--seed", "-1", "--out", out]) == 1
+    assert "seed" in _stderr_json(capsys)["error"]
+    assert run_cli(["sweep", "--n", "100", "--seed", "-5"]) == 1
+    assert run_cli(["simulate", "--n", "10", "--seed", str(2 ** 64)]) == 1
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("command = simulate\nn = 10\nseed = -3\n")
+    assert run_cli(["simulate", "--config", cfg]) == 1
+    assert not out.exists()
+
+
+def test_provenance_names_backend(tmp_path):
+    from addcoal import _replay
+
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--n", "10", "--functional", "qf", "--out", out]) == 0
+    want = "numba" if _replay.HAVE_NUMBA else "python"
+    assert {r["backend"] for r in read_csv(out)} == {want}

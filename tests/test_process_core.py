@@ -138,36 +138,81 @@ def test_tree_and_parking_n2():
         assert (ev.s, ev.S, ev.L, ev.R, ev.D) == (1, 1, 1, 1, 0)
 
 
-def test_parking_kernel_matches_reference_replay():
-    # the jitted kernel must agree with the pure-python block bookkeeping
-    n = 60
-    rng = make_rng(17)
-    for _ in range(20):
-        tries = rng.integers(0, n, size=n - 1)
-        batch_events = exact_oracles._parking_events(n, [int(t) for t in tries])
-        from addcoal._replay import parking_replay
+def _direct_events(n, elem, prey_u, uprime):
+    """Plain-python step-by-step replay of the two-stage chain: (s, S, L, R, D) per step.
 
-        s, S, L, R, D = parking_replay(n, tries)
-        assert batch_events == tuple(
-            (int(a), int(b), int(c), int(d)) for a, b, c, d in zip(s, S, L, D)
-        )
+    Clusters are frozensets in a list of live clusters; the predator is
+    swapped out for the last live cluster, then the prey index
+    int(u * (live clusters left)) is clamped and the merged cluster takes
+    the prey's place.
+    """
+    live = [frozenset([i]) for i in range(n)]
+    events = []
+    for k in range(n - 1):
+        ia = next(i for i, c in enumerate(live) if int(elem[k]) in c)
+        pred = live[ia]
+        live[ia] = live[-1]
+        live.pop()
+        j = min(int(float(prey_u[k]) * len(live)), len(live) - 1)
+        prey = live[j]
+        live[j] = pred | prey
+        x, y = len(pred), len(prey)
+        events.append((min(x, y), max(x, y), x, y, int(float(uprime[k]) * x)))
+    return events
+
+
+def test_direct_kernel_matches_reference_replay():
+    from addcoal._replay import direct_chain_replay
+
+    def check(n, elem, prey_u, uprime):
+        got = direct_chain_replay(n, elem, prey_u, uprime)
+        rows = [tuple(int(col[k]) for col in got) for k in range(n - 1)]
+        assert rows == _direct_events(n, elem, prey_u, uprime)
+
+    rng = make_rng(31)
+    for n in (2, 3, 60):
+        for _ in range(20):
+            check(n, rng.integers(0, n, size=n - 1), rng.random(n - 1), rng.random(n - 1))
+    # u just below 1: the prey pick is the last live root, at the clamp's boundary,
+    # and D = L - 1, the largest displacement below L
+    top = np.nextafter(1.0, 0.0)
+    for n in (2, 3, 60):
+        ones = np.full(n - 1, top)
+        check(n, rng.integers(0, n, size=n - 1), ones, ones)
+        _, _, L, _, D = direct_chain_replay(n, np.zeros(n - 1, np.int64), ones, ones)
+        assert np.array_equal(D, L - 1)
+
+
+def test_parking_kernel_matches_reference_replay():
+    # the kernel must agree with the pure-python block bookkeeping
+    from addcoal._replay import parking_replay
+
+    rng = make_rng(17)
+    for n in (60, 2, 3):
+        for _ in range(20):
+            tries = rng.integers(0, n, size=n - 1)
+            batch_events = exact_oracles._parking_events(n, [int(t) for t in tries])
+            s, S, L, R, D = parking_replay(n, tries)
+            assert batch_events == tuple(
+                (int(a), int(b), int(c), int(d)) for a, b, c, d in zip(s, S, L, D)
+            )
 
 
 def test_tree_kernel_matches_reference_replay():
-    n = 40
     rng = make_rng(23)
     from addcoal._replay import tree_parents_from_prufer, tree_replay
 
-    for _ in range(20):
-        prufer = rng.integers(0, n, size=n - 2)
-        par_kernel = tree_parents_from_prufer(n, prufer)
-        par_ref = exact_oracles._tree_parents(n, [int(v) for v in prufer])
-        assert list(par_kernel) == par_ref
-        order = rng.permutation(n - 1)
-        uprime = rng.random(n - 1)
-        s, S, L, R, D = tree_replay(n, par_kernel, order, uprime)
-        ref = exact_oracles._tree_events(n, par_ref, [int(i) for i in order])
-        assert ref == tuple((int(a), int(b), int(c)) for a, b, c in zip(s, S, L))
+    for n in (40, 2, 3):
+        for _ in range(20):
+            prufer = rng.integers(0, n, size=n - 2)
+            par_kernel = tree_parents_from_prufer(n, prufer)
+            par_ref = exact_oracles._tree_parents(n, [int(v) for v in prufer])
+            assert list(par_kernel) == par_ref
+            order = rng.permutation(n - 1)
+            uprime = rng.random(n - 1)
+            s, S, L, R, D = tree_replay(n, par_kernel, order, uprime)
+            ref = exact_oracles._tree_events(n, par_ref, [int(i) for i in order])
+            assert ref == tuple((int(a), int(b), int(c)) for a, b, c in zip(s, S, L))
 
 
 def test_largest_cluster_curve_matches_spectrum():
