@@ -12,24 +12,14 @@ from .cost_engine import (  # noqa: F401
     ALL_FUNCTIONALS,
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
-    CostTrace,
     Functional,
-    instantaneous_cost,
-    partial_cost_curve,
-    w_curve,
 )
 from .process_core import (  # noqa: F401
-    ClusterState,
     Embedding,
     EventBatch,
-    MergeEvent,
-    cluster_spectrum,
-    largest_cluster,
-    new_monodisperse,
     simulate,
     simulate_direct,
     simulate_parking,
     simulate_spanning_tree,
-    step_direct,
 )
 from .seeding import make_rng, substream_rng, substream_seed  # noqa: F401

@@ -235,13 +235,13 @@ def criterion_partial_cost_curves() -> CriterionResult:
         beta_grid=(),
     )
     res = run_monte_carlo(spec)
-    qfw_curve = [r.value for r in phi_curve_quadrature(Functional.QFW, grid, tol=1e-8)]
+    qfw_phi = [r.value for r in phi_curve_quadrature(Functional.QFW, grid, tol=1e-8)]
     worst = 0.0
     worst_at = ""
     for f in _CURVE_FUNCTIONALS:
         means = res.alpha_values[f].mean(axis=0)
         for j, a in enumerate(grid):
-            phi = qfw_curve[j] if f is Functional.QFW else phi_comparison_curve(f, a)
+            phi = qfw_phi[j] if f is Functional.QFW else phi_comparison_curve(f, a)
             ratio = abs(means[j] - phi) / (0.02 * (1.0 + phi))
             if ratio > worst:
                 worst = ratio
@@ -306,8 +306,13 @@ _scaling_cache = {}
 
 
 def _scaling_runs():
-    """Shared runs for the n log n constants and the phase transition."""
+    """Shared runs for the n log n constants and the phase transition.
+
+    The cache is filled only once all runs are done, so a run that raises
+    leaves it empty and the next call starts over.
+    """
     if not _scaling_cache:
+        runs = {}
         for i, n in enumerate(SCALING_NS):
             spec = ExperimentSpec(
                 n=n,
@@ -318,7 +323,8 @@ def _scaling_runs():
                 alpha_grid=(),
                 beta_grid=(n**0.25,),  # checkpoint step floor(n - n^0.75)
             )
-            _scaling_cache[n] = run_monte_carlo(spec)
+            runs[n] = run_monte_carlo(spec)
+        _scaling_cache.update(runs)
     return _scaling_cache
 
 

@@ -15,7 +15,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__, _replay, acceptance
@@ -59,25 +60,34 @@ EXACT_TABLES = ("pmk", "condr", "dp")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One CLI invocation's settings; round-trips through config text."""
+    """One CLI invocation's settings; round-trips through config text.
+
+    Each field other than `command` is set by the flag ``--<key>`` (or, for
+    `table`, the positional of that name) and by the config line
+    ``<key> = value``.  The key is the field name with dashes for
+    underscores unless the field's metadata names another.  The annotation
+    gives the value syntax: ``tuple[X, ...]`` is a comma-separated list of
+    X (a list of strings is given as a repeated flag on the command line).
+    """
 
     command: str
-    n: tuple = (1000,)
+    n: tuple[int, ...] = (1000,)
     embedding: str = "direct"
-    functionals: tuple = _ALL_FUNCTIONALS
+    functionals: tuple[str, ...] = field(default=_ALL_FUNCTIONALS,
+                                         metadata={"key": "functional"})
     reps: int = 1
     seed: int = 0
-    alpha_grid: tuple = DEFAULT_ALPHA_GRID
-    beta_grid: tuple = DEFAULT_BETA_GRID
+    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
+    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     tol: float = 1e-8
-    fmt: str = "csv"
+    fmt: str = field(default="csv", metadata={"key": "format"})
     out: str = ""
     raw_out: str = ""
     workers: int = 1
     eps: float = 0.15
     table: str = ""
-    only: tuple = ()
-    mutate: tuple = ()
+    only: tuple[str, ...] = ()
+    mutate: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -95,72 +105,48 @@ class RunConfig:
             raise UsageError("reps and workers must be >= 1")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise UsageError(f"seed must be in [0, 2^64), got {self.seed}")
-        for name, grid in (("alpha-grid", self.alpha_grid), ("beta-grid", self.beta_grid)):
-            if len(set(grid)) != len(grid):
-                raise UsageError(f"{name} lists a point more than once: {grid}")
+        for name, values in (("n", self.n), ("functional", self.functionals),
+                             ("alpha-grid", self.alpha_grid), ("beta-grid", self.beta_grid)):
+            if len(set(values)) != len(values):
+                raise UsageError(f"{name} lists a value more than once: {values}")
 
 
 # config (de)serialization ---------------------------------------------------
 
-_KEY_TO_FIELD = {
-    "command": "command",
-    "n": "n",
-    "embedding": "embedding",
-    "functional": "functionals",
-    "reps": "reps",
-    "seed": "seed",
-    "alpha-grid": "alpha_grid",
-    "beta-grid": "beta_grid",
-    "tol": "tol",
-    "format": "fmt",
-    "out": "out",
-    "raw-out": "raw_out",
-    "workers": "workers",
-    "eps": "eps",
-    "table": "table",
-    "only": "only",
-    "mutate": "mutate",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 
-_INT_FIELDS = {"reps", "seed", "workers"}
-_FLOAT_FIELDS = {"tol", "eps"}
-_INT_TUPLE_FIELDS = {"n"}
-_FLOAT_TUPLE_FIELDS = {"alpha_grid", "beta_grid"}
-_STR_TUPLE_FIELDS = {"functionals", "only", "mutate"}
+def _key(f) -> str:
+    """Config key and flag name of a RunConfig field."""
+    return f.metadata.get("key", f.name.replace("_", "-"))
 
 
-def _format_value(field_name, value):
-    if field_name in _FLOAT_TUPLE_FIELDS:
-        return ",".join(f"{v:.17g}" for v in value)
-    if field_name in _INT_TUPLE_FIELDS or field_name in _STR_TUPLE_FIELDS:
-        return ",".join(str(v) for v in value)
-    if field_name in _FLOAT_FIELDS:
-        return f"{value:.17g}"
-    return str(value)
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_FIELD_BY_KEY = {_key(f): f for f in fields(RunConfig)}
 
 
-def _parse_value(field_name, raw):
-    raw = raw.strip()
-    if field_name in _INT_FIELDS:
-        return int(raw)
-    if field_name in _FLOAT_FIELDS:
-        return float(raw)
-    parts = tuple(p.strip() for p in raw.split(",") if p.strip()) if raw else ()
-    if field_name in _INT_TUPLE_FIELDS:
-        return tuple(int(p) for p in parts)
-    if field_name in _FLOAT_TUPLE_FIELDS:
-        return tuple(float(p) for p in parts)
-    if field_name in _STR_TUPLE_FIELDS:
-        return parts
-    return raw
+def _is_list(f) -> bool:
+    return typing.get_origin(f.type) is tuple
+
+
+def _item_type(f):
+    return typing.get_args(f.type)[0] if _is_list(f) else f.type
+
+
+def _format_value(f, value) -> str:
+    fmt = (lambda v: f"{v:.17g}") if _item_type(f) is float else str
+    return ",".join(fmt(v) for v in value) if _is_list(f) else fmt(value)
+
+
+def _parse_value(f, raw: str):
+    parse = _item_type(f)
+    if _is_list(f):
+        return tuple(parse(p.strip()) for p in raw.split(",") if p.strip())
+    return parse(raw)
 
 
 def serialize_config(config: RunConfig) -> str:
     lines = []
     for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {_format_value(f.name, value)}")
+        lines.append(f"{_key(f)} = {_format_value(f, getattr(config, f.name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -174,10 +160,10 @@ def parse_config(text: str) -> RunConfig:
             raise UsageError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in _KEY_TO_FIELD:
+        if key not in _FIELD_BY_KEY:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-        field_name = _KEY_TO_FIELD[key]
-        values[field_name] = _parse_value(field_name, raw)
+        f = _FIELD_BY_KEY[key]
+        values[f.name] = _parse_value(f, raw.strip())
     if "command" not in values:
         raise UsageError("config must set 'command'")
     return RunConfig(**values)
@@ -225,8 +211,14 @@ def _provenance(config: RunConfig, n) -> dict:
 # commands -------------------------------------------------------------------
 
 
+def _one_n(config: RunConfig) -> int:
+    if len(config.n) != 1:
+        raise UsageError(f"{config.command} takes exactly one n, got {config.n}")
+    return config.n[0]
+
+
 def cmd_simulate(config: RunConfig) -> int:
-    n = config.n[0]
+    n = _one_n(config)
     # beta checkpoints beyond sqrt(n) would sit at step 0 (value 0); drop them
     beta_grid = tuple(b for b in config.beta_grid if b * b <= n)
     with _validating():
@@ -328,7 +320,7 @@ def _rational(x) -> str:
 def cmd_exact(config: RunConfig) -> int:
     if not config.table:
         raise UsageError(f"exact needs a table argument: one of {EXACT_TABLES}")
-    n = config.n[0]
+    n = _one_n(config)
     rows = []
     if config.table == "pmk":
         if n < 2:
@@ -471,26 +463,33 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flag(p, name, **kw):
+        """Add --<key> for RunConfig field `name`; a list of strings is repeatable."""
+        f = _FIELDS[name]
+        key = _key(f)
+        if _is_list(f) and _item_type(f) is str:
+            kw["action"] = "append"
+        if "choices" not in kw:
+            kw["metavar"] = key.replace("-", "_").upper()
+        p.add_argument(f"--{key}", dest=name, default=None, **kw)
+
     def add_common(p):
-        p.add_argument("--n", type=str, default=None,
-                       help="chain size; comma-separated list for sweep")
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--embedding", choices=[e.value for e in Embedding], default=None)
-        p.add_argument("--functional", action="append", default=None,
-                       help="repeatable; defaults to all six")
-        p.add_argument("--alpha-grid", type=str, default=None, help="comma-separated")
-        p.add_argument("--beta-grid", type=str, default=None, help="comma-separated")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-        p.add_argument("--out", type=str, default=None)
+        flag(p, "n", help="chain size; a comma-separated list of distinct sizes for sweep")
+        flag(p, "reps")
+        flag(p, "seed")
+        flag(p, "embedding", choices=[e.value for e in Embedding])
+        flag(p, "functionals", help="repeatable; defaults to all six")
+        flag(p, "alpha_grid", help="comma-separated")
+        flag(p, "beta_grid", help="comma-separated")
+        flag(p, "tol")
+        flag(p, "fmt", choices=("csv", "json"))
+        flag(p, "out")
         p.add_argument("--config", type=str, default=None, help="flat key=value file")
-        p.add_argument("--workers", type=int, default=None)
+        flag(p, "workers")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo cost curves and totals")
     add_common(p_sim)
-    p_sim.add_argument("--raw-out", type=str, default=None,
-                       help="also stream per-replication records here")
+    flag(p_sim, "raw_out", help="also stream per-replication records here")
 
     p_lim = sub.add_parser("limit", help="deterministic limit curves phi(alpha)")
     add_common(p_lim)
@@ -501,62 +500,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the acceptance suite")
     add_common(p_ver)
-    p_ver.add_argument("--only", action="append", default=None,
-                       help="run only the named criteria (repeatable)")
-    p_ver.add_argument("--mutate", action="append", default=None,
-                       help="mutation test mode (e.g. pmk)")
+    flag(p_ver, "only", help="run only the named criteria (repeatable)")
+    flag(p_ver, "mutate", help="mutation test mode (e.g. pmk)")
 
     p_sw = sub.add_parser("sweep", help="largest-cluster regime sweep")
     add_common(p_sw)
-    p_sw.add_argument("--eps", type=float, default=None,
-                      help="regime exponent offset in (0, 1/2)")
+    flag(p_sw, "eps", help="regime exponent offset in (0, 1/2)")
     return parser
 
 
-_NS_TO_FIELD = {
-    "n": "n",
-    "reps": "reps",
-    "seed": "seed",
-    "embedding": "embedding",
-    "functional": "functionals",
-    "alpha_grid": "alpha_grid",
-    "beta_grid": "beta_grid",
-    "tol": "tol",
-    "fmt": "fmt",
-    "out": "out",
-    "raw_out": "raw_out",
-    "workers": "workers",
-    "eps": "eps",
-    "table": "table",
-    "only": "only",
-    "mutate": "mutate",
-}
-
-
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    if getattr(ns, "config", None):
+    """The config file's settings (if any), overridden by the flags given."""
+    values = {}
+    if ns.config:
         with open(ns.config, encoding="utf-8") as fh:
-            base = parse_config(fh.read())
-        if base.command != ns.command:
-            base = replace(base, command=ns.command)
-        config = base
-    else:
-        config = RunConfig(command=ns.command)
-    overrides = {}
-    for attr, field_name in _NS_TO_FIELD.items():
-        value = getattr(ns, attr, None)
-        if value is None:
-            continue
-        if attr in ("n", "alpha_grid", "beta_grid"):
-            overrides[field_name] = _parse_value(field_name, value)
-        elif attr in ("functional", "only", "mutate"):
-            overrides[field_name] = tuple(value)
-        else:
-            overrides[field_name] = value
-    if overrides:
-        config = replace(config, **overrides)
-    # re-run validation after overrides
-    return RunConfig(**{f.name: getattr(config, f.name) for f in fields(RunConfig)})
+            values = asdict(parse_config(fh.read()))
+    for name, f in _FIELDS.items():  # the subcommand is stored as `command` too
+        given = getattr(ns, name, None)
+        if given is not None:
+            values[name] = tuple(given) if isinstance(given, list) else _parse_value(f, given)
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Per-merge costs, cumulative traces, and checkpoint curves.
+"""Per-merge costs, conditional means, and checkpoint steps.
 
 Six cost functionals are tracked per merge event.  Naming convention
 (used consistently across the package): the *predator* is the size-biased
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .process_core import EventBatch, MergeEvent
+from .process_core import EventBatch
 
 
 class Functional(str, enum.Enum):
@@ -56,20 +56,6 @@ class ConditionalCost:
     name: str
     mean: Callable[[float, float], float]
     bound: tuple[float, int, int]
-
-
-def instantaneous_cost(functional: Functional, event: MergeEvent) -> int:
-    """Realized cost of one event; deterministic given (event, functional)."""
-    functional = Functional(functional)
-    if functional is Functional.QF:
-        return event.s if event.u < 0.5 else event.S
-    if functional is Functional.QFW:
-        return event.s
-    if functional in (Functional.QFB, Functional.PREY):
-        return event.R
-    if functional is Functional.PREDATOR:
-        return event.L
-    return event.D
 
 
 def event_costs(functional: Functional, batch: EventBatch) -> np.ndarray:
@@ -142,90 +128,3 @@ def beta_step(n: int, beta: float) -> int:
         raise ValueError("beta must be >= 0")
     m = int(math.floor(_snap(n - beta * math.sqrt(n))))
     return min(max(m, 0), n - 1)
-
-
-class CostTrace:
-    """Cumulative cost of one functional along one run, with checkpoints.
-
-    The running total is an exact Python integer.  Checkpoints record the
-    cumulative cost at steps ceil(alpha*n) (alpha grid) and
-    floor(n - beta*sqrt(n)) (beta grid).
-    """
-
-    def __init__(self, functional, n, alpha_grid=DEFAULT_ALPHA_GRID, beta_grid=DEFAULT_BETA_GRID):
-        self.functional = Functional(functional)
-        self.n = n
-        self.alpha_grid = tuple(alpha_grid)
-        self.beta_grid = tuple(beta_grid)
-        self._alpha_steps = [alpha_step(n, a) for a in self.alpha_grid]
-        self._beta_steps = [beta_step(n, b) for b in self.beta_grid]
-        self.cumulative = 0
-        self._next_k = 1
-        self._at_step = {0: 0}
-        need = set(self._alpha_steps) | set(self._beta_steps) | {n - 1}
-        self._watch = {m for m in need if m > 0}
-
-    @property
-    def complete(self) -> bool:
-        return self._next_k == self.n
-
-    def accumulate(self, event: MergeEvent) -> None:
-        if event.k != self._next_k:
-            raise ValueError(f"out-of-order event: expected step {self._next_k}, got {event.k}")
-        self.cumulative += instantaneous_cost(self.functional, event)
-        if event.k in self._watch:
-            self._at_step[event.k] = self.cumulative
-        self._next_k += 1
-
-    def extend(self, events) -> "CostTrace":
-        for event in events:
-            self.accumulate(event)
-        return self
-
-    @classmethod
-    def from_batch(cls, functional, batch: EventBatch, alpha_grid=DEFAULT_ALPHA_GRID,
-                   beta_grid=DEFAULT_BETA_GRID) -> "CostTrace":
-        """Fast columnar path; totals stay exact (sums fit in int64 for n <= 1e6)."""
-        trace = cls(functional, batch.n, alpha_grid, beta_grid)
-        csum = np.cumsum(event_costs(trace.functional, batch))
-        for m in trace._watch:
-            trace._at_step[m] = int(csum[m - 1])
-        trace.cumulative = int(csum[-1])
-        trace._next_k = batch.n
-        return trace
-
-    def value_at_step(self, m: int) -> int:
-        if m == 0:
-            return 0
-        try:
-            return self._at_step[m]
-        except KeyError:
-            raise ValueError(f"step {m} is not a recorded checkpoint") from None
-
-    @property
-    def total(self) -> int:
-        if not self.complete:
-            raise ValueError("trace is not complete")
-        return self._at_step[self.n - 1]
-
-
-def partial_cost_curve(trace: CostTrace):
-    """[(alpha, C_{n, ceil(alpha n)} / n)] on the trace's alpha grid."""
-    if not trace.complete:
-        raise ValueError("trace is not complete")
-    n = trace.n
-    return [
-        (a, trace.value_at_step(m) / n)
-        for a, m in zip(trace.alpha_grid, trace._alpha_steps)
-    ]
-
-
-def w_curve(trace: CostTrace):
-    """[(beta, n^{-3/2} C_{n, floor(n - beta sqrt n)})] on the beta grid."""
-    if not trace.complete:
-        raise ValueError("trace is not complete")
-    scale = trace.n ** 1.5
-    return [
-        (b, trace.value_at_step(m) / scale)
-        for b, m in zip(trace.beta_grid, trace._beta_steps)
-    ]

@@ -15,8 +15,6 @@ model D is the physical probe distance).
 """
 
 import enum
-from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,19 +27,6 @@ class Embedding(str, enum.Enum):
     DIRECT = "direct"
     TREE = "tree"
     PARKING = "parking"
-
-
-@dataclass(frozen=True)
-class MergeEvent:
-    """One coalescence: step k (1-based), sizes, uniforms, displacement."""
-
-    k: int
-    s: int
-    S: int
-    L: int
-    R: int
-    u: float
-    D: int
 
 
 class EventBatch:
@@ -61,28 +46,6 @@ class EventBatch:
     def __len__(self):
         return self.n - 1
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            raise TypeError("EventBatch does not support slicing")
-        i = int(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return MergeEvent(
-            k=i + 1,
-            s=int(self.s[i]),
-            S=int(self.S[i]),
-            L=int(self.L[i]),
-            R=int(self.R[i]),
-            u=float(self.u[i]),
-            D=int(self.D[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def largest_cluster_at(self, step):
         """Size of the largest cluster after `step` merges (0 <= step <= n-1)."""
         if not 0 <= step <= len(self):
@@ -91,13 +54,6 @@ class EventBatch:
             return 1
         # merged sizes only ever grow, so the running max is the largest cluster
         return int(np.max(self.s[:step] + self.S[:step]))
-
-    def largest_cluster_curve(self):
-        """Largest cluster after each step, length n (index = step count)."""
-        out = np.empty(self.n, np.int64)
-        out[0] = 1
-        np.maximum.accumulate(self.s + self.S, out=out[1:])
-        return out
 
     def spectrum_at(self, step):
         """Cluster-size spectrum {size: count} after `step` merges."""
@@ -114,92 +70,6 @@ class EventBatch:
             merged = int(self.s[i] + self.S[i])
             spectrum[merged] = spectrum.get(merged, 0) + 1
         return spectrum
-
-
-class ClusterState:
-    """Disjoint-set view of the current partition of n unit elements.
-
-    Keeps per-root sizes and a dense array of live roots with back
-    pointers so that both the size-biased pick (uniform element, then
-    find) and the uniform cluster pick are exact and O(1) amortized.
-    """
-
-    __slots__ = ("n", "parent", "size", "roots", "root_pos", "clusters", "merges")
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        self.n = n
-        self.parent = np.arange(n)
-        self.size = np.ones(n, np.int64)
-        self.roots = np.arange(n)
-        self.root_pos = np.arange(n)
-        self.clusters = n
-        self.merges = 0
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return int(i)
-
-    def live_roots(self):
-        return self.roots[: self.clusters]
-
-    def largest_cluster(self) -> int:
-        return int(self.size[self.live_roots()].max())
-
-    def cluster_spectrum(self):
-        return dict(Counter(int(x) for x in self.size[self.live_roots()]))
-
-
-def new_monodisperse(n: int) -> ClusterState:
-    """State with n clusters of size 1."""
-    return ClusterState(n)
-
-
-def largest_cluster(state: ClusterState) -> int:
-    return state.largest_cluster()
-
-
-def cluster_spectrum(state: ClusterState):
-    return state.cluster_spectrum()
-
-
-def step_direct(state: ClusterState, rng) -> MergeEvent:
-    """Advance the direct chain by one merge, mutating `state`.
-
-    Draw order: predator element, prey index, u, u'.  The predator is the
-    cluster of a uniform element (probability |P|/n); the prey is uniform
-    among the remaining clusters, realized by swapping the predator out of
-    the live-roots array.
-    """
-    if state.clusters < 2:
-        raise ValueError("cannot merge: fewer than two clusters remain")
-    a = state.find(int(rng.integers(0, state.n)))
-    ia = int(state.root_pos[a])
-    last = int(state.roots[state.clusters - 1])
-    state.roots[ia] = last
-    state.root_pos[last] = ia
-    j = int(rng.integers(0, state.clusters - 1))
-    b = int(state.roots[j])
-    x = int(state.size[a])
-    y = int(state.size[b])
-    if x < y:
-        state.parent[a] = b
-        r = b
-    else:
-        state.parent[b] = a
-        r = a
-    state.roots[j] = r
-    state.root_pos[r] = j
-    state.size[r] = x + y
-    state.clusters -= 1
-    state.merges += 1
-    u = float(rng.random())
-    d = int(rng.random() * x)
-    return MergeEvent(k=state.merges, s=min(x, y), S=max(x, y), L=x, R=y, u=u, D=d)
 
 
 def _check_n(n):

@@ -108,3 +108,23 @@ def test_suite_passed_helper():
     hard_fail = acceptance.CriterionResult("z", False, False, "", "", "", "", 0.0)
     assert acceptance.suite_passed([ok, info_fail])
     assert not acceptance.suite_passed([ok, hard_fail])
+
+
+def test_scaling_runs_recomputed_after_a_failed_run(monkeypatch):
+    # a run that raises must not leave a partial cache for later criteria
+    monkeypatch.setattr(acceptance, "_scaling_cache", {})
+    calls = []
+
+    def fail_on_second_call(spec):
+        calls.append(spec.n)
+        if len(calls) == 2:
+            raise RuntimeError("second run fails")
+        return spec.n
+
+    monkeypatch.setattr(acceptance, "run_monte_carlo", fail_on_second_call)
+    with pytest.raises(RuntimeError):
+        acceptance._scaling_runs()
+    assert acceptance._scaling_cache == {}
+    runs = acceptance._scaling_runs()
+    assert calls[2:] == list(acceptance.SCALING_NS)
+    assert runs == {n: n for n in acceptance.SCALING_NS}

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -30,10 +32,66 @@ def test_config_round_trip():
         tol=1e-7,
         fmt="json",
         out="x.json",
+        raw_out="raw.csv",
         workers=2,
         eps=0.2,
+        table="dp",
+        only=("borel-limit", "pmk-exact"),
+        mutate=("pmk",),
     )
+    unset = [f.name for f in fields(RunConfig) if getattr(config, f.name) == f.default]
+    assert unset == []
     assert parse_config(serialize_config(config)) == config
+
+
+_DEFAULT_SIMULATE_TEXT = "".join(line + "\n" for line in (
+    "command = simulate",
+    "n = 1000",
+    "embedding = direct",
+    "functional = qf,qfw,qfb,prey,predator,displacement",
+    "reps = 1",
+    "seed = 0",
+    "alpha-grid = 0.050000000000000003,0.10000000000000001,0.14999999999999999,"
+    "0.20000000000000001,0.25,0.29999999999999999,0.34999999999999998,0.40000000000000002,"
+    "0.45000000000000001,0.5,0.55000000000000004,0.59999999999999998,0.65000000000000002,"
+    "0.69999999999999996,0.75,0.80000000000000004,0.84999999999999998,0.90000000000000002,"
+    "0.94999999999999996",
+    "beta-grid = 0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25,2.5,2.75,3,3.25,3.5,3.75,4",
+    "tol = 1e-08",
+    "format = csv",
+    "out = ",
+    "raw-out = ",
+    "workers = 1",
+    "eps = 0.14999999999999999",
+    "table = ",
+    "only = ",
+    "mutate = ",
+))
+
+
+def test_default_config_text_is_stable():
+    # config files written by earlier versions must keep parsing the same way
+    assert serialize_config(RunConfig("simulate")) == _DEFAULT_SIMULATE_TEXT
+    assert parse_config(_DEFAULT_SIMULATE_TEXT) == RunConfig("simulate")
+
+
+def test_every_field_has_one_flag_named_by_its_key():
+    text = serialize_config(RunConfig("simulate"))
+    keys = [line.partition(" = ")[0] for line in text.splitlines()]
+    fields_by_key = dict(zip(keys, (f.name for f in fields(RunConfig))))
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names_by_dest = {}
+    for sub in subparsers.choices.values():
+        for action in sub._actions:
+            if action.dest in ("help", "config"):
+                continue
+            names = action.option_strings or [action.dest]
+            names_by_dest.setdefault(action.dest, set()).update(names)
+    assert set(names_by_dest) == set(fields_by_key.values()) - {"command"}
+    for key, name in fields_by_key.items():
+        if name != "command":
+            assert names_by_dest[name] in ({f"--{key}"}, {key})
 
 
 def test_config_unknown_key_rejected():
@@ -265,3 +323,31 @@ def test_provenance_names_backend(tmp_path):
     assert run_cli(["simulate", "--n", "10", "--functional", "qf", "--out", out]) == 0
     want = "numba" if _replay.HAVE_NUMBA else "python"
     assert {r["backend"] for r in read_csv(out)} == {want}
+
+
+def test_simulate_and_exact_take_one_n(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--n", "50,60", "--out", out]) == 1
+    assert "exactly one n" in _stderr_json(capsys)["error"]
+    assert run_cli(["simulate", "--n", "", "--out", out]) == 1
+    assert _stderr_json(capsys)["kind"] == "usage"
+    assert run_cli(["exact", "pmk", "--n", "5,6", "--out", out]) == 1
+    assert run_cli(["exact", "dp", "--n", "", "--out", out]) == 1
+    assert _stderr_json(capsys)["kind"] == "usage"
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_repeated_n(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep", "--n", "100,100", "--reps", "2", "--out", out]) == 1
+    assert "n lists a value more than once" in _stderr_json(capsys)["error"]
+    assert not out.exists()
+
+
+def test_repeated_functional_rejected(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--n", "10", "--functional", "qf", "--functional", "qf",
+                    "--out", out]) == 1
+    assert "functional" in _stderr_json(capsys)["error"]
+    assert run_cli(["limit", "--functional", "qf", "--functional", "qf", "--out", out]) == 1
+    assert not out.exists()

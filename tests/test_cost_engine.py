@@ -3,36 +3,52 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from addcoal import experiment
 from addcoal.cost_engine import (
     ALL_FUNCTIONALS,
-    CostTrace,
     Functional,
     alpha_step,
     beta_step,
     conditional_mean,
     event_costs,
-    instantaneous_cost,
-    partial_cost_curve,
-    w_curve,
 )
 from addcoal.exact_oracles import enumerate_parking, partition_dp
-from addcoal.process_core import MergeEvent, simulate_direct
+from addcoal.experiment import ExperimentSpec, run_monte_carlo
+from addcoal.process_core import Embedding, EventBatch, simulate_direct
 from addcoal.seeding import make_rng
 
 
-def ev(k=1, s=1, S=1, L=1, R=1, u=0.3, D=0):
-    return MergeEvent(k=k, s=s, S=S, L=L, R=R, u=u, D=D)
+def batch_of(*events):
+    """EventBatch of hand-written (s, S, L, R, u, D) rows, one per step."""
+    s, S, L, R, u, D = (np.array(col) for col in zip(*events))
+    return EventBatch(len(events) + 1, s, S, L, R, u, D)
+
+
+def ev(s=1, S=1, L=1, R=1, u=0.3, D=0):
+    return (s, S, L, R, u, D)
+
+
+def fold(monkeypatch, batch, functionals, alpha_steps=(), beta_steps=()):
+    """experiment._one_rep's (alpha, beta, totals) over a given batch."""
+    monkeypatch.setattr(experiment, "simulate", lambda n, rng, embedding: batch)
+    return experiment._one_rep(
+        (batch.n, Embedding.DIRECT, tuple(functionals), 0, 0, tuple(alpha_steps),
+         tuple(beta_steps))
+    )
 
 
 def test_instantaneous_examples():
+    def cost(functional, event):
+        return int(event_costs(functional, batch_of(event))[0])
+
     e = ev(s=2, S=5, L=5, R=2, u=0.2, D=3)
-    assert instantaneous_cost(Functional.QFW, e) == 2
-    assert instantaneous_cost(Functional.QF, e) == 2  # u < 1/2 -> smaller side
-    assert instantaneous_cost(Functional.QF, ev(s=2, S=5, u=0.9)) == 5
-    assert instantaneous_cost(Functional.PREDATOR, ev(L=3, R=4, s=3, S=4)) == 3
-    assert instantaneous_cost(Functional.PREY, e) == 2
-    assert instantaneous_cost(Functional.QFB, e) == 2
-    assert instantaneous_cost(Functional.DISPLACEMENT, e) == 3
+    assert cost(Functional.QFW, e) == 2
+    assert cost(Functional.QF, e) == 2  # u < 1/2 -> smaller side
+    assert cost(Functional.QF, ev(s=2, S=5, u=0.9)) == 5
+    assert cost(Functional.PREDATOR, ev(L=3, R=4, s=3, S=4)) == 3
+    assert cost(Functional.PREY, e) == 2
+    assert cost(Functional.QFB, e) == 2
+    assert cost(Functional.DISPLACEMENT, e) == 3
 
 
 def test_per_event_relations():
@@ -55,22 +71,11 @@ def test_conditional_means():
     assert conditional_mean(Functional.DISPLACEMENT, 1, 2) == Fraction(1, 3)
 
 
-def test_accumulate_order_enforced():
-    trace = CostTrace(Functional.PREY, 3, alpha_grid=(0.5,), beta_grid=())
-    trace.accumulate(ev(k=1))
-    with pytest.raises(ValueError):
-        trace.accumulate(ev(k=3))
-
-
-def test_accumulate_prey_n3_example():
+def test_accumulate_prey_n3_example(monkeypatch):
     # run 1: L2 = 2 (prey cost R2 = 1); run 2: L2 = 1 (prey cost 2)
-    e1 = ev(k=1)
-    trace = CostTrace(Functional.PREY, 3, alpha_grid=(), beta_grid=())
-    trace.extend([e1, ev(k=2, s=1, S=2, L=2, R=1)])
-    assert trace.total == 2
-    trace = CostTrace(Functional.PREDATOR, 3, alpha_grid=(), beta_grid=())
-    trace.extend([e1, ev(k=2, s=1, S=2, L=2, R=1)])
-    assert trace.total == 3
+    batch = batch_of(ev(), ev(s=1, S=2, L=2, R=1))
+    _, _, totals = fold(monkeypatch, batch, (Functional.PREY, Functional.PREDATOR))
+    assert list(totals) == [2, 3]
 
 
 def test_expected_totals_match_partition_dp():
@@ -105,48 +110,44 @@ def test_displacement_identity_by_enumeration():
                 assert e_d == Fraction(l - 1, 2)
 
 
-def test_totals_n2_all_functionals():
+def test_totals_n2_all_functionals(monkeypatch):
     batch = simulate_direct(2, make_rng(0))
-    for f in ALL_FUNCTIONALS:
-        trace = CostTrace.from_batch(f, batch)
+    _, _, totals = fold(monkeypatch, batch, ALL_FUNCTIONALS)
+    for f, total in zip(ALL_FUNCTIONALS, totals):
         expected = 0 if f is Functional.DISPLACEMENT else 1
-        assert trace.total == expected
+        assert total == expected
 
 
-def test_from_batch_matches_incremental():
-    batch = simulate_direct(200, make_rng(31))
-    grids = dict(alpha_grid=(0.0, 0.25, 0.5, 0.75), beta_grid=(0.0, 1.0, 3.0, 20.0))
-    for f in ALL_FUNCTIONALS:
-        fast = CostTrace.from_batch(f, batch, **grids)
-        slow = CostTrace(f, 200, **grids).extend(batch)
-        assert fast.total == slow.total
-        assert partial_cost_curve(fast) == partial_cost_curve(slow)
-        assert w_curve(fast) == w_curve(slow)
+def test_one_rep_matches_incremental_fold(monkeypatch):
+    # the cumsum-and-gather equals a running total taken event by event
+    n = 200
+    batch = simulate_direct(n, make_rng(31))
+    alpha_steps = [alpha_step(n, a) for a in (0.0, 0.25, 0.5, 0.75)]
+    beta_steps = [beta_step(n, b) for b in (0.0, 1.0, 3.0, 20.0)]
+    alpha_vals, beta_vals, totals = fold(monkeypatch, batch, ALL_FUNCTIONALS, alpha_steps,
+                                         beta_steps)
+    for i, f in enumerate(ALL_FUNCTIONALS):
+        running = [0]
+        for cost in event_costs(f, batch):
+            running.append(running[-1] + int(cost))
+        assert totals[i] == running[-1]
+        assert list(alpha_vals[i]) == [running[m] / n for m in alpha_steps]
+        assert list(beta_vals[i]) == [running[m] / n**1.5 for m in beta_steps]
 
 
 def test_curves_contracts():
     n = 400
-    batch = simulate_direct(n, make_rng(7))
-    trace = CostTrace.from_batch(
-        Functional.QF, batch, alpha_grid=(0.0, 0.5, 0.9), beta_grid=(0.0, 1.0, 2.0, 25.0)
-    )
-    curve = partial_cost_curve(trace)
-    assert curve[0] == (0.0, 0.0)
-    assert curve[-1][1] > 0
-    wc = w_curve(trace)
-    assert wc[0][1] == trace.total / n**1.5  # beta = 0 is the full sum
-    assert wc[-1][1] == 0.0  # beta sqrt(n) > n - 1 -> step 0
-    values = [v for _, v in wc]
-    assert all(a >= b for a, b in zip(values, values[1:]))  # nonincreasing in beta
-
-
-def test_incomplete_trace_rejected():
-    trace = CostTrace(Functional.QF, 5)
-    trace.accumulate(ev(k=1))
-    with pytest.raises(ValueError):
-        partial_cost_curve(trace)
-    with pytest.raises(ValueError):
-        _ = trace.total
+    result = run_monte_carlo(ExperimentSpec(
+        n=n, functionals=(Functional.QF,), seed=7, alpha_grid=(0.0, 0.5, 0.9),
+        beta_grid=(0.0, 1.0, 2.0, 20.0),
+    ))
+    curve = result.alpha_values[Functional.QF][0]
+    assert curve[0] == 0.0
+    assert curve[-1] > 0
+    wc = result.beta_values[Functional.QF][0]
+    assert wc[0] == result.totals[Functional.QF][0] / n**1.5  # beta = 0 is the full sum
+    assert wc[-1] == 0.0  # beta sqrt(n) = n -> step 0
+    assert all(a >= b for a, b in zip(wc, wc[1:]))  # nonincreasing in beta
 
 
 def test_checkpoint_step_mapping():

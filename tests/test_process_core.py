@@ -4,74 +4,70 @@ import pytest
 from addcoal import exact_oracles
 from addcoal.process_core import (
     Embedding,
-    MergeEvent,
-    cluster_spectrum,
-    largest_cluster,
-    new_monodisperse,
     simulate,
     simulate_direct,
     simulate_parking,
     simulate_spanning_tree,
-    step_direct,
 )
 from addcoal.seeding import make_rng
 
 ALL_SIMS = [simulate_direct, simulate_spanning_tree, simulate_parking]
 
 
+def _rows(batch):
+    """The batch's events as (s, S, L, R, D) tuples of ints, one per step."""
+    return [tuple(int(col[k]) for col in (batch.s, batch.S, batch.L, batch.R, batch.D))
+            for k in range(len(batch))]
+
+
 def test_monodisperse_basics():
-    state = new_monodisperse(5)
-    assert state.clusters == 5
-    assert largest_cluster(state) == 1
-    assert cluster_spectrum(new_monodisperse(100)) == {1: 100}
-    assert new_monodisperse(1).clusters == 1
+    # before the first merge every chain holds n clusters of size 1
+    for sim in ALL_SIMS:
+        batch = sim(5, make_rng(0))
+        assert sum(batch.spectrum_at(0).values()) == 5
+        assert batch.largest_cluster_at(0) == 1
+    assert simulate_direct(100, make_rng(0)).spectrum_at(0) == {1: 100}
 
 
 def test_monodisperse_rejects_zero():
-    with pytest.raises(ValueError):
-        new_monodisperse(0)
+    for sim in ALL_SIMS:
+        with pytest.raises(ValueError):
+            sim(0, make_rng(0))
 
 
-def test_step_direct_n2_only_outcome():
-    state = new_monodisperse(2)
-    ev = step_direct(state, make_rng(0))
-    assert (ev.k, ev.s, ev.S, ev.L, ev.R) == (1, 1, 1, 1, 1)
-    assert ev.D == 0
-    assert state.clusters == 1
-    with pytest.raises(ValueError):
-        step_direct(state, make_rng(0))
+def test_direct_n2_only_outcome():
+    batch = simulate_direct(2, make_rng(0))
+    assert _rows(batch) == [(1, 1, 1, 1, 0)]
+    assert batch.spectrum_at(1) == {2: 1}
+    with pytest.raises(ValueError):  # one cluster left: no further merge
+        batch.spectrum_at(2)
 
 
-def test_step_direct_full_run_invariants():
+def test_direct_full_run_invariants():
     n = 30
-    state = new_monodisperse(n)
-    rng = make_rng(11)
-    for k in range(1, n):
-        ev = step_direct(state, rng)
-        assert ev.k == k
-        assert {ev.L, ev.R} == {ev.s, ev.S}
-        assert ev.R == ev.s + ev.S - ev.L
-        assert 0 <= ev.D <= ev.L - 1
-        assert 1 <= ev.s <= ev.S and ev.s + ev.S <= n
-        assert state.clusters == n - k
-        live = state.live_roots()
-        assert len(set(int(r) for r in live)) == state.clusters
-        assert int(state.size[live].sum()) == n
-    assert largest_cluster(state) == n
-    assert cluster_spectrum(state) == {n: 1}
+    batch = simulate_direct(n, make_rng(11))
+    assert len(batch) == n - 1
+    for k, (s, S, L, R, D) in enumerate(_rows(batch), 1):
+        assert {L, R} == {s, S}
+        assert R == s + S - L
+        assert 0 <= D <= L - 1
+        assert 1 <= s <= S and s + S <= n
+        spectrum = batch.spectrum_at(k)
+        assert sum(spectrum.values()) == n - k
+        assert sum(size * cnt for size, cnt in spectrum.items()) == n
+    assert batch.largest_cluster_at(n - 1) == n
+    assert batch.spectrum_at(n - 1) == {n: 1}
 
 
-def test_step_direct_size_biased_pick():
+def test_direct_size_biased_pick():
     # n=3 step 2: the remaining pair is {1, 2}; P(L = 2) = 2/3
     hits = 0
     trials = 4000
     rng = make_rng(5)
     for _ in range(trials):
-        state = new_monodisperse(3)
-        step_direct(state, rng)
-        ev = step_direct(state, rng)
-        assert (ev.s, ev.S) == (1, 2)
-        hits += ev.L == 2
+        batch = simulate_direct(3, rng)
+        assert (batch.s[1], batch.S[1]) == (1, 2)
+        hits += int(batch.L[1] == 2)
     assert abs(hits / trials - 2 / 3) < 0.03
 
 
@@ -119,23 +115,9 @@ def test_simulate_rejects_small_n():
             sim(1, make_rng(0))
 
 
-def test_batch_indexing_and_iter():
-    batch = simulate_direct(10, make_rng(3))
-    events = list(batch)
-    assert len(events) == 9
-    assert all(isinstance(e, MergeEvent) for e in events)
-    assert [e.k for e in events] == list(range(1, 10))
-    assert batch[-1] == events[-1]
-    with pytest.raises(IndexError):
-        batch[9]
-
-
 def test_tree_and_parking_n2():
-    t = simulate_spanning_tree(2, make_rng(0))
-    p = simulate_parking(2, make_rng(0))
-    for b in (t, p):
-        ev = b[0]
-        assert (ev.s, ev.S, ev.L, ev.R, ev.D) == (1, 1, 1, 1, 0)
+    for b in (simulate_spanning_tree(2, make_rng(0)), simulate_parking(2, make_rng(0))):
+        assert _rows(b) == [(1, 1, 1, 1, 0)]
 
 
 def _direct_events(n, elem, prey_u, uprime):
@@ -217,10 +199,8 @@ def test_tree_kernel_matches_reference_replay():
 
 def test_largest_cluster_curve_matches_spectrum():
     batch = simulate_parking(120, make_rng(8))
-    curve = batch.largest_cluster_curve()
     for step in (0, 5, 60, 119):
-        assert curve[step] == max(batch.spectrum_at(step))
-        assert curve[step] == batch.largest_cluster_at(step)
+        assert batch.largest_cluster_at(step) == max(batch.spectrum_at(step))
 
 
 def test_displacement_identity_at_scale():
