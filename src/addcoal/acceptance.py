@@ -526,7 +526,8 @@ CRITERIA = {
 }
 
 
-MUTATIONS = ("pmk",)  # perturbed nulls that `run_criteria(mutate=...)` knows
+#: perturbed nulls that `run_criteria(mutate=...)` knows, and the criterion each perturbs
+MUTATIONS = {"pmk": "pmk-chi-square"}
 
 
 def run_criteria(only=None, mutate=()):

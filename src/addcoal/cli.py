@@ -386,6 +386,10 @@ def cmd_verify(config: RunConfig) -> int:
     unknown = [m for m in config.mutate if m not in acceptance.MUTATIONS]
     if unknown:
         raise UsageError(f"unknown mutations: {unknown}; known: {list(acceptance.MUTATIONS)}")
+    unselected = {m: acceptance.MUTATIONS[m] for m in config.mutate
+                  if config.only and acceptance.MUTATIONS[m] not in config.only}
+    if unselected:
+        raise UsageError(f"--only must select the criterion each mutation perturbs: {unselected}")
     results = acceptance.run_criteria(only=config.only or None, mutate=config.mutate)
     for r in results:
         print(f"[{r.status:9s}] {r.cid}: {r.measured} (target {r.target}; tol {r.tolerance})")
@@ -455,8 +459,17 @@ _DISPATCH = {
 # argument parsing -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose own usage errors (unknown flag, bad choice,
+    missing subcommand) raise UsageError, so they are reported like every
+    other usage error; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="addcoal",
         description="Merging-cost lab for the additive coalescent.",
     )
@@ -523,17 +536,14 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse errors (usage) or --help/--version
-        code = exc.code if isinstance(exc.code, int) else 0
-        return 0 if code == 0 else 1
     config = None
     try:
+        ns = _build_parser().parse_args(argv)
         with _validating():  # malformed numbers in flags or config text
             config = config_from_args(ns)
         return _DISPATCH[config.command](config)
+    except SystemExit as exc:  # --help and --version
+        return exc.code
     except UsageError as exc:
         return _report_error(1, {"error": str(exc), "kind": "usage"})
     except OSError as exc:

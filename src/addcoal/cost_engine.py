@@ -25,9 +25,7 @@ smoluchowski.phi_closed_form's conventions).
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -47,15 +45,6 @@ ALL_FUNCTIONALS = tuple(Functional)
 
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 DEFAULT_BETA_GRID = tuple(0.25 * i for i in range(17))
-
-
-@dataclass(frozen=True)
-class ConditionalCost:
-    """A conditional merge cost c(x, y) with a declared bound A * x^p * y^q."""
-
-    name: str
-    mean: Callable[[float, float], float]
-    bound: tuple[float, int, int]
 
 
 def event_costs(functional: Functional, batch: EventBatch) -> np.ndarray:
@@ -87,26 +76,6 @@ def conditional_mean(functional: Functional, x, y):
     if functional is Functional.PREDATOR:
         return Fraction(x * x + y * y, x + y)
     return (Fraction(x * x + y * y, x + y) - 1) / 2
-
-
-#: Conditional-mean costs with polynomial bounds, for limit-curve quadrature.
-CONDITIONAL_COSTS = {
-    Functional.QF: ConditionalCost("qf", lambda x, y: 0.5 * (x + y), (1.0, 1, 1)),
-    Functional.QFW: ConditionalCost("qfw", lambda x, y: min(x, y), (1.0, 1, 0)),
-    Functional.QFB: ConditionalCost("qfb", lambda x, y: 2.0 * x * y / (x + y), (1.0, 1, 0)),
-    Functional.PREY: ConditionalCost("prey", lambda x, y: 2.0 * x * y / (x + y), (1.0, 1, 0)),
-    Functional.PREDATOR: ConditionalCost(
-        "predator", lambda x, y: (x * x + y * y) / (x + y), (2.0, 1, 1)
-    ),
-    Functional.DISPLACEMENT: ConditionalCost(
-        "displacement", lambda x, y: 0.5 * ((x * x + y * y) / (x + y) - 1.0), (1.0, 1, 1)
-    ),
-}
-
-#: The idealized displacement cost from the mean-field cost table (no -1/2).
-DISPLACEMENT_TABLE_COST = ConditionalCost(
-    "displacement-table", lambda x, y: (x * x + y * y) / (2.0 * (x + y)), (1.0, 1, 1)
-)
 
 
 def _snap(x: float) -> float:

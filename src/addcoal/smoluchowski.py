@@ -27,17 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .cost_engine import (
-    CONDITIONAL_COSTS,
-    ConditionalCost,
-    Functional,
-)
+from .cost_engine import Functional
 
 DEFAULT_TOL = 1e-8
 _MASS_TOL = 1e-10
 _MIN_PANELS = 64
 _MAX_PANELS = 1 << 16
 _KMAX_HARD = 1 << 21
+_ALPHA_MAX = 0.98  # the cutoff kmax grows like (1 - alpha)^-2 toward alpha = 1
 
 
 class QuadratureError(RuntimeError):
@@ -103,18 +100,18 @@ def moment(t: float, p: int, method: str = "closed", tol: float = 1e-10) -> floa
     raise QuadratureError("moment series did not stabilize")
 
 
-def smoluchowski_rhs(k: int, t: float, tail_tol: float = 1e-12) -> float:
+def smoluchowski_rhs(k: int, t: float) -> float:
     """Right-hand side of the coagulation ODE for q(k, .) at time t.
 
     (k/2) sum_{j<k} q(j)q(k-j) - q(k) sum_j (j+k) q(j), with the infinite
-    j-sum truncated once its tail certificate drops below tail_tol.
+    j-sum truncated once its leftover first-moment mass drops below 1e-12.
     """
     kmax = 256
     while True:
         qv = q_vector(kmax, t)
         ks = np.arange(1, kmax + 1, dtype=np.float64)
         residual = abs(1.0 - float(np.sum(ks * qv)))
-        if residual < tail_tol or kmax > _KMAX_HARD:
+        if residual < 1e-12 or kmax > _KMAX_HARD:
             break
         kmax *= 2
     gain = 0.0
@@ -167,20 +164,21 @@ _CLASSICAL_TABLE = {
 }
 
 
-def phi_closed_form(functional, alpha: float, tol: float = DEFAULT_TOL) -> float:
+def phi_closed_form(functional, alpha: float) -> float:
     """Normalized limit curve phi(alpha) of C_{n, ceil(alpha n)} / n.
 
     Closed forms exist for QF, Prey (= QFB) and Predator.  For
     Displacement this returns the idealized table curve alpha/(2(1-alpha))
     whose conditional cost is (x^2+y^2)/(2(x+y)); simulated displacement
     totals follow phi_displacement_floor instead (D lives on {0..L-1}).
-    QFW has no closed form and is routed to phi_quadrature with c = min.
+    QFW has no closed form and raises ValueError; phi_curve_quadrature
+    computes its curve.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must be in [0, 1)")
     functional = Functional(functional)
     if functional is Functional.QFW:
-        return phi_quadrature(functional, alpha, tol=tol).value
+        raise ValueError("qfw has no closed form; use phi_curve_quadrature")
     return _CLOSED_FORMS[functional](alpha)
 
 
@@ -202,7 +200,7 @@ def phi_classical_table(functional, alpha: float):
     return None if fn is None else fn(alpha)
 
 
-def phi_comparison_curve(functional, alpha: float, tol: float = DEFAULT_TOL) -> float:
+def phi_comparison_curve(functional, alpha: float) -> float:
     """The curve simulated C/n values converge to, per functional.
 
     Same as phi_closed_form except Displacement, which uses the floor
@@ -211,30 +209,29 @@ def phi_comparison_curve(functional, alpha: float, tol: float = DEFAULT_TOL) -> 
     functional = Functional(functional)
     if functional is Functional.DISPLACEMENT:
         return phi_displacement_floor(alpha)
-    return phi_closed_form(functional, alpha, tol=tol)
+    return phi_closed_form(functional, alpha)
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error: float
-    panels: int
     kmax: int
 
 
 class _Integrand:
     """Evaluates I(t) = sum_{k,l} c(k,l) (k+l)/2 q(k,t) q(l,t), truncated.
 
-    Built-in functionals use exact rearrangements of the truncated double
-    sum (products of single sums, or a prefix-sum form for min); a generic
-    ConditionalCost falls back to a chunked double sum, which is only
-    practical while the cutoff stays moderate (alpha not too close to 1).
+    c is the functional's conditional mean cost (cost_engine.conditional_mean).
+    Each functional uses an exact rearrangement of the truncated double sum:
+    products of the moments m_p = sum_k k^p q_k, or a prefix-sum form for
+    QFW's min(k, l).
     """
 
-    def __init__(self, cost, kmax: int):
+    def __init__(self, functional, kmax: int):
+        self.functional = Functional(functional)
         self.kmax = kmax
         self.ks = np.arange(1, kmax + 1, dtype=np.float64)
-        self.kind, self.cost = _resolve_cost(cost)
 
     def __call__(self, t: float) -> float:
         qv = q_vector(self.kmax, t)
@@ -244,7 +241,8 @@ class _Integrand:
             raise QuadratureError(
                 f"truncation mass residual {residual:.2e} at t={t:.4f} (kmax={self.kmax})"
             )
-        if self.kind == "qfw":
+        functional = self.functional
+        if functional is Functional.QFW:
             kq = ks * qv
             m0 = float(np.sum(qv))
             p1 = np.cumsum(kq)
@@ -255,49 +253,23 @@ class _Integrand:
         m0 = float(np.sum(qv))
         m1 = float(np.dot(ks, qv))
         m2 = float(np.dot(ks * ks, qv))
-        if self.kind == "prey":
+        if functional in (Functional.PREY, Functional.QFB):
             return m1 * m1
-        if self.kind == "predator":
+        if functional is Functional.PREDATOR:
             return m2 * m0
-        if self.kind == "qf":
+        if functional is Functional.QF:
             return 0.5 * (m2 * m0 + m1 * m1)
-        if self.kind == "displacement":
-            # floor convention: ((k^2+l^2)/(k+l) - 1)/2 * (k+l)/2
-            return 0.5 * m2 * m0 - 0.25 * (m1 * m0 + m0 * m1)
-        if self.kind == "displacement-table":
-            return 0.5 * m2 * m0
-        # generic double sum, chunked over rows
-        total = 0.0
-        c = self.cost.mean
-        chunk = max(1, (1 << 22) // self.kmax)
-        for lo in range(0, self.kmax, chunk):
-            hi = min(self.kmax, lo + chunk)
-            kk = self.ks[lo:hi, None]
-            ll = self.ks[None, :]
-            g = np.asarray(c(kk, ll), dtype=np.float64) * (kk + ll) * 0.5
-            total += float(qv[lo:hi] @ g @ qv)
-        return total
+        # displacement, floor convention: ((k^2+l^2)/(k+l) - 1)/2 * (k+l)/2
+        return 0.5 * m2 * m0 - 0.25 * (m1 * m0 + m0 * m1)
 
 
-def _resolve_cost(cost):
-    if isinstance(cost, (Functional, str)) and not isinstance(cost, ConditionalCost):
-        functional = Functional(cost)
-        return functional.value, CONDITIONAL_COSTS[functional]
-    if isinstance(cost, ConditionalCost):
-        if cost.name in ("qf", "qfw", "prey", "qfb", "predator", "displacement",
-                         "displacement-table"):
-            kind = "prey" if cost.name == "qfb" else cost.name
-            return kind, cost
-        return "generic", cost
-    raise TypeError("cost must be a Functional or a ConditionalCost")
-
-
-def _choose_kmax(t_max: float, degree: int, tol: float) -> int:
+def _choose_kmax(t_max: float, tol: float) -> int:
     """Smallest power-of-two cutoff passing both tail certificates at t_max.
 
     Certificates: leftover first-moment mass below the configured bound,
-    and a ratio-test majorization of sum_{k>K} k^degree q(k, t_max) below
-    max(tol * 1e-3, 1e-12).
+    and a ratio-test majorization of sum_{k>K} k^2 q(k, t_max) below
+    max(tol * 1e-3, 1e-12).  Every functional's cost is at most linear in
+    the merged sizes, so with the (k+l)/2 intensity the summand is O(k^2).
     """
     if t_max == 0.0:
         return 256
@@ -307,8 +279,8 @@ def _choose_kmax(t_max: float, degree: int, tol: float) -> int:
         qv = q_vector(kmax, t_max)
         ks = np.arange(1, kmax + 1, dtype=np.float64)
         residual = 1.0 - float(np.dot(ks, qv))
-        a_last = kmax**degree * qv[-1]
-        a_prev = (kmax - 1) ** degree * qv[-2]
+        a_last = kmax**2 * qv[-1]
+        a_prev = (kmax - 1) ** 2 * qv[-2]
         ok_tail = False
         if a_prev > 0.0 and a_last < a_prev:
             r = a_last / a_prev
@@ -321,10 +293,11 @@ def _choose_kmax(t_max: float, degree: int, tol: float) -> int:
     raise QuadratureError(f"no admissible truncation below {_KMAX_HARD} for t={t_max:.3f}")
 
 
-def _simpson(f, a: float, b: float, tol: float, cache: dict):
+def _simpson(f, a: float, b: float, tol: float):
     """Composite Simpson with panel doubling on [a, b] until |delta| < tol."""
     if b <= a:
-        return 0.0, 0.0, 0
+        return 0.0, 0.0
+    cache = {}
 
     def eval_at(ratio: float) -> float:
         # panel counts are powers of two, so ratios are exact dyadics
@@ -344,64 +317,41 @@ def _simpson(f, a: float, b: float, tol: float, cache: dict):
             total += (4.0 if j % 2 else 2.0) * eval_at(j / panels)
         val = total * h / 3.0
         if prev is not None and abs(val - prev) < tol:
-            return val, abs(val - prev), panels
+            return val, abs(val - prev)
         prev = val
         panels *= 2
     raise QuadratureError(f"Simpson did not converge below {tol:g} within {_MAX_PANELS} panels")
 
 
-def _cost_degree(cost) -> int:
-    _, cc = _resolve_cost(cost)
-    _, p, qq = cc.bound
-    return max(p, qq) + 1
-
-
-def phi_quadrature(cost, alpha: float, tol: float = DEFAULT_TOL,
-                   eta: float = 0.02) -> QuadratureResult:
-    """phi^c(alpha) by composite Simpson over [0, -log(1-alpha)].
-
-    cost is a Functional or a ConditionalCost with a declared polynomial
-    bound; the double sum is truncated adaptively (see _choose_kmax).
-    Requires alpha <= 1 - eta.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if not 0.0 <= alpha <= 1.0 - eta:
-        raise ValueError(f"alpha must be in [0, {1.0 - eta}]")
-    if alpha == 0.0:
-        return QuadratureResult(0.0, 0.0, 0, 0)
-    t_max = alpha_to_time(alpha)
-    kmax = _choose_kmax(t_max, _cost_degree(cost), tol)
-    integrand = _Integrand(cost, kmax)
-    value, err, panels = _simpson(integrand, 0.0, t_max, tol, {})
-    return QuadratureResult(value, err, panels, kmax)
-
-
-def check_alpha_grid(alphas, eta: float = 0.02) -> None:
-    """Raise ValueError unless alphas increase strictly within [0, 1 - eta]."""
+def check_alpha_grid(alphas) -> None:
+    """Raise ValueError unless alphas increase strictly within [0, _ALPHA_MAX]."""
     alphas = list(alphas)
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly increasing")
     if alphas and not 0.0 <= alphas[0]:
         raise ValueError("alpha grid must be nonnegative")
-    if alphas and alphas[-1] > 1.0 - eta:
-        raise ValueError(f"alpha grid must stay <= {1.0 - eta}")
+    if alphas and alphas[-1] > _ALPHA_MAX:
+        raise ValueError(f"alpha grid must stay <= {_ALPHA_MAX}")
 
 
-def phi_curve_quadrature(cost, alphas, tol: float = DEFAULT_TOL,
-                         eta: float = 0.02):
-    """phi^c on an increasing alpha grid, integrating segment by segment.
+def phi_curve_quadrature(functional, alphas, tol: float = DEFAULT_TOL):
+    """phi(alpha) of a Functional by composite Simpson over [0, -log(1-alpha)].
 
-    Returns a list of QuadratureResult whose values are cumulative, with
-    per-point error estimates summed over the segments used.
+    Integrates segment by segment along an increasing alpha grid and
+    returns a list of QuadratureResult whose values are cumulative, with
+    per-point error estimates summed over the segments used.  The double
+    sum is truncated adaptively (see _choose_kmax).
     """
+    functional = Functional(functional)
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     alphas = list(alphas)
-    check_alpha_grid(alphas, eta)
+    check_alpha_grid(alphas)
     if not alphas:
         return []
     t_max = alpha_to_time(alphas[-1])
-    kmax = _choose_kmax(t_max, _cost_degree(cost), tol)
-    integrand = _Integrand(cost, kmax)
+    kmax = _choose_kmax(t_max, tol)
+    integrand = _Integrand(functional, kmax)
     seg_tol = tol / max(1, len(alphas))
     out = []
     acc = 0.0
@@ -409,9 +359,9 @@ def phi_curve_quadrature(cost, alphas, tol: float = DEFAULT_TOL,
     t_prev = 0.0
     for a in alphas:
         t_next = alpha_to_time(a)
-        val, err, _ = _simpson(integrand, t_prev, t_next, seg_tol, {})
+        val, err = _simpson(integrand, t_prev, t_next, seg_tol)
         acc += val
         err_acc += err
-        out.append(QuadratureResult(acc, err_acc, 0, kmax))
+        out.append(QuadratureResult(acc, err_acc, kmax))
         t_prev = t_next
     return out

@@ -116,13 +116,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert {r["seed"] for r in rows2} == {"6"}
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli(["simulate", "--n", "2", "--functional", "nope"]) == 1
     assert run_cli(["exact", "pmk", "--n", "1"]) == 1
     assert run_cli(["exact", "condr", "--n", "50"]) == 1  # beyond the DP cap
     bad = tmp_path / "bad.cfg"
     bad.write_text("command = simulate\nwat = 1\n")
     assert run_cli(["simulate", "--config", bad]) == 1
+    # errors argparse finds itself are reported in the same JSON line
+    for args in (["simulate", "--n", "2", "--bogus"], ["simulate", "--embedding", "nope"], []):
+        capsys.readouterr()
+        assert run_cli(args) == 1
+        assert _stderr_json(capsys)["kind"] == "usage"
+    assert run_cli(["--version"]) == 0
+    assert run_cli(["simulate", "--help"]) == 0
 
 
 def test_simulate_trivial_n2(tmp_path):
@@ -237,10 +244,13 @@ def test_verify_single_fast_criterion(tmp_path, capsys):
     assert "borel-limit" in printed and "PASS" in printed
 
 
-def test_verify_unknown_criterion():
+def test_verify_unknown_criterion(capsys):
     assert run_cli(["verify", "--only", "not-a-criterion"]) == 1
     # a mistyped mutation would otherwise run the unperturbed null and pass
     assert run_cli(["verify", "--only", "borel-limit", "--mutate", "pkm"]) == 1
+    # a mutation whose criterion --only leaves out would test nothing
+    assert run_cli(["verify", "--only", "borel-limit", "--mutate", "pmk"]) == 1
+    assert "pmk-chi-square" in _stderr_json(capsys)["error"]
 
 
 def test_verify_mutation_mode_fails(tmp_path):

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from addcoal.cost_engine import DISPLACEMENT_TABLE_COST, ConditionalCost, Functional
+from addcoal.cost_engine import ALL_FUNCTIONALS, Functional, conditional_mean
 from addcoal.smoluchowski import (
     QuadratureError,
+    _Integrand,
     alpha_to_time,
     moment,
     phi_closed_form,
@@ -12,7 +14,6 @@ from addcoal.smoluchowski import (
     phi_curve_quadrature,
     phi_displacement_floor,
     phi_classical_table,
-    phi_quadrature,
     q,
     q_vector,
     smoluchowski_rhs,
@@ -128,47 +129,45 @@ def test_phi_classical_table_offsets():
     assert phi_classical_table(Functional.QFW, 0.5) is None
 
 
+def phi_at(functional, alpha, **kw):
+    """phi(alpha) from the quadrature driver on a one-point grid."""
+    return phi_curve_quadrature(functional, [alpha], **kw)[0].value
+
+
 def test_phi_quadrature_zero_alpha():
-    assert phi_quadrature(Functional.QF, 0.0).value == 0.0
+    assert phi_at(Functional.QF, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("functional", [Functional.QF, Functional.PREY, Functional.PREDATOR])
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
 def test_phi_quadrature_matches_closed_forms(functional, alpha):
-    res = phi_quadrature(functional, alpha, tol=1e-9)
-    assert abs(res.value - phi_closed_form(functional, alpha)) < 1e-7
+    value = phi_at(functional, alpha, tol=1e-9)
+    assert abs(value - phi_closed_form(functional, alpha)) < 1e-7
 
 
 def test_phi_quadrature_displacement_floor_convention():
-    res = phi_quadrature(Functional.DISPLACEMENT, 0.6, tol=1e-9)
-    assert abs(res.value - phi_displacement_floor(0.6)) < 1e-7
-    res = phi_quadrature(DISPLACEMENT_TABLE_COST, 0.6, tol=1e-9)
-    assert abs(res.value - phi_closed_form(Functional.DISPLACEMENT, 0.6)) < 1e-7
-
-
-def test_phi_quadrature_generic_cost_matches_specialized():
-    generic_prey = ConditionalCost("my-prey", lambda x, y: 2.0 * x * y / (x + y), (1.0, 1, 0))
-    a = phi_quadrature(generic_prey, 0.4, tol=1e-9).value
-    b = phi_quadrature(Functional.PREY, 0.4, tol=1e-9).value
-    assert abs(a - b) < 1e-8
+    value = phi_at(Functional.DISPLACEMENT, 0.6, tol=1e-9)
+    assert abs(value - phi_displacement_floor(0.6)) < 1e-7
+    # the table cost (x^2+y^2)/(2(x+y)) is 1/2 above the floor cost per merge
+    gap = phi_closed_form(Functional.DISPLACEMENT, 0.6) - phi_displacement_floor(0.6)
+    assert abs(gap - 0.6 / 2) < 1e-15
 
 
 def test_qfw_min_vs_max_kernels_differ():
-    # the two candidate QFW kernels are empirically distinguishable
-    generic_max = ConditionalCost("max-side", lambda x, y: 0.5 * (x + y) + 0.5 * abs(x - y),
-                                  (1.0, 1, 1))
-    v_min = phi_quadrature(Functional.QFW, 0.5, tol=1e-9).value
-    v_max = phi_quadrature(generic_max, 0.5, tol=1e-9).value
+    # the two candidate QFW kernels are empirically distinguishable;
+    # max(k, l) = (k + l) - min(k, l), so the max-side curve is 2 phi_QF - phi_QFW
+    v_min = phi_at(Functional.QFW, 0.5, tol=1e-9)
+    v_max = 2.0 * phi_closed_form(Functional.QF, 0.5) - v_min
     assert v_max - v_min > 0.1
 
 
 def test_phi_quadrature_validation():
     with pytest.raises(ValueError):
-        phi_quadrature(Functional.QF, 0.999)
+        phi_at(Functional.QF, 0.999)
     with pytest.raises(ValueError):
-        phi_quadrature(Functional.QF, 0.5, tol=0.0)
-    with pytest.raises(TypeError):
-        phi_quadrature(lambda x, y: x, 0.5)
+        phi_at(Functional.QF, 0.5, tol=0.0)
+    with pytest.raises(ValueError):
+        phi_at(lambda x, y: x, 0.5)
 
 
 def test_phi_curve_monotone_and_consistent():
@@ -177,7 +176,7 @@ def test_phi_curve_monotone_and_consistent():
     values = [r.value for r in curve]
     assert values[0] > 0.0
     assert all(a < b for a, b in zip(values, values[1:]))
-    single = phi_quadrature(Functional.QFW, 0.5, tol=1e-9).value
+    single = phi_at(Functional.QFW, 0.5, tol=1e-9)
     assert abs(values[2] - single) < 1e-7
 
 
@@ -188,10 +187,11 @@ def test_phi_curve_rejects_bad_grid():
         phi_curve_quadrature(Functional.QF, [0.2, 0.999])
 
 
-def test_phi_closed_form_qfw_routes_to_quadrature():
-    routed = phi_closed_form(Functional.QFW, 0.5)
-    direct = phi_quadrature(Functional.QFW, 0.5).value
-    assert abs(routed - direct) < 1e-12
+def test_phi_closed_form_rejects_qfw():
+    with pytest.raises(ValueError):
+        phi_closed_form(Functional.QFW, 0.5)
+    with pytest.raises(ValueError):
+        phi_comparison_curve(Functional.QFW, 0.5)
 
 
 def test_simpson_panel_budget_reported(monkeypatch):
@@ -199,7 +199,33 @@ def test_simpson_panel_budget_reported(monkeypatch):
 
     monkeypatch.setattr(sm, "_MAX_PANELS", 64)
     with pytest.raises(QuadratureError):
-        phi_quadrature(Functional.QFW, 0.5, tol=1e-12)
+        phi_at(Functional.QFW, 0.5, tol=1e-12)
+
+
+# conditional mean costs c(k, l) as float array expressions
+DOUBLE_SUM_COSTS = {
+    Functional.QF: lambda k, l: (k + l) / 2.0,
+    Functional.QFW: np.minimum,
+    Functional.QFB: lambda k, l: 2.0 * k * l / (k + l),
+    Functional.PREY: lambda k, l: 2.0 * k * l / (k + l),
+    Functional.PREDATOR: lambda k, l: (k * k + l * l) / (k + l),
+    Functional.DISPLACEMENT: lambda k, l: ((k * k + l * l) / (k + l) - 1.0) / 2.0,
+}
+
+
+@pytest.mark.parametrize("t", [0.2, 1.0])
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+def test_integrand_matches_double_sum(functional, t):
+    cost = DOUBLE_SUM_COSTS[functional]
+    for x, y in ((1, 1), (1, 4), (3, 7), (6, 2)):
+        assert cost(float(x), float(y)) == pytest.approx(
+            float(conditional_mean(functional, x, y)), rel=1e-15)
+    kmax = 1024
+    qv = q_vector(kmax, t)
+    ks = np.arange(1, kmax + 1, dtype=np.float64)
+    k, l = ks[:, None], ks[None, :]
+    brute = float(qv @ (cost(k, l) * (k + l) / 2.0) @ qv)
+    assert _Integrand(functional, kmax)(t) == pytest.approx(brute, rel=1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 14, 20])
