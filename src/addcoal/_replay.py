@@ -187,6 +187,20 @@ def parking_replay(n, tries):
     return _events(L, R, np.remainder(P - tries, n))
 
 
+def parking_configs(n):
+    """Replay every one of the n**(n-1) first-try vectors of n-1 cars.
+
+    Yields (tries, L, R, P) per vector, in lexicographic order of tries;
+    L, R and P are buffers that the next vector overwrites.
+    """
+    ids = _ids(n)
+    ones = _ones(n)
+    L, R, P = (_view(np.empty(n - 1, np.int64)) for _ in range(3))
+    for tries in itertools.product(range(n), repeat=n - 1):
+        _parking_walk(tries, ids.copy(), ones.copy(), L, R, P)
+        yield tries, L, R, P
+
+
 def parking_last_block_counts(m):
     """Exact counts of the final merge's L over all m**(m-1) parking configs.
 
@@ -194,11 +208,7 @@ def parking_last_block_counts(m):
     block of size k.  Integer-exact; divide by m**(m-1) for probabilities.
     """
     counts = [0] * m
-    ids = _ids(m)
-    ones = _ones(m)
-    L, R, P = (_view(np.empty(m - 1, np.int64)) for _ in range(3))
-    for tries in itertools.product(range(m), repeat=m - 1):
-        _parking_walk(tries, ids.copy(), ones.copy(), L, R, P)
+    for _, L, _, _ in parking_configs(m):
         counts[L[m - 2]] += 1
     return np.array(counts, np.int64)
 
@@ -289,3 +299,21 @@ def tree_replay(n, par, perm, uprime):
     R = np.empty(m, np.int64)
     _tree_walk(_view(bottom), _view(top), _ids(n), _ones(n), _view(L), _view(R))
     return _events(L, R, (uprime * L).astype(np.int64))
+
+
+def tree_configs(n):
+    """Replay every labeled tree on n vertices with every edge order.
+
+    Trees come from the n**(n-2) Prufer sequences, each rooted at 0, and
+    edges from the (n-1)! permutations, both in lexicographic order.
+    Yields (L, R) per configuration in buffers that the next one overwrites.
+    """
+    ids = _ids(n)
+    ones = _ones(n)
+    L, R = (_view(np.empty(n - 1, np.int64)) for _ in range(2))
+    tops = list(itertools.permutations(range(1, n)))  # edge order + 1
+    for prufer in itertools.product(range(n), repeat=n - 2):
+        par = tree_parents_from_prufer(n, prufer).tolist()
+        for top in tops:
+            _tree_walk([par[v] for v in top], top, ids.copy(), ones.copy(), L, R)
+            yield L, R

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -54,17 +55,31 @@ def _validating():
 
 _ALL_FUNCTIONALS = tuple(f.value for f in Functional)
 
-COMMANDS = ("simulate", "limit", "exact", "verify", "sweep")
 EXACT_TABLES = ("pmk", "condr", "dp")
+
+# Each subcommand's help line and the RunConfig fields it reads, which are
+# exactly its flags (exact's `table` is a positional).  Config files accept
+# every key whatever the command.
+COMMANDS = {
+    "simulate": ("Monte Carlo cost curves and totals",
+                 ("n", "reps", "seed", "embedding", "functionals", "alpha_grid", "beta_grid",
+                  "fmt", "out", "workers", "raw_out")),
+    "limit": ("deterministic limit curves phi(alpha)",
+              ("functionals", "alpha_grid", "tol", "seed", "fmt", "out")),
+    "exact": ("exact oracle tables", ("table", "n", "functionals", "fmt", "out")),
+    "verify": ("run the acceptance suite", ("only", "mutate", "out")),
+    "sweep": ("largest-cluster regime sweep",
+              ("n", "reps", "seed", "embedding", "fmt", "out", "eps")),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One CLI invocation's settings; round-trips through config text.
 
-    Each field other than `command` is set by the flag ``--<key>`` (or, for
-    `table`, the positional of that name) and by the config line
-    ``<key> = value``.  The key is the field name with dashes for
+    Each field other than `command` is set by the config line
+    ``<key> = value`` and, on the subcommands that read it (`COMMANDS`), by
+    the flag ``--<key>`` (or, for `table`, the positional of that name).  The key is the field name with dashes for
     underscores unless the field's metadata names another.  The annotation
     gives the value syntax: ``tuple[X, ...]`` is a comma-separated list of
     X (a list of strings is given as a repeated flag on the command line).
@@ -91,7 +106,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.command not in COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
+            raise UsageError(f"unknown command {self.command!r}; "
+                             f"expected one of {tuple(COMMANDS)}")
         if self.fmt not in ("csv", "json"):
             raise UsageError("format must be csv or json")
         if self.embedding not in tuple(e.value for e in Embedding):
@@ -137,10 +153,12 @@ def _format_value(f, value) -> str:
 
 
 def _parse_value(f, raw: str):
-    parse = _item_type(f)
-    if _is_list(f):
-        return tuple(parse(p.strip()) for p in raw.split(",") if p.strip())
-    return parse(raw)
+    kind = _item_type(f)
+    items = [p.strip() for p in raw.split(",") if p.strip()] if _is_list(f) else [raw]
+    values = tuple(kind(p) for p in items)
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ValueError(f"{_key(f)} must be finite, got {raw!r}")
+    return values if _is_list(f) else values[0]
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -486,39 +504,26 @@ def _build_parser() -> argparse.ArgumentParser:
             kw["metavar"] = key.replace("-", "_").upper()
         p.add_argument(f"--{key}", dest=name, default=None, **kw)
 
-    def add_common(p):
-        flag(p, "n", help="chain size; a comma-separated list of distinct sizes for sweep")
-        flag(p, "reps")
-        flag(p, "seed")
-        flag(p, "embedding", choices=[e.value for e in Embedding])
-        flag(p, "functionals", help="repeatable; defaults to all six")
-        flag(p, "alpha_grid", help="comma-separated")
-        flag(p, "beta_grid", help="comma-separated")
-        flag(p, "tol")
-        flag(p, "fmt", choices=("csv", "json"))
-        flag(p, "out")
+    options = {
+        "n": dict(help="chain size; a comma-separated list of distinct sizes for sweep"),
+        "embedding": dict(choices=[e.value for e in Embedding]),
+        "functionals": dict(help="repeatable; defaults to all six"),
+        "alpha_grid": dict(help="comma-separated"),
+        "beta_grid": dict(help="comma-separated"),
+        "fmt": dict(choices=("csv", "json")),
+        "raw_out": dict(help="also stream per-replication records here"),
+        "only": dict(help="run only the named criteria (repeatable)"),
+        "mutate": dict(help="mutation test mode (e.g. pmk)"),
+        "eps": dict(help="regime exponent offset in (0, 1/2)"),
+    }
+    for command, (help_line, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name in names:
+            if name == "table":
+                p.add_argument("table", choices=EXACT_TABLES)
+            else:
+                flag(p, name, **options.get(name, {}))
         p.add_argument("--config", type=str, default=None, help="flat key=value file")
-        flag(p, "workers")
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo cost curves and totals")
-    add_common(p_sim)
-    flag(p_sim, "raw_out", help="also stream per-replication records here")
-
-    p_lim = sub.add_parser("limit", help="deterministic limit curves phi(alpha)")
-    add_common(p_lim)
-
-    p_ex = sub.add_parser("exact", help="exact oracle tables")
-    p_ex.add_argument("table", choices=EXACT_TABLES)
-    add_common(p_ex)
-
-    p_ver = sub.add_parser("verify", help="run the acceptance suite")
-    add_common(p_ver)
-    flag(p_ver, "only", help="run only the named criteria (repeatable)")
-    flag(p_ver, "mutate", help="mutation test mode (e.g. pmk)")
-
-    p_sw = sub.add_parser("sweep", help="largest-cluster regime sweep")
-    add_common(p_sw)
-    flag(p_sw, "eps", help="regime exponent offset in (0, 1/2)")
     return parser
 
 

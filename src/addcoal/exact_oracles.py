@@ -1,14 +1,15 @@
 """Exact ground truth at desk scale: enumerations, DP, closed formulas.
 
-Everything here is either an exhaustive enumeration over equally likely
-configurations (parking first-try vectors, labeled trees x edge orders)
-or a forward dynamic program over integer partitions with exact rational
-transition probabilities.  These serve as oracles for the probabilistic
-components: at small n the three routes must produce identical
+The parking and tree enumerations replay every equally likely
+configuration (first-try vectors; labeled trees x edge orders) with the
+same union-find walks that simulation runs (`_replay.parking_configs`,
+`_replay.tree_configs`), so criterion 1 certifies the simulating code
+itself.  The partition DP and the two-stage-chain sequence law step
+through integer partitions with exact rational transition probabilities
+(`_merges`).  At small n the three routes must produce identical
 event-sequence distributions.
 """
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -179,134 +180,37 @@ class EventSequenceDistribution:
         return diff / 2
 
 
-def _parking_events(n: int, tries) -> tuple:
-    """Replay one parking config; (s, S, L, D) per arrival.  Mirrors the
-    array kernel's block bookkeeping with plain ints."""
-    parent = list(range(n))
-    bsize = [1] * n
-    empt = list(range(n))
-    events = []
-    for t in tries:
-        e = t
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        ra = e
-        p = empt[ra]
-        d = (p - t + n) % n
-        e = (p + 1) % n
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        rb = e
-        x = bsize[ra]
-        y = bsize[rb]
-        if x < y:
-            parent[ra] = rb
-            r = rb
-        else:
-            parent[rb] = ra
-            r = ra
-        bsize[r] = x + y
-        empt[r] = empt[rb]
-        events.append((min(x, y), max(x, y), x, d))
-    return tuple(events)
+def _law(counts, m: int, total: int) -> dict:
+    """Exact law of per-step (s, S, L[, D]) tuples from walk-column counts.
+
+    Each key of `counts` is (L_1..L_m, R_1..R_m[, D_1..D_m]); (L, R) fixes
+    (s, S, L), so distinct keys give distinct sequences.
+    """
+    probs = {}
+    for key, c in counts.items():
+        steps = (key[k::m] for k in range(m))  # (L_k, R_k[, D_k])
+        seq = tuple((min(l, r), max(l, r), l, *d) for l, r, *d in steps)
+        probs[seq] = Fraction(c, total)
+    return probs
 
 
 def enumerate_parking(n: int) -> EventSequenceDistribution:
     """Exact law of (s, S, L, D) sequences over all n**(n-1) first-try vectors."""
     if not 2 <= n <= PARKING_ENUM_MAX:
         raise ValueError(f"parking enumeration supports 2 <= n <= {PARKING_ENUM_MAX}")
-    counts = Counter(
-        _parking_events(n, tries) for tries in itertools.product(range(n), repeat=n - 1)
-    )
-    total = n ** (n - 1)
-    probs = {seq: Fraction(c, total) for seq, c in counts.items()}
-    return EventSequenceDistribution(n, ("s", "S", "L", "D"), probs)
-
-
-def _tree_parents(n: int, prufer) -> list:
-    """Pure-python Prufer decode + rooting at 0 (reference for the kernel)."""
-    degree = [1] * n
-    for v in prufer:
-        degree[v] += 1
-    edges = []
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for v in prufer:
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    par = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                par[w] = v
-                stack.append(w)
-    return par
-
-
-def _tree_events(n: int, par, order) -> tuple:
-    """Insert edges (par[v], v) for v = order[i] + 1; (s, S, L) per step."""
-    parent = list(range(n))
-    csize = [1] * n
-    events = []
-    for idx in order:
-        v = idx + 1
-        e = par[v]
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        ra = e
-        e = v
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        rb = e
-        x = csize[ra]
-        y = csize[rb]
-        if x < y:
-            parent[ra] = rb
-            r = rb
-        else:
-            parent[rb] = ra
-            r = ra
-        csize[r] = x + y
-        events.append((min(x, y), max(x, y), x))
-    return tuple(events)
+    counts = Counter()
+    for tries, L, R, P in _replay.parking_configs(n):
+        counts[(*L, *R, *[(p - t) % n for p, t in zip(P, tries)])] += 1
+    return EventSequenceDistribution(n, ("s", "S", "L", "D"), _law(counts, n - 1, n ** (n - 1)))
 
 
 def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
     """Exact law of (s, S, L) sequences over all trees x edge orders."""
     if not 2 <= n <= TREE_ENUM_MAX:
         raise ValueError(f"tree enumeration supports 2 <= n <= {TREE_ENUM_MAX}")
-    counts = Counter()
-    orders = list(itertools.permutations(range(n - 1)))
-    for prufer in itertools.product(range(n), repeat=max(0, n - 2)):
-        par = _tree_parents(n, prufer)
-        for order in orders:
-            counts[_tree_events(n, par, order)] += 1
+    counts = Counter((*L, *R) for L, R in _replay.tree_configs(n))
     total = n ** (n - 2) * math.factorial(n - 1)
-    probs = {seq: Fraction(c, total) for seq, c in counts.items()}
-    return EventSequenceDistribution(n, ("s", "S", "L"), probs)
+    return EventSequenceDistribution(n, ("s", "S", "L"), _law(counts, n - 1, total))
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +218,26 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _pair_weights(state):
-    """Distinct unordered size pairs {x, y} of a partition with their
-    multiplicities (number of cluster pairs realizing them)."""
+def _merges(state, n: int):
+    """Each distinct merge of a partition of n: (x, y, probability, next state).
+
+    A pair of clusters with sizes (x, y), x <= y, among m live clusters
+    merges with probability (x + y) / (n (m - 1)), times the number of
+    cluster pairs with those sizes.
+    """
+    m = len(state)
     cnt = Counter(state)
     sizes = sorted(cnt)
     for i, x in enumerate(sizes):
-        c = cnt[x]
-        if c >= 2:
-            yield x, x, c * (c - 1) // 2
-        for y in sizes[i + 1 :]:
-            yield x, y, c * cnt[y]
-
-
-def _merge_state(state, x, y):
-    out = list(state)
-    out.remove(x)
-    out.remove(y)
-    out.append(x + y)
-    out.sort(reverse=True)
-    return tuple(out)
+        for y in sizes[i:]:
+            ways = cnt[x] * (cnt[x] - 1) // 2 if x == y else cnt[x] * cnt[y]
+            if ways:
+                out = list(state)
+                out.remove(x)
+                out.remove(y)
+                out.append(x + y)
+                out.sort(reverse=True)
+                yield x, y, Fraction((x + y) * ways, n * (m - 1)), tuple(out)
 
 
 @dataclass(frozen=True)
@@ -346,9 +250,8 @@ class DpStep:
 class PartitionDp:
     """Forward DP over canonical partitions of n with exact probabilities.
 
-    A pair of clusters with sizes (x, y) among m live clusters merges with
-    probability (x + y) / (n (m - 1)); given the pair, L = x with
-    probability x / (x + y).
+    Merges and their probabilities come from `_merges`; given the merged
+    pair (x, y), L = x with probability x / (x + y).
     """
 
     def __init__(self, n: int):
@@ -358,13 +261,12 @@ class PartitionDp:
         self.steps = []
         dist = {(1,) * n: Fraction(1)}
         for k in range(1, n):
-            m = n - k + 1
             joint_ss = {}
             joint_lr = {}
             ndist = {}
             for state, p in dist.items():
-                for x, y, ways in _pair_weights(state):
-                    pr = p * Fraction((x + y) * ways, n * (m - 1))
+                for x, y, q, ns in _merges(state, n):
+                    pr = p * q
                     key = (x, y)
                     joint_ss[key] = joint_ss.get(key, Fraction(0)) + pr
                     frac_x = Fraction(x, x + y)
@@ -372,7 +274,6 @@ class PartitionDp:
                     joint_lr[lr] = joint_lr.get(lr, Fraction(0)) + pr * frac_x
                     lr = (y, x)
                     joint_lr[lr] = joint_lr.get(lr, Fraction(0)) + pr * (1 - frac_x)
-                    ns = _merge_state(state, x, y)
                     ndist[ns] = ndist.get(ns, Fraction(0)) + pr
             self.steps.append(DpStep(k, joint_ss, joint_lr))
             dist = ndist
@@ -418,13 +319,11 @@ def dp_sequence_distribution(n: int) -> EventSequenceDistribution:
     if not 2 <= n <= DP_SEQUENCE_MAX:
         raise ValueError(f"DP sequence enumeration supports 2 <= n <= {DP_SEQUENCE_MAX}")
     frontier = {(): ((1,) * n, Fraction(1))}
-    for k in range(1, n):
-        m = n - k + 1
+    for _ in range(1, n):
         nxt = {}
         for prefix, (state, p) in frontier.items():
-            for x, y, ways in _pair_weights(state):
-                pr = p * Fraction((x + y) * ways, n * (m - 1))
-                ns = _merge_state(state, x, y)
+            for x, y, q, ns in _merges(state, n):
+                pr = p * q
                 if x == y:
                     branches = ((x, Fraction(1)),)
                 else:

@@ -343,8 +343,8 @@ def phi_curve_quadrature(functional, alphas, tol: float = DEFAULT_TOL):
     sum is truncated adaptively (see _choose_kmax).
     """
     functional = Functional(functional)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # also rejects nan
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     alphas = list(alphas)
     check_alpha_grid(alphas)
     if not alphas:

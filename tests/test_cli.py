@@ -124,7 +124,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     bad.write_text("command = simulate\nwat = 1\n")
     assert run_cli(["simulate", "--config", bad]) == 1
     # errors argparse finds itself are reported in the same JSON line
-    for args in (["simulate", "--n", "2", "--bogus"], ["simulate", "--embedding", "nope"], []):
+    # a flag the subcommand does not read is unknown to it
+    for args in (["simulate", "--n", "2", "--bogus"], ["simulate", "--embedding", "nope"], [],
+                 ["verify", "--only", "borel-limit", "--format", "csv", "--n", "7", "--reps", "9"],
+                 ["exact", "pmk", "--n", "4", "--alpha-grid", "2"]):
         capsys.readouterr()
         assert run_cli(args) == 1
         assert _stderr_json(capsys)["kind"] == "usage"
@@ -280,7 +283,7 @@ def _stderr_json(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
-def test_argument_validation_exits_1(capsys):
+def test_argument_validation_exits_1(capsys, tmp_path):
     # ExperimentSpec and the limit grid check reject these before any computation
     assert run_cli(["simulate", "--n", "1"]) == 1
     assert _stderr_json(capsys)["kind"] == "usage"
@@ -290,6 +293,18 @@ def test_argument_validation_exits_1(capsys):
     assert run_cli(["sweep", "--n", "100", "--reps", "0"]) == 1
     assert run_cli(["simulate", "--n", "ten"]) == 1
     assert _stderr_json(capsys)["kind"] == "usage"
+    # non-finite numbers, as flags and as config values
+    for args in (["limit", "--functional", "qfw", "--alpha-grid", "0.5", "--tol", "nan"],
+                 ["limit", "--functional", "qfw", "--alpha-grid", "0.5", "--tol", "inf"],
+                 ["simulate", "--n", "100", "--beta-grid", "nan,1"],
+                 ["sweep", "--n", "100", "--eps", "nan"]):
+        assert run_cli(args) == 1, args
+        assert _stderr_json(capsys)["kind"] == "usage"
+        cfg = tmp_path / "nonfinite.cfg"
+        key, value = args[-2].lstrip("-"), args[-1]
+        cfg.write_text(f"command = {args[0]}\n{key} = {value}\n")
+        assert run_cli([args[0], "--config", cfg]) == 1, args
+        assert _stderr_json(capsys)["kind"] == "usage"
 
 
 def test_computation_failure_exits_3_with_context(monkeypatch, capsys):

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -165,19 +169,82 @@ def test_direct_kernel_matches_reference_replay():
         assert np.array_equal(D, L - 1)
 
 
+def _parking_events(n, tries):
+    """Plain-python parking by scanning places: (s, S, L, R, D) per car.
+
+    The car fills the first empty place p at or after its first try t.  L is
+    1 plus the occupied run ending at p-1, R is 1 plus the occupied run
+    starting at p+1 (after filling), and D = (p - t) mod n.
+    """
+    occupied = [False] * n
+    events = []
+    for t in tries:
+        p = t
+        while occupied[p]:
+            p = (p + 1) % n
+        occupied[p] = True
+        x = y = 1
+        while occupied[(p - x) % n]:
+            x += 1
+        while occupied[(p + y) % n]:
+            y += 1
+        events.append((min(x, y), max(x, y), x, y, (p - t) % n))
+    return events
+
+
+def _tree_parents(n, prufer):
+    """Textbook Prufer decode (join the smallest leaf to the next entry),
+    rooted at 0 by a stack walk: par[v] = parent of v, par[0] = -1."""
+    degree = [1] * n
+    for v in prufer:
+        degree[v] += 1
+    adj = [[] for _ in range(n)]
+
+    def join(a, b):
+        adj[a].append(b)
+        adj[b].append(a)
+        degree[a] -= 1
+        degree[b] -= 1
+
+    for v in prufer:
+        join(min(u for u in range(n) if degree[u] == 1), v)
+    join(*(u for u in range(n) if degree[u] == 1))
+    par = [-1] * n
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w != par[v]:
+                par[w] = v
+                stack.append(w)
+    return par
+
+
+def _tree_events(n, par, order):
+    """Insert edge (par[v], v), v = order[k] + 1, over frozenset components:
+    (s, S, L, R) per step, L the size of the parent-side component."""
+    comp = [frozenset([v]) for v in range(n)]
+    events = []
+    for i in order:
+        bottom, top = comp[par[i + 1]], comp[i + 1]
+        merged = bottom | top
+        for v in merged:
+            comp[v] = merged
+        x, y = len(bottom), len(top)
+        events.append((min(x, y), max(x, y), x, y))
+    return events
+
+
 def test_parking_kernel_matches_reference_replay():
-    # the kernel must agree with the pure-python block bookkeeping
     from addcoal._replay import parking_replay
 
     rng = make_rng(17)
     for n in (60, 2, 3):
         for _ in range(20):
             tries = rng.integers(0, n, size=n - 1)
-            batch_events = exact_oracles._parking_events(n, [int(t) for t in tries])
-            s, S, L, R, D = parking_replay(n, tries)
-            assert batch_events == tuple(
-                (int(a), int(b), int(c), int(d)) for a, b, c, d in zip(s, S, L, D)
-            )
+            got = parking_replay(n, tries)
+            rows = [tuple(int(col[k]) for col in got) for k in range(n - 1)]
+            assert rows == _parking_events(n, [int(t) for t in tries])
 
 
 def test_tree_kernel_matches_reference_replay():
@@ -187,14 +254,54 @@ def test_tree_kernel_matches_reference_replay():
     for n in (40, 2, 3):
         for _ in range(20):
             prufer = rng.integers(0, n, size=n - 2)
-            par_kernel = tree_parents_from_prufer(n, prufer)
-            par_ref = exact_oracles._tree_parents(n, [int(v) for v in prufer])
-            assert list(par_kernel) == par_ref
+            par = tree_parents_from_prufer(n, prufer)
+            assert par.tolist() == _tree_parents(n, [int(v) for v in prufer])
             order = rng.permutation(n - 1)
             uprime = rng.random(n - 1)
-            s, S, L, R, D = tree_replay(n, par_kernel, order, uprime)
-            ref = exact_oracles._tree_events(n, par_ref, [int(i) for i in order])
-            assert ref == tuple((int(a), int(b), int(c)) for a, b, c in zip(s, S, L))
+            got = tree_replay(n, par, order, uprime)
+            rows = [tuple(int(col[k]) for col in got[:4]) for k in range(n - 1)]
+            assert rows == _tree_events(n, par.tolist(), [int(i) for i in order])
+
+
+def _reference_law(sequences, total):
+    law = {}
+    for seq in sequences:
+        law[seq] = law.get(seq, 0) + Fraction(1, total)
+    return law
+
+
+def test_enumerations_match_reference_replays():
+    for n in range(2, 7):
+        law = _reference_law(
+            (tuple((s, S, L, D) for s, S, L, _, D in _parking_events(n, tries))
+             for tries in itertools.product(range(n), repeat=n - 1)),
+            n ** (n - 1))
+        assert exact_oracles.enumerate_parking(n).probs == law
+    for n in range(2, 6):
+        pars = [_tree_parents(n, prufer) for prufer in itertools.product(range(n), repeat=n - 2)]
+        law = _reference_law(
+            (tuple(e[:3] for e in _tree_events(n, par, order))
+             for par in pars for order in itertools.permutations(range(n - 1))),
+            n ** (n - 2) * math.factorial(n - 1))
+        assert exact_oracles.enumerate_spanning_trees(n).probs == law
+
+
+def test_walks_over_numpy_arrays_give_the_same_results(monkeypatch):
+    # the containers the walks get when numba is present, run interpreted
+    from addcoal import _replay
+
+    def results():
+        return ([_rows(simulate(200, make_rng(5), e)) for e in Embedding],
+                exact_oracles.parking_final_merge_marginal(6),
+                exact_oracles.enumerate_parking(5).probs,
+                exact_oracles.enumerate_spanning_trees(5).probs)
+
+    expected = results()
+    monkeypatch.setattr(_replay, "_ids", np.arange)
+    monkeypatch.setattr(_replay, "_ones", lambda n: np.ones(n, np.int64))
+    monkeypatch.setattr(_replay, "_view", lambda a: a)
+    monkeypatch.setattr(_replay, "_state", lambda a: a)
+    assert results() == expected
 
 
 def test_largest_cluster_curve_matches_spectrum():

@@ -164,8 +164,9 @@ def test_qfw_min_vs_max_kernels_differ():
 def test_phi_quadrature_validation():
     with pytest.raises(ValueError):
         phi_at(Functional.QF, 0.999)
-    with pytest.raises(ValueError):
-        phi_at(Functional.QF, 0.5, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            phi_at(Functional.QF, 0.5, tol=tol)
     with pytest.raises(ValueError):
         phi_at(lambda x, y: x, 0.5)
 
