@@ -20,9 +20,14 @@ numpy arrays.  Without it the walk runs as plain Python over ``memoryview``s
 of the numpy inputs and outputs, with its union-find state in lists that
 share the int objects of one ``list(range(n))``; both read and write the
 same values, so the streams are bit-identical.
+
+Parking statistics that depend only on which places the first k cars try,
+not on the order they arrive in, skip the walk: `parking_scan` reads them
+from per-place car counts in a few numpy passes.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -201,16 +206,61 @@ def parking_configs(n):
         yield tries, L, R, P
 
 
+def parking_scan(h):
+    """Order-free state of circular parking from per-place car counts.
+
+    h[r, i] counts the cars of row r whose first try is place i; each row
+    holds k < n cars.  Linear probing fills the same places, with the same
+    total displacement, whatever order the cars arrive in (Flajolet, Poblete
+    and Viola 1998), so h fixes both.  Each row is rotated to start just
+    after the argmin of the prefix sums of h - 1: no car probes past that
+    place, so the Lindley recursion carry_j = max(0, carry_{j-1} + h_j - 1)
+    started at 0 gives the number of cars that probe past each place.
+
+    Returns (carry, occupied), both of shape (rows, n) in rotated order:
+    carry.sum(axis=1) is the total displacement, and the last place of
+    every row is empty, so no run of occupied places wraps.
+    """
+    h = np.asarray(h, np.int64)
+    n = h.shape[1]
+    start = np.argmin(np.cumsum(h - 1, axis=1), axis=1) + 1
+    h = np.take_along_axis(h, (start[:, None] + np.arange(n)) % n, axis=1)
+    S = np.cumsum(h - 1, axis=1)
+    low = np.minimum.accumulate(np.minimum(S, 0), axis=1)
+    # a place stays empty exactly where the running minimum falls
+    occupied = np.diff(low, axis=1, prepend=0) == 0
+    return S - low, occupied
+
+
+def parking_largest_block(h):
+    """Largest block per row of car counts h: longest occupied run + 1."""
+    _, occupied = parking_scan(h)
+    filled = np.cumsum(occupied, axis=1)
+    run = filled - np.maximum.accumulate(np.where(occupied, 0, filled), axis=1)
+    return run.max(axis=1) + 1
+
+
 def parking_last_block_counts(m):
     """Exact counts of the final merge's L over all m**(m-1) parking configs.
 
     counts[k] = number of first-try vectors whose last arrival lands in a
     block of size k.  Integer-exact; divide by m**(m-1) for probabilities.
+    The first m - 2 tries are grouped by multiset, weighted by the number
+    of orders each has; they leave two empty places, which split the circle
+    into blocks of sizes b and m - b, and the last try lands in a block of
+    size b in b ways.
     """
-    counts = [0] * m
-    for _, L, _, _ in parking_configs(m):
-        counts[L[m - 2]] += 1
-    return np.array(counts, np.int64)
+    tries = np.array(list(itertools.combinations_with_replacement(range(m), m - 2)), np.int64)
+    h = np.zeros((len(tries), m), np.int64)
+    np.add.at(h, (np.arange(len(tries))[:, None], tries), 1)
+    factorial = np.array([math.factorial(i) for i in range(m - 1)], np.int64)
+    orders = factorial[m - 2] // factorial[h].prod(axis=1)
+    _, occupied = parking_scan(h)
+    b = occupied.argmin(axis=1) + 1  # the block up to the first empty place
+    counts = np.zeros(m, np.int64)
+    np.add.at(counts, b, orders * b)
+    np.add.at(counts, m - b, orders * (m - b))
+    return counts
 
 
 @njit(cache=True)

@@ -155,7 +155,11 @@ def _format_value(f, value) -> str:
 def _parse_value(f, raw: str):
     kind = _item_type(f)
     items = [p.strip() for p in raw.split(",") if p.strip()] if _is_list(f) else [raw]
-    values = tuple(kind(p) for p in items)
+    try:
+        values = tuple(kind(p) for p in items)
+    except ValueError:
+        what = f"comma-separated {kind.__name__} values" if _is_list(f) else kind.__name__
+        raise ValueError(f"{_key(f)} must be {what}, got {raw!r}") from None
     if kind is float and not all(map(math.isfinite, values)):
         raise ValueError(f"{_key(f)} must be finite, got {raw!r}")
     return values if _is_list(f) else values[0]
@@ -237,8 +241,12 @@ def _one_n(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     n = _one_n(config)
-    # beta checkpoints beyond sqrt(n) would sit at step 0 (value 0); drop them
+    # beta checkpoints beyond sqrt(n) would sit at step 0 (value 0): the
+    # default grid drops them, so small n still runs; a given one is an error
     beta_grid = tuple(b for b in config.beta_grid if b * b <= n)
+    if config.beta_grid != DEFAULT_BETA_GRID and beta_grid != config.beta_grid:
+        raise UsageError(f"beta-grid points must satisfy beta^2 <= n = {n}, got "
+                         f"{[b for b in config.beta_grid if b * b > n]}")
     with _validating():
         spec = ExperimentSpec(
             n=n,

@@ -4,7 +4,9 @@ The parking and tree enumerations replay every equally likely
 configuration (first-try vectors; labeled trees x edge orders) with the
 same union-find walks that simulation runs (`_replay.parking_configs`,
 `_replay.tree_configs`), so criterion 1 certifies the simulating code
-itself.  The partition DP and the two-stage-chain sequence law step
+itself.  The final-merge law is counted by the order-free parking scan
+(`_replay.parking_last_block_counts`), so criterion 2 certifies that
+scan.  The partition DP and the two-stage-chain sequence law step
 through integer partitions with exact rational transition probabilities
 (`_merges`).  At small n the three routes must produce identical
 event-sequence distributions.

@@ -20,7 +20,8 @@ from .cost_engine import (
     beta_step,
     event_costs,
 )
-from .process_core import Embedding, simulate
+from . import _replay
+from .process_core import Embedding, parking_tries, simulate
 from .seeding import substream_rng
 
 _Z95 = 1.959963984540054
@@ -119,14 +120,21 @@ def _one_rep(args):
     """
     n, embedding, functionals, seed, rep, alpha_steps, beta_steps = args
     rng = substream_rng(seed, rep)
-    batch = simulate(n, rng, embedding)
+    if (embedding is Embedding.PARKING and set(functionals) == {Functional.DISPLACEMENT}
+            and set(alpha_steps + beta_steps) <= {0, n - 1}):
+        # only the total displacement is read, and it is order-free: a
+        # constant view stands in for the cumulative cost at step n - 1
+        carry, _ = _replay.parking_scan(np.bincount(parking_tries(n, rng), minlength=n)[None])
+        csums = [np.broadcast_to(carry.sum(), n - 1)] * len(functionals)
+    else:
+        batch = simulate(n, rng, embedding)
+        csums = (np.cumsum(event_costs(functional, batch)) for functional in functionals)
     nf = len(functionals)
     alpha_vals = np.empty((nf, len(alpha_steps)))
     beta_vals = np.empty((nf, len(beta_steps)))
     totals = np.empty(nf)
     scale_b = n ** 1.5
-    for i, functional in enumerate(functionals):
-        csum = np.cumsum(event_costs(functional, batch))
+    for i, csum in enumerate(csums):
         alpha_vals[i] = [0.0 if m == 0 else csum[m - 1] / n for m in alpha_steps]
         beta_vals[i] = [0.0 if m == 0 else csum[m - 1] / scale_b for m in beta_steps]
         totals[i] = csum[-1]
@@ -316,6 +324,7 @@ def regime_sweep(n_list, eps: float, reps: int = 100, seed: int = 0,
     """Mean largest-cluster fraction at the two regime checkpoints per n."""
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must be in (0, 1/2)")
+    embedding = Embedding(embedding)
     rows = []
     for i, n in enumerate(n_list):
         k_sparse = min(n - 1, max(0, int(math.floor(n - n ** (0.5 + eps)))))
@@ -324,8 +333,15 @@ def regime_sweep(n_list, eps: float, reps: int = 100, seed: int = 0,
         st_full = SummaryStats()
         for rep in range(reps):
             rng = substream_rng(seed, i * reps + rep)
-            batch = simulate(n, rng, embedding)
-            st_sparse.push(batch.largest_cluster_at(k_sparse) / n)
-            st_full.push(batch.largest_cluster_at(k_full) / n)
+            if embedding is Embedding.PARKING:
+                # the blocks after k cars depend only on the first k tries' histogram
+                tries = parking_tries(n, rng)
+                h = np.stack([np.bincount(tries[:k], minlength=n) for k in (k_sparse, k_full)])
+                sparse, full = _replay.parking_largest_block(h)
+            else:
+                batch = simulate(n, rng, embedding)
+                sparse, full = batch.largest_cluster_at(k_sparse), batch.largest_cluster_at(k_full)
+            st_sparse.push(sparse / n)
+            st_full.push(full / n)
         rows.append(RegimeRow(n, k_sparse, k_full, st_sparse, st_full))
     return rows

@@ -88,13 +88,23 @@ def simulate_direct(n: int, rng) -> EventBatch:
     return EventBatch(n, s, S, L, R, u, D)
 
 
+def parking_tries(n: int, rng) -> np.ndarray:
+    """The n-1 cars' uniform first tries: the first draw of a parking run.
+
+    Statistics that need only the tries (`_replay.parking_scan`) stop
+    here: u is drawn after the tries, so leaving it undrawn changes no
+    value drawn before it.
+    """
+    _check_n(n)
+    return rng.integers(0, n, size=n - 1)
+
+
 def simulate_parking(n: int, rng) -> EventBatch:
     """Full parking run.  Draw order: first tries, u.
 
     D is the probed distance, 0 when the first try is empty.
     """
-    _check_n(n)
-    tries = rng.integers(0, n, size=n - 1)
+    tries = parking_tries(n, rng)
     u = rng.random(n - 1)
     s, S, L, R, D = _replay.parking_replay(n, tries)
     return EventBatch(n, s, S, L, R, u, D)

@@ -291,8 +291,17 @@ def test_argument_validation_exits_1(capsys, tmp_path):
     assert run_cli(["limit", "--alpha-grid", "0.9,0.5", "--functional", "qfw"]) == 1
     assert run_cli(["sweep", "--n", "100", "--eps", "0.7"]) == 1
     assert run_cli(["sweep", "--n", "100", "--reps", "0"]) == 1
-    assert run_cli(["simulate", "--n", "ten"]) == 1
-    assert _stderr_json(capsys)["kind"] == "usage"
+    # a malformed number names its key, as a flag and as a config line
+    for args in (["simulate", "--n", "ten"], ["simulate", "--reps", "x"],
+                 ["simulate", "--beta-grid", "0,y"]):
+        assert run_cli(args) == 1, args
+        err = _stderr_json(capsys)
+        assert err["kind"] == "usage" and err["error"].startswith(args[1][2:] + " "), err
+        cfg = tmp_path / "malformed.cfg"
+        cfg.write_text(f"command = simulate\n{args[1][2:]} = {args[2]}\n")
+        assert run_cli(["simulate", "--config", cfg]) == 1, args
+        err = _stderr_json(capsys)
+        assert err["kind"] == "usage" and err["error"].startswith(args[1][2:] + " "), err
     # non-finite numbers, as flags and as config values
     for args in (["limit", "--functional", "qfw", "--alpha-grid", "0.5", "--tol", "nan"],
                  ["limit", "--functional", "qfw", "--alpha-grid", "0.5", "--tol", "inf"],
@@ -305,6 +314,18 @@ def test_argument_validation_exits_1(capsys, tmp_path):
         cfg.write_text(f"command = {args[0]}\n{key} = {value}\n")
         assert run_cli([args[0], "--config", cfg]) == 1, args
         assert _stderr_json(capsys)["kind"] == "usage"
+
+
+def test_beta_grid_past_sqrt_n(tmp_path, capsys):
+    # the default grid (up to beta = 4) is trimmed to beta^2 <= n, so n = 10 still runs
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--n", "10", "--functional", "qf", "--out", out]) == 0
+    assert {r["alpha_or_beta"] for r in read_csv(out) if r["kind"] == "beta"} == \
+        {"0", "0.25", "0.5", "0.75", "1", "1.25", "1.5", "1.75", "2", "2.25", "2.5", "2.75", "3"}
+    # a point the user gives past sqrt(n) is an error, not silently dropped
+    assert run_cli(["simulate", "--n", "100", "--beta-grid", "20,5", "--out", out]) == 1
+    err = _stderr_json(capsys)
+    assert err["kind"] == "usage" and "beta-grid" in err["error"] and "20" in err["error"]
 
 
 def test_computation_failure_exits_3_with_context(monkeypatch, capsys):

@@ -1,8 +1,12 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from addcoal import _replay
 from addcoal.exact_oracles import (
     borel_total_mass,
     block_config_count,
@@ -189,6 +193,26 @@ def test_block_config_counts_complete(n):
             block_config_count(n, k, b) for b in _compositions(n, n - k + 1)
         )
         assert total == n**k
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_parking_scan_blocks_match_block_config_count(n):
+    # block sizes after k - 1 cars, over every first-try vector, against the
+    # counts of k-car configurations summed over the k-th car's block
+    for k in range(1, n):
+        tries = np.array(list(itertools.product(range(n), repeat=k - 1)), np.int64)
+        h = np.zeros((len(tries), n), np.int64)
+        for j in range(k - 1):
+            h[np.arange(len(tries)), tries[:, j]] += 1
+        _, occupied = _replay.parking_scan(h)
+        scan = Counter()
+        for row in occupied:
+            empty = np.flatnonzero(~row)
+            scan[tuple(sorted(np.diff(empty, prepend=-1).tolist()))] += n
+        exact = Counter()
+        for b in _compositions(n, n - k + 1):
+            exact[tuple(sorted(b))] += block_config_count(n, k, b)
+        assert scan == exact
 
 
 def test_block_config_count_edges():

@@ -13,8 +13,9 @@ from addcoal.experiment import (
     regime_sweep,
     run_monte_carlo,
 )
-from addcoal.exact_oracles import partition_dp
-from addcoal.process_core import Embedding, simulate_direct
+from addcoal import _replay
+from addcoal.exact_oracles import parking_final_merge_marginal, partition_dp
+from addcoal.process_core import Embedding, simulate_direct, simulate_parking
 from addcoal.seeding import make_rng, substream_rng
 
 
@@ -214,3 +215,45 @@ def test_regime_sweep_direction():
     rows = regime_sweep([200, 2000], 0.15, reps=25, seed=8)
     assert rows[0].sparse.mean > rows[1].sparse.mean
     assert rows[0].full.mean < rows[1].full.mean
+
+
+def _totals_only(seed, functionals):
+    return run_monte_carlo(ExperimentSpec(
+        n=3000, embedding=Embedding.PARKING, functionals=functionals, reps=4, seed=seed,
+        alpha_grid=(0.0, 0.9999), beta_grid=(0.0, math.sqrt(3000))))
+
+
+def test_parking_totals_scan_matches_replay():
+    # a second functional sends the same replications through the replay
+    disp = Functional.DISPLACEMENT
+    for seed in (0, 1, 2):
+        scan = _totals_only(seed, (disp,))
+        replay = _totals_only(seed, (disp, Functional.PREDATOR))
+        for field in ("alpha_values", "beta_values", "totals"):
+            assert np.array_equal(getattr(scan, field)[disp], getattr(replay, field)[disp])
+
+
+def test_parking_regime_sweep_matches_replay():
+    n_list, eps, reps, seed = (2, 50, 3000), 0.15, 3, 4
+    rows = regime_sweep(n_list, eps, reps=reps, seed=seed, embedding=Embedding.PARKING)
+    for i, (n, row) in enumerate(zip(n_list, rows)):
+        sparse, full = SummaryStats(), SummaryStats()
+        for rep in range(reps):
+            batch = simulate_parking(n, substream_rng(seed, i * reps + rep))
+            sparse.push(batch.largest_cluster_at(row.k_sparse) / n)
+            full.push(batch.largest_cluster_at(row.k_full) / n)
+        assert (row.sparse, row.full) == (sparse, full)
+
+
+def test_order_free_parking_statistics_skip_the_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("parking walk called")
+
+    monkeypatch.setattr(_replay, "_parking_walk", walk)
+    _totals_only(0, (Functional.DISPLACEMENT,))
+    regime_sweep([100, 1000], 0.15, reps=2, embedding=Embedding.PARKING)
+    parking_final_merge_marginal(7)
+    with pytest.raises(AssertionError, match="parking walk called"):
+        run_monte_carlo(ExperimentSpec(n=100, embedding=Embedding.PARKING,
+                                       functionals=(Functional.DISPLACEMENT,),
+                                       alpha_grid=(0.5,), beta_grid=()))

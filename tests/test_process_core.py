@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from addcoal import exact_oracles
+from addcoal import _replay
 from addcoal.process_core import (
     Embedding,
+    parking_tries,
     simulate,
     simulate_direct,
     simulate_parking,
     simulate_spanning_tree,
 )
-from addcoal.seeding import make_rng
+from addcoal.seeding import make_rng, substream_rng
 
 ALL_SIMS = [simulate_direct, simulate_spanning_tree, simulate_parking]
 
@@ -286,13 +288,19 @@ def test_enumerations_match_reference_replays():
         assert exact_oracles.enumerate_spanning_trees(n).probs == law
 
 
+def _walk_last_block_counts(m):
+    """Final-merge L counts by walking all m**(m-1) first-try vectors."""
+    counts = np.zeros(m, np.int64)
+    for _, L, _, _ in _replay.parking_configs(m):
+        counts[L[m - 2]] += 1
+    return counts
+
+
 def test_walks_over_numpy_arrays_give_the_same_results(monkeypatch):
     # the containers the walks get when numba is present, run interpreted
-    from addcoal import _replay
-
     def results():
         return ([_rows(simulate(200, make_rng(5), e)) for e in Embedding],
-                exact_oracles.parking_final_merge_marginal(6),
+                _walk_last_block_counts(6).tolist(),
                 exact_oracles.enumerate_parking(5).probs,
                 exact_oracles.enumerate_spanning_trees(5).probs)
 
@@ -327,3 +335,23 @@ def test_sparse_regime_largest_cluster_shrinks():
         vals = [simulate_direct(n, rng).largest_cluster_at(k) / n for _ in range(20)]
         means.append(sum(vals) / len(vals))
     assert means[0] > means[1] > means[2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 1000, 100_000])
+def test_parking_scan_matches_replay(n):
+    # total displacement and largest block read from the tries' histogram
+    for rep in range(5):
+        tries = parking_tries(n, substream_rng(n, rep))
+        batch = simulate_parking(n, substream_rng(n, rep))
+        carry, occupied = _replay.parking_scan(np.bincount(tries, minlength=n)[None])
+        assert carry.sum() == batch.D.sum()
+        assert occupied.sum() == n - 1 and not occupied[0, -1]
+        steps = sorted({0, 1, n // 2, n - 2, n - 1})
+        h = np.stack([np.bincount(tries[:k], minlength=n) for k in steps])
+        largest = _replay.parking_largest_block(h)
+        assert largest.tolist() == [batch.largest_cluster_at(k) for k in steps]
+
+
+def test_last_block_counts_match_walk():
+    for m in range(2, 8):
+        assert np.array_equal(_replay.parking_last_block_counts(m), _walk_last_block_counts(m))
