@@ -21,6 +21,11 @@ of the numpy inputs and outputs, with its union-find state in lists that
 share the int objects of one ``list(range(n))``; both read and write the
 same values, so the streams are bit-identical.
 
+Many short direct chains replay in lockstep instead: `direct_chain_rows`
+runs the direct walk's steps over a row axis in numpy, which beats a
+walk per chain once a block holds at least n rows; the walk stays for long
+chains and is the lockstep's test reference.
+
 Parking statistics that depend only on which places the first k cars try,
 not on the order they arrive in, skip the walk: `parking_scan` reads them
 from per-place car counts in a few numpy passes.
@@ -128,14 +133,81 @@ def direct_chain_replay(n, elem, prey_u, uprime):
     uprime[k] drives the displacement D = floor(u' * L).
     """
     m = n - 1
-    left = n - 1 - np.arange(m)  # live roots besides the predator at step k
-    prey_j = (prey_u * left).astype(np.int64)
-    np.minimum(prey_j, left - 1, out=prey_j)
     L = np.empty(m, np.int64)
     R = np.empty(m, np.int64)
     ids = _ids(n)
-    _direct_walk(_view(_int64(elem)), _view(prey_j), ids.copy(), _ones(n), ids.copy(), ids,
-                 _view(L), _view(R))
+    _direct_walk(_view(_int64(elem)), _view(_prey_index(n, prey_u)), ids.copy(), _ones(n),
+                 ids.copy(), ids, _view(L), _view(R))
+    return _events(L, R, (uprime * L).astype(np.int64))
+
+
+def _prey_index(n, prey_u):
+    """Prey pick of each step k (the last axis): floor(u * left), clamped
+    below left = n-1-k, the live roots besides the predator."""
+    left = n - 1 - np.arange(n - 1)
+    prey_j = (prey_u * left).astype(np.int64)
+    np.minimum(prey_j, left - 1, out=prey_j)
+    return prey_j
+
+
+#: places (rows x n) one lockstep block of `direct_chain_rows` holds at once
+BLOCK_CELLS = 1 << 14
+
+
+def block_rows(n):
+    """Rows of n places that fit one block of BLOCK_CELLS (at least one)."""
+    return max(1, BLOCK_CELLS // n)
+
+
+def direct_chain_rows(n, elem, prey_u, uprime):
+    """`_direct_walk` in lockstep over rows: (s, S, L, R, D), each of shape (rows, n-1).
+
+    Row r replays the chain of elem[r], prey_u[r] and uprime[r] exactly as
+    `direct_chain_replay` does.  The rows' union-find states sit side by
+    side in rows*n flat places (row r owns r*n .. r*n+n-1), so the find
+    with path halving, the predator's swap-out and the union are each a few
+    fancy-index steps over all rows at once, and no two rows touch the same
+    place.  A row whose element is already a root repeats parent[a] = a in
+    the find loop, which changes nothing.  Per step the cost is a fixed
+    number of numpy calls, so this pays when rows >= n; one long chain
+    stays on the walk.
+    """
+    elem = _int64(elem)
+    rows, m = elem.shape
+    prey_j = _prey_index(n, prey_u)
+    base = np.arange(rows, dtype=np.int64) * n
+    parent = np.arange(rows * n, dtype=np.int64)
+    size = np.ones(rows * n, np.int64)
+    roots = parent.copy()  # roots[base + j]: flat place of the row's j-th live root
+    pos = np.tile(np.arange(n, dtype=np.int64), rows)  # inverse of roots, within the row
+    L = np.empty((rows, m), np.int64)
+    R = np.empty((rows, m), np.int64)
+    for k in range(m):
+        a = base + elem[:, k]
+        p = parent[a]
+        while (p != a).any():  # find with path halving
+            g = parent[p]
+            parent[a] = g
+            a = g
+            p = parent[a]
+        # swap the predator out so the prey pick is uniform on the rest
+        ia = pos[a]
+        last = roots[base + (m - k)]
+        roots[base + ia] = last
+        pos[last] = ia
+        j = prey_j[:, k]
+        jj = base + j
+        b = roots[jj]
+        x = size[a]
+        y = size[b]
+        small = x < y
+        r = np.where(small, b, a)
+        parent[np.where(small, a, b)] = r
+        roots[jj] = r
+        pos[r] = j
+        size[r] = x + y
+        L[:, k] = x
+        R[:, k] = y
     return _events(L, R, (uprime * L).astype(np.int64))
 
 

@@ -34,7 +34,9 @@ from .experiment import (
     regime_sweep,
     run_monte_carlo,
 )
-from .process_core import Embedding, simulate_direct
+from ._replay import block_rows, direct_chain_rows
+from .process_core import Embedding, direct_picks
+from .process_core import simulate_direct  # noqa: F401  (perfbench/spans.py traces this name)
 from .seeding import substream_rng
 from .smoluchowski import (
     moment,
@@ -445,22 +447,35 @@ def criterion_determinism() -> CriterionResult:
     )
 
 
+def _perturbed(probs):
+    """A wrong null for the mutation mode: cells alternately +8 % and -8 %."""
+    probs = probs * (1.0 + 0.08 * np.where(np.arange(len(probs)) % 2 == 0, 1.0, -1.0))
+    return probs / probs.sum()
+
+
 def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000) -> CriterionResult:
     """Final-merge predator size at m=50 vs the exact formula (level 0.01).
 
-    With mutate=True the null is perturbed; the test must then reject,
-    demonstrating the harness has power (mutation test mode).
+    Run r draws its predator elements and prey picks from substream r and
+    the runs replay in lockstep blocks (u and u' come later in a run's
+    draws, so they are not drawn).  With mutate=True the null is
+    perturbed; the test must then reject, demonstrating the harness has
+    power (mutation test mode).
     """
     t0 = time.perf_counter()
     m = 50
     counts = np.zeros(m - 1, dtype=np.int64)
-    for rep in range(runs):
-        batch = simulate_direct(m, substream_rng(SEED_ORACLE_CHI, rep))
-        counts[int(batch.L[-1]) - 1] += 1
+    rows = block_rows(m)
+    for start in range(0, runs, rows):
+        picks = [direct_picks(m, substream_rng(SEED_ORACLE_CHI, rep))
+                 for rep in range(start, min(start + rows, runs))]
+        elem, prey_u = (np.stack(col) for col in zip(*picks))
+        # D is not read, so the prey uniforms stand in for u'
+        _, _, L, _, _ = direct_chain_rows(m, elem, prey_u, prey_u)
+        counts += np.bincount(L[:, -1] - 1, minlength=m - 1)
     probs = np.array([p_mk(m, k) for k in range(1, m)], dtype=np.float64)
     if mutate:
-        probs = probs * (1.0 + 0.08 * np.where(np.arange(m - 1) % 2 == 0, 1.0, -1.0))
-        probs /= probs.sum()
+        probs = _perturbed(probs)
     test = chi_square_gof(counts, probs, level=0.01)
     ok = not test.reject
     label = "perturbed p_mk (expected to reject)" if mutate else "p_mk null not rejected"
@@ -474,12 +489,37 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000) -> Crite
     )
 
 
-def criterion_chain_chi_square(reps: int = 1_000_000) -> CriterionResult:
+def _sequence_codes(n, L, R):
+    """Mixed-radix code of each row's (L_k, R_k) sequence: digit k is L_k n + R_k."""
+    return ((L * n + R) * (n * n) ** np.arange(n - 1)).sum(axis=1)
+
+
+def _sequence_counts(n, codes, keys):
+    """How many of the `_sequence_codes` replay each (s, S, L) sequence of keys, in order.
+
+    Raises RuntimeError when a code is not that of a key.
+    """
+    key_L = np.array([[e[2] for e in key] for key in keys], np.int64)
+    key_R = np.array([[e[0] + e[1] - e[2] for e in key] for key in keys], np.int64)
+    key_codes = _sequence_codes(n, key_L, key_R)
+    order = np.argsort(key_codes)
+    # the key each code equals, if any: bins per key, not per possible code
+    key = order[np.searchsorted(key_codes, codes, sorter=order).clip(max=len(keys) - 1)]
+    outside = np.count_nonzero(key_codes[key] != codes)
+    if outside:
+        raise RuntimeError(f"{outside} simulated n={n} sequences lie outside the exact "
+                           "law's support")
+    return np.bincount(key, minlength=len(keys))
+
+
+def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000) -> CriterionResult:
     """Simulated full event-sequence frequencies at n = 5 vs the exact law.
 
-    One shared stream (sequential draws) keeps the 1e6-replication run
-    cheap; frequencies are tested against the partition-chain enumeration
-    at level 0.01.
+    All replications draw from one shared stream in two calls, the
+    predator elements as one (reps, n-1) array and then the prey uniforms,
+    and replay in lockstep blocks; frequencies are tested against the
+    partition-chain enumeration at level 0.01.  With mutate=True the null
+    is perturbed and the test must reject.
     """
     from .seeding import make_rng
 
@@ -487,22 +527,29 @@ def criterion_chain_chi_square(reps: int = 1_000_000) -> CriterionResult:
     n = 5
     law = dp_sequence_distribution(n)
     keys = sorted(law.probs)
-    index = {seq: i for i, seq in enumerate(keys)}
-    counts = np.zeros(len(keys), dtype=np.int64)
     rng = make_rng(SEED_CHAIN_CHI)
-    for _ in range(reps):
-        batch = simulate_direct(n, rng)
-        seq = tuple(
-            (int(s), int(S), int(L)) for s, S, L in zip(batch.s, batch.S, batch.L)
-        )
-        counts[index[seq]] += 1
+    elem = rng.integers(0, n, size=(reps, n - 1))
+    prey_u = rng.random((reps, n - 1))
+    rows = block_rows(n)
+    codes = []
+    for i in range(0, reps, rows):
+        # D is not read, so the prey uniforms stand in for u'
+        _, _, L, R, _ = direct_chain_rows(n, elem[i:i + rows], prey_u[i:i + rows],
+                                          prey_u[i:i + rows])
+        codes.append(_sequence_codes(n, L, R))
+    codes = np.concatenate(codes)
+    counts = _sequence_counts(n, codes, keys)
     probs = np.array([float(law.probs[k]) for k in keys])
+    if mutate:
+        probs = _perturbed(probs)
     test = chi_square_gof(counts, probs, level=0.01)
+    label = ("perturbed sequence law (expected to reject)" if mutate
+             else "exact n=5 sequence law not rejected")
     return _result(
         "chain-vs-oracle-chi-square",
         not test.reject,
         f"chi2 {test.statistic:.1f} df {test.dof} p {test.pvalue:.4f} ({reps} reps)",
-        "exact n=5 sequence law not rejected",
+        label,
         "level 0.01",
         started=t0,
     )
@@ -527,7 +574,7 @@ CRITERIA = {
 
 
 #: perturbed nulls that `run_criteria(mutate=...)` knows, and the criterion each perturbs
-MUTATIONS = {"pmk": "pmk-chi-square"}
+MUTATIONS = {"pmk": "pmk-chi-square", "chain": "chain-vs-oracle-chi-square"}
 
 
 def run_criteria(only=None, mutate=()):
@@ -538,13 +585,12 @@ def run_criteria(only=None, mutate=()):
         if unknown:
             raise ValueError(f"unknown criteria: {unknown}; known: {names}")
         names = [n for n in names if n in set(only)]
-    out = []
-    for name in names:
-        if name == "pmk-chi-square":
-            out.append(criterion_pmk_chi_square(mutate="pmk" in mutate))
-        else:
-            out.append(CRITERIA[name]())
-    return out
+    unknown = [m for m in mutate if m not in MUTATIONS]
+    if unknown:
+        raise ValueError(f"unknown mutations: {unknown}; known: {list(MUTATIONS)}")
+    mutated = {MUTATIONS[m] for m in mutate}
+    return [CRITERIA[name](mutate=name in mutated) if name in MUTATIONS.values()
+            else CRITERIA[name]() for name in names]
 
 
 def suite_passed(results) -> bool:

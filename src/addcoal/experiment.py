@@ -21,7 +21,7 @@ from .cost_engine import (
     event_costs,
 )
 from . import _replay
-from .process_core import Embedding, parking_tries, simulate
+from .process_core import Embedding, parking_tries, simulate, simulate_direct_rows
 from .seeding import substream_rng
 
 _Z95 = 1.959963984540054
@@ -113,31 +113,55 @@ class ExperimentSpec:
             raise ValueError("beta grid must lie in [0, sqrt(n)]")
 
 
-def _one_rep(args):
-    """One replication -> (alpha matrix, beta matrix, totals) per functional.
+def _blocks(n, embedding, reps):
+    """(start, stop) replication ranges, one per `_one_rep` call.
 
-    Alpha checkpoints are C/n, beta checkpoints n^{-3/2} C, totals raw.
+    Direct blocks of `_replay.block_rows(n)` rows where those reach n rows
+    and so replay in lockstep; otherwise one replication per block, so that
+    workers still share out the replications one at a time.
     """
-    n, embedding, functionals, seed, rep, alpha_steps, beta_steps = args
-    rng = substream_rng(seed, rep)
+    rows = _replay.block_rows(n)
+    if embedding is not Embedding.DIRECT or rows < n:
+        rows = 1
+    return [(start, min(start + rows, reps)) for start in range(0, reps, rows)]
+
+
+def _one_rep(args):
+    """One block of replications -> (alpha, beta, totals), a row per replication.
+
+    alpha has shape (functionals, rows, alpha steps) and holds C/n, beta the
+    same with n^{-3/2} C, totals (functionals, rows) the raw totals.  Each
+    replication draws from its own substream, so a block gives the rows
+    that one replication at a time would.  A direct block of at least n rows
+    replays in lockstep; other blocks replay one replication at a time.
+    """
+    n, embedding, functionals, seed, start, stop, alpha_steps, beta_steps = args
+    rngs = (substream_rng(seed, rep) for rep in range(start, stop))
+    rows = stop - start
     if (embedding is Embedding.PARKING and set(functionals) == {Functional.DISPLACEMENT}
             and set(alpha_steps + beta_steps) <= {0, n - 1}):
         # only the total displacement is read, and it is order-free: a
         # constant view stands in for the cumulative cost at step n - 1
-        carry, _ = _replay.parking_scan(np.bincount(parking_tries(n, rng), minlength=n)[None])
-        csums = [np.broadcast_to(carry.sum(), n - 1)] * len(functionals)
+        carry, _ = _replay.parking_scan(
+            np.stack([np.bincount(parking_tries(n, rng), minlength=n) for rng in rngs]))
+        csums = [np.broadcast_to(carry.sum(axis=1)[:, None], (rows, n - 1))] * len(functionals)
+    elif embedding is Embedding.DIRECT and rows >= n:
+        batch = simulate_direct_rows(n, rngs)
+        csums = (np.cumsum(event_costs(functional, batch), axis=1) for functional in functionals)
     else:
-        batch = simulate(n, rng, embedding)
-        csums = (np.cumsum(event_costs(functional, batch)) for functional in functionals)
+        batches = [simulate(n, rng, embedding) for rng in rngs]
+        csums = (np.cumsum([event_costs(functional, batch) for batch in batches], axis=1)
+                 for functional in functionals)
     nf = len(functionals)
-    alpha_vals = np.empty((nf, len(alpha_steps)))
-    beta_vals = np.empty((nf, len(beta_steps)))
-    totals = np.empty(nf)
+    alpha_vals = np.empty((nf, rows, len(alpha_steps)))
+    beta_vals = np.empty((nf, rows, len(beta_steps)))
+    totals = np.empty((nf, rows))
     scale_b = n ** 1.5
     for i, csum in enumerate(csums):
-        alpha_vals[i] = [0.0 if m == 0 else csum[m - 1] / n for m in alpha_steps]
-        beta_vals[i] = [0.0 if m == 0 else csum[m - 1] / scale_b for m in beta_steps]
-        totals[i] = csum[-1]
+        for vals, steps, scale in ((alpha_vals, alpha_steps, n), (beta_vals, beta_steps, scale_b)):
+            for j, m in enumerate(steps):
+                vals[i, :, j] = csum[:, m - 1] / scale if m else 0.0
+        totals[i] = csum[:, -1]
     return alpha_vals, beta_vals, totals
 
 
@@ -179,25 +203,25 @@ def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloResult:
     """Execute spec.reps independent replications (optionally in parallel)."""
     alpha_steps = tuple(alpha_step(spec.n, a) for a in spec.alpha_grid)
     beta_steps = tuple(beta_step(spec.n, b) for b in spec.beta_grid)
-    args = [
-        (spec.n, spec.embedding, spec.functionals, spec.seed, rep, alpha_steps, beta_steps)
-        for rep in range(spec.reps)
-    ]
-    if spec.workers > 1 and spec.reps > 1:
+    blocks = _blocks(spec.n, spec.embedding, spec.reps)
+    args = [(spec.n, spec.embedding, spec.functionals, spec.seed, start, stop, alpha_steps,
+             beta_steps) for start, stop in blocks]
+    alpha_values, beta_values, totals = parts = [
+        {f: np.empty((spec.reps,) + shape) for f in spec.functionals}
+        for shape in ((len(alpha_steps),), (len(beta_steps),), ())]
+
+    def collect(results):
+        # blocks arrive in order; each is written into place as it arrives
+        for (start, stop), block in zip(blocks, results):
+            for part, values in zip(parts, block):
+                for f, v in zip(spec.functionals, values):
+                    part[f][start:stop] = v
+
+    if spec.workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_one_rep, args, chunksize=max(1, spec.reps // (4 * spec.workers))))
+            collect(pool.map(_one_rep, args, chunksize=max(1, len(args) // (4 * spec.workers))))
     else:
-        results = [_one_rep(a) for a in args]
-    nf = len(spec.functionals)
-    alpha_values = {f: np.empty((spec.reps, len(alpha_steps))) for f in spec.functionals}
-    beta_values = {f: np.empty((spec.reps, len(beta_steps))) for f in spec.functionals}
-    totals = {f: np.empty(spec.reps) for f in spec.functionals}
-    for rep, (av, bv, tv) in enumerate(results):
-        for i in range(nf):
-            f = spec.functionals[i]
-            alpha_values[f][rep] = av[i]
-            beta_values[f][rep] = bv[i]
-            totals[f][rep] = tv[i]
+        collect(map(_one_rep, args))
     return MonteCarloResult(spec, alpha_values, beta_values, totals)
 
 

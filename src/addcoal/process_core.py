@@ -30,7 +30,12 @@ class Embedding(str, enum.Enum):
 
 
 class EventBatch:
-    """Columnar sequence of the n-1 merge events of one chain run."""
+    """Columnar sequence of the n-1 merge events of one chain run.
+
+    `simulate_direct_rows` fills it with several runs, one per row of
+    (runs, n-1) columns; `event_costs` reads either shape.  The snapshot
+    methods read one run.
+    """
 
     __slots__ = ("n", "s", "S", "L", "R", "u", "D")
 
@@ -77,14 +82,35 @@ def _check_n(n):
         raise ValueError("simulation needs n >= 2")
 
 
+def direct_picks(n: int, rng):
+    """The predator elements and prey uniforms: the first two draws of a direct run.
+
+    L and R need only these; u and u' are drawn after them, so leaving
+    those undrawn changes no value drawn before.
+    """
+    _check_n(n)
+    return rng.integers(0, n, size=n - 1), rng.random(n - 1)
+
+
+def direct_inputs(n: int, rng):
+    """All draws of a direct run, in order: elements, prey picks, u, u'."""
+    elem, prey_u = direct_picks(n, rng)
+    return elem, prey_u, rng.random(n - 1), rng.random(n - 1)
+
+
 def simulate_direct(n: int, rng) -> EventBatch:
     """Full direct-chain run.  Draw order: elements, prey picks, u, u'."""
-    _check_n(n)
-    elem = rng.integers(0, n, size=n - 1)
-    prey_u = rng.random(n - 1)
-    u = rng.random(n - 1)
-    uprime = rng.random(n - 1)
+    elem, prey_u, u, uprime = direct_inputs(n, rng)
     s, S, L, R, D = _replay.direct_chain_replay(n, elem, prey_u, uprime)
+    return EventBatch(n, s, S, L, R, u, D)
+
+
+def simulate_direct_rows(n: int, rngs) -> EventBatch:
+    """Direct runs in lockstep, one per generator, each drawn as in
+    `simulate_direct`: every column has shape (len(rngs), n-1), a row per run."""
+    elem, prey_u, u, uprime = (np.stack(col) for col in zip(*(direct_inputs(n, rng)
+                                                              for rng in rngs)))
+    s, S, L, R, D = _replay.direct_chain_rows(n, elem, prey_u, uprime)
     return EventBatch(n, s, S, L, R, u, D)
 
 

@@ -60,16 +60,26 @@ def q(k: int, t: float) -> float:
     return math.exp((k - 1) * math.log(k * w) - math.lgamma(k + 1) - t - k * w)
 
 
-def q_vector(kmax: int, t: float) -> np.ndarray:
-    """q(k, t) for k = 1..kmax as a float64 array."""
+def _k_terms(kmax: int):
+    """The t-free parts of log q(k, t) for k = 1..kmax: k, k - 1 and log k!."""
     ks = np.arange(1, kmax + 1, dtype=np.float64)
+    return ks, ks - 1.0, gammaln(ks + 1.0)
+
+
+def _q_from_terms(terms, t: float) -> np.ndarray:
+    """q(k, t) over the k of `_k_terms`."""
+    ks, km1, log_fact = terms
     w = -math.expm1(-t)
     if w == 0.0:
-        out = np.zeros(kmax)
+        out = np.zeros(len(ks))
         out[0] = 1.0
         return out
-    logq = (ks - 1.0) * np.log(ks * w) - gammaln(ks + 1.0) - t - ks * w
-    return np.exp(logq)
+    return np.exp(km1 * np.log(ks * w) - log_fact - t - ks * w)
+
+
+def q_vector(kmax: int, t: float) -> np.ndarray:
+    """q(k, t) for k = 1..kmax as a float64 array."""
+    return _q_from_terms(_k_terms(kmax), t)
 
 
 def moment(t: float, p: int, method: str = "closed", tol: float = 1e-10) -> float:
@@ -231,11 +241,11 @@ class _Integrand:
     def __init__(self, functional, kmax: int):
         self.functional = Functional(functional)
         self.kmax = kmax
-        self.ks = np.arange(1, kmax + 1, dtype=np.float64)
+        self.terms = _k_terms(kmax)  # shared by every node of one curve
 
     def __call__(self, t: float) -> float:
-        qv = q_vector(self.kmax, t)
-        ks = self.ks
+        qv = _q_from_terms(self.terms, t)
+        ks = self.terms[0]
         residual = abs(1.0 - float(np.dot(ks, qv)))
         if residual > 10.0 * _MASS_TOL:
             raise QuadratureError(

@@ -6,6 +6,7 @@ criterion (run pytest -s to watch them).  The QFW constant criterion is a
 conjecture: its result is reported but never fails the suite.
 """
 
+import numpy as np
 import pytest
 
 from addcoal import acceptance
@@ -100,6 +101,28 @@ def test_supplementary_mutation_mode_has_power():
     result = acceptance.criterion_pmk_chi_square(mutate=True)
     print(f"[mutation ] pmk-chi-square under perturbed null -> {result.status} (expected FAIL)")
     assert not result.passed
+
+
+def test_chain_counts_by_mixed_radix_match_tuple_keys():
+    from addcoal._replay import direct_chain_rows
+    from addcoal.exact_oracles import dp_sequence_distribution
+    from addcoal.seeding import make_rng
+
+    n = 5
+    keys = sorted(dp_sequence_distribution(n).probs)
+    rng = make_rng(1)
+    elem = rng.integers(0, n, size=(3000, n - 1))
+    prey_u = rng.random((3000, n - 1))
+    _, _, L, R, _ = direct_chain_rows(n, elem, prey_u, prey_u)
+    index = {seq: i for i, seq in enumerate(keys)}
+    expected = np.zeros(len(keys), np.int64)
+    for l_row, r_row in zip(L.tolist(), R.tolist()):
+        expected[index[tuple((min(l, r), max(l, r), l) for l, r in zip(l_row, r_row))]] += 1
+    codes = acceptance._sequence_codes(n, L, R)
+    assert np.array_equal(acceptance._sequence_counts(n, codes, keys), expected)
+    # a sequence the law cannot produce is an error, not a dropped row
+    with pytest.raises(RuntimeError, match="outside"):
+        acceptance._sequence_counts(n, acceptance._sequence_codes(n, L[:, ::-1], R[:, ::-1]), keys)
 
 
 def test_suite_passed_helper():

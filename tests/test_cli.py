@@ -266,6 +266,16 @@ def test_verify_mutation_mode_fails(tmp_path):
     assert report["passed"] is False
 
 
+def test_verify_chain_mutation_fails(tmp_path):
+    out = tmp_path / "mut.json"
+    code = run_cli(["verify", "--only", "chain-vs-oracle-chi-square", "--mutate", "chain",
+                    "--out", out])
+    assert code == 2
+    [result] = json.loads(out.read_text())["criteria"]
+    assert result["cid"] == "chain-vs-oracle-chi-square" and result["passed"] is False
+    assert "perturbed" in result["target"]
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(

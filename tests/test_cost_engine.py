@@ -29,12 +29,14 @@ def ev(s=1, S=1, L=1, R=1, u=0.3, D=0):
 
 
 def fold(monkeypatch, batch, functionals, alpha_steps=(), beta_steps=()):
-    """experiment._one_rep's (alpha, beta, totals) over a given batch."""
+    """experiment._one_rep's (alpha, beta, totals) over a given batch: the
+    one row of a block holding replication 0 alone."""
     monkeypatch.setattr(experiment, "simulate", lambda n, rng, embedding: batch)
-    return experiment._one_rep(
-        (batch.n, Embedding.DIRECT, tuple(functionals), 0, 0, tuple(alpha_steps),
+    alpha, beta, totals = experiment._one_rep(
+        (batch.n, Embedding.DIRECT, tuple(functionals), 0, 0, 1, tuple(alpha_steps),
          tuple(beta_steps))
     )
+    return alpha[:, 0], beta[:, 0], totals[:, 0]
 
 
 def test_instantaneous_examples():

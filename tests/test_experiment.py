@@ -257,3 +257,47 @@ def test_order_free_parking_statistics_skip_the_walk(monkeypatch):
         run_monte_carlo(ExperimentSpec(n=100, embedding=Embedding.PARKING,
                                        functionals=(Functional.DISPLACEMENT,),
                                        alpha_grid=(0.5,), beta_grid=()))
+
+
+def _mc_arrays(res):
+    return [a for f in res.spec.functionals
+            for a in (res.alpha_values[f], res.beta_values[f], res.totals[f])]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lockstep_blocks_match_one_replication_at_a_time(monkeypatch, workers):
+    # qf reads u and displacement reads u', so every draw of a replication counts
+    n, reps = 20, 75
+    spec = ExperimentSpec(n=n, reps=reps, seed=13, workers=workers,
+                          functionals=(Functional.QF, Functional.PREDATOR, Functional.DISPLACEMENT),
+                          alpha_grid=(0.0, 0.3, 0.9), beta_grid=(0.0, 1.5, math.sqrt(n)))
+    results = []
+    # room for n - 1 rows: blocks of one replication, each on the walk;
+    # 30 rows: blocks of 30, 30 and 15 rows, the last one below n rows;
+    # the default budget: one lockstep block of 75 rows
+    for cells in (n * (n - 1), 30 * n, _replay.BLOCK_CELLS):
+        monkeypatch.setattr(_replay, "BLOCK_CELLS", cells)
+        results.append(_mc_arrays(run_monte_carlo(spec)))
+    for got in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(results[0], got))
+    assert results[0][2].shape == (reps,)
+
+
+def test_direct_blocks_of_n_rows_skip_the_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("direct walk called")
+
+    monkeypatch.setattr(_replay, "_direct_walk", walk)
+    run_monte_carlo(ExperimentSpec(n=20, reps=20, seed=3))
+    with pytest.raises(AssertionError, match="direct walk called"):
+        run_monte_carlo(ExperimentSpec(n=20, reps=19, seed=3))
+
+
+def test_only_lockstep_blocks_hold_several_replications():
+    from addcoal.experiment import _blocks
+
+    # walk replays go out one replication per task, so several workers share them
+    assert _blocks(500, Embedding.DIRECT, 6) == [(r, r + 1) for r in range(6)]
+    assert _blocks(50, Embedding.PARKING, 3) == [(0, 1), (1, 2), (2, 3)]
+    rows = _replay.block_rows(50)
+    assert _blocks(50, Embedding.DIRECT, rows + 5) == [(0, rows), (rows, rows + 5)]

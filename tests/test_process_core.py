@@ -171,6 +171,23 @@ def test_direct_kernel_matches_reference_replay():
         assert np.array_equal(D, L - 1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 300])
+def test_direct_rows_match_the_walk_row_by_row(n):
+    rng = make_rng(n)
+    rows = 40
+    elem = rng.integers(0, n, size=(rows, n - 1))
+    prey_u = rng.random((rows, n - 1))
+    # prey uniforms just below 1 pick the last live root, on whole rows and on single steps
+    prey_u[::4] = np.nextafter(1.0, 0.0)
+    prey_u[1::4, ::2] = np.nextafter(1.0, 0.0)
+    uprime = rng.random((rows, n - 1))
+    lockstep = _replay.direct_chain_rows(n, elem, prey_u, uprime)
+    assert all(col.shape == (rows, n - 1) for col in lockstep)
+    for r in range(rows):
+        walk = _replay.direct_chain_replay(n, elem[r], prey_u[r], uprime[r])
+        assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
+
+
 def _parking_events(n, tries):
     """Plain-python parking by scanning places: (s, S, L, R, D) per car.
 
