@@ -142,12 +142,17 @@ def direct_chain_replay(n, elem, prey_u, uprime):
 
 
 def _prey_index(n, prey_u):
-    """Prey pick of each step k (the last axis): floor(u * left), clamped
-    below left = n-1-k, the live roots besides the predator."""
+    """Prey pick of each step k (the last axis): floor(u * left), where
+    left = n-1-k counts the live roots besides the predator.
+
+    No clamp is needed: u <= 1 - 2**-53, so for an integer left < 2**53
+    the exact product lies at least left * 2**-53 below left, which is
+    more than half the spacing of doubles there (exactly one spacing when
+    left is a power of two).  Round-to-nearest then stays below left, and
+    the pick is always in [0, left).
+    """
     left = n - 1 - np.arange(n - 1)
-    prey_j = (prey_u * left).astype(np.int64)
-    np.minimum(prey_j, left - 1, out=prey_j)
-    return prey_j
+    return (prey_u * left).astype(np.int64)
 
 
 #: places (rows x n) one lockstep block of `direct_chain_rows` holds at once

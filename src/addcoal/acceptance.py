@@ -6,8 +6,15 @@ criteria run at fixed recorded seeds so results are reproducible; they
 are probabilistic by nature, with the false-failure rate of the stated
 levels.  The QFW constant check is a conjecture and never fails the
 suite; it is reported as informative.
+
+Each criterion is a judge registered with `_criterion`, which times it
+and builds its `CriterionResult`.  The Monte Carlo samples that judges
+share are declared as `ExperimentSpec` constants and drawn once per
+process by `_sample`.
 """
 
+import functools
+import inspect
 import math
 import os
 import tempfile
@@ -68,6 +75,45 @@ REGIME_REPS = 100
 
 EXCURSION_AREA_MEAN = math.sqrt(math.pi / 8.0)
 
+_CURVE_FUNCTIONALS = (
+    Functional.QF,
+    Functional.QFW,
+    Functional.PREY,
+    Functional.PREDATOR,
+    Functional.DISPLACEMENT,
+)
+
+# the samples the Monte Carlo judges read through `_sample`
+CURVES_SPEC = ExperimentSpec(
+    n=CURVE_N, functionals=_CURVE_FUNCTIONALS, reps=CURVE_REPS, seed=SEED_CURVES,
+    alpha_grid=tuple(round(0.05 * i, 2) for i in range(1, 19)), beta_grid=())  # 0.05 .. 0.90
+QF_TOTAL_SPEC = ExperimentSpec(n=TOTAL_N, functionals=(Functional.QF,), reps=TOTAL_REPS_KS,
+                               seed=SEED_QF_TOTAL, alpha_grid=(), beta_grid=())
+DISPLACEMENT_TOTAL_SPEC = ExperimentSpec(
+    n=TOTAL_N, embedding=Embedding.PARKING, functionals=(Functional.DISPLACEMENT,),
+    reps=TOTAL_REPS_KS, seed=SEED_DISPLACEMENT, alpha_grid=(), beta_grid=())
+#: the runs shared by the n log n constants and the phase transition; the
+#: beta point n^0.25 is the checkpoint step floor(n - n^0.75)
+SCALING_SPECS = tuple(
+    ExperimentSpec(n=n, functionals=(Functional.QF, Functional.QFB, Functional.QFW),
+                   reps=SCALING_REPS, seed=SEED_SCALING + i, alpha_grid=(), beta_grid=(n**0.25,))
+    for i, n in enumerate(SCALING_NS))
+
+
+@functools.cache
+def _sample(spec):
+    """The Monte Carlo result of a declared spec, run once per process.
+
+    functools.cache stores nothing for a call that raises, so a failed
+    run is started over by the next reader.  Readers share the result and
+    must not modify it.
+    """
+    return run_monte_carlo(spec)
+
+
+def _sample_name(spec):
+    return f"{spec.embedding.value} n={spec.n} reps={spec.reps} seed={spec.seed}"
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -87,18 +133,46 @@ class CriterionResult:
         return "INFO-FAIL" if self.informative else "FAIL"
 
 
-def _result(cid, passed, measured, target, tolerance, detail="", informative=False,
-            started=None):
-    return CriterionResult(
-        cid=cid,
-        passed=bool(passed),
-        informative=informative,
-        measured=str(measured),
-        target=str(target),
-        tolerance=str(tolerance),
-        detail=detail,
-        seconds=round(time.perf_counter() - started, 3) if started is not None else 0.0,
-    )
+#: cid -> criterion, in report order
+CRITERIA = {}
+
+
+def _criterion(cid, informative=False, samples=(), detail=""):
+    """Register a judge as the criterion `cid`.
+
+    The judge returns (passed, measured, target, tolerance); the registered
+    function times it and returns the CriterionResult.  `samples` are the
+    specs the judge reads through `_sample`.  The result's detail names
+    them and `detail`, a template of the draws the judge makes itself,
+    filled from the call's arguments, so a failure can be re-run alone.
+    """
+
+    def register(judge):
+        signature = inspect.signature(judge)
+
+        @functools.wraps(judge)
+        def criterion(*args, **kwargs):
+            t0 = time.perf_counter()
+            passed, measured, target, tolerance = judge(*args, **kwargs)
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            draws = [_sample_name(s) for s in samples] + [detail.format(**call.arguments)]
+            return CriterionResult(
+                cid=cid,
+                passed=bool(passed),
+                informative=informative,
+                measured=str(measured),
+                target=str(target),
+                tolerance=str(tolerance),
+                detail="; ".join(d for d in draws if d),
+                seconds=round(time.perf_counter() - t0, 3),
+            )
+
+        criterion.samples = samples
+        CRITERIA[cid] = criterion
+        return criterion
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +180,9 @@ def _result(cid, passed, measured, target, tolerance, detail="", informative=Fal
 # ---------------------------------------------------------------------------
 
 
-def criterion_oracle_equivalence(max_n: int = 6) -> CriterionResult:
+@_criterion("oracle-equivalence")
+def criterion_oracle_equivalence(max_n: int = 6):
     """Three-way equality of full event-sequence laws at n <= 6."""
-    t0 = time.perf_counter()
     worst = Fraction(0)
     for n in range(2, max_n + 1):
         park = enumerate_parking(n).project(("s", "S", "L"))
@@ -120,19 +194,13 @@ def criterion_oracle_equivalence(max_n: int = 6) -> CriterionResult:
             park.tv_distance(chain),
             tree.tv_distance(chain),
         )
-    return _result(
-        "oracle-equivalence",
-        float(worst) < 1e-12,
-        f"max TV {float(worst):.3e}",
-        "TV = 0 across parking/tree/chain, n=2..%d" % max_n,
-        "1e-12",
-        started=t0,
-    )
+    return (float(worst) < 1e-12, f"max TV {float(worst):.3e}",
+            "TV = 0 across parking/tree/chain, n=2..%d" % max_n, "1e-12")
 
 
-def criterion_pmk_exact() -> CriterionResult:
+@_criterion("pmk-exact")
+def criterion_pmk_exact():
     """p_mk equals the enumerated final-merge law (m <= 8); rows sum to 1."""
-    t0 = time.perf_counter()
     mismatch = []
     for m in range(2, 9):
         marginal = parking_final_merge_marginal(m)
@@ -141,32 +209,20 @@ def criterion_pmk_exact() -> CriterionResult:
                 mismatch.append((m, k))
     bad_rows = [m for m in range(2, 31) if sum(p_mk(m, k) for k in range(1, m)) != 1]
     ok = not mismatch and not bad_rows
-    return _result(
-        "pmk-exact",
-        ok,
-        "exact equality" if ok else f"mismatches {mismatch[:3]} rows {bad_rows[:3]}",
-        "rational equality, m<=8; unit row sums, m<=30",
-        "exact",
-        started=t0,
-    )
+    return (ok, "exact equality" if ok else f"mismatches {mismatch[:3]} rows {bad_rows[:3]}",
+            "rational equality, m<=8; unit row sums, m<=30", "exact")
 
 
-def criterion_borel_limit() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("borel-limit")
+def criterion_borel_limit():
     worst = max(abs(p_mk(10_000, 10_000 - k) - borel_pmf(k)) for k in range(1, 11))
-    return _result(
-        "borel-limit",
-        worst < 1e-3,
-        f"max |p_mk(1e4, 1e4-k) - borel(k)| = {worst:.3e}",
-        "Borel(1) limit of the final prey size, k=1..10",
-        "1e-3",
-        started=t0,
-    )
+    return (worst < 1e-3, f"max |p_mk(1e4, 1e4-k) - borel(k)| = {worst:.3e}",
+            "Borel(1) limit of the final prey size, k=1..10", "1e-3")
 
 
-def criterion_conditional_r(max_n: int = 8) -> CriterionResult:
+@_criterion("conditional-r")
+def criterion_conditional_r(max_n: int = 8):
     """E[R_k | L_k = l] = (n - l)/(n - k), exact for n <= 8."""
-    t0 = time.perf_counter()
     bad = []
     for n in range(2, max_n + 1):
         dp = partition_dp(n)
@@ -174,18 +230,12 @@ def criterion_conditional_r(max_n: int = 8) -> CriterionResult:
             for l, val in dp.conditional_r_given_l(k).items():
                 if val != Fraction(n - l, n - k):
                     bad.append((n, k, l))
-    return _result(
-        "conditional-r",
-        not bad,
-        "exact equality" if not bad else f"violations {bad[:3]}",
-        "E[R|L=l] = (n-l)/(n-k), all reachable (k,l), n<=%d" % max_n,
-        "exact",
-        started=t0,
-    )
+    return (not bad, "exact equality" if not bad else f"violations {bad[:3]}",
+            "E[R|L=l] = (n-l)/(n-k), all reachable (k,l), n<=%d" % max_n, "exact")
 
 
-def criterion_smoluchowski_identities() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("smoluchowski-identities")
+def criterion_smoluchowski_identities():
     moment_dev = max(
         abs(moment(t, p, "sum", tol=1e-11) - moment(t, p, "closed"))
         for t in (0.1, 1.0, 3.0)
@@ -200,43 +250,20 @@ def criterion_smoluchowski_identities() -> CriterionResult:
     quad = phi_curve_quadrature(Functional.PREY, grid, tol=1e-8)
     prey_dev = max(abs(r.value + math.log1p(-a)) for r, a in zip(quad, grid))
     ok = moment_dev < 1e-8 and ode_dev < 1e-6 and prey_dev < 1e-6
-    return _result(
-        "smoluchowski-identities",
-        ok,
-        f"moments {moment_dev:.2e}; ODE {ode_dev:.2e}; prey quad {prey_dev:.2e}",
-        "moment sums, coagulation ODE, prey curve = log(1/(1-a))",
-        "1e-8 / 1e-6 / 1e-6",
-        started=t0,
-    )
+    return (ok, f"moments {moment_dev:.2e}; ODE {ode_dev:.2e}; prey quad {prey_dev:.2e}",
+            "moment sums, coagulation ODE, prey curve = log(1/(1-a))", "1e-8 / 1e-6 / 1e-6")
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo criteria
 # ---------------------------------------------------------------------------
 
-_CURVE_FUNCTIONALS = (
-    Functional.QF,
-    Functional.QFW,
-    Functional.PREY,
-    Functional.PREDATOR,
-    Functional.DISPLACEMENT,
-)
 
-
-def criterion_partial_cost_curves() -> CriterionResult:
+@_criterion("partial-cost-curves", samples=(CURVES_SPEC,))
+def criterion_partial_cost_curves():
     """Normalized partial costs track the limit curves on alpha <= 0.9."""
-    t0 = time.perf_counter()
-    grid = tuple(round(0.05 * i, 2) for i in range(1, 19))  # 0.05 .. 0.90
-    spec = ExperimentSpec(
-        n=CURVE_N,
-        embedding=Embedding.DIRECT,
-        functionals=_CURVE_FUNCTIONALS,
-        reps=CURVE_REPS,
-        seed=SEED_CURVES,
-        alpha_grid=grid,
-        beta_grid=(),
-    )
-    res = run_monte_carlo(spec)
+    grid = CURVES_SPEC.alpha_grid
+    res = _sample(CURVES_SPEC)
     qfw_phi = [r.value for r in phi_curve_quadrature(Functional.QFW, grid, tol=1e-8)]
     worst = 0.0
     worst_at = ""
@@ -248,86 +275,23 @@ def criterion_partial_cost_curves() -> CriterionResult:
             if ratio > worst:
                 worst = ratio
                 worst_at = f"{f.value}@a={a}: mean {means[j]:.4f} vs phi {phi:.4f}"
-    return _result(
-        "partial-cost-curves",
-        worst < 1.0,
-        f"worst |mean-phi|/(0.02(1+phi)) = {worst:.3f} ({worst_at})",
-        "sup deviation within 2% of (1+phi), all five cost curves",
-        "0.02*(1+phi)",
-        started=t0,
-    )
+    return (worst < 1.0, f"worst |mean-phi|/(0.02(1+phi)) = {worst:.3f} ({worst_at})",
+            "sup deviation within 2% of (1+phi), all five cost curves", "0.02*(1+phi)")
 
 
-def _qf_totals_sample():
-    spec = ExperimentSpec(
-        n=TOTAL_N,
-        embedding=Embedding.DIRECT,
-        functionals=(Functional.QF,),
-        reps=TOTAL_REPS_KS,
-        seed=SEED_QF_TOTAL,
-        alpha_grid=(),
-        beta_grid=(),
-    )
-    return run_monte_carlo(spec).normalized_totals(Functional.QF)
-
-
-def _displacement_totals_sample():
-    spec = ExperimentSpec(
-        n=TOTAL_N,
-        embedding=Embedding.PARKING,
-        functionals=(Functional.DISPLACEMENT,),
-        reps=TOTAL_REPS_KS,
-        seed=SEED_DISPLACEMENT,
-        alpha_grid=(),
-        beta_grid=(),
-    )
-    return run_monte_carlo(spec).normalized_totals(Functional.DISPLACEMENT)
-
-
-def criterion_qf_total_excursion() -> CriterionResult:
+@_criterion("qf-total-excursion", samples=(QF_TOTAL_SPEC, DISPLACEMENT_TOTAL_SPEC))
+def criterion_qf_total_excursion():
     """Total QF cost: mean near sqrt(pi/8) n^1.5; same law as total parking
     displacement (both converge to the excursion area)."""
-    t0 = time.perf_counter()
-    qf = _qf_totals_sample()
-    disp = _displacement_totals_sample()
+    qf = _sample(QF_TOTAL_SPEC).normalized_totals(Functional.QF)
+    disp = _sample(DISPLACEMENT_TOTAL_SPEC).normalized_totals(Functional.DISPLACEMENT)
     mean = float(np.mean(qf[:TOTAL_REPS_MEAN]))
     rel = abs(mean - EXCURSION_AREA_MEAN) / EXCURSION_AREA_MEAN
     ks = ks_two_sample(qf, disp, level=0.001)
-    ok = rel < 0.05 and not ks.reject
-    return _result(
-        "qf-total-excursion",
-        ok,
-        f"mean {mean:.5f} (rel dev {rel:.3%}); KS D={ks.statistic:.4f} p={ks.pvalue:.4f}",
-        f"mean -> {EXCURSION_AREA_MEAN:.5f}; KS vs n^-1.5 D_n not rejected",
-        "5% rel; level 0.001",
-        started=t0,
-    )
-
-
-_scaling_cache = {}
-
-
-def _scaling_runs():
-    """Shared runs for the n log n constants and the phase transition.
-
-    The cache is filled only once all runs are done, so a run that raises
-    leaves it empty and the next call starts over.
-    """
-    if not _scaling_cache:
-        runs = {}
-        for i, n in enumerate(SCALING_NS):
-            spec = ExperimentSpec(
-                n=n,
-                embedding=Embedding.DIRECT,
-                functionals=(Functional.QF, Functional.QFB, Functional.QFW),
-                reps=SCALING_REPS,
-                seed=SEED_SCALING + i,
-                alpha_grid=(),
-                beta_grid=(n**0.25,),  # checkpoint step floor(n - n^0.75)
-            )
-            runs[n] = run_monte_carlo(spec)
-        _scaling_cache.update(runs)
-    return _scaling_cache
+    return (rel < 0.05 and not ks.reject,
+            f"mean {mean:.5f} (rel dev {rel:.3%}); KS D={ks.statistic:.4f} p={ks.pvalue:.4f}",
+            f"mean -> {EXCURSION_AREA_MEAN:.5f}; KS vs n^-1.5 D_n not rejected",
+            "5% rel; level 0.001")
 
 
 def _fit_log_correction(ns, values):
@@ -339,67 +303,47 @@ def _fit_log_correction(ns, values):
 
 
 def _nlogn_means(functional):
-    runs = _scaling_runs()
     return [
-        float(np.mean(runs[n].totals[functional] / (n * math.log(n))))
-        for n in SCALING_NS
+        float(np.mean(_sample(spec).totals[functional] / (spec.n * math.log(spec.n))))
+        for spec in SCALING_SPECS
     ]
 
 
-def criterion_qfb_constant() -> CriterionResult:
+@_criterion("qfb-constant", samples=SCALING_SPECS)
+def criterion_qfb_constant():
     """C^QFB / (n log n) -> 1/2, tested on the 1/log n extrapolation."""
-    t0 = time.perf_counter()
     means = _nlogn_means(Functional.QFB)
     a = _fit_log_correction(SCALING_NS, means)
-    ok = abs(a - 0.5) < 0.05
-    return _result(
-        "qfb-constant",
-        ok,
-        f"extrapolated a = {a:.4f} (raw means {[round(v, 4) for v in means]})",
-        "0.5",
-        "10%",
-        started=t0,
-    )
+    return (abs(a - 0.5) < 0.05,
+            f"extrapolated a = {a:.4f} (raw means {[round(v, 4) for v in means]})",
+            "0.5", "10%")
 
 
-def criterion_qfw_conjecture() -> CriterionResult:
+@_criterion("qfw-conjecture", informative=True, samples=SCALING_SPECS)
+def criterion_qfw_conjecture():
     """Conjectured C^QFW / (n log n) -> 1/pi; informative only."""
-    t0 = time.perf_counter()
     means = _nlogn_means(Functional.QFW)
     a = _fit_log_correction(SCALING_NS, means)
     target = 1.0 / math.pi
-    ok = abs(a - target) < 0.15 * target
-    return _result(
-        "qfw-conjecture",
-        ok,
-        f"extrapolated a = {a:.4f} (raw means {[round(v, 4) for v in means]})",
-        f"{target:.5f}",
-        "15% (informative; conjecture)",
-        informative=True,
-        started=t0,
-    )
+    return (abs(a - target) < 0.15 * target,
+            f"extrapolated a = {a:.4f} (raw means {[round(v, 4) for v in means]})",
+            f"{target:.5f}", "15% (informative; conjecture)")
 
 
-def criterion_phase_transition() -> CriterionResult:
+@_criterion("phase-transition", samples=SCALING_SPECS)
+def criterion_phase_transition():
     """n^-1.5 C^QF at step floor(n - n^0.75) vanishes with n."""
-    t0 = time.perf_counter()
-    runs = _scaling_runs()
-    means = [float(runs[n].beta_values[Functional.QF][:, 0].mean()) for n in SCALING_NS]
+    means = [float(_sample(spec).beta_values[Functional.QF][:, 0].mean())
+             for spec in SCALING_SPECS]
     decreasing = all(a > b for a, b in zip(means, means[1:]))
-    ok = decreasing and means[-1] < 0.05
-    return _result(
-        "phase-transition",
-        ok,
-        f"means {[round(v, 4) for v in means]}",
-        "strictly decreasing, < 0.05 at n=1e5",
-        "0.05 gate",
-        started=t0,
-    )
+    return (decreasing and means[-1] < 0.05, f"means {[round(v, 4) for v in means]}",
+            "strictly decreasing, < 0.05 at n=1e5", "0.05 gate")
 
 
-def criterion_regime_sweep() -> CriterionResult:
+@_criterion("regime-sweep", detail=f"direct n={','.join(map(str, SCALING_NS))} "
+                                   f"reps={REGIME_REPS} seed={SEED_REGIME}")
+def criterion_regime_sweep():
     """Largest cluster: B/n -> 0 in the sparse window, -> 1 near-full."""
-    t0 = time.perf_counter()
     rows = regime_sweep(SCALING_NS, REGIME_EPS, reps=REGIME_REPS, seed=SEED_REGIME)
     sparse = [r.sparse.mean for r in rows]
     full = [r.full.mean for r in rows]
@@ -408,21 +352,15 @@ def criterion_regime_sweep() -> CriterionResult:
         and all(a < b for a, b in zip(full, full[1:]))
         and full[-1] - sparse[-1] > 0.5
     )
-    return _result(
-        "regime-sweep",
-        ok,
-        f"sparse {[round(v, 3) for v in sparse]}; full {[round(v, 3) for v in full]}",
-        "sparse decreasing, full increasing, gap > 0.5 at n=1e5",
-        "gap 0.5",
-        started=t0,
-    )
+    return (ok, f"sparse {[round(v, 3) for v in sparse]}; full {[round(v, 3) for v in full]}",
+            "sparse decreasing, full increasing, gap > 0.5 at n=1e5", "gap 0.5")
 
 
-def criterion_determinism() -> CriterionResult:
+@_criterion("determinism", detail=f"direct n=2000 reps=6 seed={SEED_DETERMINISM}")
+def criterion_determinism():
     """cmd_simulate output bytes identical across runs and worker counts."""
     from . import cli
 
-    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"run{i}.csv") for i in range(3)]
         base = [
@@ -437,14 +375,8 @@ def criterion_determinism() -> CriterionResult:
         ]
         blobs = [open(p, "rb").read() for p in paths]
     ok = codes == [0, 0, 0] and blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > 0
-    return _result(
-        "determinism",
-        ok,
-        "byte-identical" if ok else "outputs differ",
-        "identical bytes across reruns and 1 vs 8 workers",
-        "exact",
-        started=t0,
-    )
+    return (ok, "byte-identical" if ok else "outputs differ",
+            "identical bytes across reruns and 1 vs 8 workers", "exact")
 
 
 def _perturbed(probs):
@@ -453,16 +385,17 @@ def _perturbed(probs):
     return probs / probs.sum()
 
 
-def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000) -> CriterionResult:
+@_criterion("pmk-chi-square",
+            detail=f"direct n=50 reps={{runs}} seed={SEED_ORACLE_CHI}, one substream per run")
+def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
     """Final-merge predator size at m=50 vs the exact formula (level 0.01).
 
     Run r draws its predator elements and prey picks from substream r and
     the runs replay in lockstep blocks (u and u' come later in a run's
     draws, so they are not drawn).  With mutate=True the null is
     perturbed; the test must then reject, demonstrating the harness has
-    power (mutation test mode).
+    power (mutation test mode).  The sample is drawn at every call.
     """
-    t0 = time.perf_counter()
     m = 50
     counts = np.zeros(m - 1, dtype=np.int64)
     rows = block_rows(m)
@@ -477,16 +410,9 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000) -> Crite
     if mutate:
         probs = _perturbed(probs)
     test = chi_square_gof(counts, probs, level=0.01)
-    ok = not test.reject
     label = "perturbed p_mk (expected to reject)" if mutate else "p_mk null not rejected"
-    return _result(
-        "pmk-chi-square",
-        ok,
-        f"chi2 {test.statistic:.1f} df {test.dof} p {test.pvalue:.4f}",
-        label,
-        "level 0.01",
-        started=t0,
-    )
+    return (not test.reject, f"chi2 {test.statistic:.1f} df {test.dof} p {test.pvalue:.4f}",
+            label, "level 0.01")
 
 
 def _sequence_codes(n, L, R):
@@ -512,18 +438,20 @@ def _sequence_counts(n, codes, keys):
     return np.bincount(key, minlength=len(keys))
 
 
-def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000) -> CriterionResult:
+@_criterion("chain-vs-oracle-chi-square",
+            detail=f"direct n=5 reps={{reps}} seed={SEED_CHAIN_CHI}, one shared stream")
+def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
     """Simulated full event-sequence frequencies at n = 5 vs the exact law.
 
     All replications draw from one shared stream in two calls, the
     predator elements as one (reps, n-1) array and then the prey uniforms,
     and replay in lockstep blocks; frequencies are tested against the
     partition-chain enumeration at level 0.01.  With mutate=True the null
-    is perturbed and the test must reject.
+    is perturbed and the test must reject.  The sample is drawn at every
+    call.
     """
     from .seeding import make_rng
 
-    t0 = time.perf_counter()
     n = 5
     law = dp_sequence_distribution(n)
     keys = sorted(law.probs)
@@ -545,52 +473,56 @@ def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000) -> C
     test = chi_square_gof(counts, probs, level=0.01)
     label = ("perturbed sequence law (expected to reject)" if mutate
              else "exact n=5 sequence law not rejected")
-    return _result(
-        "chain-vs-oracle-chi-square",
-        not test.reject,
-        f"chi2 {test.statistic:.1f} df {test.dof} p {test.pvalue:.4f} ({reps} reps)",
-        label,
-        "level 0.01",
-        started=t0,
-    )
-
-
-CRITERIA = {
-    "oracle-equivalence": criterion_oracle_equivalence,
-    "pmk-exact": criterion_pmk_exact,
-    "borel-limit": criterion_borel_limit,
-    "conditional-r": criterion_conditional_r,
-    "smoluchowski-identities": criterion_smoluchowski_identities,
-    "partial-cost-curves": criterion_partial_cost_curves,
-    "qf-total-excursion": criterion_qf_total_excursion,
-    "qfb-constant": criterion_qfb_constant,
-    "qfw-conjecture": criterion_qfw_conjecture,
-    "phase-transition": criterion_phase_transition,
-    "regime-sweep": criterion_regime_sweep,
-    "determinism": criterion_determinism,
-    "pmk-chi-square": criterion_pmk_chi_square,
-    "chain-vs-oracle-chi-square": criterion_chain_chi_square,
-}
+    return (not test.reject,
+            f"chi2 {test.statistic:.1f} df {test.dof} p {test.pvalue:.4f} ({reps} reps)",
+            label, "level 0.01")
 
 
 #: perturbed nulls that `run_criteria(mutate=...)` knows, and the criterion each perturbs
 MUTATIONS = {"pmk": "pmk-chi-square", "chain": "chain-vs-oracle-chi-square"}
 
 
-def run_criteria(only=None, mutate=()):
-    """Run all (or selected) criteria; returns CriterionResult list."""
-    names = list(CRITERIA)
-    if only:
-        unknown = [o for o in only if o not in CRITERIA]
-        if unknown:
-            raise ValueError(f"unknown criteria: {unknown}; known: {names}")
-        names = [n for n in names if n in set(only)]
+def check_selection(only, mutate):
+    """Raise ValueError on an unknown criterion or mutation, or on a mutation
+    whose criterion a non-empty `only` leaves out (it would test nothing)."""
+    unknown = [c for c in only or () if c not in CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criteria: {unknown}; known: {list(CRITERIA)}")
     unknown = [m for m in mutate if m not in MUTATIONS]
     if unknown:
         raise ValueError(f"unknown mutations: {unknown}; known: {list(MUTATIONS)}")
+    unselected = {m: MUTATIONS[m] for m in mutate if only and MUTATIONS[m] not in only}
+    if unselected:
+        raise ValueError(f"the selection must include the criterion each mutation "
+                         f"perturbs: {unselected}")
+
+
+def run_criteria(only=None, mutate=()):
+    """Run all (or selected) criteria in CRITERIA order.
+
+    Each declared sample is drawn through `_sample` before its first
+    reader and timed on its own, so no criterion's seconds include it.
+    Returns (results, samples): the CriterionResult list, and one
+    {"sample", "seconds", "criteria"} record per sample with the
+    selected criteria that read it.
+    """
+    check_selection(only, mutate)
+    names = [c for c in CRITERIA if not only or c in only]
     mutated = {MUTATIONS[m] for m in mutate}
-    return [CRITERIA[name](mutate=name in mutated) if name in MUTATIONS.values()
-            else CRITERIA[name]() for name in names]
+    results, samples = [], {}
+    for name in names:
+        criterion = CRITERIA[name]
+        for spec in criterion.samples:
+            if spec not in samples:
+                t0 = time.perf_counter()
+                _sample(spec)
+                samples[spec] = {
+                    "sample": _sample_name(spec),
+                    "seconds": round(time.perf_counter() - t0, 3),
+                    "criteria": [c for c in names if spec in CRITERIA[c].samples],
+                }
+        results.append(criterion(mutate=True) if name in mutated else criterion())
+    return results, list(samples.values())
 
 
 def suite_passed(results) -> bool:

@@ -219,6 +219,9 @@ def write_rows(rows, fmt: str, out_path: str) -> None:
         sys.stdout.write(payload)
 
 
+_BACKEND = "numba" if _replay.HAVE_NUMBA else "python"
+
+
 def _provenance(config: RunConfig, n) -> dict:
     return {
         "seed": config.seed,
@@ -226,7 +229,7 @@ def _provenance(config: RunConfig, n) -> dict:
         "reps": config.reps,
         "embedding": config.embedding,
         "version": __version__,
-        "backend": "numba" if _replay.HAVE_NUMBA else "python",
+        "backend": _BACKEND,
     }
 
 
@@ -406,36 +409,21 @@ def cmd_exact(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    unknown = [c for c in config.only if c not in acceptance.CRITERIA]
-    if unknown:
-        raise UsageError(f"unknown criteria: {unknown}; known: {list(acceptance.CRITERIA)}")
-    unknown = [m for m in config.mutate if m not in acceptance.MUTATIONS]
-    if unknown:
-        raise UsageError(f"unknown mutations: {unknown}; known: {list(acceptance.MUTATIONS)}")
-    unselected = {m: acceptance.MUTATIONS[m] for m in config.mutate
-                  if config.only and acceptance.MUTATIONS[m] not in config.only}
-    if unselected:
-        raise UsageError(f"--only must select the criterion each mutation perturbs: {unselected}")
-    results = acceptance.run_criteria(only=config.only or None, mutate=config.mutate)
+    with _validating():
+        acceptance.check_selection(config.only, config.mutate)
+    results, samples = acceptance.run_criteria(only=config.only or None, mutate=config.mutate)
     for r in results:
+        for s in samples:
+            if s["criteria"][0] == r.cid:
+                print(f"[sample   ] {s['sample']}: {s['seconds']} s, read by "
+                      + ", ".join(s["criteria"]))
         print(f"[{r.status:9s}] {r.cid}: {r.measured} (target {r.target}; tol {r.tolerance})")
     report = {
         "version": __version__,
+        "backend": _BACKEND,
         "passed": acceptance.suite_passed(results),
-        "criteria": [
-            {
-                "cid": r.cid,
-                "status": r.status,
-                "passed": r.passed,
-                "informative": r.informative,
-                "measured": r.measured,
-                "target": r.target,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-                "seconds": r.seconds,
-            }
-            for r in results
-        ],
+        "criteria": [{"cid": r.cid, "status": r.status, **asdict(r)} for r in results],
+        "samples": samples,
     }
     payload = json.dumps(report, indent=1) + "\n"
     if config.out:

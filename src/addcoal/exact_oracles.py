@@ -66,24 +66,6 @@ def borel_pmf(k: int) -> float:
     return math.exp((k - 1) * math.log(k) - k - math.lgamma(k + 1))
 
 
-def borel_total_mass(kmax: int = 5000) -> float:
-    """Total Borel(1) mass via truncation plus an integral tail estimate.
-
-    The distribution is critical (k^-3/2 tail, infinite mean), so the bare
-    partial sums converge like 1/sqrt(kmax); the midpoint-rule integral of
-    the smooth continuation over [kmax + 1/2, inf) recovers the tail to
-    ~1e-10.  The exact total is 1.
-    """
-    from scipy.integrate import quad
-
-    def density(x):
-        return math.exp((x - 1.0) * math.log(x) - x - math.lgamma(x + 1.0))
-
-    head = sum(borel_pmf(k) for k in range(1, kmax + 1))
-    tail, _ = quad(density, kmax + 0.5, math.inf, limit=400)
-    return head + tail
-
-
 def block_config_count(n: int, k: int, blocks) -> int:
     """Number of k-car parking configurations with the given block sizes.
 

@@ -29,7 +29,7 @@ _Z95 = 1.959963984540054
 
 @dataclass
 class SummaryStats:
-    """Mergeable (count, mean, M2, min, max) accumulator (Welford/Chan)."""
+    """Running (count, mean, M2, min, max) accumulator (Welford's update)."""
 
     count: int = 0
     mean: float = 0.0
@@ -45,17 +45,6 @@ class SummaryStats:
         self.m2 += delta * (x - self.mean)
         self.min = min(self.min, x)
         self.max = max(self.max, x)
-
-    def merge(self, other: "SummaryStats") -> "SummaryStats":
-        if other.count == 0:
-            return SummaryStats(self.count, self.mean, self.m2, self.min, self.max)
-        if self.count == 0:
-            return SummaryStats(other.count, other.mean, other.m2, other.min, other.max)
-        count = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / count
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / count
-        return SummaryStats(count, mean, m2, min(self.min, other.min), max(self.max, other.max))
 
     @classmethod
     def from_values(cls, values) -> "SummaryStats":

@@ -132,27 +132,6 @@ def smoluchowski_rhs(k: int, t: float) -> float:
     return gain - loss
 
 
-def tagged_size_prob(k: int, alpha: float) -> float:
-    """Limit probability that the first parked car sits in a size-k cluster
-    after ceil(alpha*n) arrivals.
-
-    Equals (1-alpha) alpha^(k-2) k^(k-2)/(k-2)! e^{-alpha k} for k >= 2,
-    i.e. (k-1)/alpha * q(k, -log(1-alpha)).  A parked car's block spans at
-    least two places, so k = 1 has probability 0 and the k >= 2 masses sum
-    to one.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must be in [0, 1)")
-    if k == 1:
-        return 0.0
-    if alpha == 0.0:
-        return 1.0 if k == 2 else 0.0
-    logp = (k - 2) * (math.log(alpha) + math.log(k)) - math.lgamma(k - 1) - alpha * k
-    return (1.0 - alpha) * math.exp(logp)
-
-
 # ---------------------------------------------------------------------------
 # phi curves
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ criterion (run pytest -s to watch them).  The QFW constant criterion is a
 conjecture: its result is reported but never fails the suite.
 """
 
+import functools
+import time
+from collections import defaultdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -134,8 +139,8 @@ def test_suite_passed_helper():
 
 
 def test_scaling_runs_recomputed_after_a_failed_run(monkeypatch):
-    # a run that raises must not leave a partial cache for later criteria
-    monkeypatch.setattr(acceptance, "_scaling_cache", {})
+    # a run that raises must leave no cache entry, so the next reader runs it again;
+    # the runs before it stay cached
     calls = []
 
     def fail_on_second_call(spec):
@@ -145,9 +150,63 @@ def test_scaling_runs_recomputed_after_a_failed_run(monkeypatch):
         return spec.n
 
     monkeypatch.setattr(acceptance, "run_monte_carlo", fail_on_second_call)
-    with pytest.raises(RuntimeError):
-        acceptance._scaling_runs()
-    assert acceptance._scaling_cache == {}
-    runs = acceptance._scaling_runs()
-    assert calls[2:] == list(acceptance.SCALING_NS)
-    assert runs == {n: n for n in acceptance.SCALING_NS}
+    acceptance._sample.cache_clear()
+    try:
+        with pytest.raises(RuntimeError):
+            [acceptance._sample(spec) for spec in acceptance.SCALING_SPECS]
+        runs = [acceptance._sample(spec) for spec in acceptance.SCALING_SPECS]
+    finally:
+        acceptance._sample.cache_clear()  # no fake results for later tests
+    first, second, third = acceptance.SCALING_NS
+    assert calls == [first, second, second, third]
+    assert runs == list(acceptance.SCALING_NS)
+
+
+def test_criteria_keep_their_order():
+    assert list(acceptance.CRITERIA) == [
+        "oracle-equivalence", "pmk-exact", "borel-limit", "conditional-r",
+        "smoluchowski-identities", "partial-cost-curves", "qf-total-excursion",
+        "qfb-constant", "qfw-conjecture", "phase-transition", "regime-sweep",
+        "determinism", "pmk-chi-square", "chain-vs-oracle-chi-square",
+    ]
+
+
+def test_run_criteria_rejects_a_bad_selection():
+    with pytest.raises(ValueError, match="not-a-criterion"):
+        acceptance.run_criteria(only=["not-a-criterion"])
+    with pytest.raises(ValueError, match="pkm"):
+        acceptance.run_criteria(mutate=["pkm"])
+    # a mutation whose criterion the selection leaves out would test nothing
+    with pytest.raises(ValueError, match="pmk-chi-square"):
+        acceptance.run_criteria(only=["borel-limit"], mutate=["pmk"])
+
+
+def test_run_criteria_charges_a_shared_sample_once(monkeypatch):
+    # each scaling run is drawn once, timed on its own line, and not inside a criterion
+    drawn = []
+
+    @functools.cache
+    def slow_sample(spec):
+        drawn.append(spec)
+        time.sleep(0.2)
+        return SimpleNamespace(totals=defaultdict(lambda: np.ones(3)),
+                               beta_values=defaultdict(lambda: np.ones((3, 1))))
+
+    monkeypatch.setattr(acceptance, "_sample", slow_sample)
+    results, samples = acceptance.run_criteria(only=["qfb-constant", "phase-transition"])
+    assert drawn == list(acceptance.SCALING_SPECS)
+    assert [r.cid for r in results] == ["qfb-constant", "phase-transition"]
+    assert all(r.seconds < 0.2 for r in results)
+    assert [s["sample"] for s in samples] == [
+        "direct n=1000 reps=100 seed=108", "direct n=10000 reps=100 seed=109",
+        "direct n=100000 reps=100 seed=110"]
+    assert all(s["seconds"] >= 0.2 for s in samples)
+    assert all(s["criteria"] == ["qfb-constant", "phase-transition"] for s in samples)
+    # the detail names the draws, so a failure can be re-run alone
+    assert results[0].detail == "; ".join(s["sample"] for s in samples)
+
+
+def test_monte_carlo_detail_names_the_call():
+    result = acceptance.criterion_pmk_chi_square(runs=50)
+    assert result.detail == "direct n=50 reps=50 seed=113, one substream per run"
+    assert acceptance.criterion_borel_limit().detail == ""

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from addcoal import cli
+from addcoal import _replay, cli
 from addcoal.cli import RunConfig, UsageError, parse_config, serialize_config
 
 
@@ -243,6 +243,10 @@ def test_verify_single_fast_criterion(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert [c["cid"] for c in report["criteria"]] == ["borel-limit"]
+    assert list(report["criteria"][0]) == ["cid", "status", "passed", "informative", "measured",
+                                           "target", "tolerance", "detail", "seconds"]
+    assert report["backend"] == ("numba" if _replay.HAVE_NUMBA else "python")
+    assert report["samples"] == []
     printed = capsys.readouterr().out
     assert "borel-limit" in printed and "PASS" in printed
 
@@ -373,8 +377,6 @@ def test_negative_seed_rejected(tmp_path, capsys):
 
 
 def test_provenance_names_backend(tmp_path):
-    from addcoal import _replay
-
     out = tmp_path / "sim.csv"
     assert run_cli(["simulate", "--n", "10", "--functional", "qf", "--out", out]) == 0
     want = "numba" if _replay.HAVE_NUMBA else "python"

@@ -8,7 +8,6 @@ import pytest
 
 from addcoal import _replay
 from addcoal.exact_oracles import (
-    borel_total_mass,
     block_config_count,
     borel_pmf,
     dp_sequence_distribution,
@@ -57,14 +56,6 @@ def test_borel_values():
     assert abs(borel_pmf(1) - math.exp(-1)) < 1e-15
     assert abs(borel_pmf(2) - math.exp(-2)) < 1e-15
     assert abs(borel_pmf(1) - 0.367879) < 5e-7
-
-
-def test_borel_total_mass():
-    # critical tail (~k^-3/2): plain truncation converges like 1/sqrt(K),
-    # so unit mass needs the tail-corrected adaptive sum
-    assert abs(borel_total_mass() - 1.0) < 1e-9
-    plain = sum(borel_pmf(k) for k in range(1, 5000))
-    assert 1e-3 < 1.0 - plain < 3e-2
 
 
 def test_borel_is_p_mk_limit():

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -28,32 +27,6 @@ def test_summary_stats_against_numpy():
     assert abs(st.variance - xs.var(ddof=1)) < 1e-10
     assert st.min == xs.min() and st.max == xs.max()
     assert abs(st.stderr - xs.std(ddof=1) / math.sqrt(500)) < 1e-12
-
-
-def test_summary_stats_merge_order_independence():
-    rng = make_rng(2)
-    chunks = [SummaryStats.from_values(rng.random(50) * 10) for _ in range(4)]
-    reference = None
-    for perm in itertools.permutations(range(4)):
-        acc = SummaryStats()
-        for i in perm:
-            acc = acc.merge(chunks[i])
-        if reference is None:
-            reference = acc
-        assert acc.count == reference.count
-        assert abs(acc.mean - reference.mean) < 1e-12 * max(1.0, abs(reference.mean))
-        assert abs(acc.variance - reference.variance) < 1e-12 * max(1.0, reference.variance)
-        assert acc.min == reference.min and acc.max == reference.max
-
-
-def test_summary_stats_merge_matches_pooled():
-    rng = make_rng(3)
-    a, b = rng.random(40), rng.random(60)
-    merged = SummaryStats.from_values(a).merge(SummaryStats.from_values(b))
-    pooled = SummaryStats.from_values(np.concatenate([a, b]))
-    assert merged.count == pooled.count
-    assert abs(merged.mean - pooled.mean) < 1e-12
-    assert abs(merged.variance - pooled.variance) < 1e-12
 
 
 def test_spec_validation():

@@ -161,14 +161,21 @@ def test_direct_kernel_matches_reference_replay():
     for n in (2, 3, 60):
         for _ in range(20):
             check(n, rng.integers(0, n, size=n - 1), rng.random(n - 1), rng.random(n - 1))
-    # u just below 1: the prey pick is the last live root, at the clamp's boundary,
-    # and D = L - 1, the largest displacement below L
+    # u just below 1: the prey pick is the last live root (u * left rounds below left,
+    # so the reference's clamp never binds), and D = L - 1, the largest displacement below L
     top = np.nextafter(1.0, 0.0)
     for n in (2, 3, 60):
         ones = np.full(n - 1, top)
         check(n, rng.integers(0, n, size=n - 1), ones, ones)
         _, _, L, _, D = direct_chain_replay(n, np.zeros(n - 1, np.int64), ones, ones)
         assert np.array_equal(D, L - 1)
+
+
+def test_prey_pick_below_left_without_a_clamp():
+    # the largest uniform below 1 times any live-root count rounds below that count
+    left = np.arange(1, (1 << 22) + 1, dtype=np.int64)
+    assert ((np.nextafter(1.0, 0.0) * left).astype(np.int64) < left).all()
+    assert (_replay._prey_index(3, np.full(2, np.nextafter(1.0, 0.0))) == [1, 0]).all()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 50, 300])

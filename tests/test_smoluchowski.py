@@ -17,7 +17,6 @@ from addcoal.smoluchowski import (
     q,
     q_vector,
     smoluchowski_rhs,
-    tagged_size_prob,
 )
 
 LOG2 = math.log(2.0)
@@ -72,25 +71,6 @@ def test_alpha_to_time():
         alpha_to_time(1.0)
     with pytest.raises(ValueError):
         alpha_to_time(-0.2)
-
-
-def test_tagged_size_prob_identity():
-    alpha = 0.3
-    for k in range(2, 11):
-        via_q = (k - 1) / alpha * q(k, alpha_to_time(alpha))
-        assert abs(tagged_size_prob(k, alpha) - via_q) < 1e-12
-
-
-def test_tagged_size_prob_sums_to_one():
-    for alpha in (0.2, 0.5, 0.8):
-        total = sum(tagged_size_prob(k, alpha) for k in range(2, 4000))
-        assert abs(total - 1.0) < 1e-8
-
-
-def test_tagged_size_prob_edges():
-    assert tagged_size_prob(1, 0.4) == 0.0
-    assert tagged_size_prob(2, 0.0) == 1.0  # the first merge makes a 2-cluster
-    assert abs(tagged_size_prob(2, 1e-9) - 1.0) < 1e-6
 
 
 def test_phi_closed_form_values():
