@@ -164,18 +164,18 @@ def block_rows(n):
     return max(1, BLOCK_CELLS // n)
 
 
-def direct_chain_rows(n, elem, prey_u, uprime):
+def direct_chain_rows(n, elem, prey_u, uprime=None):
     """`_direct_walk` in lockstep over rows: (s, S, L, R, D), each of shape (rows, n-1).
 
     Row r replays the chain of elem[r], prey_u[r] and uprime[r] exactly as
-    `direct_chain_replay` does.  The rows' union-find states sit side by
-    side in rows*n flat places (row r owns r*n .. r*n+n-1), so the find
-    with path halving, the predator's swap-out and the union are each a few
-    fancy-index steps over all rows at once, and no two rows touch the same
-    place.  A row whose element is already a root repeats parent[a] = a in
-    the find loop, which changes nothing.  Per step the cost is a fixed
-    number of numpy calls, so this pays when rows >= n; one long chain
-    stays on the walk.
+    `direct_chain_replay` does; D is None when uprime is not given.  The
+    rows' union-find states sit side by side in rows*n flat places (row r
+    owns r*n .. r*n+n-1), so the find with path halving, the predator's
+    swap-out and the union are each a few fancy-index steps over all rows
+    at once, and no two rows touch the same place.  A row whose element is
+    already a root repeats parent[a] = a in the find loop, which changes
+    nothing.  Per step the cost is a fixed number of numpy calls, so this
+    pays when rows >= n; one long chain stays on the walk.
     """
     elem = _int64(elem)
     rows, m = elem.shape
@@ -213,7 +213,7 @@ def direct_chain_rows(n, elem, prey_u, uprime):
         size[r] = x + y
         L[:, k] = x
         R[:, k] = y
-    return _events(L, R, (uprime * L).astype(np.int64))
+    return _events(L, R, None if uprime is None else (uprime * L).astype(np.int64))
 
 
 @njit(cache=True)

@@ -44,7 +44,7 @@ from .experiment import (
 from ._replay import block_rows, direct_chain_rows
 from .process_core import Embedding, direct_picks
 from .process_core import simulate_direct  # noqa: F401  (perfbench/spans.py traces this name)
-from .seeding import substream_rng
+from .seeding import make_rng, substream_rng
 from .smoluchowski import (
     moment,
     phi_comparison_curve,
@@ -403,8 +403,7 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
         picks = [direct_picks(m, substream_rng(SEED_ORACLE_CHI, rep))
                  for rep in range(start, min(start + rows, runs))]
         elem, prey_u = (np.stack(col) for col in zip(*picks))
-        # D is not read, so the prey uniforms stand in for u'
-        _, _, L, _, _ = direct_chain_rows(m, elem, prey_u, prey_u)
+        _, _, L, _, _ = direct_chain_rows(m, elem, prey_u)
         counts += np.bincount(L[:, -1] - 1, minlength=m - 1)
     probs = np.array([p_mk(m, k) for k in range(1, m)], dtype=np.float64)
     if mutate:
@@ -450,20 +449,14 @@ def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
     is perturbed and the test must reject.  The sample is drawn at every
     call.
     """
-    from .seeding import make_rng
-
     n = 5
     law = dp_sequence_distribution(n)
     keys = sorted(law.probs)
-    rng = make_rng(SEED_CHAIN_CHI)
-    elem = rng.integers(0, n, size=(reps, n - 1))
-    prey_u = rng.random((reps, n - 1))
+    elem, prey_u = direct_picks(n, make_rng(SEED_CHAIN_CHI), (reps,))
     rows = block_rows(n)
     codes = []
     for i in range(0, reps, rows):
-        # D is not read, so the prey uniforms stand in for u'
-        _, _, L, R, _ = direct_chain_rows(n, elem[i:i + rows], prey_u[i:i + rows],
-                                          prey_u[i:i + rows])
+        _, _, L, R, _ = direct_chain_rows(n, elem[i:i + rows], prey_u[i:i + rows])
         codes.append(_sequence_codes(n, L, R))
     codes = np.concatenate(codes)
     counts = _sequence_counts(n, codes, keys)

@@ -2,11 +2,14 @@
 
 Config files are flat UTF-8 ``key = value`` text with keys matching the
 flag names; unknown keys are rejected and explicitly given flags override
-file values.  Every output row leads with provenance (seed, n, reps,
-embedding, version, backend).  Exit codes: 0 success, 1 usage error
-(invalid flags, config or argument values), 2 verification failure,
-3 runtime failure (an error inside a computation or while writing output;
-the error report names the command and the seed).
+file values.  Output rows lead with provenance: simulate and sweep rows
+with (seed, n, reps, embedding, version, backend), limit rows with the
+same columns with n, reps and embedding blank, exact rows with (version,
+backend); the verify report carries version and backend.  Exit codes:
+0 success, 1 usage error (invalid flags, config or argument values),
+2 verification failure, 3 runtime failure (an error inside a computation
+or while writing output; the error report names the command and the
+seed).
 """
 
 import argparse
@@ -27,7 +30,7 @@ from .cost_engine import (
     Functional,
 )
 from .exact_oracles import DP_MAX, PMK_EXACT_MAX, p_mk, partition_dp
-from .experiment import ExperimentSpec, regime_sweep, run_monte_carlo
+from .experiment import ExperimentSpec, beta_in_range, regime_sweep, run_monte_carlo
 from .process_core import Embedding
 from .smoluchowski import (
     check_alpha_grid,
@@ -219,18 +222,14 @@ def write_rows(rows, fmt: str, out_path: str) -> None:
         sys.stdout.write(payload)
 
 
-_BACKEND = "numba" if _replay.HAVE_NUMBA else "python"
+# the code that produced an output: exact rows, which draw nothing, lead with
+# this alone, and it heads the verify report
+_BUILD = {"version": __version__, "backend": "numba" if _replay.HAVE_NUMBA else "python"}
 
 
-def _provenance(config: RunConfig, n) -> dict:
-    return {
-        "seed": config.seed,
-        "n": n,
-        "reps": config.reps,
-        "embedding": config.embedding,
-        "version": __version__,
-        "backend": _BACKEND,
-    }
+def _provenance(config: RunConfig, n="", reps="", embedding="") -> dict:
+    """The leading columns of a simulate, sweep or limit row (blank where unused)."""
+    return {"seed": config.seed, "n": n, "reps": reps, "embedding": embedding, **_BUILD}
 
 
 # commands -------------------------------------------------------------------
@@ -244,12 +243,12 @@ def _one_n(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     n = _one_n(config)
-    # beta checkpoints beyond sqrt(n) would sit at step 0 (value 0): the
-    # default grid drops them, so small n still runs; a given one is an error
-    beta_grid = tuple(b for b in config.beta_grid if b * b <= n)
+    # the default grid drops its points past sqrt(n), so small n still
+    # runs; a given one is an error
+    beta_grid = tuple(b for b in config.beta_grid if beta_in_range(n, b))
     if config.beta_grid != DEFAULT_BETA_GRID and beta_grid != config.beta_grid:
-        raise UsageError(f"beta-grid points must satisfy beta^2 <= n = {n}, got "
-                         f"{[b for b in config.beta_grid if b * b > n]}")
+        raise UsageError(f"beta-grid points must lie in [0, sqrt(n)] for n = {n}, got "
+                         f"{[b for b in config.beta_grid if not beta_in_range(n, b)]}")
     with _validating():
         spec = ExperimentSpec(
             n=n,
@@ -264,7 +263,7 @@ def cmd_simulate(config: RunConfig) -> int:
     result = run_monte_carlo(spec)
     rows = []
     for functional, kind, point, stats in result.rows():
-        row = _provenance(config, n)
+        row = _provenance(config, n, config.reps, config.embedding)
         row.update(
             kind=kind,
             alpha_or_beta=point,
@@ -284,19 +283,11 @@ def _write_raw(result, spec, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("rep,functional,kind,point,value\n")
         for f in spec.functionals:
+            columns = result.columns(f)
             for rep in range(spec.reps):
                 try:
-                    for j, a in enumerate(spec.alpha_grid):
-                        fh.write(
-                            f"{rep},{f.value},alpha,{a:.17g},"
-                            f"{result.alpha_values[f][rep, j]:.17g}\n"
-                        )
-                    for j, b in enumerate(spec.beta_grid):
-                        fh.write(
-                            f"{rep},{f.value},beta,{b:.17g},"
-                            f"{result.beta_values[f][rep, j]:.17g}\n"
-                        )
-                    fh.write(f"{rep},{f.value},total,nan,{result.totals[f][rep]:.17g}\n")
+                    for kind, point, values in columns:
+                        fh.write(f"{rep},{f.value},{kind},{point:.17g},{values[rep]:.17g}\n")
                 except OSError as exc:
                     raise OSError(f"writing raw records for replication {rep}: {exc}") from exc
 
@@ -325,11 +316,7 @@ def cmd_limit(config: RunConfig) -> int:
             table = phi_classical_table(functional, a)
             rows.append(
                 {
-                    "seed": config.seed,
-                    "n": "",
-                    "reps": "",
-                    "embedding": "",
-                    "version": __version__,
+                    **_provenance(config),
                     "alpha": a,
                     "functional": functional.value,
                     "phi_normalized": phi,
@@ -350,15 +337,18 @@ def cmd_exact(config: RunConfig) -> int:
     if not config.table:
         raise UsageError(f"exact needs a table argument: one of {EXACT_TABLES}")
     n = _one_n(config)
+    if config.table == "pmk" and n < 2:
+        raise UsageError("pmk table needs n >= 2")
+    if config.table != "pmk" and not 2 <= n <= DP_MAX:
+        raise UsageError(f"{config.table} table needs 2 <= n <= {DP_MAX} (partition DP cap)")
     rows = []
     if config.table == "pmk":
-        if n < 2:
-            raise UsageError("pmk table needs n >= 2")
         for k in range(1, n):
             p = p_mk(n, k)
             exact = n <= PMK_EXACT_MAX
             rows.append(
                 {
+                    **_BUILD,
                     "m": n,
                     "k": k,
                     "p_rational": _rational(p) if exact else "",
@@ -366,13 +356,12 @@ def cmd_exact(config: RunConfig) -> int:
                 }
             )
     elif config.table == "condr":
-        if not 2 <= n <= DP_MAX:
-            raise UsageError(f"condr table needs 2 <= n <= {DP_MAX} (partition DP cap)")
         dp = partition_dp(n)
         for k in range(1, n):
             for l, er in sorted(dp.conditional_r_given_l(k).items()):
                 rows.append(
                     {
+                        **_BUILD,
                         "n": n,
                         "k": k,
                         "l": l,
@@ -384,8 +373,6 @@ def cmd_exact(config: RunConfig) -> int:
                     }
                 )
     else:  # dp
-        if not 2 <= n <= DP_MAX:
-            raise UsageError(f"dp table needs 2 <= n <= {DP_MAX} (partition DP cap)")
         dp = partition_dp(n)
         for name in config.functionals:
             functional = Functional(name)
@@ -395,6 +382,7 @@ def cmd_exact(config: RunConfig) -> int:
                 cumulative += step
                 rows.append(
                     {
+                        **_BUILD,
                         "n": n,
                         "k": k,
                         "functional": functional.value,
@@ -419,8 +407,7 @@ def cmd_verify(config: RunConfig) -> int:
                       + ", ".join(s["criteria"]))
         print(f"[{r.status:9s}] {r.cid}: {r.measured} (target {r.target}; tol {r.tolerance})")
     report = {
-        "version": __version__,
-        "backend": _BACKEND,
+        **_BUILD,
         "passed": acceptance.suite_passed(results),
         "criteria": [{"cid": r.cid, "status": r.status, **asdict(r)} for r in results],
         "samples": samples,
@@ -446,7 +433,7 @@ def cmd_sweep(config: RunConfig) -> int:
         config.n, config.eps, reps=config.reps, seed=config.seed,
         embedding=Embedding(config.embedding),
     ):
-        base = _provenance(config, row.n)
+        base = _provenance(config, row.n, config.reps, config.embedding)
         base.update(
             eps=config.eps,
             k_sparse=row.k_sparse,

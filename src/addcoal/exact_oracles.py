@@ -107,6 +107,25 @@ def parking_final_merge_marginal(m: int):
 # ---------------------------------------------------------------------------
 
 
+def _sum_by(law: dict, key) -> dict:
+    """The law of key(x) when x has the law {x: p}, exact."""
+    out = {}
+    for x, p in law.items():
+        k = key(x)
+        out[k] = out.get(k, Fraction(0)) + p
+    return out
+
+
+def _conditional_means(joint: dict) -> dict:
+    """{g: E[t | g]} from a joint law {(g, t): p}, exact."""
+    mass = {}
+    weighted = {}
+    for (g, t), p in joint.items():
+        mass[g] = mass.get(g, Fraction(0)) + p
+        weighted[g] = weighted.get(g, Fraction(0)) + p * t
+    return {g: weighted[g] / mass[g] for g in mass}
+
+
 @dataclass(frozen=True)
 class EventSequenceDistribution:
     """Exact law of a full merge-event sequence.
@@ -122,38 +141,21 @@ class EventSequenceDistribution:
     def project(self, fields) -> "EventSequenceDistribution":
         fields = tuple(fields)
         idx = [self.fields.index(f) for f in fields]
-        out = {}
-        for seq, p in self.probs.items():
-            key = tuple(tuple(step[i] for i in idx) for step in seq)
-            out[key] = out.get(key, Fraction(0)) + p
+        out = _sum_by(self.probs, lambda seq: tuple(tuple(step[i] for i in idx) for step in seq))
         return EventSequenceDistribution(self.n, fields, out)
 
     def marginal(self, step: int, field: str):
         """Law of one field at one step (1-based)."""
         i = self.fields.index(field)
-        out = {}
-        for seq, p in self.probs.items():
-            v = seq[step - 1][i]
-            out[v] = out.get(v, Fraction(0)) + p
-        return out
+        return _sum_by(self.probs, lambda seq: seq[step - 1][i])
 
     def joint(self, step: int, fields):
         idx = [self.fields.index(f) for f in fields]
-        out = {}
-        for seq, p in self.probs.items():
-            key = tuple(seq[step - 1][i] for i in idx)
-            out[key] = out.get(key, Fraction(0)) + p
-        return out
+        return _sum_by(self.probs, lambda seq: tuple(seq[step - 1][i] for i in idx))
 
     def conditional_mean(self, step: int, target: str, given: str):
         """{value of `given`: E[target | given = value]} at one step, exact."""
-        joint = self.joint(step, (given, target))
-        mass = {}
-        weighted = {}
-        for (g, tval), p in joint.items():
-            mass[g] = mass.get(g, Fraction(0)) + p
-            weighted[g] = weighted.get(g, Fraction(0)) + p * tval
-        return {g: weighted[g] / mass[g] for g in mass}
+        return _conditional_means(self.joint(step, (given, target)))
 
     def tv_distance(self, other: "EventSequenceDistribution") -> Fraction:
         if self.fields != other.fields:
@@ -278,19 +280,12 @@ class PartitionDp:
         )
 
     def l_marginal(self, k: int):
-        out = {}
-        for (l, _), p in self.steps[k - 1].joint_LR.items():
-            out[l] = out.get(l, Fraction(0)) + p
-        return out
+        """{l: P(L_k = l)}, exact."""
+        return _sum_by(self.steps[k - 1].joint_LR, lambda lr: lr[0])
 
     def conditional_r_given_l(self, k: int):
         """{l: E[R_k | L_k = l]}, exact."""
-        mass = {}
-        weighted = {}
-        for (l, r), p in self.steps[k - 1].joint_LR.items():
-            mass[l] = mass.get(l, Fraction(0)) + p
-            weighted[l] = weighted.get(l, Fraction(0)) + p * r
-        return {l: weighted[l] / mass[l] for l in mass}
+        return _conditional_means(self.steps[k - 1].joint_LR)
 
 
 def partition_dp(n: int) -> PartitionDp:

@@ -6,6 +6,7 @@ for a fixed spec regardless of worker count or scheduling.  Aggregation
 is an ordered fold over replication indices.
 """
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -70,6 +71,11 @@ class SummaryStats:
         return _Z95 * self.stderr
 
 
+def beta_in_range(n: int, beta: float) -> bool:
+    """Whether a beta checkpoint lies in [0, sqrt(n)], past which its step would be 0."""
+    return 0.0 <= beta <= math.sqrt(n)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One Monte Carlo experiment: chain size, embedding, costs, grids."""
@@ -98,7 +104,7 @@ class ExperimentSpec:
             raise ValueError("workers must be >= 1")
         if any(not 0.0 <= a < 1.0 for a in self.alpha_grid):
             raise ValueError("alpha grid must lie in [0, 1)")
-        if any(not 0.0 <= b <= math.sqrt(self.n) for b in self.beta_grid):
+        if not all(beta_in_range(self.n, b) for b in self.beta_grid):
             raise ValueError("beta grid must lie in [0, sqrt(n)]")
 
 
@@ -115,20 +121,32 @@ def _blocks(n, embedding, reps):
     return [(start, min(start + rows, reps)) for start in range(0, reps, rows)]
 
 
-def _one_rep(args):
-    """One block of replications -> (alpha, beta, totals), a row per replication.
+def _checkpoints(spec):
+    """(kind, point, step, scale) per checkpoint, in the order of every result and row:
+    each alpha point reads C/n at step ceil(alpha n), then each beta point
+    n^{-3/2} C at step floor(n - beta sqrt(n))."""
+    n = spec.n
+    return ([("alpha", a, alpha_step(n, a), n) for a in spec.alpha_grid]
+            + [("beta", b, beta_step(n, b), n ** 1.5) for b in spec.beta_grid])
 
-    alpha has shape (functionals, rows, alpha steps) and holds C/n, beta the
-    same with n^{-3/2} C, totals (functionals, rows) the raw totals.  Each
+
+def _one_rep(spec, start, stop):
+    """Replications start..stop-1 of spec -> (values, totals), a row per replication.
+
+    values has shape (functionals, rows, checkpoints) and holds each
+    `_checkpoints` value, totals (functionals, rows) the raw totals.  Each
     replication draws from its own substream, so a block gives the rows
     that one replication at a time would.  A direct block of at least n rows
     replays in lockstep; other blocks replay one replication at a time.
     """
-    n, embedding, functionals, seed, start, stop, alpha_steps, beta_steps = args
-    rngs = (substream_rng(seed, rep) for rep in range(start, stop))
+    n, embedding, functionals = spec.n, spec.embedding, spec.functionals
+    checkpoints = _checkpoints(spec)
+    steps = np.array([step for _, _, step, _ in checkpoints], np.int64)
+    scales = np.array([scale for _, _, _, scale in checkpoints], np.float64)
+    rngs = (substream_rng(spec.seed, rep) for rep in range(start, stop))
     rows = stop - start
     if (embedding is Embedding.PARKING and set(functionals) == {Functional.DISPLACEMENT}
-            and set(alpha_steps + beta_steps) <= {0, n - 1}):
+            and set(steps.tolist()) <= {0, n - 1}):
         # only the total displacement is read, and it is order-free: a
         # constant view stands in for the cumulative cost at step n - 1
         carry, _ = _replay.parking_scan(
@@ -141,17 +159,13 @@ def _one_rep(args):
         batches = [simulate(n, rng, embedding) for rng in rngs]
         csums = (np.cumsum([event_costs(functional, batch) for batch in batches], axis=1)
                  for functional in functionals)
-    nf = len(functionals)
-    alpha_vals = np.empty((nf, rows, len(alpha_steps)))
-    beta_vals = np.empty((nf, rows, len(beta_steps)))
-    totals = np.empty((nf, rows))
-    scale_b = n ** 1.5
+    values = np.empty((len(functionals), rows, len(checkpoints)))
+    totals = np.empty((len(functionals), rows))
     for i, csum in enumerate(csums):
-        for vals, steps, scale in ((alpha_vals, alpha_steps, n), (beta_vals, beta_steps, scale_b)):
-            for j, m in enumerate(steps):
-                vals[i, :, j] = csum[:, m - 1] / scale if m else 0.0
+        # step 0 reads no merge: its cumulated cost is 0
+        values[i] = np.where(steps > 0, csum[:, steps - 1], 0) / scales
         totals[i] = csum[:, -1]
-    return alpha_vals, beta_vals, totals
+    return values, totals
 
 
 @dataclass
@@ -163,55 +177,48 @@ class MonteCarloResult:
     beta_values: dict  # functional -> (reps, n_beta) array of n^-1.5 C
     totals: dict  # functional -> (reps,) array of raw totals
 
-    def summary(self, functional, kind: str, index: int) -> SummaryStats:
-        functional = Functional(functional)
-        if kind == "alpha":
-            return SummaryStats.from_values(self.alpha_values[functional][:, index])
-        if kind == "beta":
-            return SummaryStats.from_values(self.beta_values[functional][:, index])
-        if kind == "total":
-            return SummaryStats.from_values(self.totals[functional])
-        raise ValueError("kind must be alpha, beta or total")
-
     def normalized_totals(self, functional, exponent: float = 1.5) -> np.ndarray:
         return self.totals[Functional(functional)] / self.spec.n ** exponent
 
+    def columns(self, functional):
+        """(kind, point, per-replication values) for each checkpoint, then the total."""
+        f = Functional(functional)
+        values = np.hstack([self.alpha_values[f], self.beta_values[f]])
+        return ([(kind, point, values[:, j])
+                 for j, (kind, point, _, _) in enumerate(_checkpoints(self.spec))]
+                + [("total", math.nan, self.totals[f])])
+
     def rows(self):
         """Flat (functional, kind, grid point, SummaryStats) records."""
-        out = []
-        for f in self.spec.functionals:
-            for j, a in enumerate(self.spec.alpha_grid):
-                out.append((f, "alpha", a, self.summary(f, "alpha", j)))
-            for j, b in enumerate(self.spec.beta_grid):
-                out.append((f, "beta", b, self.summary(f, "beta", j)))
-            out.append((f, "total", math.nan, self.summary(f, "total", 0)))
-        return out
+        return [(f, kind, point, SummaryStats.from_values(values))
+                for f in self.spec.functionals for kind, point, values in self.columns(f)]
+
+
+def _map_blocks(spec, blocks):
+    """`_one_rep` over the blocks, in order; in a process pool when spec.workers > 1."""
+    args = (itertools.repeat(spec), *zip(*blocks))
+    if spec.workers > 1 and len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            yield from pool.map(_one_rep, *args,
+                                chunksize=max(1, len(blocks) // (4 * spec.workers)))
+    else:
+        yield from map(_one_rep, *args)
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloResult:
     """Execute spec.reps independent replications (optionally in parallel)."""
-    alpha_steps = tuple(alpha_step(spec.n, a) for a in spec.alpha_grid)
-    beta_steps = tuple(beta_step(spec.n, b) for b in spec.beta_grid)
     blocks = _blocks(spec.n, spec.embedding, spec.reps)
-    args = [(spec.n, spec.embedding, spec.functionals, spec.seed, start, stop, alpha_steps,
-             beta_steps) for start, stop in blocks]
-    alpha_values, beta_values, totals = parts = [
-        {f: np.empty((spec.reps,) + shape) for f in spec.functionals}
-        for shape in ((len(alpha_steps),), (len(beta_steps),), ())]
-
-    def collect(results):
-        # blocks arrive in order; each is written into place as it arrives
-        for (start, stop), block in zip(blocks, results):
-            for part, values in zip(parts, block):
-                for f, v in zip(spec.functionals, values):
-                    part[f][start:stop] = v
-
-    if spec.workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            collect(pool.map(_one_rep, args, chunksize=max(1, len(args) // (4 * spec.workers))))
-    else:
-        collect(map(_one_rep, args))
-    return MonteCarloResult(spec, alpha_values, beta_values, totals)
+    na = len(spec.alpha_grid)
+    values = np.empty((len(spec.functionals), spec.reps, na + len(spec.beta_grid)))
+    totals = np.empty((len(spec.functionals), spec.reps))
+    # blocks arrive in order; each is written into place as it arrives
+    for (v, t), (start, stop) in zip(_map_blocks(spec, blocks), blocks):
+        values[:, start:stop] = v
+        totals[:, start:stop] = t
+    fs = spec.functionals
+    return MonteCarloResult(spec, {f: values[i, :, :na] for i, f in enumerate(fs)},
+                            {f: values[i, :, na:] for i, f in enumerate(fs)},
+                            {f: totals[i] for i, f in enumerate(fs)})
 
 
 # ---------------------------------------------------------------------------

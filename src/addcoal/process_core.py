@@ -82,14 +82,15 @@ def _check_n(n):
         raise ValueError("simulation needs n >= 2")
 
 
-def direct_picks(n: int, rng):
+def direct_picks(n: int, rng, shape=()):
     """The predator elements and prey uniforms: the first two draws of a direct run.
 
     L and R need only these; u and u' are drawn after them, so leaving
-    those undrawn changes no value drawn before.
+    those undrawn changes no value drawn before.  Both arrays have shape
+    (*shape, n-1): a leading shape draws several runs' picks in two calls.
     """
     _check_n(n)
-    return rng.integers(0, n, size=n - 1), rng.random(n - 1)
+    return rng.integers(0, n, size=(*shape, n - 1)), rng.random((*shape, n - 1))
 
 
 def direct_inputs(n: int, rng):

@@ -111,14 +111,13 @@ def test_supplementary_mutation_mode_has_power():
 def test_chain_counts_by_mixed_radix_match_tuple_keys():
     from addcoal._replay import direct_chain_rows
     from addcoal.exact_oracles import dp_sequence_distribution
+    from addcoal.process_core import direct_picks
     from addcoal.seeding import make_rng
 
     n = 5
     keys = sorted(dp_sequence_distribution(n).probs)
-    rng = make_rng(1)
-    elem = rng.integers(0, n, size=(3000, n - 1))
-    prey_u = rng.random((3000, n - 1))
-    _, _, L, R, _ = direct_chain_rows(n, elem, prey_u, prey_u)
+    elem, prey_u = direct_picks(n, make_rng(1), (3000,))
+    _, _, L, R, _ = direct_chain_rows(n, elem, prey_u)
     index = {seq: i for i, seq in enumerate(keys)}
     expected = np.zeros(len(keys), np.int64)
     for l_row, r_row in zip(L.tolist(), R.tolist()):

@@ -340,6 +340,10 @@ def test_beta_grid_past_sqrt_n(tmp_path, capsys):
     assert run_cli(["simulate", "--n", "100", "--beta-grid", "20,5", "--out", out]) == 1
     err = _stderr_json(capsys)
     assert err["kind"] == "usage" and "beta-grid" in err["error"] and "20" in err["error"]
+    # both read the spec's range 0 <= beta <= sqrt(n): sqrt(2)**2 rounds above 2
+    assert run_cli(["simulate", "--n", "2", "--beta-grid", repr(math.sqrt(2)), "--out", out]) == 0
+    assert [r["alpha_or_beta"] for r in read_csv(out) if r["kind"] == "beta"] == \
+        [repr(math.sqrt(2))] * 6
 
 
 def test_computation_failure_exits_3_with_context(monkeypatch, capsys):
@@ -381,6 +385,24 @@ def test_provenance_names_backend(tmp_path):
     assert run_cli(["simulate", "--n", "10", "--functional", "qf", "--out", out]) == 0
     want = "numba" if _replay.HAVE_NUMBA else "python"
     assert {r["backend"] for r in read_csv(out)} == {want}
+    # every command's rows lead with what produced them; exact rows draw nothing
+    drawn = ["seed", "n", "reps", "embedding", "version", "backend"]
+    for args, lead in ((["simulate", "--n", "10", "--seed", "4"], drawn),
+                       (["sweep", "--n", "100", "--reps", "2", "--seed", "4"], drawn),
+                       (["limit", "--functional", "prey", "--alpha-grid", "0.5", "--seed", "4"],
+                        drawn),
+                       (["exact", "pmk", "--n", "3"], ["version", "backend", "m"]),
+                       (["exact", "condr", "--n", "3"], ["version", "backend", "n"]),
+                       (["exact", "dp", "--n", "3", "--functional", "qf"],
+                        ["version", "backend", "n"])):
+        assert run_cli(args + ["--out", out]) == 0, args
+        rows = read_csv(out)
+        assert rows and all(list(r)[:len(lead)] == lead for r in rows), args
+        assert {(r["version"], r["backend"]) for r in rows} == {(cli.__version__, want)}, args
+        if "seed" in lead:
+            assert {r["seed"] for r in rows} == {"4"}, args
+        if args[0] == "limit":  # the limits draw nothing
+            assert {(r["n"], r["reps"], r["embedding"]) for r in rows} == {("", "", "")}
 
 
 def test_simulate_and_exact_take_one_n(tmp_path, capsys):

@@ -14,7 +14,7 @@ from addcoal.cost_engine import (
 )
 from addcoal.exact_oracles import enumerate_parking, partition_dp
 from addcoal.experiment import ExperimentSpec, run_monte_carlo
-from addcoal.process_core import Embedding, EventBatch, simulate_direct
+from addcoal.process_core import EventBatch, simulate_direct
 from addcoal.seeding import make_rng
 
 
@@ -28,15 +28,14 @@ def ev(s=1, S=1, L=1, R=1, u=0.3, D=0):
     return (s, S, L, R, u, D)
 
 
-def fold(monkeypatch, batch, functionals, alpha_steps=(), beta_steps=()):
+def fold(monkeypatch, batch, functionals, alpha_grid=(), beta_grid=()):
     """experiment._one_rep's (alpha, beta, totals) over a given batch: the
     one row of a block holding replication 0 alone."""
     monkeypatch.setattr(experiment, "simulate", lambda n, rng, embedding: batch)
-    alpha, beta, totals = experiment._one_rep(
-        (batch.n, Embedding.DIRECT, tuple(functionals), 0, 0, 1, tuple(alpha_steps),
-         tuple(beta_steps))
-    )
-    return alpha[:, 0], beta[:, 0], totals[:, 0]
+    spec = ExperimentSpec(n=batch.n, functionals=tuple(functionals), alpha_grid=alpha_grid,
+                          beta_grid=beta_grid)
+    values, totals = experiment._one_rep(spec, 0, 1)
+    return values[:, 0, :len(alpha_grid)], values[:, 0, len(alpha_grid):], totals[:, 0]
 
 
 def test_instantaneous_examples():
@@ -124,10 +123,13 @@ def test_one_rep_matches_incremental_fold(monkeypatch):
     # the cumsum-and-gather equals a running total taken event by event
     n = 200
     batch = simulate_direct(n, make_rng(31))
-    alpha_steps = [alpha_step(n, a) for a in (0.0, 0.25, 0.5, 0.75)]
-    beta_steps = [beta_step(n, b) for b in (0.0, 1.0, 3.0, 20.0)]
-    alpha_vals, beta_vals, totals = fold(monkeypatch, batch, ALL_FUNCTIONALS, alpha_steps,
-                                         beta_steps)
+    alpha_grid = (0.0, 0.25, 0.5, 0.75)
+    beta_grid = (0.0, 1.0, 3.0, n ** 0.5)
+    alpha_steps = [alpha_step(n, a) for a in alpha_grid]
+    beta_steps = [beta_step(n, b) for b in beta_grid]
+    assert {0, n - 1} <= set(alpha_steps + beta_steps)
+    alpha_vals, beta_vals, totals = fold(monkeypatch, batch, ALL_FUNCTIONALS, alpha_grid,
+                                         beta_grid)
     for i, f in enumerate(ALL_FUNCTIONALS):
         running = [0]
         for cost in event_costs(f, batch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from addcoal import _replay
+from addcoal import _replay, exact_oracles
 from addcoal.exact_oracles import (
     block_config_count,
     borel_pmf,
@@ -87,6 +87,45 @@ def test_enumerate_spanning_trees_small():
     assert d2.probs == {((1, 1, 1),): Fraction(1)}
     d3 = enumerate_spanning_trees(3)
     assert d3.marginal(2, "L") == {1: Fraction(1, 3), 2: Fraction(2, 3)}
+
+
+def _direct_inputs(n, codes):
+    """Element and prey-uniform rows of the direct chain's inputs numbered `codes`.
+
+    Code c counts, in mixed radix, the n**(n-1) (n-1)! equally likely
+    inputs: an element in [0, n) per step, then a prey index j in [0, left)
+    per step, where left = n-1-k live roots remain besides the predator at
+    step k; j is fed as the uniform (j + 0.5) / left, which picks j.
+    """
+    m = n - 1
+    elem = np.empty((len(codes), m), np.int64)
+    prey_u = np.empty((len(codes), m))
+    for k in range(m):
+        codes, elem[:, k] = np.divmod(codes, n)
+    for k, left in enumerate(range(n - 1, 0, -1)):
+        codes, j = np.divmod(codes, left)
+        prey_u[:, k] = (j + 0.5) / left
+    return elem, prey_u
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_direct_kernels_replay_the_exact_chain_law(n):
+    # every input replayed once: the (s, S, L) law of each kernel is the chain's exactly
+    total = n ** (n - 1) * math.factorial(n - 1)
+    law = dp_sequence_distribution(n).probs
+    counts = Counter()
+    rows = _replay.block_rows(n)
+    for start in range(0, total, rows):
+        elem, prey_u = _direct_inputs(n, np.arange(start, min(start + rows, total)))
+        _, _, L, R, _ = _replay.direct_chain_rows(n, elem, prey_u)
+        counts.update(map(tuple, np.hstack([L, R]).tolist()))
+    assert exact_oracles._law(counts, n - 1, total) == law
+    if n <= 5:
+        elem, prey_u = _direct_inputs(n, np.arange(total))
+        zeros = np.zeros(n - 1)  # u' only sets D, which the law leaves out
+        walks = Counter((*L, *R) for _, _, L, R, _ in (
+            _replay.direct_chain_replay(n, e, u, zeros) for e, u in zip(elem, prey_u)))
+        assert exact_oracles._law(walks, n - 1, total) == law
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

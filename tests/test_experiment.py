@@ -266,6 +266,22 @@ def test_direct_blocks_of_n_rows_skip_the_walk(monkeypatch):
         run_monte_carlo(ExperimentSpec(n=20, reps=19, seed=3))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empty_grids_give_totals_only(workers):
+    # a lockstep block, the parking scan and tree walks (in a pool at two workers)
+    for embedding, functionals, reps in ((Embedding.DIRECT, tuple(Functional), 30),
+                                         (Embedding.PARKING, (Functional.DISPLACEMENT,), 3),
+                                         (Embedding.TREE, (Functional.QF, Functional.PREDATOR), 3)):
+        base = dict(n=20, embedding=embedding, functionals=functionals, reps=reps, seed=5)
+        empty = run_monte_carlo(ExperimentSpec(**base, alpha_grid=(), beta_grid=(),
+                                               workers=workers))
+        gridded = run_monte_carlo(ExperimentSpec(**base, alpha_grid=(0.5,), beta_grid=(1.0,)))
+        for f in functionals:
+            assert empty.alpha_values[f].shape == empty.beta_values[f].shape == (reps, 0)
+            assert np.array_equal(empty.totals[f], gridded.totals[f])
+        assert [kind for _, kind, _, _ in empty.rows()] == ["total"] * len(functionals)
+
+
 def test_only_lockstep_blocks_hold_several_replications():
     from addcoal.experiment import _blocks
 

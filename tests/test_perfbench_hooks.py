@@ -21,3 +21,29 @@ def test_traced_criteria_keep_their_keywords():
 
     inspect.signature(acceptance.criterion_pmk_chi_square).bind(runs=10, mutate=True)
     inspect.signature(acceptance.criterion_chain_chi_square).bind(reps=10, mutate=True)
+
+
+def test_monte_carlo_result_keeps_what_the_benchmark_reads():
+    # the benchmark hashes the three dicts and swaps one array to show that a digest can fail
+    import dataclasses
+
+    from addcoal.cost_engine import Functional
+    from addcoal.experiment import ExperimentSpec, run_monte_carlo
+
+    spec = ExperimentSpec(n=30, reps=4, seed=2, functionals=(Functional.QF, Functional.DISPLACEMENT),
+                          alpha_grid=(0.1, 0.5, 0.9), beta_grid=(0.0, 2.0))
+    res = run_monte_carlo(spec)
+    assert dataclasses.is_dataclass(res)
+    assert [f.name for f in dataclasses.fields(res)] == ["spec", "alpha_values", "beta_values",
+                                                        "totals"]
+    for name, shape in (("alpha_values", (4, 3)), ("beta_values", (4, 2)), ("totals", (4,))):
+        values = getattr(res, name)
+        assert list(values) == list(spec.functionals), name
+        assert all(type(f) is Functional and v.shape == shape for f, v in values.items()), name
+    qf = res.alpha_values[Functional.QF].copy()
+    qf[0, 0] += 1.0
+    bad = dataclasses.replace(res, alpha_values={**res.alpha_values, Functional.QF: qf})
+    assert bad.alpha_values[Functional.QF] is qf and res.alpha_values[Functional.QF][0, 0] != qf[0, 0]
+    assert bad.beta_values is res.beta_values and bad.totals is res.totals
+    # the summaries and raw records read the replaced values
+    assert bad.columns(Functional.QF)[0][2][0] == qf[0, 0]
