@@ -28,6 +28,7 @@ from .cost_engine import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
     Functional,
+    alpha_in_range,
 )
 from .exact_oracles import DP_MAX, PMK_EXACT_MAX, p_mk, partition_dp
 from .experiment import ExperimentSpec, beta_in_range, regime_sweep, run_monte_carlo
@@ -296,7 +297,7 @@ def cmd_limit(config: RunConfig) -> int:
     grid = config.alpha_grid
     if config.tol <= 0.0:
         raise UsageError("tol must be positive")
-    if any(not 0.0 <= a < 1.0 for a in grid):
+    if not all(alpha_in_range(a) for a in grid):
         raise UsageError("alpha grid must lie in [0, 1)")
     if Functional.QFW.value in config.functionals:
         with _validating():

@@ -83,6 +83,11 @@ def _snap(x: float) -> float:
     return float(r) if abs(x - r) < 1e-9 * (1.0 + abs(x)) else x
 
 
+def alpha_in_range(alpha: float) -> bool:
+    """Whether an alpha checkpoint lies in [0, 1), where its time -log(1 - alpha) is finite."""
+    return 0.0 <= alpha < 1.0
+
+
 def alpha_step(n: int, alpha: float) -> int:
     """Checkpoint step ceil(alpha * n), clamped to [0, n-1]."""
     if not 0.0 <= alpha <= 1.0:

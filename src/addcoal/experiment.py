@@ -6,6 +6,7 @@ for a fixed spec regardless of worker count or scheduling.  Aggregation
 is an ordered fold over replication indices.
 """
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -17,6 +18,7 @@ from .cost_engine import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
     Functional,
+    alpha_in_range,
     alpha_step,
     beta_step,
     event_costs,
@@ -102,7 +104,7 @@ class ExperimentSpec:
             raise ValueError("reps must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if any(not 0.0 <= a < 1.0 for a in self.alpha_grid):
+        if not all(alpha_in_range(a) for a in self.alpha_grid):
             raise ValueError("alpha grid must lie in [0, 1)")
         if not all(beta_in_range(self.n, b) for b in self.beta_grid):
             raise ValueError("beta grid must lie in [0, sqrt(n)]")
@@ -130,6 +132,17 @@ def _checkpoints(spec):
             + [("beta", b, beta_step(n, b), n ** 1.5) for b in spec.beta_grid])
 
 
+@functools.lru_cache(maxsize=16)
+def _gather_index(spec):
+    """The steps and scales of `_checkpoints(spec)` as read-only arrays, built
+    once per spec rather than once per block."""
+    checkpoints = _checkpoints(spec)
+    steps = np.array([step for _, _, step, _ in checkpoints], np.int64)
+    scales = np.array([scale for _, _, _, scale in checkpoints], np.float64)
+    steps.flags.writeable = scales.flags.writeable = False
+    return steps, scales
+
+
 def _one_rep(spec, start, stop):
     """Replications start..stop-1 of spec -> (values, totals), a row per replication.
 
@@ -140,9 +153,7 @@ def _one_rep(spec, start, stop):
     replays in lockstep; other blocks replay one replication at a time.
     """
     n, embedding, functionals = spec.n, spec.embedding, spec.functionals
-    checkpoints = _checkpoints(spec)
-    steps = np.array([step for _, _, step, _ in checkpoints], np.int64)
-    scales = np.array([scale for _, _, _, scale in checkpoints], np.float64)
+    steps, scales = _gather_index(spec)
     rngs = (substream_rng(spec.seed, rep) for rep in range(start, stop))
     rows = stop - start
     if (embedding is Embedding.PARKING and set(functionals) == {Functional.DISPLACEMENT}
@@ -159,7 +170,7 @@ def _one_rep(spec, start, stop):
         batches = [simulate(n, rng, embedding) for rng in rngs]
         csums = (np.cumsum([event_costs(functional, batch) for batch in batches], axis=1)
                  for functional in functionals)
-    values = np.empty((len(functionals), rows, len(checkpoints)))
+    values = np.empty((len(functionals), rows, len(steps)))
     totals = np.empty((len(functionals), rows))
     for i, csum in enumerate(csums):
         # step 0 reads no merge: its cumulated cost is 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .cost_engine import Functional
+from .cost_engine import Functional, alpha_in_range
 
 DEFAULT_TOL = 1e-8
 _MASS_TOL = 1e-10
@@ -35,6 +35,7 @@ _MIN_PANELS = 64
 _MAX_PANELS = 1 << 16
 _KMAX_HARD = 1 << 21
 _ALPHA_MAX = 0.98  # the cutoff kmax grows like (1 - alpha)^-2 toward alpha = 1
+_TINY = np.finfo(float).tiny  # smallest normal float; below it q has underflowed
 
 
 class QuadratureError(RuntimeError):
@@ -43,7 +44,7 @@ class QuadratureError(RuntimeError):
 
 def alpha_to_time(alpha: float) -> float:
     """Time horizon of the alpha*n-th merge: -log(1 - alpha)."""
-    if not 0.0 <= alpha < 1.0:
+    if not alpha_in_range(alpha):
         raise ValueError("alpha must be in [0, 1)")
     return -math.log1p(-alpha)
 
@@ -163,7 +164,7 @@ def phi_closed_form(functional, alpha: float) -> float:
     QFW has no closed form and raises ValueError; phi_curve_quadrature
     computes its curve.
     """
-    if not 0.0 <= alpha < 1.0:
+    if not alpha_in_range(alpha):
         raise ValueError("alpha must be in [0, 1)")
     functional = Functional(functional)
     if functional is Functional.QFW:
@@ -177,7 +178,7 @@ def phi_displacement_floor(alpha: float) -> float:
     D uniform on {0, ..., L-1} costs 1/2 less per merge than the
     idealized table cost, which integrates to -alpha/2.
     """
-    if not 0.0 <= alpha < 1.0:
+    if not alpha_in_range(alpha):
         raise ValueError("alpha must be in [0, 1)")
     return 0.5 * alpha / (1.0 - alpha) - 0.5 * alpha
 
@@ -203,6 +204,9 @@ def phi_comparison_curve(functional, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """phi at one grid point: cumulative value and error estimate, and the
+    cutoff of the segment that ends at that point."""
+
     value: float
     error: float
     kmax: int
@@ -220,7 +224,7 @@ class _Integrand:
     def __init__(self, functional, kmax: int):
         self.functional = Functional(functional)
         self.kmax = kmax
-        self.terms = _k_terms(kmax)  # shared by every node of one curve
+        self.terms = _k_terms(kmax)  # shared by every node of the segments using kmax
 
     def __call__(self, t: float) -> float:
         qv = _q_from_terms(self.terms, t)
@@ -259,6 +263,10 @@ def _choose_kmax(t_max: float, tol: float) -> int:
     and a ratio-test majorization of sum_{k>K} k^2 q(k, t_max) below
     max(tol * 1e-3, 1e-12).  Every functional's cost is at most linear in
     the merged sizes, so with the (k+l)/2 intensity the summand is O(k^2).
+    A last term below the smallest normal float has underflowed, like an
+    exact zero, and passes the tail test: subnormal terms carry no ratio.
+    Both tails grow with t, so a cutoff certified at t_max holds at every
+    earlier time, and the cutoff does not decrease in t_max.
     """
     if t_max == 0.0:
         return 256
@@ -271,11 +279,11 @@ def _choose_kmax(t_max: float, tol: float) -> int:
         a_last = kmax**2 * qv[-1]
         a_prev = (kmax - 1) ** 2 * qv[-2]
         ok_tail = False
-        if a_prev > 0.0 and a_last < a_prev:
+        if a_last < _TINY:
+            ok_tail = True
+        elif a_prev > 0.0 and a_last < a_prev:
             r = a_last / a_prev
             ok_tail = a_last * r / (1.0 - r) < target
-        elif a_last == 0.0:
-            ok_tail = True
         if abs(residual) < _MASS_TOL and ok_tail:
             return kmax
         kmax *= 2
@@ -329,25 +337,27 @@ def phi_curve_quadrature(functional, alphas, tol: float = DEFAULT_TOL):
     Integrates segment by segment along an increasing alpha grid and
     returns a list of QuadratureResult whose values are cumulative, with
     per-point error estimates summed over the segments used.  The double
-    sum is truncated adaptively (see _choose_kmax).
+    sum is truncated per segment, at the cutoff `_choose_kmax` certifies
+    at the segment's end time; since the tails grow with t, it holds at
+    every node of the segment.  Segments that share a cutoff share one
+    integrand.
     """
     functional = Functional(functional)
     if not 0.0 < tol < math.inf:  # also rejects nan
         raise ValueError(f"tol must be positive and finite, got {tol}")
     alphas = list(alphas)
     check_alpha_grid(alphas)
-    if not alphas:
-        return []
-    t_max = alpha_to_time(alphas[-1])
-    kmax = _choose_kmax(t_max, tol)
-    integrand = _Integrand(functional, kmax)
     seg_tol = tol / max(1, len(alphas))
     out = []
     acc = 0.0
     err_acc = 0.0
     t_prev = 0.0
+    integrand = None
     for a in alphas:
         t_next = alpha_to_time(a)
+        kmax = _choose_kmax(t_next, tol)
+        if integrand is None or integrand.kmax != kmax:
+            integrand = _Integrand(functional, kmax)
         val, err = _simpson(integrand, t_prev, t_next, seg_tol)
         acc += val
         err_acc += err

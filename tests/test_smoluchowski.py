@@ -7,6 +7,8 @@ from addcoal.cost_engine import ALL_FUNCTIONALS, Functional, conditional_mean
 from addcoal.smoluchowski import (
     QuadratureError,
     _Integrand,
+    _choose_kmax,
+    _simpson,
     alpha_to_time,
     moment,
     phi_closed_form,
@@ -181,6 +183,55 @@ def test_simpson_panel_budget_reported(monkeypatch):
     monkeypatch.setattr(sm, "_MAX_PANELS", 64)
     with pytest.raises(QuadratureError):
         phi_at(Functional.QFW, 0.5, tol=1e-12)
+
+
+QFW_GRID = tuple(round(0.05 * i, 2) for i in range(1, 19))  # 0.05 .. 0.90
+PREY_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
+FINE_GRID = tuple(round(0.02 * i, 2) for i in range(1, 46))  # 0.02 .. 0.90
+
+
+def one_cutoff_curve(functional, alphas, tol):
+    """(value, error) per point with one integrand for the whole curve, at the
+    cutoff certified at the last point: the design per-segment cutoffs replace."""
+    integrand = _Integrand(functional, _choose_kmax(alpha_to_time(alphas[-1]), tol))
+    seg_tol = tol / len(alphas)
+    out, acc, err_acc, t_prev = [], 0.0, 0.0, 0.0
+    for a in alphas:
+        t_next = alpha_to_time(a)
+        val, err = _simpson(integrand, t_prev, t_next, seg_tol)
+        acc += val
+        err_acc += err
+        out.append((acc, err_acc))
+        t_prev = t_next
+    return out
+
+
+@pytest.mark.parametrize("functional, grid", [(Functional.QFW, QFW_GRID),
+                                              (Functional.PREY, PREY_GRID)])
+def test_per_segment_cutoffs_match_one_cutoff_on_benchmark_grids(functional, grid):
+    curve = phi_curve_quadrature(functional, grid, tol=1e-8)
+    assert [(r.value, r.error) for r in curve] == one_cutoff_curve(functional, grid, 1e-8)
+
+
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+def test_per_segment_cutoffs_on_a_fine_grid(functional):
+    curve = phi_curve_quadrature(functional, FINE_GRID, tol=1e-8)
+    reference = one_cutoff_curve(functional, FINE_GRID, 1e-8)
+    assert max(abs(r.value - v) for r, (v, _) in zip(curve, reference)) < 1e-12
+    assert max(abs(r.error - e) for r, (_, e) in zip(curve, reference)) < 1e-12
+    # each point records the cutoff certified at its segment's end
+    kmaxes = [r.kmax for r in curve]
+    assert kmaxes == [_choose_kmax(alpha_to_time(a), 1e-8) for a in FINE_GRID]
+    assert all(a <= b for a, b in zip(kmaxes, kmaxes[1:]))
+    assert kmaxes[0] == 1024 and kmaxes[-1] == 8192
+
+
+def test_cutoff_does_not_decrease_in_t():
+    # subnormal last terms (K = 1024 near t = 0.2545) must not raise the cutoff
+    ts = np.linspace(0.01, -math.log(0.02), 400)
+    kmaxes = [_choose_kmax(float(t), 1e-8) for t in ts]
+    assert all(a <= b for a, b in zip(kmaxes, kmaxes[1:]))
+    assert _choose_kmax(0.2545, 1e-8) == 1024
 
 
 # conditional mean costs c(k, l) as float array expressions
