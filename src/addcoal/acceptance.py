@@ -181,10 +181,10 @@ def _criterion(cid, informative=False, samples=(), detail=""):
 
 
 @_criterion("oracle-equivalence")
-def criterion_oracle_equivalence(max_n: int = 6):
+def criterion_oracle_equivalence():
     """Three-way equality of full event-sequence laws at n <= 6."""
     worst = Fraction(0)
-    for n in range(2, max_n + 1):
+    for n in range(2, 7):
         park = enumerate_parking(n).project(("s", "S", "L"))
         tree = enumerate_spanning_trees(n)
         chain = dp_sequence_distribution(n)
@@ -195,7 +195,7 @@ def criterion_oracle_equivalence(max_n: int = 6):
             tree.tv_distance(chain),
         )
     return (float(worst) < 1e-12, f"max TV {float(worst):.3e}",
-            "TV = 0 across parking/tree/chain, n=2..%d" % max_n, "1e-12")
+            "TV = 0 across parking/tree/chain, n=2..6", "1e-12")
 
 
 @_criterion("pmk-exact")
@@ -221,17 +221,17 @@ def criterion_borel_limit():
 
 
 @_criterion("conditional-r")
-def criterion_conditional_r(max_n: int = 8):
+def criterion_conditional_r():
     """E[R_k | L_k = l] = (n - l)/(n - k), exact for n <= 8."""
     bad = []
-    for n in range(2, max_n + 1):
+    for n in range(2, 9):
         dp = partition_dp(n)
         for k in range(1, n):
             for l, val in dp.conditional_r_given_l(k).items():
                 if val != Fraction(n - l, n - k):
                     bad.append((n, k, l))
     return (not bad, "exact equality" if not bad else f"violations {bad[:3]}",
-            "E[R|L=l] = (n-l)/(n-k), all reachable (k,l), n<=%d" % max_n, "exact")
+            "E[R|L=l] = (n-l)/(n-k), all reachable (k,l), n<=8", "exact")
 
 
 @_criterion("smoluchowski-identities")

@@ -7,8 +7,8 @@ same union-find walks that simulation runs (`_replay.parking_configs`,
 itself.  The final-merge law is counted by the order-free parking scan
 (`_replay.parking_last_block_counts`), so criterion 2 certifies that
 scan.  The partition DP and the two-stage-chain sequence law step
-through integer partitions with exact rational transition probabilities
-(`_merges`).  At small n the three routes must produce identical
+through integer partitions with the exact rational (L, R) transition
+law of `_merges`.  At small n the three routes must produce identical
 event-sequence distributions.
 """
 
@@ -205,11 +205,13 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
 
 
 def _merges(state, n: int):
-    """Each distinct merge of a partition of n: (x, y, probability, next state).
+    """Each distinct merge of a partition of n: (L, R, probability, next state).
 
     A pair of clusters with sizes (x, y), x <= y, among m live clusters
     merges with probability (x + y) / (n (m - 1)), times the number of
-    cluster pairs with those sizes.
+    cluster pairs with those sizes, and its size-biased side L is x with
+    probability x / (x + y).  So (L, R) = (x, y) has probability
+    x * ways / (n (m - 1)); when x == y the one entry carries both orders.
     """
     m = len(state)
     cnt = Counter(state)
@@ -223,21 +225,19 @@ def _merges(state, n: int):
                 out.remove(y)
                 out.append(x + y)
                 out.sort(reverse=True)
-                yield x, y, Fraction((x + y) * ways, n * (m - 1)), tuple(out)
-
-
-@dataclass(frozen=True)
-class DpStep:
-    k: int
-    joint_sS: dict  # (s, S) -> Fraction
-    joint_LR: dict  # (L, R) -> Fraction
+                ns = tuple(out)
+                if x == y:
+                    yield x, x, Fraction(2 * x * ways, n * (m - 1)), ns
+                else:
+                    yield x, y, Fraction(x * ways, n * (m - 1)), ns
+                    yield y, x, Fraction(y * ways, n * (m - 1)), ns
 
 
 class PartitionDp:
     """Forward DP over canonical partitions of n with exact probabilities.
 
-    Merges and their probabilities come from `_merges`; given the merged
-    pair (x, y), L = x with probability x / (x + y).
+    `steps[k - 1]` is the exact joint law {(L, R): p} of the k-th merge,
+    summed over the (L, R, probability, next state) entries of `_merges`.
     """
 
     def __init__(self, n: int):
@@ -246,46 +246,31 @@ class PartitionDp:
         self.n = n
         self.steps = []
         dist = {(1,) * n: Fraction(1)}
-        for k in range(1, n):
-            joint_ss = {}
-            joint_lr = {}
+        for _ in range(1, n):
+            step = {}
             ndist = {}
             for state, p in dist.items():
-                for x, y, q, ns in _merges(state, n):
+                for l, r, q, ns in _merges(state, n):
                     pr = p * q
-                    key = (x, y)
-                    joint_ss[key] = joint_ss.get(key, Fraction(0)) + pr
-                    frac_x = Fraction(x, x + y)
-                    lr = (x, y)
-                    joint_lr[lr] = joint_lr.get(lr, Fraction(0)) + pr * frac_x
-                    lr = (y, x)
-                    joint_lr[lr] = joint_lr.get(lr, Fraction(0)) + pr * (1 - frac_x)
+                    step[l, r] = step.get((l, r), Fraction(0)) + pr
                     ndist[ns] = ndist.get(ns, Fraction(0)) + pr
-            self.steps.append(DpStep(k, joint_ss, joint_lr))
+            self.steps.append(step)
             dist = ndist
         self.final = dist
 
     def expected_step_cost(self, functional, k: int) -> Fraction:
-        step = self.steps[k - 1]
         return sum(
-            (p * conditional_mean(functional, x, y) for (x, y), p in step.joint_sS.items()),
-            Fraction(0),
-        )
-
-    def expected_cumulative_cost(self, functional, upto: int | None = None) -> Fraction:
-        upto = self.n - 1 if upto is None else upto
-        return sum(
-            (self.expected_step_cost(functional, k) for k in range(1, upto + 1)),
+            (p * conditional_mean(functional, l, r) for (l, r), p in self.steps[k - 1].items()),
             Fraction(0),
         )
 
     def l_marginal(self, k: int):
         """{l: P(L_k = l)}, exact."""
-        return _sum_by(self.steps[k - 1].joint_LR, lambda lr: lr[0])
+        return _sum_by(self.steps[k - 1], lambda lr: lr[0])
 
     def conditional_r_given_l(self, k: int):
         """{l: E[R_k | L_k = l]}, exact."""
-        return _conditional_means(self.steps[k - 1].joint_LR)
+        return _conditional_means(self.steps[k - 1])
 
 
 def partition_dp(n: int) -> PartitionDp:
@@ -301,18 +286,9 @@ def dp_sequence_distribution(n: int) -> EventSequenceDistribution:
     for _ in range(1, n):
         nxt = {}
         for prefix, (state, p) in frontier.items():
-            for x, y, q, ns in _merges(state, n):
-                pr = p * q
-                if x == y:
-                    branches = ((x, Fraction(1)),)
-                else:
-                    branches = ((x, Fraction(x, x + y)), (y, Fraction(y, x + y)))
-                for l, lp in branches:
-                    seq = prefix + ((min(x, y), max(x, y), l),)
-                    if seq in nxt:
-                        nxt[seq] = (ns, nxt[seq][1] + pr * lp)
-                    else:
-                        nxt[seq] = (ns, pr * lp)
+            for l, r, q, ns in _merges(state, n):
+                seq = prefix + ((min(l, r), max(l, r), l),)
+                nxt[seq] = (ns, nxt[seq][1] + p * q if seq in nxt else p * q)
         frontier = nxt
     probs = {seq: p for seq, (_, p) in frontier.items()}
     return EventSequenceDistribution(n, ("s", "S", "L"), probs)

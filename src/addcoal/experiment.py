@@ -188,8 +188,8 @@ class MonteCarloResult:
     beta_values: dict  # functional -> (reps, n_beta) array of n^-1.5 C
     totals: dict  # functional -> (reps,) array of raw totals
 
-    def normalized_totals(self, functional, exponent: float = 1.5) -> np.ndarray:
-        return self.totals[Functional(functional)] / self.spec.n ** exponent
+    def normalized_totals(self, functional) -> np.ndarray:
+        return self.totals[Functional(functional)] / self.spec.n ** 1.5
 
     def columns(self, functional):
         """(kind, point, per-replication values) for each checkpoint, then the total."""
@@ -208,10 +208,11 @@ class MonteCarloResult:
 def _map_blocks(spec, blocks):
     """`_one_rep` over the blocks, in order; in a process pool when spec.workers > 1."""
     args = (itertools.repeat(spec), *zip(*blocks))
-    if spec.workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, len(blocks))  # the pool forks all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_one_rep, *args,
-                                chunksize=max(1, len(blocks) // (4 * spec.workers)))
+                                chunksize=max(1, len(blocks) // (4 * workers)))
     else:
         yield from map(_one_rep, *args)
 
@@ -291,12 +292,11 @@ class ChiSquareResult:
         return self.pvalue < self.level
 
 
-def chi_square_gof(observed, expected_probs, level: float = 0.05,
-                   min_expected: float = 5.0) -> ChiSquareResult:
+def chi_square_gof(observed, expected_probs, level: float = 0.05) -> ChiSquareResult:
     """Pearson goodness of fit against given cell probabilities.
 
     Adjacent cells are pooled left to right until each pooled cell's
-    expected count reaches min_expected (a trailing underfull pool is
+    expected count reaches 5 (a trailing underfull pool is
     merged into the last cell); fewer than two cells after pooling is an
     error.
     """
@@ -315,7 +315,7 @@ def chi_square_gof(observed, expected_probs, level: float = 0.05,
     for o, e in zip(obs, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             pooled_obs.append(acc_o)
             pooled_exp.append(acc_e)
             acc_o = acc_e = 0.0
@@ -355,6 +355,8 @@ def regime_sweep(n_list, eps: float, reps: int = 100, seed: int = 0,
     """Mean largest-cluster fraction at the two regime checkpoints per n."""
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must be in (0, 1/2)")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     embedding = Embedding(embedding)
     rows = []
     for i, n in enumerate(n_list):

@@ -12,7 +12,7 @@ from addcoal.cost_engine import (
     conditional_mean,
     event_costs,
 )
-from addcoal.exact_oracles import enumerate_parking, partition_dp
+from addcoal.exact_oracles import _sum_by, enumerate_parking, partition_dp
 from addcoal.experiment import ExperimentSpec, run_monte_carlo
 from addcoal.process_core import EventBatch, simulate_direct
 from addcoal.seeding import make_rng
@@ -83,12 +83,16 @@ def test_expected_totals_match_partition_dp():
     # DP expectations: predator 8/3 (sum of size-biased picks),
     # prey = qfb 7/3, qf 5/2, qfw 2, displacement 1/3
     dp = partition_dp(3)
-    assert dp.expected_cumulative_cost(Functional.PREDATOR) == Fraction(8, 3)
-    assert dp.expected_cumulative_cost(Functional.PREY) == Fraction(7, 3)
-    assert dp.expected_cumulative_cost(Functional.QFB) == Fraction(7, 3)
-    assert dp.expected_cumulative_cost(Functional.QF) == Fraction(5, 2)
-    assert dp.expected_cumulative_cost(Functional.QFW) == 2
-    assert dp.expected_cumulative_cost(Functional.DISPLACEMENT) == Fraction(1, 3)
+
+    def total(functional):
+        return dp.expected_step_cost(functional, 1) + dp.expected_step_cost(functional, 2)
+
+    assert total(Functional.PREDATOR) == Fraction(8, 3)
+    assert total(Functional.PREY) == Fraction(7, 3)
+    assert total(Functional.QFB) == Fraction(7, 3)
+    assert total(Functional.QF) == Fraction(5, 2)
+    assert total(Functional.QFW) == 2
+    assert total(Functional.DISPLACEMENT) == Fraction(1, 3)
 
 
 def test_qf_enumeration_mean_equals_half_sum():
@@ -97,7 +101,7 @@ def test_qf_enumeration_mean_equals_half_sum():
     for n in (3, 4, 5, 6):
         dp = partition_dp(n)
         for k in range(1, n):
-            joint = dp.steps[k - 1].joint_sS
+            joint = _sum_by(dp.steps[k - 1], lambda lr: (min(lr), max(lr)))  # (s, S)
             half_sum = sum(p * Fraction(x + y, 2) for (x, y), p in joint.items())
             assert dp.expected_step_cost(Functional.QF, k) == half_sum
 

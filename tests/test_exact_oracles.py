@@ -8,6 +8,7 @@ import pytest
 
 from addcoal import _replay, exact_oracles
 from addcoal.exact_oracles import (
+    _sum_by,
     block_config_count,
     borel_pmf,
     dp_sequence_distribution,
@@ -170,10 +171,16 @@ def test_final_merge_marginal_matches_p_mk():
             assert marginal.get(k, Fraction(0)) == p_mk(m, k)
 
 
+def test_p_mk_is_the_dp_final_merge_law():
+    # the parking enumeration certifies p_mk only for m <= 8; the DP reaches m = 20
+    for n in range(2, 21):
+        assert partition_dp(n).l_marginal(n - 1) == {k: p_mk(n, k) for k in range(1, n)}
+
+
 def test_partition_dp_expected_totals():
     dp = partition_dp(3)
-    assert dp.expected_cumulative_cost("predator") == Fraction(8, 3)
-    assert dp.expected_cumulative_cost("prey") == Fraction(7, 3)
+    assert sum(dp.expected_step_cost("predator", k) for k in (1, 2)) == Fraction(8, 3)
+    assert sum(dp.expected_step_cost("prey", k) for k in (1, 2)) == Fraction(7, 3)
     # per-step: step 1 merges two singletons, L = 1 always
     assert dp.expected_step_cost("predator", 1) == 1
     assert dp.expected_step_cost("predator", 2) == Fraction(5, 3)
@@ -182,9 +189,9 @@ def test_partition_dp_expected_totals():
 def test_partition_dp_mass_and_final_state():
     for n in (4, 7, 12):
         dp = partition_dp(n)
-        for step in dp.steps:
-            assert sum(step.joint_sS.values()) == 1
-            assert sum(step.joint_LR.values()) == 1
+        for step in dp.steps:  # a law of (L, R) with L + R <= n
+            assert sum(step.values()) == 1
+            assert all(p > 0 and l >= 1 and r >= 1 and l + r <= n for (l, r), p in step.items())
         assert dp.final == {(n,): Fraction(1)}
 
 
@@ -198,10 +205,10 @@ def test_equation_rl(n):
 
 def test_l_marginal_is_size_biased():
     dp = partition_dp(4)
-    step = dp.steps[1]  # k = 2
+    joint_ss = _sum_by(dp.steps[1], lambda lr: (min(lr), max(lr)))  # (s, S) at k = 2
     marg = dp.l_marginal(2)
     expect = {}
-    for (x, y), p in step.joint_sS.items():
+    for (x, y), p in joint_ss.items():
         expect[x] = expect.get(x, Fraction(0)) + p * Fraction(x, x + y)
         expect[y] = expect.get(y, Fraction(0)) + p * Fraction(y, x + y)
     assert marg == expect

@@ -12,8 +12,8 @@ from addcoal.experiment import (
     regime_sweep,
     run_monte_carlo,
 )
-from addcoal import _replay
-from addcoal.exact_oracles import parking_final_merge_marginal, partition_dp
+from addcoal import _replay, experiment
+from addcoal.exact_oracles import _sum_by, parking_final_merge_marginal, partition_dp
 from addcoal.process_core import Embedding, simulate_direct, simulate_parking
 from addcoal.seeding import make_rng, substream_rng
 
@@ -67,6 +67,32 @@ def test_run_monte_carlo_deterministic_and_worker_invariant():
     assert not np.array_equal(r1.totals[Functional.QF], r4.totals[Functional.QF])
 
 
+def test_pool_opens_no_more_workers_than_blocks(monkeypatch):
+    # the pool forks all its workers at the first submit, so it is sized to the blocks
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    base = dict(n=500, reps=3, seed=41, alpha_grid=(0.25, 0.75), beta_grid=(0.0, 2.0))
+    wide = run_monte_carlo(ExperimentSpec(**base, workers=64))
+    assert opened == [3]  # three walk blocks, one replication each
+    one = run_monte_carlo(ExperimentSpec(**base, workers=1))
+    assert opened == [3]
+    assert all(np.array_equal(a, b) for a, b in zip(_mc_arrays(wide), _mc_arrays(one)))
+
+
 def test_run_monte_carlo_embeddings_share_law():
     # same mean within noise across embeddings (not identical draws)
     specs = [
@@ -115,14 +141,14 @@ def test_chi_square_exact_proportional():
 def test_chi_square_pools_small_cells():
     probs = [0.5, 0.3, 0.1, 0.05, 0.03, 0.02]
     observed = [50, 30, 10, 5, 3, 2]
-    res = chi_square_gof(observed, probs, min_expected=5.0)
+    res = chi_square_gof(observed, probs)
     assert res.bins < len(probs)
     assert res.statistic < 1e-12  # proportional data stays a perfect fit
 
 
 def test_chi_square_degenerate_pooling():
     with pytest.raises(ValueError):
-        chi_square_gof([1, 1], [0.5, 0.5], min_expected=5.0)
+        chi_square_gof([1, 1], [0.5, 0.5])
 
 
 def test_chi_square_detects_wrong_null():
@@ -139,7 +165,7 @@ def test_monte_carlo_matches_exact_dp_frequencies():
     # empirical sanity chain: simulated (s, S) at step 2 of n = 4 vs DP law
     n, reps = 4, 20_000
     dp = partition_dp(n)
-    law = dp.steps[1].joint_sS
+    law = _sum_by(dp.steps[1], lambda lr: (min(lr), max(lr)))  # (s, S) at step 2
     pairs = sorted(law)
     counts = {pair: 0 for pair in pairs}
     for rep in range(reps):
@@ -182,6 +208,8 @@ def test_regime_sweep_degenerate_n2():
 def test_regime_sweep_validation():
     with pytest.raises(ValueError):
         regime_sweep([100], 0.6)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        regime_sweep([100], 0.15, reps=0)
 
 
 def test_regime_sweep_direction():

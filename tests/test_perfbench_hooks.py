@@ -47,3 +47,22 @@ def test_monte_carlo_result_keeps_what_the_benchmark_reads():
     assert bad.beta_values is res.beta_values and bad.totals is res.totals
     # the summaries and raw records read the replaced values
     assert bad.columns(Functional.QF)[0][2][0] == qf[0, 0]
+
+
+def test_exact_layer_keeps_what_the_benchmark_reads():
+    # the oracles-limits workload reads these and checks them against p_mk,
+    # E[R_k | L_k = l] = (n - l)/(n - k) and TV = 0 between the three laws
+    from fractions import Fraction
+
+    from addcoal import exact_oracles
+
+    dp = exact_oracles.partition_dp(6)
+    assert dp.n == 6
+    for k in range(1, dp.n):
+        assert sum(dp.l_marginal(k).values()) == 1
+        assert dp.conditional_r_given_l(k) == {l: Fraction(6 - l, 6 - k) for l in dp.l_marginal(k)}
+    park = exact_oracles.enumerate_parking(4).project(("s", "S", "L"))
+    assert park.tv_distance(exact_oracles.enumerate_spanning_trees(4)) == 0
+    assert park.tv_distance(exact_oracles.dp_sequence_distribution(4)) == 0
+    marginal = exact_oracles.parking_final_merge_marginal(5)
+    assert all(marginal.get(k, Fraction(0)) == exact_oracles.p_mk(5, k) for k in range(1, 5))
