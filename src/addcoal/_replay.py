@@ -21,10 +21,12 @@ of the numpy inputs and outputs, with its union-find state in lists that
 share the int objects of one ``list(range(n))``; both read and write the
 same values, so the streams are bit-identical.
 
-Many short direct chains replay in lockstep instead: `direct_chain_rows`
-runs the direct walk's steps over a row axis in numpy, which beats a
-walk per chain once a block holds at least n rows; the walk stays for long
-chains and is the lockstep's test reference.
+Many short direct or tree chains replay in lockstep instead:
+`direct_chain_rows` and `tree_rows` run their walk's steps over a row axis
+in numpy, sharing one find (`_find_rows`), which beats a walk per chain
+once a block holds at least n rows.  The tree enumeration of the exact
+oracles runs `tree_rows` too.  The walks stay for long chains and are the
+lockstep kernels' test reference.
 
 Parking statistics that depend only on which places the first k cars try,
 not on the order they arrive in, skip the walk: `parking_scan` reads them
@@ -155,7 +157,7 @@ def _prey_index(n, prey_u):
     return (prey_u * left).astype(np.int64)
 
 
-#: places (rows x n) one lockstep block of `direct_chain_rows` holds at once
+#: places (rows x n) one lockstep block of `direct_chain_rows` or `tree_rows` holds at once
 BLOCK_CELLS = 1 << 14
 
 
@@ -164,18 +166,33 @@ def block_rows(n):
     return max(1, BLOCK_CELLS // n)
 
 
+def _find_rows(parent, a):
+    """Roots of the flat places a, one place per row, by find with path halving.
+
+    The loop runs until every row has reached its root; a row already there
+    repeats parent[a] = a, which changes nothing.  Rows own disjoint places,
+    so no row's halving writes a place that another row reads.
+    """
+    p = parent[a]
+    while (p != a).any():
+        g = parent[p]
+        parent[a] = g
+        a = g
+        p = parent[a]
+    return a
+
+
 def direct_chain_rows(n, elem, prey_u, uprime=None):
     """`_direct_walk` in lockstep over rows: (s, S, L, R, D), each of shape (rows, n-1).
 
     Row r replays the chain of elem[r], prey_u[r] and uprime[r] exactly as
     `direct_chain_replay` does; D is None when uprime is not given.  The
     rows' union-find states sit side by side in rows*n flat places (row r
-    owns r*n .. r*n+n-1), so the find with path halving, the predator's
+    owns r*n .. r*n+n-1), so the find (`_find_rows`), the predator's
     swap-out and the union are each a few fancy-index steps over all rows
-    at once, and no two rows touch the same place.  A row whose element is
-    already a root repeats parent[a] = a in the find loop, which changes
-    nothing.  Per step the cost is a fixed number of numpy calls, so this
-    pays when rows >= n; one long chain stays on the walk.
+    at once, and no two rows touch the same place.  Per step the cost is a
+    fixed number of numpy calls, so this pays when rows >= n; one long
+    chain stays on the walk.
     """
     elem = _int64(elem)
     rows, m = elem.shape
@@ -188,13 +205,7 @@ def direct_chain_rows(n, elem, prey_u, uprime=None):
     L = np.empty((rows, m), np.int64)
     R = np.empty((rows, m), np.int64)
     for k in range(m):
-        a = base + elem[:, k]
-        p = parent[a]
-        while (p != a).any():  # find with path halving
-            g = parent[p]
-            parent[a] = g
-            a = g
-            p = parent[a]
+        a = _find_rows(parent, base + elem[:, k])
         # swap the predator out so the prey pick is uniform on the rest
         ia = pos[a]
         last = roots[base + (m - k)]
@@ -428,19 +439,32 @@ def tree_replay(n, par, perm, uprime):
     return _events(L, R, (uprime * L).astype(np.int64))
 
 
-def tree_configs(n):
-    """Replay every labeled tree on n vertices with every edge order.
+def tree_rows(n, bottom, top, uprime=None):
+    """`_tree_walk` in lockstep over rows: (s, S, L, R, D), each of shape (rows, n-1).
 
-    Trees come from the n**(n-2) Prufer sequences, each rooted at 0, and
-    edges from the (n-1)! permutations, both in lexicographic order.
-    Yields (L, R) per configuration in buffers that the next one overwrites.
+    Row r inserts the edges bottom[r, k] -- top[r, k], k = 0..n-2, exactly
+    as `tree_replay` does (there top = perm + 1 and bottom = par[top]); D is
+    None when uprime is not given.  The rows' union-find states sit side by
+    side in rows*n flat places as in `direct_chain_rows`, so each insertion
+    is one `_find_rows` of the bottom endpoints and a few fancy-index steps
+    over all rows.
     """
-    ids = _ids(n)
-    ones = _ones(n)
-    L, R = (_view(np.empty(n - 1, np.int64)) for _ in range(2))
-    tops = list(itertools.permutations(range(1, n)))  # edge order + 1
-    for prufer in itertools.product(range(n), repeat=n - 2):
-        par = tree_parents_from_prufer(n, prufer).tolist()
-        for top in tops:
-            _tree_walk([par[v] for v in top], top, ids.copy(), ones.copy(), L, R)
-            yield L, R
+    top = _int64(top)
+    rows, m = top.shape
+    base = np.arange(rows, dtype=np.int64)[:, None] * n  # row r owns r*n .. r*n+n-1
+    bottom = _int64(bottom) + base
+    top = top + base
+    parent = np.arange(rows * n, dtype=np.int64)
+    csize = np.ones(rows * n, np.int64)
+    L = np.empty((rows, m), np.int64)
+    R = np.empty((rows, m), np.int64)
+    for k in range(m):
+        a = _find_rows(parent, bottom[:, k])
+        v = top[:, k]
+        x = csize[a]
+        y = csize[v]
+        parent[v] = a
+        csize[a] = x + y
+        L[:, k] = x
+        R[:, k] = y
+    return _events(L, R, None if uprime is None else (uprime * L).astype(np.int64))

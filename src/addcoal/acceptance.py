@@ -33,6 +33,7 @@ from .exact_oracles import (
     p_mk,
     parking_final_merge_marginal,
     partition_dp,
+    sequence_codes,
 )
 from .experiment import (
     ExperimentSpec,
@@ -414,19 +415,14 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
             label, "level 0.01")
 
 
-def _sequence_codes(n, L, R):
-    """Mixed-radix code of each row's (L_k, R_k) sequence: digit k is L_k n + R_k."""
-    return ((L * n + R) * (n * n) ** np.arange(n - 1)).sum(axis=1)
-
-
 def _sequence_counts(n, codes, keys):
-    """How many of the `_sequence_codes` replay each (s, S, L) sequence of keys, in order.
+    """How many of the `sequence_codes` replay each (s, S, L) sequence of keys, in order.
 
     Raises RuntimeError when a code is not that of a key.
     """
     key_L = np.array([[e[2] for e in key] for key in keys], np.int64)
     key_R = np.array([[e[0] + e[1] - e[2] for e in key] for key in keys], np.int64)
-    key_codes = _sequence_codes(n, key_L, key_R)
+    key_codes = sequence_codes(n, key_L, key_R)
     order = np.argsort(key_codes)
     # the key each code equals, if any: bins per key, not per possible code
     key = order[np.searchsorted(key_codes, codes, sorter=order).clip(max=len(keys) - 1)]
@@ -457,7 +453,7 @@ def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
     codes = []
     for i in range(0, reps, rows):
         _, _, L, R, _ = direct_chain_rows(n, elem[i:i + rows], prey_u[i:i + rows])
-        codes.append(_sequence_codes(n, L, R))
+        codes.append(sequence_codes(n, L, R))
     codes = np.concatenate(codes)
     counts = _sequence_counts(n, codes, keys)
     probs = np.array([float(law.probs[k]) for k in keys])

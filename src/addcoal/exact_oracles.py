@@ -2,20 +2,25 @@
 
 The parking and tree enumerations replay every equally likely
 configuration (first-try vectors; labeled trees x edge orders) with the
-same union-find walks that simulation runs (`_replay.parking_configs`,
-`_replay.tree_configs`), so criterion 1 certifies the simulating code
-itself.  The final-merge law is counted by the order-free parking scan
-(`_replay.parking_last_block_counts`), so criterion 2 certifies that
-scan.  The partition DP and the two-stage-chain sequence law step
+union-find kernels that simulation runs: the parking walk
+(`_replay.parking_configs`) and the lockstep tree rows
+(`_replay.tree_rows`) that small-n tree simulation runs and that the
+tests check against the tree walk, so criterion 1 certifies the
+simulating code itself.  The final-merge law is counted by the
+order-free parking scan (`_replay.parking_last_block_counts`), so
+criterion 2 certifies that scan.  The partition DP and the two-stage-chain sequence law step
 through integer partitions with the exact rational (L, R) transition
 law of `_merges`.  At small n the three routes must produce identical
 event-sequence distributions.
 """
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import _replay
 from .cost_engine import conditional_mean
@@ -190,13 +195,39 @@ def enumerate_parking(n: int) -> EventSequenceDistribution:
     return EventSequenceDistribution(n, ("s", "S", "L", "D"), _law(counts, n - 1, n ** (n - 1)))
 
 
+def sequence_codes(n: int, L, R):
+    """Mixed-radix code of each row's (L_k, R_k) sequence: digit k is L_k n + R_k."""
+    return ((L * n + R) * (n * n) ** np.arange(n - 1)).sum(axis=1)
+
+
 def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
-    """Exact law of (s, S, L) sequences over all trees x edge orders."""
+    """Exact law of (s, S, L) sequences over all trees x edge orders.
+
+    Trees come from the n**(n-2) Prufer sequences, each rooted at 0, and
+    edge orders from the (n-1)! permutations.  Each lockstep block of
+    `_replay.tree_rows` holds a group of trees times all edge orders, at
+    most `_replay.BLOCK_CELLS` places, and is counted by its rows'
+    `sequence_codes` before the next block is replayed.
+    """
     if not 2 <= n <= TREE_ENUM_MAX:
         raise ValueError(f"tree enumeration supports 2 <= n <= {TREE_ENUM_MAX}")
-    counts = Counter((*L, *R) for L, R in _replay.tree_configs(n))
+    m = n - 1
+    tops = np.array(list(itertools.permutations(range(1, n))), np.int64)  # edge order + 1
+    prufers = list(itertools.product(range(n), repeat=n - 2))
+    group = max(1, _replay.block_rows(n) // len(tops))
+    counts = Counter()
+    for start in range(0, len(prufers), group):
+        pars = np.stack([_replay.tree_parents_from_prufer(n, prufer)
+                         for prufer in prufers[start:start + group]])
+        _, _, L, R, _ = _replay.tree_rows(n, pars[:, tops].reshape(-1, m),
+                                          np.tile(tops, (len(pars), 1)))
+        codes, c = np.unique(sequence_codes(n, L, R), return_counts=True)
+        counts.update(dict(zip(codes.tolist(), c.tolist())))
+    digits = np.array(list(counts), np.int64)[:, None] // (n * n) ** np.arange(m) % (n * n)
+    keys = map(tuple, np.hstack([digits // n, digits % n]).tolist())  # (L_1..L_m, R_1..R_m)
     total = n ** (n - 2) * math.factorial(n - 1)
-    return EventSequenceDistribution(n, ("s", "S", "L"), _law(counts, n - 1, total))
+    return EventSequenceDistribution(n, ("s", "S", "L"),
+                                     _law(dict(zip(keys, counts.values())), m, total))
 
 
 # ---------------------------------------------------------------------------

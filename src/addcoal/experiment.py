@@ -24,7 +24,7 @@ from .cost_engine import (
     event_costs,
 )
 from . import _replay
-from .process_core import Embedding, parking_tries, simulate, simulate_direct_rows
+from .process_core import LOCKSTEP, Embedding, parking_tries, simulate, simulate_rows
 from .seeding import substream_rng
 
 _Z95 = 1.959963984540054
@@ -113,12 +113,12 @@ class ExperimentSpec:
 def _blocks(n, embedding, reps):
     """(start, stop) replication ranges, one per `_one_rep` call.
 
-    Direct blocks of `_replay.block_rows(n)` rows where those reach n rows
-    and so replay in lockstep; otherwise one replication per block, so that
-    workers still share out the replications one at a time.
+    Blocks of `_replay.block_rows(n)` rows for a `LOCKSTEP` embedding where
+    those reach n rows and so replay in lockstep; otherwise one replication
+    per block, so that workers still share out the replications one at a time.
     """
     rows = _replay.block_rows(n)
-    if embedding is not Embedding.DIRECT or rows < n:
+    if embedding not in LOCKSTEP or rows < n:
         rows = 1
     return [(start, min(start + rows, reps)) for start in range(0, reps, rows)]
 
@@ -149,8 +149,9 @@ def _one_rep(spec, start, stop):
     values has shape (functionals, rows, checkpoints) and holds each
     `_checkpoints` value, totals (functionals, rows) the raw totals.  Each
     replication draws from its own substream, so a block gives the rows
-    that one replication at a time would.  A direct block of at least n rows
-    replays in lockstep; other blocks replay one replication at a time.
+    that one replication at a time would.  A direct or tree block of at
+    least n rows replays in lockstep; other blocks replay one replication
+    at a time.
     """
     n, embedding, functionals = spec.n, spec.embedding, spec.functionals
     steps, scales = _gather_index(spec)
@@ -163,8 +164,8 @@ def _one_rep(spec, start, stop):
         carry, _ = _replay.parking_scan(
             np.stack([np.bincount(parking_tries(n, rng), minlength=n) for rng in rngs]))
         csums = [np.broadcast_to(carry.sum(axis=1)[:, None], (rows, n - 1))] * len(functionals)
-    elif embedding is Embedding.DIRECT and rows >= n:
-        batch = simulate_direct_rows(n, rngs)
+    elif embedding in LOCKSTEP and rows >= n:
+        batch = simulate_rows(n, rngs, embedding)
         csums = (np.cumsum(event_costs(functional, batch), axis=1) for functional in functionals)
     else:
         batches = [simulate(n, rng, embedding) for rng in rngs]

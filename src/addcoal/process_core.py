@@ -32,7 +32,7 @@ class Embedding(str, enum.Enum):
 class EventBatch:
     """Columnar sequence of the n-1 merge events of one chain run.
 
-    `simulate_direct_rows` fills it with several runs, one per row of
+    `simulate_rows` fills it with several runs, one per row of
     (runs, n-1) columns; `event_costs` reads either shape.  The snapshot
     methods read one run.
     """
@@ -106,15 +106,6 @@ def simulate_direct(n: int, rng) -> EventBatch:
     return EventBatch(n, s, S, L, R, u, D)
 
 
-def simulate_direct_rows(n: int, rngs) -> EventBatch:
-    """Direct runs in lockstep, one per generator, each drawn as in
-    `simulate_direct`: every column has shape (len(rngs), n-1), a row per run."""
-    elem, prey_u, u, uprime = (np.stack(col) for col in zip(*(direct_inputs(n, rng)
-                                                              for rng in rngs)))
-    s, S, L, R, D = _replay.direct_chain_rows(n, elem, prey_u, uprime)
-    return EventBatch(n, s, S, L, R, u, D)
-
-
 def parking_tries(n: int, rng) -> np.ndarray:
     """The n-1 cars' uniform first tries: the first draw of a parking run.
 
@@ -137,6 +128,13 @@ def simulate_parking(n: int, rng) -> EventBatch:
     return EventBatch(n, s, S, L, R, u, D)
 
 
+def tree_inputs(n: int, rng):
+    """All draws of a spanning-tree run, in order: Prufer sequence, edge order, u, u'."""
+    _check_n(n)
+    return (rng.integers(0, n, size=max(0, n - 2)), rng.permutation(n - 1),
+            rng.random(n - 1), rng.random(n - 1))
+
+
 def simulate_spanning_tree(n: int, rng) -> EventBatch:
     """Full spanning-tree run.  Draw order: Prufer sequence, edge order, u, u'.
 
@@ -144,11 +142,7 @@ def simulate_spanning_tree(n: int, rng) -> EventBatch:
     the edge insertion order uniform over the (n-1)! permutations, and the
     tree is rooted at vertex 0 to orient bottom/top.
     """
-    _check_n(n)
-    prufer = rng.integers(0, n, size=max(0, n - 2))
-    perm = rng.permutation(n - 1)
-    u = rng.random(n - 1)
-    uprime = rng.random(n - 1)
+    prufer, perm, u, uprime = tree_inputs(n, rng)
     par = _replay.tree_parents_from_prufer(n, prufer)
     s, S, L, R, D = _replay.tree_replay(n, par, perm, uprime)
     return EventBatch(n, s, S, L, R, u, D)
@@ -160,6 +154,28 @@ _SIMULATORS = {
     Embedding.PARKING: simulate_parking,
 }
 
+#: the embeddings that `simulate_rows` replays in lockstep
+LOCKSTEP = frozenset({Embedding.DIRECT, Embedding.TREE})
+
 
 def simulate(n: int, rng, embedding=Embedding.DIRECT) -> EventBatch:
     return _SIMULATORS[Embedding(embedding)](n, rng)
+
+
+def simulate_rows(n: int, rngs, embedding) -> EventBatch:
+    """Runs of a `LOCKSTEP` embedding in lockstep, one per generator, each
+    drawn as `simulate` draws it: every column has shape (len(rngs), n-1),
+    a row per run."""
+    embedding = Embedding(embedding)
+    if embedding not in LOCKSTEP:
+        raise ValueError(f"{embedding.value} runs do not replay in lockstep")
+    tree = embedding is Embedding.TREE
+    draw = tree_inputs if tree else direct_inputs
+    first, second, u, uprime = (np.stack(col) for col in zip(*(draw(n, rng) for rng in rngs)))
+    if tree:
+        par = np.stack([_replay.tree_parents_from_prufer(n, prufer) for prufer in first])
+        top = second + 1
+        s, S, L, R, D = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top, uprime)
+    else:
+        s, S, L, R, D = _replay.direct_chain_rows(n, first, second, uprime)
+    return EventBatch(n, s, S, L, R, u, D)

@@ -256,8 +256,9 @@ class _Integrand:
         return 0.5 * m2 * m0 - 0.25 * (m1 * m0 + m0 * m1)
 
 
-def _choose_kmax(t_max: float, tol: float) -> int:
-    """Smallest power-of-two cutoff passing both tail certificates at t_max.
+def _choose_kmax(t_max: float, tol: float, start: int = 1024) -> int:
+    """Smallest power-of-two cutoff of at least max(start, 1024) passing both
+    tail certificates at t_max.
 
     Certificates: leftover first-moment mass below the configured bound,
     and a ratio-test majorization of sum_{k>K} k^2 q(k, t_max) below
@@ -266,12 +267,13 @@ def _choose_kmax(t_max: float, tol: float) -> int:
     A last term below the smallest normal float has underflowed, like an
     exact zero, and passes the tail test: subnormal terms carry no ratio.
     Both tails grow with t, so a cutoff certified at t_max holds at every
-    earlier time, and the cutoff does not decrease in t_max.
+    earlier time, and the cutoff does not decrease in t_max: a search
+    started at an earlier time's cutoff skips only cutoffs that fail.
     """
     if t_max == 0.0:
         return 256
     target = max(tol * 1e-3, 1e-12)
-    kmax = 1024
+    kmax = max(start, 1024)
     while kmax <= _KMAX_HARD:
         qv = q_vector(kmax, t_max)
         ks = np.arange(1, kmax + 1, dtype=np.float64)
@@ -339,7 +341,8 @@ def phi_curve_quadrature(functional, alphas, tol: float = DEFAULT_TOL):
     per-point error estimates summed over the segments used.  The double
     sum is truncated per segment, at the cutoff `_choose_kmax` certifies
     at the segment's end time; since the tails grow with t, it holds at
-    every node of the segment.  Segments that share a cutoff share one
+    every node of the segment, and each segment's search starts at the
+    previous segment's cutoff.  Segments that share a cutoff share one
     integrand.
     """
     functional = Functional(functional)
@@ -353,9 +356,10 @@ def phi_curve_quadrature(functional, alphas, tol: float = DEFAULT_TOL):
     err_acc = 0.0
     t_prev = 0.0
     integrand = None
+    kmax = 1024
     for a in alphas:
         t_next = alpha_to_time(a)
-        kmax = _choose_kmax(t_next, tol)
+        kmax = _choose_kmax(t_next, tol, kmax)
         if integrand is None or integrand.kmax != kmax:
             integrand = _Integrand(functional, kmax)
         val, err = _simpson(integrand, t_prev, t_next, seg_tol)

@@ -110,7 +110,7 @@ def test_supplementary_mutation_mode_has_power():
 
 def test_chain_counts_by_mixed_radix_match_tuple_keys():
     from addcoal._replay import direct_chain_rows
-    from addcoal.exact_oracles import dp_sequence_distribution
+    from addcoal.exact_oracles import dp_sequence_distribution, sequence_codes
     from addcoal.process_core import direct_picks
     from addcoal.seeding import make_rng
 
@@ -122,11 +122,11 @@ def test_chain_counts_by_mixed_radix_match_tuple_keys():
     expected = np.zeros(len(keys), np.int64)
     for l_row, r_row in zip(L.tolist(), R.tolist()):
         expected[index[tuple((min(l, r), max(l, r), l) for l, r in zip(l_row, r_row))]] += 1
-    codes = acceptance._sequence_codes(n, L, R)
+    codes = sequence_codes(n, L, R)
     assert np.array_equal(acceptance._sequence_counts(n, codes, keys), expected)
     # a sequence the law cannot produce is an error, not a dropped row
     with pytest.raises(RuntimeError, match="outside"):
-        acceptance._sequence_counts(n, acceptance._sequence_codes(n, L[:, ::-1], R[:, ::-1]), keys)
+        acceptance._sequence_counts(n, sequence_codes(n, L[:, ::-1], R[:, ::-1]), keys)
 
 
 def test_suite_passed_helper():

@@ -90,6 +90,23 @@ def test_enumerate_spanning_trees_small():
     assert d3.marginal(2, "L") == {1: Fraction(1, 3), 2: Fraction(2, 3)}
 
 
+def test_tree_enumeration_matches_one_walk_per_configuration():
+    # n = 6 is the one size whose Prufer sequences span several lockstep blocks
+    n = 6
+    ids, ones, view = _replay._ids(n), _replay._ones(n), _replay._view
+    L, R = np.empty(n - 1, np.int64), np.empty(n - 1, np.int64)
+    tops = np.array(list(itertools.permutations(range(1, n))), np.int64)  # edge order + 1
+    assert len(tops) * n ** (n - 2) > _replay.block_rows(n)
+    counts = Counter()
+    for prufer in itertools.product(range(n), repeat=n - 2):
+        bottoms = _replay.tree_parents_from_prufer(n, prufer)[tops]
+        for bottom, top in zip(bottoms, tops):
+            _replay._tree_walk(view(bottom), view(top), ids.copy(), ones.copy(), view(L), view(R))
+            counts[(*L.tolist(), *R.tolist())] += 1
+    total = n ** (n - 2) * math.factorial(n - 1)
+    assert enumerate_spanning_trees(n).probs == exact_oracles._law(counts, n - 1, total)
+
+
 def _direct_inputs(n, codes):
     """Element and prey-uniform rows of the direct chain's inputs numbered `codes`.
 

@@ -14,7 +14,7 @@ from addcoal.experiment import (
 )
 from addcoal import _replay, experiment
 from addcoal.exact_oracles import _sum_by, parking_final_merge_marginal, partition_dp
-from addcoal.process_core import Embedding, simulate_direct, simulate_parking
+from addcoal.process_core import Embedding, simulate_direct, simulate_parking, simulate_rows
 from addcoal.seeding import make_rng, substream_rng
 
 
@@ -294,6 +294,24 @@ def test_direct_blocks_of_n_rows_skip_the_walk(monkeypatch):
         run_monte_carlo(ExperimentSpec(n=20, reps=19, seed=3))
 
 
+def test_tree_blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch):
+    spec = ExperimentSpec(n=20, embedding=Embedding.TREE, reps=20, seed=3)
+    monkeypatch.setattr(_replay, "BLOCK_CELLS", 20 * 19)  # blocks of one replication
+    walked = _mc_arrays(run_monte_carlo(spec))
+    monkeypatch.undo()
+
+    def walk(*args):
+        raise AssertionError("tree walk called")
+
+    monkeypatch.setattr(_replay, "_tree_walk", walk)
+    lockstep = _mc_arrays(run_monte_carlo(spec))
+    assert all(np.array_equal(a, b) for a, b in zip(walked, lockstep))
+    with pytest.raises(AssertionError, match="tree walk called"):
+        run_monte_carlo(ExperimentSpec(n=20, embedding=Embedding.TREE, reps=19, seed=3))
+    with pytest.raises(ValueError, match="parking runs do not replay in lockstep"):
+        simulate_rows(20, [substream_rng(3, 0)], Embedding.PARKING)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_empty_grids_give_totals_only(workers):
     # a lockstep block, the parking scan and tree walks (in a pool at two workers)
@@ -316,5 +334,7 @@ def test_only_lockstep_blocks_hold_several_replications():
     # walk replays go out one replication per task, so several workers share them
     assert _blocks(500, Embedding.DIRECT, 6) == [(r, r + 1) for r in range(6)]
     assert _blocks(50, Embedding.PARKING, 3) == [(0, 1), (1, 2), (2, 3)]
+    assert _blocks(500, Embedding.TREE, 6) == [(r, r + 1) for r in range(6)]
     rows = _replay.block_rows(50)
     assert _blocks(50, Embedding.DIRECT, rows + 5) == [(0, rows), (rows, rows + 5)]
+    assert _blocks(50, Embedding.TREE, rows + 5) == [(0, rows), (rows, rows + 5)]

@@ -195,6 +195,30 @@ def test_direct_rows_match_the_walk_row_by_row(n):
         assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 300])
+def test_tree_rows_match_the_walk_row_by_row(n):
+    rng = make_rng(n)
+    # random trees, then a path twice, a star, and a broom: the path with its
+    # end leaf moved one vertex up.  The second path and the broom insert the
+    # path edges from the far end first, chaining n - 2 places, and the
+    # broom's last edge then finds from the bottom of that chain.
+    path = np.arange(-1, n - 1)
+    star = np.r_[-1, np.zeros(n - 1, np.int64)]
+    broom = np.r_[path[:-1], max(0, n - 3)]
+    far_first = np.r_[np.arange(n - 2)[::-1], n - 2]
+    par = np.stack([_replay.tree_parents_from_prufer(n, rng.integers(0, n, size=n - 2))
+                    for _ in range(36)] + [path, path, star, broom])
+    perm = np.stack([rng.permutation(n - 1) for _ in range(37)]
+                    + [far_first, rng.permutation(n - 1), far_first])
+    top = perm + 1
+    uprime = rng.random(top.shape)
+    lockstep = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top, uprime)
+    assert all(col.shape == (40, n - 1) for col in lockstep)
+    for r in range(40):
+        walk = _replay.tree_replay(n, par[r], perm[r], uprime[r])
+        assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
+
+
 def _parking_events(n, tries):
     """Plain-python parking by scanning places: (s, S, L, R, D) per car.
 

@@ -234,6 +234,19 @@ def test_cutoff_does_not_decrease_in_t():
     assert _choose_kmax(0.2545, 1e-8) == 1024
 
 
+@pytest.mark.parametrize("grid", [QFW_GRID, PREY_GRID])
+def test_cutoff_search_from_the_previous_segment_finds_the_same_cutoff(grid):
+    # alpha = 0 certifies 256 at t = 0; the next search still starts at 1024
+    kmax = 1024
+    for a in (0.0, *grid):
+        t = alpha_to_time(a)
+        fresh = _choose_kmax(t, 1e-8)
+        assert _choose_kmax(t, 1e-8, kmax) == fresh
+        kmax = fresh
+    assert [r.kmax for r in phi_curve_quadrature(Functional.QFW, grid, tol=1e-8)] == [
+        _choose_kmax(alpha_to_time(a), 1e-8) for a in grid]
+
+
 # conditional mean costs c(k, l) as float array expressions
 DOUBLE_SUM_COSTS = {
     Functional.QF: lambda k, l: (k + l) / 2.0,
