@@ -17,8 +17,9 @@ loop; everything fixed by the step index or by the loop's outputs (prey
 index, D, s and S, the tree's edge endpoints) is computed in numpy by the
 public kernel around it.  With numba the walk is compiled and runs over
 numpy arrays.  Without it the walk runs as plain Python over ``memoryview``s
-of the numpy inputs and outputs, with its union-find state in lists that
-share the int objects of one ``list(range(n))``; both read and write the
+of the numpy inputs and outputs, with its union-find state in lists below
+``COMPACT_N`` places and in int32 ``memoryview``s from there on, so that a
+long chain's state fits in L2 (see `_ids`); all of them read and write the
 same values, so the streams are bit-identical.
 
 Many short direct or tree chains replay in lockstep instead:
@@ -52,9 +53,19 @@ except ImportError:  # pragma: no cover - exercised only without numba
         return wrap
 
 
+#: n from which the interpreted walks keep their union-find state in int32 memoryviews
+COMPACT_N = 1 << 16
+
 # Containers the walks run over: numpy arrays for compiled code; lists and
 # memoryviews for the interpreter, which indexes them several times faster
-# than it indexes numpy arrays (each numpy read boxes a new scalar).
+# than it indexes numpy arrays (each numpy read boxes a new scalar).  The
+# interpreted union-find state is a list below COMPACT_N, and an int32
+# memoryview from it: a list holds an 8-byte pointer to a 32-byte int per
+# place, so at n = 1e5 the direct walk's four state arrays take 6.4 MB, past
+# a 2 MiB L2, where int32 takes 1.6 MB.  Below the cut the state fits in
+# cache either way, and lists index 30-50 % faster (the list-vs-int32 table
+# in BENCH_compact_state.json).  n < 2**31 (`process_core._check_n`), so no
+# index or size wraps.
 if HAVE_NUMBA:  # pragma: no cover - numba is an optional extra
 
     def _ids(n):
@@ -72,15 +83,21 @@ if HAVE_NUMBA:  # pragma: no cover - numba is an optional extra
 else:
 
     def _ids(n):
-        return list(range(n))
+        return list(range(n)) if n < COMPACT_N else memoryview(np.arange(n, dtype=np.int32))
 
     def _ones(n):
-        return [1] * n
+        return [1] * n if n < COMPACT_N else memoryview(np.ones(n, np.int32))
 
     _view = memoryview
 
     def _state(a):
         return a.tolist()
+
+
+def _copy(state):
+    """A fresh copy of state made by `_ids` or `_ones`.  A list's copy shares
+    its int objects, which keeps the state of several lists smaller in cache."""
+    return memoryview(state.obj.copy()) if isinstance(state, memoryview) else state.copy()
 
 
 def _int64(a):
@@ -138,8 +155,8 @@ def direct_chain_replay(n, elem, prey_u, uprime):
     L = np.empty(m, np.int64)
     R = np.empty(m, np.int64)
     ids = _ids(n)
-    _direct_walk(_view(_int64(elem)), _view(_prey_index(n, prey_u)), ids.copy(), _ones(n),
-                 ids.copy(), ids, _view(L), _view(R))
+    _direct_walk(_view(_int64(elem)), _view(_prey_index(n, prey_u)), _copy(ids), _ones(n),
+                 _copy(ids), ids, _view(L), _view(R))
     return _events(L, R, (uprime * L).astype(np.int64))
 
 
@@ -290,7 +307,7 @@ def parking_configs(n):
     ones = _ones(n)
     L, R, P = (_view(np.empty(n - 1, np.int64)) for _ in range(3))
     for tries in itertools.product(range(n), repeat=n - 1):
-        _parking_walk(tries, ids.copy(), ones.copy(), L, R, P)
+        _parking_walk(tries, _copy(ids), _copy(ones), L, R, P)
         yield tries, L, R, P
 
 

@@ -32,7 +32,7 @@ from .cost_engine import (
 )
 from .exact_oracles import DP_MAX, PMK_EXACT_MAX, p_mk, partition_dp
 from .experiment import ExperimentSpec, beta_in_range, regime_sweep, run_monte_carlo
-from .process_core import Embedding
+from .process_core import Embedding, _check_n
 from .smoluchowski import (
     check_alpha_grid,
     phi_closed_form,
@@ -425,8 +425,9 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig) -> int:
     if not config.n:
         raise UsageError("sweep needs at least one n (comma-separated for several)")
-    if min(config.n) < 2:
-        raise UsageError("sweep needs every n >= 2")
+    with _validating():
+        for n in config.n:
+            _check_n(n)
     if not 0.0 < config.eps < 0.5:
         raise UsageError("eps must be in (0, 1/2)")
     rows_out = []
@@ -489,7 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{key}", dest=name, default=None, **kw)
 
     options = {
-        "n": dict(help="chain size; a comma-separated list of distinct sizes for sweep"),
+        "n": dict(help="chain size, 2 <= n < 2**31; a comma-separated list of distinct "
+                         "sizes for sweep"),
         "embedding": dict(choices=[e.value for e in Embedding]),
         "functionals": dict(help="repeatable; defaults to all six"),
         "alpha_grid": dict(help="comma-separated"),

@@ -24,7 +24,7 @@ from .cost_engine import (
     event_costs,
 )
 from . import _replay
-from .process_core import LOCKSTEP, Embedding, parking_tries, simulate, simulate_rows
+from .process_core import LOCKSTEP, Embedding, _check_n, parking_tries, simulate, simulate_rows
 from .seeding import substream_rng
 
 _Z95 = 1.959963984540054
@@ -98,8 +98,7 @@ class ExperimentSpec:
         )
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        _check_n(self.n)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.workers < 1:

@@ -64,22 +64,20 @@ class EventBatch:
         """Cluster-size spectrum {size: count} after `step` merges."""
         if not 0 <= step <= len(self):
             raise ValueError(f"step must be in [0, {len(self)}]")
-        spectrum = {1: self.n}
-        for i in range(step):
-            for size in (int(self.s[i]), int(self.S[i])):
-                left = spectrum[size] - 1
-                if left:
-                    spectrum[size] = left
-                else:
-                    del spectrum[size]
-            merged = int(self.s[i] + self.S[i])
-            spectrum[merged] = spectrum.get(merged, 0) + 1
-        return spectrum
+        s, S = self.s[:step], self.S[:step]
+        size_range = self.n + 1
+        # each merge adds a cluster of size s + S and removes one each of sizes s and S
+        counts = (np.bincount(s + S, minlength=size_range) - np.bincount(s, minlength=size_range)
+                  - np.bincount(S, minlength=size_range))
+        counts[1] += self.n
+        return {int(size): int(counts[size]) for size in np.flatnonzero(counts)}
 
 
 def _check_n(n):
-    if n < 2:
-        raise ValueError("simulation needs n >= 2")
+    """Chain sizes are 2 <= n < 2**31, so the walks' int32 state (`_replay.COMPACT_N`)
+    cannot wrap; checked before any draw."""
+    if not 2 <= n < 1 << 31:
+        raise ValueError(f"simulation needs 2 <= n < 2**31, got n = {n}")
 
 
 def direct_picks(n: int, rng, shape=()):

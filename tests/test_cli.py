@@ -301,6 +301,9 @@ def test_argument_validation_exits_1(capsys, tmp_path):
     # ExperimentSpec and the limit grid check reject these before any computation
     assert run_cli(["simulate", "--n", "1"]) == 1
     assert _stderr_json(capsys)["kind"] == "usage"
+    for command in ("simulate", "sweep"):  # the walks' int32 state bounds n
+        assert run_cli([command, "--n", str(2**31)]) == 1
+        assert "2 <= n < 2**31" in _stderr_json(capsys)["error"]
     assert run_cli(["simulate", "--n", "10", "--alpha-grid", "1.5"]) == 1
     assert run_cli(["limit", "--alpha-grid", "0.9,0.5", "--functional", "qfw"]) == 1
     assert run_cli(["sweep", "--n", "100", "--eps", "0.7"]) == 1

@@ -7,8 +7,11 @@ import pytest
 
 from addcoal import exact_oracles
 from addcoal import _replay
+from addcoal.experiment import ExperimentSpec
 from addcoal.process_core import (
     Embedding,
+    EventBatch,
+    _check_n,
     parking_tries,
     simulate,
     simulate_direct,
@@ -119,6 +122,19 @@ def test_simulate_rejects_small_n():
     for sim in ALL_SIMS:
         with pytest.raises(ValueError):
             sim(1, make_rng(0))
+
+
+def test_n_stays_below_2_to_the_31():
+    # the walks' compact state is int32, so a larger n is refused before any draw
+    for sim in ALL_SIMS:
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"2 <= n < 2\*\*31"):
+            sim(2**31, rng)
+        assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match=r"2 <= n < 2\*\*31"):
+        ExperimentSpec(n=2**31)
+    _check_n(2**31 - 1)
 
 
 def test_tree_and_parking_n2():
@@ -358,6 +374,74 @@ def test_walks_over_numpy_arrays_give_the_same_results(monkeypatch):
     monkeypatch.setattr(_replay, "_view", lambda a: a)
     monkeypatch.setattr(_replay, "_state", lambda a: a)
     assert results() == expected
+
+
+def _compact_results():
+    return ([_rows(simulate(n, make_rng(n), e)) for n in (2, 3, 200, 5000) for e in Embedding],
+            _walk_last_block_counts(6).tolist(),
+            exact_oracles.enumerate_parking(5).probs,
+            exact_oracles.enumerate_spanning_trees(5).probs)
+
+
+def test_compact_state_gives_the_same_results(monkeypatch):
+    # every walk and `parking_configs` on int32 memoryviews from n = 2 on
+    expected = _compact_results()
+    monkeypatch.setattr(_replay, "COMPACT_N", 2)
+    assert _compact_results() == expected
+
+
+@pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16])
+def test_compact_state_matches_lists_at_the_cut(monkeypatch, n):
+    for embedding in Embedding:
+        batches = []
+        for cut in (2, n + 1):  # compact state, then lists
+            monkeypatch.setattr(_replay, "COMPACT_N", cut)
+            batches.append(simulate(n, make_rng(17), embedding))
+        compact, lists = batches
+        for col in EventBatch.__slots__[1:]:
+            assert np.array_equal(getattr(compact, col), getattr(lists, col)), (embedding, col)
+
+
+@pytest.mark.skipif(_replay.HAVE_NUMBA, reason="compiled walks run over numpy arrays")
+def test_interpreted_state_is_compact_from_the_cut():
+    cut = _replay.COMPACT_N
+    assert _replay._ids(cut - 1) == list(range(cut - 1))
+    assert _replay._ones(cut - 1) == [1] * (cut - 1)
+    for view, values in ((_replay._ids(cut), range(cut)), (_replay._ones(cut), [1] * cut)):
+        assert isinstance(view, memoryview) and view.format == "i" and view.itemsize == 4
+        assert view.tolist() == list(values)
+    for state in (_replay._ids(cut - 1), _replay._ids(cut)):
+        copy = _replay._copy(state)
+        copy[0] = 5
+        assert type(copy) is type(state) and state[0] == 0 and copy[1:] == state[1:]
+
+
+def _spectrum_by_merges(batch, step):
+    """Reference spectrum: the first `step` merges applied one at a time."""
+    spectrum = {1: batch.n}
+    for i in range(step):
+        for size in (int(batch.s[i]), int(batch.S[i])):
+            left = spectrum[size] - 1
+            if left:
+                spectrum[size] = left
+            else:
+                del spectrum[size]
+        merged = int(batch.s[i] + batch.S[i])
+        spectrum[merged] = spectrum.get(merged, 0) + 1
+    return spectrum
+
+
+@pytest.mark.parametrize("embedding", list(Embedding))
+def test_spectrum_matches_merge_by_merge_reference(embedding):
+    for n in (2, 3, 120, 1000):
+        batch = simulate(n, make_rng(n + 1), embedding)
+        for step in sorted({0, 1, n // 3, n // 2, n - 2, n - 1}):
+            spectrum = batch.spectrum_at(step)
+            assert spectrum == _spectrum_by_merges(batch, step), (n, step)
+            assert all(type(k) is int and type(c) is int and c > 0 for k, c in spectrum.items())
+        for step in (-1, n):
+            with pytest.raises(ValueError):
+                batch.spectrum_at(step)
 
 
 def test_largest_cluster_curve_matches_spectrum():
