@@ -43,7 +43,7 @@ from .experiment import (
     run_monte_carlo,
 )
 from ._replay import block_rows, direct_chain_rows
-from .process_core import Embedding, direct_picks
+from .process_core import Embedding, direct_picks, direct_rows
 from .process_core import simulate_direct  # noqa: F401  (perfbench/spans.py traces this name)
 from .seeding import make_rng, substream_rng
 from .smoluchowski import (
@@ -391,19 +391,20 @@ def _perturbed(probs):
 def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
     """Final-merge predator size at m=50 vs the exact formula (level 0.01).
 
-    Run r draws its predator elements and prey picks from substream r and
-    the runs replay in lockstep blocks (u and u' come later in a run's
-    draws, so they are not drawn).  With mutate=True the null is
-    perturbed; the test must then reject, demonstrating the harness has
-    power (mutation test mode).  The sample is drawn at every call.
+    Run r draws its predator elements and prey picks from substream r, a
+    block's runs in one raw call each (`process_core.direct_rows`), and the
+    runs replay in lockstep blocks (u and u' come later in a run's draws,
+    so they are not drawn).  With mutate=True the null is perturbed; the
+    test must then reject, demonstrating the harness has power (mutation
+    test mode).  The sample is drawn at every call.
     """
     m = 50
     counts = np.zeros(m - 1, dtype=np.int64)
     rows = block_rows(m)
     for start in range(0, runs, rows):
-        picks = [direct_picks(m, substream_rng(SEED_ORACLE_CHI, rep))
-                 for rep in range(start, min(start + rows, runs))]
-        elem, prey_u = (np.stack(col) for col in zip(*picks))
+        stop = min(start + rows, runs)
+        elem, prey_u = direct_rows(m, [substream_rng(SEED_ORACLE_CHI, rep)
+                                       for rep in range(start, stop)], 1)
         _, _, L, _, _ = direct_chain_rows(m, elem, prey_u)
         counts += np.bincount(L[:, -1] - 1, minlength=m - 1)
     probs = np.array([p_mk(m, k) for k in range(1, m)], dtype=np.float64)

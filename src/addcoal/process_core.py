@@ -97,6 +97,53 @@ def direct_inputs(n: int, rng):
     return elem, prey_u, rng.random(n - 1), rng.random(n - 1)
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _lemire32(raw, n):
+    """numpy's bounded int64 draw on [0, n), 2 <= n < 2**32, applied to the
+    uint32 halves of raw PCG64 words, low half first: (values, rejected),
+    two entries per word along the last axis.
+
+    `integers(0, n)` keeps the values not rejected, in order (Lemire's rule
+    with numpy's threshold (2**32 - n) % n).
+    """
+    u32 = np.stack((raw & _LOW32, raw >> np.uint64(32)), axis=-1).reshape(*raw.shape[:-1], -1)
+    scaled = u32 * np.uint64(n)
+    return (scaled >> np.uint64(32)).astype(np.int64), (scaled & _LOW32) < (2**32 - n) % n
+
+
+def direct_rows(n: int, rngs, uniforms: int):
+    """`direct_picks` (uniforms=1) or `direct_inputs` (uniforms=3) of one
+    run per generator, stacked: arrays of shape (len(rngs), n-1).
+
+    Each generator gives one `random_raw` call of ceil((n-1)/2) words for
+    the elements plus n-1 words per uniform array, and the block rebuilds
+    numpy's values from them: the elements by `_lemire32`, each double as
+    (word >> 11) * 2**-53.  A row with a rejected element draw (about 1e-8
+    per draw at n = 50) is rewound and drawn again by numpy, so the values
+    never depend on copying numpy's rejection loop.  The generators must
+    not hold a buffered 32-bit half word, as fresh ones do not; they end
+    where numpy's own draws leave them, without its buffered upper half of
+    the last element word when n-1 is odd.
+    """
+    redraw = {1: direct_picks, 3: direct_inputs}[uniforms]
+    _check_n(n)
+    rngs = list(rngs)
+    half = n // 2  # ceil((n-1)/2) words hold the n-1 uint32 element draws
+    words = half + uniforms * (n - 1)
+    raw = np.array([rng.bit_generator.random_raw(words) for rng in rngs], np.uint64)
+    elem, rejected = _lemire32(raw[:, :half], n)
+    elem = elem[:, :n - 1]
+    doubles = (raw[:, half:] >> np.uint64(11)) * 2.0**-53
+    out = (elem, *doubles.reshape(len(rngs), uniforms, n - 1).transpose(1, 0, 2))
+    for row in np.flatnonzero(rejected[:, :n - 1].any(axis=1)):
+        rngs[row].bit_generator.advance(-words)
+        for col, values in zip(out, redraw(n, rngs[row])):
+            col[row] = values
+    return out
+
+
 def simulate_direct(n: int, rng) -> EventBatch:
     """Full direct-chain run.  Draw order: elements, prey picks, u, u'."""
     elem, prey_u, u, uprime = direct_inputs(n, rng)
@@ -163,17 +210,22 @@ def simulate(n: int, rng, embedding=Embedding.DIRECT) -> EventBatch:
 def simulate_rows(n: int, rngs, embedding) -> EventBatch:
     """Runs of a `LOCKSTEP` embedding in lockstep, one per generator, each
     drawn as `simulate` draws it: every column has shape (len(rngs), n-1),
-    a row per run."""
+    a row per run.
+
+    Direct rows take their draws from one raw call per generator
+    (`direct_rows`); tree rows call numpy per generator, since
+    `permutation` draws with a varying range.
+    """
     embedding = Embedding(embedding)
     if embedding not in LOCKSTEP:
         raise ValueError(f"{embedding.value} runs do not replay in lockstep")
-    tree = embedding is Embedding.TREE
-    draw = tree_inputs if tree else direct_inputs
-    first, second, u, uprime = (np.stack(col) for col in zip(*(draw(n, rng) for rng in rngs)))
-    if tree:
-        par = np.stack([_replay.tree_parents_from_prufer(n, prufer) for prufer in first])
-        top = second + 1
+    if embedding is Embedding.TREE:
+        prufer, perm, u, uprime = (np.stack(col)
+                                   for col in zip(*(tree_inputs(n, rng) for rng in rngs)))
+        par = np.stack([_replay.tree_parents_from_prufer(n, row) for row in prufer])
+        top = perm + 1
         s, S, L, R, D = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top, uprime)
     else:
-        s, S, L, R, D = _replay.direct_chain_rows(n, first, second, uprime)
+        elem, prey_u, u, uprime = direct_rows(n, rngs, 3)
+        s, S, L, R, D = _replay.direct_chain_rows(n, elem, prey_u, uprime)
     return EventBatch(n, s, S, L, R, u, D)

@@ -229,7 +229,8 @@ class _Integrand:
     def __call__(self, t: float) -> float:
         qv = _q_from_terms(self.terms, t)
         ks = self.terms[0]
-        residual = abs(1.0 - float(np.dot(ks, qv)))
+        m1 = float(np.dot(ks, qv))
+        residual = abs(1.0 - m1)
         if residual > 10.0 * _MASS_TOL:
             raise QuadratureError(
                 f"truncation mass residual {residual:.2e} at t={t:.4f} (kmax={self.kmax})"
@@ -244,7 +245,6 @@ class _Integrand:
             mvec = p1 + ks * (m0 - q1)
             return float(np.dot(kq, mvec))
         m0 = float(np.sum(qv))
-        m1 = float(np.dot(ks, qv))
         m2 = float(np.dot(ks * ks, qv))
         if functional in (Functional.PREY, Functional.QFB):
             return m1 * m1

@@ -8,14 +8,20 @@ import pytest
 from addcoal import exact_oracles
 from addcoal import _replay
 from addcoal.experiment import ExperimentSpec
+from addcoal import process_core
 from addcoal.process_core import (
     Embedding,
     EventBatch,
     _check_n,
+    _lemire32,
+    direct_inputs,
+    direct_picks,
+    direct_rows,
     parking_tries,
     simulate,
     simulate_direct,
     simulate_parking,
+    simulate_rows,
     simulate_spanning_tree,
 )
 from addcoal.seeding import make_rng, substream_rng
@@ -209,6 +215,120 @@ def test_direct_rows_match_the_walk_row_by_row(n):
     for r in range(rows):
         walk = _replay.direct_chain_replay(n, elem[r], prey_u[r], uprime[r])
         assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
+
+
+def _per_generator_draws(n, rngs, uniforms):
+    """The reference for `direct_rows`: numpy's own draws, one generator at a time."""
+    draw = direct_picks if uniforms == 1 else direct_inputs
+    return [np.stack(col) for col in zip(*(draw(n, rng) for rng in rngs))]
+
+
+def _pcg_position(rng):
+    return rng.bit_generator.state["state"]
+
+
+def _assert_same_draws(n, master, reps, uniforms):
+    rngs = [substream_rng(master, rep) for rep in reps]
+    got = direct_rows(n, rngs, uniforms)
+    refs = [substream_rng(master, rep) for rep in reps]
+    want = _per_generator_draws(n, refs, uniforms)
+    assert len(got) == uniforms + 1
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape == (len(reps), n - 1)
+        assert np.array_equal(g, w)
+    # each generator ends where numpy's draws leave it
+    assert [_pcg_position(r) for r in rngs] == [_pcg_position(r) for r in refs]
+
+
+@pytest.mark.parametrize("uniforms", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 51, 4097])
+def test_raw_block_draws_equal_per_generator_draws(n, uniforms):
+    # rows on both sides of the 4096-index seeding block
+    reps = range(4096 - 4, 4096 + 4) if n > 1000 else range(4096 - 30, 4096 + 30)
+    for master in (0, 7, 2**63 + 5, 2**64 - 1):
+        _assert_same_draws(n, master, reps, uniforms)
+
+
+def _emitting(word):
+    """A generator whose next raw PCG64 word is `word`: with a 128-bit state of
+    high half 0, the XSL-RR output is the low half, unrotated."""
+    bit = np.random.PCG64(0)
+    state = bit.state
+    state["state"]["state"] = word
+    bit.state = state
+    bit.advance(-1)
+    return np.random.Generator(bit)
+
+
+def _leftover_word(n, low, high):
+    """The raw word whose uint32 halves leave Lemire remainders `low` and
+    `high` (low half first); n is odd, so u32 * n is a bijection mod 2**32."""
+    inverse = pow(n, -1, 2**32)
+    return (low * inverse) % 2**32 | (high * inverse) % 2**32 << 32
+
+
+@pytest.mark.parametrize("n", [3, 51, 1431655767])
+def test_lemire_threshold_is_numpys_at_the_boundary(n):
+    threshold = (2**32 - n) % n
+    # the low half sits just below numpy's threshold, the high half on it
+    word = _leftover_word(n, threshold - 1, threshold)
+    assert _emitting(word).bit_generator.random_raw() == word
+    values, rejected = _lemire32(np.array([word], np.uint64), n)
+    assert rejected.tolist() == [True, False]
+    assert values[1] == _emitting(word).integers(0, n, 1)[0]
+    # swapped: the low half is kept and comes first
+    word = _leftover_word(n, threshold, threshold - 1)
+    values, rejected = _lemire32(np.array([word], np.uint64), n)
+    assert rejected.tolist() == [False, True]
+    assert values[0] == _emitting(word).integers(0, n, 1)[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("n", [2, 50, 1431655767])
+def test_lemire_rule_keeps_numpys_values(n, seed):
+    # at n = 1431655767 about a third of the draws are rejected
+    count = 1000
+    raw = np.random.PCG64(seed).random_raw(count)
+    values, rejected = _lemire32(raw, n)
+    kept = values[~rejected]
+    assert kept.size >= count
+    numpy_values = np.random.Generator(np.random.PCG64(seed)).integers(0, n, count)
+    assert np.array_equal(kept[:count], numpy_values)
+    if n == 1431655767:
+        assert 0.3 < rejected.mean() < 0.37
+
+
+@pytest.mark.parametrize("uniforms", [1, 3])
+def test_rows_with_a_rejection_are_drawn_again_by_numpy(monkeypatch, uniforms):
+    # a detector that flags every draw sends every row through rewind and redraw
+    def rejecting_all(raw, n):
+        values, rejected = _lemire32(raw, n)
+        return values, np.ones_like(rejected)
+
+    monkeypatch.setattr(process_core, "_lemire32", rejecting_all)
+    for n in (2, 5, 50, 51):
+        _assert_same_draws(n, 7, range(4090, 4102), uniforms)
+
+
+def test_a_real_rejection_takes_the_redraw():
+    n = 50
+    # row 1's first raw word is 0: both of its uint32 halves leave remainder
+    # 0 < (2**32 - 50) % 50 and are rejected; rows 0 and 2 are ordinary
+    rngs = [make_rng(1), _emitting(0), make_rng(2)]
+    refs = [make_rng(1), _emitting(0), make_rng(2)]
+    assert _lemire32(np.zeros(1, np.uint64), n)[1].all()
+    got = direct_rows(n, rngs, 3)
+    assert all(np.array_equal(g, w) for g, w in zip(got, _per_generator_draws(n, refs, 3)))
+    assert [_pcg_position(r) for r in rngs] == [_pcg_position(r) for r in refs]
+
+
+def test_direct_lockstep_runs_draw_as_single_runs():
+    n, reps = 20, range(4090, 4110)
+    batch = simulate_rows(n, [substream_rng(3, rep) for rep in reps], Embedding.DIRECT)
+    for row, rep in enumerate(reps):
+        single = simulate_direct(n, substream_rng(3, rep))
+        assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))
+                   for col in ("s", "S", "L", "R", "u", "D"))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 50, 300])
