@@ -22,12 +22,12 @@ of the numpy inputs and outputs, with its union-find state in lists below
 long chain's state fits in L2 (see `_ids`); all of them read and write the
 same values, so the streams are bit-identical.
 
-Many short direct or tree chains replay in lockstep instead:
-`direct_chain_rows` and `tree_rows` run their walk's steps over a row axis
-in numpy, sharing one find (`_find_rows`), which beats a walk per chain
-once a block holds at least n rows.  The tree enumeration of the exact
-oracles runs `tree_rows` too.  The walks stay for long chains and are the
-lockstep kernels' test reference.
+Many short chains replay in lockstep instead: `direct_chain_rows`,
+`parking_rows` and `tree_rows` run their walk's steps over a row axis in
+numpy, sharing one find (`_find_rows`), which beats a walk per chain once
+a block holds at least n rows.  The parking and tree enumerations of the
+exact oracles run `parking_rows` and `tree_rows` too.  The walks stay for
+long chains and are the lockstep kernels' test reference.
 
 Parking statistics that depend only on which places the first k cars try,
 not on the order they arrive in, skip the walk: `parking_scan` reads them
@@ -174,7 +174,7 @@ def _prey_index(n, prey_u):
     return (prey_u * left).astype(np.int64)
 
 
-#: places (rows x n) one lockstep block of `direct_chain_rows` or `tree_rows` holds at once
+#: places (rows x n) one lockstep block of rows holds at once
 BLOCK_CELLS = 1 << 14
 
 
@@ -297,18 +297,36 @@ def parking_replay(n, tries):
     return _events(L, R, np.remainder(P - tries, n))
 
 
-def parking_configs(n):
-    """Replay every one of the n**(n-1) first-try vectors of n-1 cars.
+def parking_rows(n, tries):
+    """`_parking_walk` in lockstep over rows: (s, S, L, R, D), each of shape (rows, n-1).
 
-    Yields (tries, L, R, P) per vector, in lexicographic order of tries;
-    L, R and P are buffers that the next vector overwrites.
+    Row r parks the cars of tries[r] exactly as `parking_replay` does.  The
+    rows' union-find states sit side by side in rows*n flat places as in
+    `direct_chain_rows`, so each car is two `_find_rows` (its first try's
+    block, then the block after the filled place, wrapping from place n-1
+    to place 0 inside the row) and a few fancy-index steps over all rows.
     """
-    ids = _ids(n)
-    ones = _ones(n)
-    L, R, P = (_view(np.empty(n - 1, np.int64)) for _ in range(3))
-    for tries in itertools.product(range(n), repeat=n - 1):
-        _parking_walk(tries, _copy(ids), _copy(ones), L, R, P)
-        yield tries, L, R, P
+    tries = _int64(tries)
+    rows, m = tries.shape
+    base = np.arange(rows, dtype=np.int64) * n  # row r owns r*n .. r*n+n-1
+    end = base + n
+    parent = np.arange(rows * n, dtype=np.int64)
+    bsize = np.ones(rows * n, np.int64)
+    L = np.empty((rows, m), np.int64)
+    R = np.empty((rows, m), np.int64)
+    P = np.empty((rows, m), np.int64)
+    for c in range(m):
+        a = _find_rows(parent, base + tries[:, c])
+        b = a + 1
+        b = _find_rows(parent, np.where(b == end, base, b))  # place n-1 wraps to place 0
+        x = bsize[a]
+        y = bsize[b]
+        parent[a] = b
+        bsize[b] = x + y
+        L[:, c] = x
+        R[:, c] = y
+        P[:, c] = a
+    return _events(L, R, np.remainder(P - base[:, None] - tries, n))
 
 
 def parking_scan(h):

@@ -5,7 +5,10 @@ flag names; unknown keys are rejected and explicitly given flags override
 file values.  Output rows lead with provenance: simulate and sweep rows
 with (seed, n, reps, embedding, version, backend), limit rows with the
 same columns with n, reps and embedding blank, exact rows with (version,
-backend); the verify report carries version and backend.  Exit codes:
+backend); the verify report carries version and backend.  After a
+successful run, simulate also writes one JSON side record on stderr: the
+provenance columns and the worker count, which the rows leave out so that
+they stay byte-identical across worker counts.  Exit codes:
 0 success, 1 usage error (invalid flags, config or argument values),
 2 verification failure, 3 runtime failure (an error inside a computation
 or while writing output; the error report names the command and the
@@ -276,6 +279,9 @@ def cmd_simulate(config: RunConfig) -> int:
     write_rows(rows, config.fmt, config.out)
     if config.raw_out:
         _write_raw(result, spec, config.raw_out)
+    # the worker count goes to stderr, so that the rows stay byte-identical across it
+    _stderr_line({**_provenance(config, n, config.reps, config.embedding),
+                  "workers": config.workers})
     return 0
 
 
@@ -548,9 +554,13 @@ def _report_error(code: int, payload: dict, config=None) -> int:
     """One JSON line on stderr; failures after parsing name the command and seed."""
     if config is not None:
         payload.update(command=config.command, seed=config.seed)
+    _stderr_line(payload)
+    return code
+
+
+def _stderr_line(payload: dict) -> None:
     json.dump(payload, sys.stderr)
     sys.stderr.write("\n")
-    return code
 
 
 if __name__ == "__main__":

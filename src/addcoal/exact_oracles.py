@@ -2,16 +2,18 @@
 
 The parking and tree enumerations replay every equally likely
 configuration (first-try vectors; labeled trees x edge orders) with the
-union-find kernels that simulation runs: the parking walk
-(`_replay.parking_configs`) and the lockstep tree rows
-(`_replay.tree_rows`) that small-n tree simulation runs and that the
-tests check against the tree walk, so criterion 1 certifies the
-simulating code itself.  The final-merge law is counted by the
-order-free parking scan (`_replay.parking_last_block_counts`), so
-criterion 2 certifies that scan.  The partition DP and the two-stage-chain sequence law step
-through integer partitions with the exact rational (L, R) transition
-law of `_merges`.  At small n the three routes must produce identical
-event-sequence distributions.
+lockstep union-find kernels that small-n simulation runs,
+`_replay.parking_rows` and `_replay.tree_rows`, which the tests check
+against the walks, so criterion 1 certifies the simulating code itself.
+Both count each block of rows by one integer code per row
+(`sequence_codes`).  The final-merge law is counted by the order-free
+parking scan (`_replay.parking_last_block_counts`), so criterion 2
+certifies that scan.  The partition DP and the two-stage-chain sequence
+law step through integer partitions with the (L, R) transition law of
+`_merges`, whose integer weights share one denominator per step: they
+carry integer numerators over the running product of those denominators
+and make each Fraction once per output entry.  At small n the three
+routes must produce identical event-sequence distributions.
 """
 
 import itertools
@@ -25,7 +27,7 @@ import numpy as np
 from . import _replay
 from .cost_engine import conditional_mean
 
-PARKING_ENUM_MAX = 8  # 8^7 ~ 2.1e6 first-try vectors
+PARKING_ENUM_MAX = 8  # 8^7 ~ 2.1e6 first-try vectors; their codes fit int64 up to 8
 TREE_ENUM_MAX = 6  # 6^4 * 5! = 155,520 ordered trees
 DP_MAX = 20  # p(20) = 627 partition states
 DP_SEQUENCE_MAX = 7
@@ -185,19 +187,53 @@ def _law(counts, m: int, total: int) -> dict:
     return probs
 
 
+def sequence_codes(n: int, *columns):
+    """Mixed-radix code of each row's sequence of (L_k, R_k[, D_k]).
+
+    Digit k is L_k n + R_k, or (L_k n + R_k) n + D_k.  Every entry lies in
+    [0, n), so a code of n - 1 steps is below n^(2(n-1)), or n^(3(n-1))
+    with D: int64 holds it up to n = 10, or n = 8 with D (8^21 = 2^63).
+    """
+    digit = 0
+    for col in columns:
+        digit = digit * n + col
+    return (digit * (n ** len(columns)) ** np.arange(n - 1)).sum(axis=1)
+
+
+def _coded_law(n: int, counts: dict, width: int, total: int) -> dict:
+    """The law of `_law` from {sequence code: count}, codes of `width` digits per step."""
+    m = n - 1
+    radix = n ** width
+    digits = np.array(list(counts), np.int64)[:, None] // radix ** np.arange(m) % radix
+    columns = [digits // n ** (width - 1 - i) % n for i in range(width)]  # L, R[, D]
+    keys = map(tuple, np.hstack(columns).tolist())  # (L_1..L_m, R_1..R_m[, D_1..D_m])
+    return _law(dict(zip(keys, counts.values())), m, total)
+
+
+def _count_codes(counts: Counter, codes) -> None:
+    values, c = np.unique(codes, return_counts=True)
+    counts.update(dict(zip(values.tolist(), c.tolist())))
+
+
 def enumerate_parking(n: int) -> EventSequenceDistribution:
-    """Exact law of (s, S, L, D) sequences over all n**(n-1) first-try vectors."""
+    """Exact law of (s, S, L, D) sequences over all n**(n-1) first-try vectors.
+
+    The vectors are replayed in lexicographic order by `_replay.parking_rows`,
+    in blocks of `_replay.block_rows(n)` rows, and each block is counted by
+    its rows' `sequence_codes` (with D) before the next one is built.
+    """
     if not 2 <= n <= PARKING_ENUM_MAX:
         raise ValueError(f"parking enumeration supports 2 <= n <= {PARKING_ENUM_MAX}")
+    m = n - 1
+    total = n ** m
+    place = n ** np.arange(m - 1, -1, -1)  # the tries are the base-n digits of the index
+    rows = _replay.block_rows(n)
     counts = Counter()
-    for tries, L, R, P in _replay.parking_configs(n):
-        counts[(*L, *R, *[(p - t) % n for p, t in zip(P, tries)])] += 1
-    return EventSequenceDistribution(n, ("s", "S", "L", "D"), _law(counts, n - 1, n ** (n - 1)))
-
-
-def sequence_codes(n: int, L, R):
-    """Mixed-radix code of each row's (L_k, R_k) sequence: digit k is L_k n + R_k."""
-    return ((L * n + R) * (n * n) ** np.arange(n - 1)).sum(axis=1)
+    for start in range(0, total, rows):
+        tries = np.arange(start, min(start + rows, total))[:, None] // place % n
+        _, _, L, R, D = _replay.parking_rows(n, tries)
+        _count_codes(counts, sequence_codes(n, L, R, D))
+    return EventSequenceDistribution(n, ("s", "S", "L", "D"), _coded_law(n, counts, 3, total))
 
 
 def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
@@ -221,13 +257,9 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
                          for prufer in prufers[start:start + group]])
         _, _, L, R, _ = _replay.tree_rows(n, pars[:, tops].reshape(-1, m),
                                           np.tile(tops, (len(pars), 1)))
-        codes, c = np.unique(sequence_codes(n, L, R), return_counts=True)
-        counts.update(dict(zip(codes.tolist(), c.tolist())))
-    digits = np.array(list(counts), np.int64)[:, None] // (n * n) ** np.arange(m) % (n * n)
-    keys = map(tuple, np.hstack([digits // n, digits % n]).tolist())  # (L_1..L_m, R_1..R_m)
+        _count_codes(counts, sequence_codes(n, L, R))
     total = n ** (n - 2) * math.factorial(n - 1)
-    return EventSequenceDistribution(n, ("s", "S", "L"),
-                                     _law(dict(zip(keys, counts.values())), m, total))
+    return EventSequenceDistribution(n, ("s", "S", "L"), _coded_law(n, counts, 2, total))
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +268,16 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
 
 
 def _merges(state, n: int):
-    """Each distinct merge of a partition of n: (L, R, probability, next state).
+    """Each distinct merge of a partition of n: (L, R, weight, next state).
 
     A pair of clusters with sizes (x, y), x <= y, among m live clusters
     merges with probability (x + y) / (n (m - 1)), times the number of
     cluster pairs with those sizes, and its size-biased side L is x with
-    probability x / (x + y).  So (L, R) = (x, y) has probability
-    x * ways / (n (m - 1)); when x == y the one entry carries both orders.
+    probability x / (x + y).  So (L, R) = (x, y) has the integer weight
+    x * ways over the denominator n (m - 1), which every merge of every
+    state with m clusters shares; when x == y the one entry carries both
+    orders, 2 x * ways.
     """
-    m = len(state)
     cnt = Counter(state)
     sizes = sorted(cnt)
     for i, x in enumerate(sizes):
@@ -258,17 +291,19 @@ def _merges(state, n: int):
                 out.sort(reverse=True)
                 ns = tuple(out)
                 if x == y:
-                    yield x, x, Fraction(2 * x * ways, n * (m - 1)), ns
+                    yield x, x, 2 * x * ways, ns
                 else:
-                    yield x, y, Fraction(x * ways, n * (m - 1)), ns
-                    yield y, x, Fraction(y * ways, n * (m - 1)), ns
+                    yield x, y, x * ways, ns
+                    yield y, x, y * ways, ns
 
 
 class PartitionDp:
     """Forward DP over canonical partitions of n with exact probabilities.
 
     `steps[k - 1]` is the exact joint law {(L, R): p} of the k-th merge,
-    summed over the (L, R, probability, next state) entries of `_merges`.
+    summed over the (L, R, weight, next state) entries of `_merges`.  The
+    DP carries integer numerators over the running product of the steps'
+    denominators and makes each Fraction once, at the end of its step.
     """
 
     def __init__(self, n: int):
@@ -276,18 +311,20 @@ class PartitionDp:
             raise ValueError(f"partition DP supports 2 <= n <= {DP_MAX}")
         self.n = n
         self.steps = []
-        dist = {(1,) * n: Fraction(1)}
-        for _ in range(1, n):
+        dist = {(1,) * n: 1}
+        den = 1
+        for k in range(1, n):
             step = {}
             ndist = {}
             for state, p in dist.items():
-                for l, r, q, ns in _merges(state, n):
-                    pr = p * q
-                    step[l, r] = step.get((l, r), Fraction(0)) + pr
-                    ndist[ns] = ndist.get(ns, Fraction(0)) + pr
-            self.steps.append(step)
+                for l, r, w, ns in _merges(state, n):
+                    pr = p * w
+                    step[l, r] = step.get((l, r), 0) + pr
+                    ndist[ns] = ndist.get(ns, 0) + pr
+            den *= n * (n - k)  # `_merges`' n (m - 1), with m = n - k + 1 clusters
+            self.steps.append({lr: Fraction(p, den) for lr, p in step.items()})
             dist = ndist
-        self.final = dist
+        self.final = {state: Fraction(p, den) for state, p in dist.items()}
 
     def expected_step_cost(self, functional, k: int) -> Fraction:
         return sum(
@@ -313,13 +350,15 @@ def dp_sequence_distribution(n: int) -> EventSequenceDistribution:
     enumerating all partition paths with their size-biased splits."""
     if not 2 <= n <= DP_SEQUENCE_MAX:
         raise ValueError(f"DP sequence enumeration supports 2 <= n <= {DP_SEQUENCE_MAX}")
-    frontier = {(): ((1,) * n, Fraction(1))}
-    for _ in range(1, n):
+    frontier = {(): ((1,) * n, 1)}  # integer numerators over the running denominator
+    den = 1
+    for k in range(1, n):
         nxt = {}
         for prefix, (state, p) in frontier.items():
-            for l, r, q, ns in _merges(state, n):
+            for l, r, w, ns in _merges(state, n):
                 seq = prefix + ((min(l, r), max(l, r), l),)
-                nxt[seq] = (ns, nxt[seq][1] + p * q if seq in nxt else p * q)
+                nxt[seq] = (ns, nxt[seq][1] + p * w if seq in nxt else p * w)
+        den *= n * (n - k)
         frontier = nxt
-    probs = {seq: p for seq, (_, p) in frontier.items()}
+    probs = {seq: Fraction(p, den) for seq, (_, p) in frontier.items()}
     return EventSequenceDistribution(n, ("s", "S", "L"), probs)

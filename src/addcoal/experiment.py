@@ -24,7 +24,7 @@ from .cost_engine import (
     event_costs,
 )
 from . import _replay
-from .process_core import LOCKSTEP, Embedding, _check_n, parking_tries, simulate, simulate_rows
+from .process_core import Embedding, _check_n, parking_tries, simulate, simulate_rows
 from .seeding import substream_rng
 
 _Z95 = 1.959963984540054
@@ -109,15 +109,15 @@ class ExperimentSpec:
             raise ValueError("beta grid must lie in [0, sqrt(n)]")
 
 
-def _blocks(n, embedding, reps):
+def _blocks(n, reps):
     """(start, stop) replication ranges, one per `_one_rep` call.
 
-    Blocks of `_replay.block_rows(n)` rows for a `LOCKSTEP` embedding where
-    those reach n rows and so replay in lockstep; otherwise one replication
-    per block, so that workers still share out the replications one at a time.
+    Blocks of `_replay.block_rows(n)` rows where those reach n rows and so
+    replay in lockstep; otherwise one replication per block, so that
+    workers still share out the replications one at a time.
     """
     rows = _replay.block_rows(n)
-    if embedding not in LOCKSTEP or rows < n:
+    if rows < n:
         rows = 1
     return [(start, min(start + rows, reps)) for start in range(0, reps, rows)]
 
@@ -148,9 +148,8 @@ def _one_rep(spec, start, stop):
     values has shape (functionals, rows, checkpoints) and holds each
     `_checkpoints` value, totals (functionals, rows) the raw totals.  Each
     replication draws from its own substream, so a block gives the rows
-    that one replication at a time would.  A direct or tree block of at
-    least n rows replays in lockstep; other blocks replay one replication
-    at a time.
+    that one replication at a time would.  A block of at least n rows
+    replays in lockstep; other blocks replay one replication at a time.
     """
     n, embedding, functionals = spec.n, spec.embedding, spec.functionals
     steps, scales = _gather_index(spec)
@@ -163,7 +162,7 @@ def _one_rep(spec, start, stop):
         carry, _ = _replay.parking_scan(
             np.stack([np.bincount(parking_tries(n, rng), minlength=n) for rng in rngs]))
         csums = [np.broadcast_to(carry.sum(axis=1)[:, None], (rows, n - 1))] * len(functionals)
-    elif embedding in LOCKSTEP and rows >= n:
+    elif rows >= n:
         batch = simulate_rows(n, rngs, embedding)
         csums = (np.cumsum(event_costs(functional, batch), axis=1) for functional in functionals)
     else:
@@ -219,7 +218,7 @@ def _map_blocks(spec, blocks):
 
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloResult:
     """Execute spec.reps independent replications (optionally in parallel)."""
-    blocks = _blocks(spec.n, spec.embedding, spec.reps)
+    blocks = _blocks(spec.n, spec.reps)
     na = len(spec.alpha_grid)
     values = np.empty((len(spec.functionals), spec.reps, na + len(spec.beta_grid)))
     totals = np.empty((len(spec.functionals), spec.reps))

@@ -199,32 +199,32 @@ _SIMULATORS = {
     Embedding.PARKING: simulate_parking,
 }
 
-#: the embeddings that `simulate_rows` replays in lockstep
-LOCKSTEP = frozenset({Embedding.DIRECT, Embedding.TREE})
-
-
 def simulate(n: int, rng, embedding=Embedding.DIRECT) -> EventBatch:
     return _SIMULATORS[Embedding(embedding)](n, rng)
 
 
 def simulate_rows(n: int, rngs, embedding) -> EventBatch:
-    """Runs of a `LOCKSTEP` embedding in lockstep, one per generator, each
-    drawn as `simulate` draws it: every column has shape (len(rngs), n-1),
+    """Runs of one embedding in lockstep, one per generator, each drawn as
+    `simulate` draws it: every column has shape (len(rngs), n-1),
     a row per run.
 
-    Direct rows take their draws from one raw call per generator
-    (`direct_rows`); tree rows call numpy per generator, since
-    `permutation` draws with a varying range.
+    Direct and parking rows take their draws from one raw call per
+    generator (`direct_rows`): a parking run's first tries and u are drawn
+    as a direct run's elements and prey uniforms are.  Tree rows call
+    numpy per generator, since `permutation` draws with a varying range.
+    The rows replay through `_replay.direct_chain_rows`,
+    `_replay.parking_rows` or `_replay.tree_rows`.
     """
     embedding = Embedding(embedding)
-    if embedding not in LOCKSTEP:
-        raise ValueError(f"{embedding.value} runs do not replay in lockstep")
     if embedding is Embedding.TREE:
         prufer, perm, u, uprime = (np.stack(col)
                                    for col in zip(*(tree_inputs(n, rng) for rng in rngs)))
         par = np.stack([_replay.tree_parents_from_prufer(n, row) for row in prufer])
         top = perm + 1
         s, S, L, R, D = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top, uprime)
+    elif embedding is Embedding.PARKING:
+        tries, u = direct_rows(n, rngs, 1)
+        s, S, L, R, D = _replay.parking_rows(n, tries)
     else:
         elem, prey_u, u, uprime = direct_rows(n, rngs, 3)
         s, S, L, R, D = _replay.direct_chain_rows(n, elem, prey_u, uprime)

@@ -21,6 +21,7 @@ Predator and Displacement sit 1/2, 1 and 1/2 above these (their alpha=0
 offsets).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,21 +62,45 @@ def q(k: int, t: float) -> float:
     return math.exp((k - 1) * math.log(k * w) - math.lgamma(k + 1) - t - k * w)
 
 
+@functools.lru_cache(maxsize=8)
 def _k_terms(kmax: int):
-    """The t-free parts of log q(k, t) for k = 1..kmax: k, k - 1 and log k!."""
+    """The t-free parts of log q(k, t) for k = 1..kmax: k, k - 1 and log k!.
+
+    Cached per cutoff and read-only, so `q_vector`, `_choose_kmax` and every
+    `_Integrand` of one cutoff share one gammaln table.  A quadrature uses
+    at most six cutoffs (1024 to 32768 at alpha = 0.95), which eight entries
+    hold.
+    """
     ks = np.arange(1, kmax + 1, dtype=np.float64)
-    return ks, ks - 1.0, gammaln(ks + 1.0)
+    terms = ks, ks - 1.0, gammaln(ks + 1.0)
+    for a in terms:
+        a.flags.writeable = False
+    return terms
 
 
-def _q_from_terms(terms, t: float) -> np.ndarray:
-    """q(k, t) over the k of `_k_terms`."""
+def _q_from_terms(terms, t: float, out=None) -> np.ndarray:
+    """q(k, t) over the k of `_k_terms`.
+
+    out, when given, is a float64 array of shape (2, kmax): q is written into
+    out[0], which is returned, and out[1] holds k w, so the call allocates
+    nothing.
+    """
     ks, km1, log_fact = terms
+    if out is None:
+        out = np.empty((2, len(ks)))
+    qv, kw = out
     w = -math.expm1(-t)
     if w == 0.0:
-        out = np.zeros(len(ks))
-        out[0] = 1.0
-        return out
-    return np.exp(km1 * np.log(ks * w) - log_fact - t - ks * w)
+        qv.fill(0.0)
+        qv[0] = 1.0
+        return qv
+    np.multiply(ks, w, out=kw)
+    np.log(kw, out=qv)
+    qv *= km1
+    qv -= log_fact
+    qv -= t
+    qv -= kw
+    return np.exp(qv, out=qv)
 
 
 def q_vector(kmax: int, t: float) -> np.ndarray:
@@ -218,16 +243,21 @@ class _Integrand:
     c is the functional's conditional mean cost (cost_engine.conditional_mean).
     Each functional uses an exact rearrangement of the truncated double sum:
     products of the moments m_p = sum_k k^p q_k, or a prefix-sum form for
-    QFW's min(k, l).
+    QFW's min(k, l).  Each instance computes only the moments its functional
+    reads, in buffers of its own, so a call allocates no array.
     """
 
     def __init__(self, functional, kmax: int):
         self.functional = Functional(functional)
         self.kmax = kmax
         self.terms = _k_terms(kmax)  # shared by every node of the segments using kmax
+        # rows 0-1: q and its scratch; QFW adds k q and its two prefix sums
+        self._work = np.empty((4 if self.functional is Functional.QFW else 2, kmax))
+        self._ks2 = self.terms[0] * self.terms[0]  # the weights of m2
 
     def __call__(self, t: float) -> float:
-        qv = _q_from_terms(self.terms, t)
+        work = self._work
+        qv = _q_from_terms(self.terms, t, work[:2])
         ks = self.terms[0]
         m1 = float(np.dot(ks, qv))
         residual = abs(1.0 - m1)
@@ -236,18 +266,20 @@ class _Integrand:
                 f"truncation mass residual {residual:.2e} at t={t:.4f} (kmax={self.kmax})"
             )
         functional = self.functional
-        if functional is Functional.QFW:
-            kq = ks * qv
-            m0 = float(np.sum(qv))
-            p1 = np.cumsum(kq)
-            q1 = np.cumsum(qv)
-            # sum_l min(k,l) q_l, then weight by k q_k (symmetrized kernel)
-            mvec = p1 + ks * (m0 - q1)
-            return float(np.dot(kq, mvec))
-        m0 = float(np.sum(qv))
-        m2 = float(np.dot(ks * ks, qv))
         if functional in (Functional.PREY, Functional.QFB):
             return m1 * m1
+        m0 = float(np.sum(qv))
+        if functional is Functional.QFW:
+            kq, p1, q1 = work[1], work[2], work[3]
+            np.multiply(ks, qv, out=kq)
+            np.cumsum(kq, out=p1)
+            np.cumsum(qv, out=q1)
+            # sum_l min(k,l) q_l = p1 + k (m0 - q1), then weight by k q_k (symmetrized kernel)
+            np.subtract(m0, q1, out=q1)
+            q1 *= ks
+            p1 += q1
+            return float(np.dot(kq, p1))
+        m2 = float(np.dot(self._ks2, qv))
         if functional is Functional.PREDATOR:
             return m2 * m0
         if functional is Functional.QF:
@@ -275,9 +307,9 @@ def _choose_kmax(t_max: float, tol: float, start: int = 1024) -> int:
     target = max(tol * 1e-3, 1e-12)
     kmax = max(start, 1024)
     while kmax <= _KMAX_HARD:
-        qv = q_vector(kmax, t_max)
-        ks = np.arange(1, kmax + 1, dtype=np.float64)
-        residual = 1.0 - float(np.dot(ks, qv))
+        terms = _k_terms(kmax)
+        qv = _q_from_terms(terms, t_max)
+        residual = 1.0 - float(np.dot(terms[0], qv))
         a_last = kmax**2 * qv[-1]
         a_prev = (kmax - 1) ** 2 * qv[-2]
         ok_tail = False

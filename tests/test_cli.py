@@ -156,6 +156,23 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
 
+def test_simulate_names_its_workers_on_stderr(tmp_path, capsys):
+    args = ["simulate", "--n", "60", "--reps", "3", "--seed", "11", "--embedding", "parking"]
+    outs, records = [], []
+    for workers in (1, 2):
+        out = tmp_path / f"{workers}.csv"
+        assert run_cli(args + ["--workers", str(workers), "--out", out]) == 0
+        outs.append(out.read_bytes())
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        records.append(json.loads(err[0]))
+    assert outs[0] == outs[1]
+    backend = "numba" if _replay.HAVE_NUMBA else "python"
+    for workers, record in zip((1, 2), records):
+        assert record == {"seed": 11, "n": 60, "reps": 3, "embedding": "parking",
+                          "version": cli.__version__, "backend": backend, "workers": workers}
+
+
 def test_csv_and_json_carry_identical_values(tmp_path):
     base = ["simulate", "--n", "300", "--reps", "3", "--seed", "21"]
     out_csv = tmp_path / "r.csv"

@@ -212,6 +212,40 @@ def test_partition_dp_mass_and_final_state():
         assert dp.final == {(n,): Fraction(1)}
 
 
+def _fraction_dp(n):
+    """Reference DP in plain Fractions, one cluster pair at a time: (steps, final).
+
+    Clusters i < j of sizes x and y among m merge with probability
+    (x + y) / (n (m - 1)); the merge is (L, R) = (x, y) with probability
+    x / (n (m - 1)) and (y, x) with probability y / (n (m - 1)).
+    """
+    steps = []
+    dist = {(1,) * n: Fraction(1)}
+    for _ in range(1, n):
+        step, ndist = {}, {}
+        for state, p in dist.items():
+            m = len(state)
+            for i, j in itertools.combinations(range(m), 2):
+                x, y = state[i], state[j]
+                rest = state[:i] + state[i + 1:j] + state[j + 1:] + (x + y,)
+                ns = tuple(sorted(rest, reverse=True))
+                for l, r in ((x, y), (y, x)):
+                    step[l, r] = step.get((l, r), 0) + p * Fraction(l, n * (m - 1))
+                ndist[ns] = ndist.get(ns, 0) + p * Fraction(x + y, n * (m - 1))
+        steps.append(step)
+        dist = ndist
+    return steps, dist
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_partition_dp_matches_a_plain_fraction_dp(n):
+    dp = partition_dp(n)
+    steps, final = _fraction_dp(n)
+    assert dp.steps == steps and dp.final == final
+    assert all(type(p) is Fraction for step in dp.steps for p in step.values())
+    assert all(type(p) is Fraction for p in dp.final.values())
+
+
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_equation_rl(n):
     dp = partition_dp(n)

@@ -14,7 +14,7 @@ from addcoal.experiment import (
 )
 from addcoal import _replay, experiment
 from addcoal.exact_oracles import _sum_by, parking_final_merge_marginal, partition_dp
-from addcoal.process_core import Embedding, simulate_direct, simulate_parking, simulate_rows
+from addcoal.process_core import Embedding, simulate_direct, simulate_parking
 from addcoal.seeding import make_rng, substream_rng
 
 
@@ -294,22 +294,28 @@ def test_direct_blocks_of_n_rows_skip_the_walk(monkeypatch):
         run_monte_carlo(ExperimentSpec(n=20, reps=19, seed=3))
 
 
-def test_tree_blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch):
-    spec = ExperimentSpec(n=20, embedding=Embedding.TREE, reps=20, seed=3)
+def _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, embedding, walk_name):
+    spec = ExperimentSpec(n=20, embedding=embedding, reps=20, seed=3)
     monkeypatch.setattr(_replay, "BLOCK_CELLS", 20 * 19)  # blocks of one replication
     walked = _mc_arrays(run_monte_carlo(spec))
     monkeypatch.undo()
 
     def walk(*args):
-        raise AssertionError("tree walk called")
+        raise AssertionError(f"{walk_name} called")
 
-    monkeypatch.setattr(_replay, "_tree_walk", walk)
+    monkeypatch.setattr(_replay, walk_name, walk)
     lockstep = _mc_arrays(run_monte_carlo(spec))
     assert all(np.array_equal(a, b) for a, b in zip(walked, lockstep))
-    with pytest.raises(AssertionError, match="tree walk called"):
-        run_monte_carlo(ExperimentSpec(n=20, embedding=Embedding.TREE, reps=19, seed=3))
-    with pytest.raises(ValueError, match="parking runs do not replay in lockstep"):
-        simulate_rows(20, [substream_rng(3, 0)], Embedding.PARKING)
+    with pytest.raises(AssertionError, match=f"{walk_name} called"):
+        run_monte_carlo(ExperimentSpec(n=20, embedding=embedding, reps=19, seed=3))
+
+
+def test_tree_blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch):
+    _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, Embedding.TREE, "_tree_walk")
+
+
+def test_parking_blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch):
+    _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, Embedding.PARKING, "_parking_walk")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -332,9 +338,7 @@ def test_only_lockstep_blocks_hold_several_replications():
     from addcoal.experiment import _blocks
 
     # walk replays go out one replication per task, so several workers share them
-    assert _blocks(500, Embedding.DIRECT, 6) == [(r, r + 1) for r in range(6)]
-    assert _blocks(50, Embedding.PARKING, 3) == [(0, 1), (1, 2), (2, 3)]
-    assert _blocks(500, Embedding.TREE, 6) == [(r, r + 1) for r in range(6)]
+    assert _blocks(500, 6) == [(r, r + 1) for r in range(6)]
     rows = _replay.block_rows(50)
-    assert _blocks(50, Embedding.DIRECT, rows + 5) == [(0, rows), (rows, rows + 5)]
-    assert _blocks(50, Embedding.TREE, rows + 5) == [(0, rows), (rows, rows + 5)]
+    assert _blocks(50, 3) == [(0, 3)]
+    assert _blocks(50, rows + 5) == [(0, rows), (rows, rows + 5)]

@@ -355,6 +355,31 @@ def test_tree_rows_match_the_walk_row_by_row(n):
         assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 200])
+def test_parking_rows_match_the_walk_row_by_row(n):
+    rng = make_rng(n)
+    # random tries, then every car at the last place (each one after the
+    # first wraps to place 0), every car at place 0, and tries falling from
+    # the last place, so that each car's block runs into the one before
+    tries = np.vstack([rng.integers(0, n, size=(36, n - 1)),
+                       np.full((2, n - 1), n - 1), np.zeros((1, n - 1), np.int64),
+                       np.arange(n - 1, 0, -1)[None]])
+    lockstep = _replay.parking_rows(n, tries)
+    assert all(col.shape == (40, n - 1) for col in lockstep)
+    for r in range(40):
+        walk = _replay.parking_replay(n, tries[r])
+        assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
+
+
+def test_parking_lockstep_runs_draw_as_single_runs():
+    n, reps = 20, range(4090, 4110)
+    batch = simulate_rows(n, [substream_rng(3, rep) for rep in reps], Embedding.PARKING)
+    for row, rep in enumerate(reps):
+        single = simulate_parking(n, substream_rng(3, rep))
+        assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))
+                   for col in ("s", "S", "L", "R", "u", "D"))
+
+
 def _parking_events(n, tries):
     """Plain-python parking by scanning places: (s, S, L, R, D) per car.
 
@@ -475,7 +500,8 @@ def test_enumerations_match_reference_replays():
 def _walk_last_block_counts(m):
     """Final-merge L counts by walking all m**(m-1) first-try vectors."""
     counts = np.zeros(m, np.int64)
-    for _, L, _, _ in _replay.parking_configs(m):
+    for tries in itertools.product(range(m), repeat=m - 1):
+        _, _, L, _, _ = _replay.parking_replay(m, tries)
         counts[L[m - 2]] += 1
     return counts
 
@@ -504,7 +530,7 @@ def _compact_results():
 
 
 def test_compact_state_gives_the_same_results(monkeypatch):
-    # every walk and `parking_configs` on int32 memoryviews from n = 2 on
+    # every walk on int32 memoryviews from n = 2 on
     expected = _compact_results()
     monkeypatch.setattr(_replay, "COMPACT_N", 2)
     assert _compact_results() == expected

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from addcoal.cost_engine import ALL_FUNCTIONALS, Functional, conditional_mean
 from addcoal.smoluchowski import (
     QuadratureError,
     _Integrand,
     _choose_kmax,
+    _k_terms,
+    _q_from_terms,
     _simpson,
     alpha_to_time,
     moment,
@@ -271,6 +274,53 @@ def test_integrand_matches_double_sum(functional, t):
     k, l = ks[:, None], ks[None, :]
     brute = float(qv @ (cost(k, l) * (k + l) / 2.0) @ qv)
     assert _Integrand(functional, kmax)(t) == pytest.approx(brute, rel=1e-9)
+
+
+def _allocating_integrand(functional, kmax, t):
+    """The integrand as a fresh-array formula: (q, value), the value None
+    where the mass test fails."""
+    ks = np.arange(1, kmax + 1, dtype=np.float64)
+    w = -math.expm1(-t)
+    if w == 0.0:
+        qv = np.zeros(kmax)
+        qv[0] = 1.0
+    else:
+        qv = np.exp((ks - 1.0) * np.log(ks * w) - gammaln(ks + 1.0) - t - ks * w)
+    m0, m1, m2 = float(np.sum(qv)), float(np.dot(ks, qv)), float(np.dot(ks * ks, qv))
+    if abs(1.0 - m1) > 1e-9:
+        return qv, None
+    if functional is Functional.QFW:
+        kq = ks * qv
+        return qv, float(np.dot(kq, np.cumsum(kq) + ks * (m0 - np.cumsum(qv))))
+    return qv, {Functional.QF: 0.5 * (m2 * m0 + m1 * m1), Functional.PREY: m1 * m1,
+                Functional.QFB: m1 * m1, Functional.PREDATOR: m2 * m0,
+                Functional.DISPLACEMENT: 0.5 * m2 * m0 - 0.25 * (m1 * m0 + m0 * m1)}[functional]
+
+
+@pytest.mark.parametrize("kmax", [1024, 32768])
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+def test_integrand_equals_the_allocating_formula_bit_for_bit(functional, kmax):
+    integrand = _Integrand(functional, kmax)
+    buffer = np.empty((2, kmax))
+    # one instance and one buffer throughout, revisiting times, so a stale buffer would show
+    for t in (0.0, 0.2, 1.0, 3.0, 0.2, 0.0, 0.7):
+        qv, expected = _allocating_integrand(functional, kmax, t)
+        assert np.array_equal(_q_from_terms(integrand.terms, t, buffer), qv)
+        assert np.array_equal(q_vector(kmax, t), qv)
+        if expected is None:
+            with pytest.raises(QuadratureError, match="truncation mass residual"):
+                integrand(t)
+        else:
+            assert integrand(t) == expected, (t, integrand(t), expected)
+    assert _allocating_integrand(functional, 1024, 3.0)[1] is None  # the cutoff is too low there
+
+
+def test_cutoff_tables_are_shared_and_read_only():
+    terms = _k_terms(2048)
+    assert _k_terms(2048) is terms and _Integrand(Functional.QF, 2048).terms is terms
+    for a in terms:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 14, 20])
