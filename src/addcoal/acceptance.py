@@ -10,13 +10,18 @@ suite; it is reported as informative.
 Each criterion is a judge registered with `_criterion`, which times it
 and builds its `CriterionResult`.  The Monte Carlo samples that judges
 share are declared as `ExperimentSpec` constants and drawn once per
-process by `_sample`.
+process by `_sample`, on every core (output does not depend on workers).
 """
 
+import contextlib
+import dataclasses
 import functools
 import inspect
+import io
+import json
 import math
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -101,15 +106,20 @@ SCALING_SPECS = tuple(
     for i, n in enumerate(SCALING_NS))
 
 
+#: the worker processes a declared sample runs on
+SAMPLE_WORKERS = os.cpu_count() or 1
+
+
 @functools.cache
 def _sample(spec):
-    """The Monte Carlo result of a declared spec, run once per process.
+    """The Monte Carlo result of a declared spec, run once per process on
+    `SAMPLE_WORKERS` workers.
 
     functools.cache stores nothing for a call that raises, so a failed
     run is started over by the next reader.  Readers share the result and
     must not modify it.
     """
-    return run_monte_carlo(spec)
+    return run_monte_carlo(dataclasses.replace(spec, workers=SAMPLE_WORKERS))
 
 
 def _sample_name(spec):
@@ -357,26 +367,50 @@ def criterion_regime_sweep():
             "sparse decreasing, full increasing, gap > 0.5 at n=1e5", "gap 0.5")
 
 
+def _named_workers(stderr):
+    """The workers named by the one JSON record a successful command writes
+    on stderr; None if stderr holds anything else."""
+    try:
+        [line] = stderr.splitlines()
+        return json.loads(line).get("workers")
+    except (ValueError, AttributeError):
+        return None
+
+
 @_criterion("determinism", detail=f"direct n=2000 reps=6 seed={SEED_DETERMINISM}")
 def criterion_determinism():
-    """cmd_simulate output bytes identical across runs and worker counts."""
+    """cmd_simulate output bytes identical across runs and worker counts.
+
+    Each run's stderr is captured: it must be the one side record, naming
+    the workers the run used.  A run that fails passes its error report on.
+    """
     from . import cli
 
+    workers = (1, 1, 8)
+    codes, named = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"run{i}.csv") for i in range(3)]
+        paths = [os.path.join(tmp, f"run{i}.csv") for i in range(len(workers))]
         base = [
             "simulate", "--n", "2000", "--reps", "6",
             "--seed", str(SEED_DETERMINISM), "--embedding", "direct",
             "--format", "csv",
         ]
-        codes = [
-            cli.main(base + ["--workers", "1", "--out", paths[0]]),
-            cli.main(base + ["--workers", "1", "--out", paths[1]]),
-            cli.main(base + ["--workers", "8", "--out", paths[2]]),
-        ]
+        for w, path in zip(workers, paths):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                codes.append(cli.main(base + ["--workers", str(w), "--out", path]))
+            if codes[-1] != 0:
+                sys.stderr.write(err.getvalue())
+            named.append(_named_workers(err.getvalue()))
         blobs = [open(p, "rb").read() for p in paths]
-    ok = codes == [0, 0, 0] and blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > 0
-    return (ok, "byte-identical" if ok else "outputs differ",
+    same = codes == [0, 0, 0] and blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > 0
+    if not same:
+        measured = "outputs differ"
+    elif named != list(workers):
+        measured = f"stderr names workers {named}, not {list(workers)}"
+    else:
+        measured = "byte-identical"
+    return (measured == "byte-identical", measured,
             "identical bytes across reruns and 1 vs 8 workers", "exact")
 
 
@@ -493,8 +527,8 @@ def run_criteria(only=None, mutate=()):
     Each declared sample is drawn through `_sample` before its first
     reader and timed on its own, so no criterion's seconds include it.
     Returns (results, samples): the CriterionResult list, and one
-    {"sample", "seconds", "criteria"} record per sample with the
-    selected criteria that read it.
+    {"sample", "workers", "seconds", "criteria"} record per sample with
+    the selected criteria that read it.
     """
     check_selection(only, mutate)
     names = [c for c in CRITERIA if not only or c in only]
@@ -508,6 +542,7 @@ def run_criteria(only=None, mutate=()):
                 _sample(spec)
                 samples[spec] = {
                     "sample": _sample_name(spec),
+                    "workers": SAMPLE_WORKERS,
                     "seconds": round(time.perf_counter() - t0, 3),
                     "criteria": [c for c in names if spec in CRITERIA[c].samples],
                 }

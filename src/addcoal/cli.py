@@ -410,8 +410,8 @@ def cmd_verify(config: RunConfig) -> int:
     for r in results:
         for s in samples:
             if s["criteria"][0] == r.cid:
-                print(f"[sample   ] {s['sample']}: {s['seconds']} s, read by "
-                      + ", ".join(s["criteria"]))
+                print(f"[sample   ] {s['sample']}: {s['seconds']} s on {s['workers']} workers, "
+                      f"read by {', '.join(s['criteria'])}")
         print(f"[{r.status:9s}] {r.cid}: {r.measured} (target {r.target}; tol {r.tolerance})")
     report = {
         **_BUILD,

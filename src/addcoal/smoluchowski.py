@@ -37,6 +37,8 @@ _MAX_PANELS = 1 << 16
 _KMAX_HARD = 1 << 21
 _ALPHA_MAX = 0.98  # the cutoff kmax grows like (1 - alpha)^-2 toward alpha = 1
 _TINY = np.finfo(float).tiny  # smallest normal float; below it q has underflowed
+_EXP_ZERO = -746.0  # exp(x) rounds to exactly 0.0 below about -745.13
+_BATCH_CELLS = 1 << 15  # q values per row batch of the integrand
 
 
 class QuadratureError(RuntimeError):
@@ -78,29 +80,41 @@ def _k_terms(kmax: int):
     return terms
 
 
-def _q_from_terms(terms, t: float, out=None) -> np.ndarray:
-    """q(k, t) over the k of `_k_terms`.
+def _q_from_terms(terms, t, out=None) -> np.ndarray:
+    """q(k, t) over the k of `_k_terms`, at one time t or at each time of a 1-D array t.
 
-    out, when given, is a float64 array of shape (2, kmax): q is written into
-    out[0], which is returned, and out[1] holds k w, so the call allocates
-    nothing.
+    The result has shape (kmax,) for a scalar t, and one row per time,
+    (len(t), kmax), for an array; each row is bit for bit the scalar call's.
+    out, when given, is a float64 array of shape (2, *that shape): q is
+    written into out[0], which is returned, and out[1] holds log q.
+    exp is exactly 0.0 below `_EXP_ZERO`, where it is also slow, so those q
+    are written as 0.0 without calling it (through a boolean mask, the one
+    array a call with out allocates).  Subnormal q, just above, are still
+    computed by exp: they are not 0.0, and the moment sums read them.
     """
     ks, km1, log_fact = terms
+    t = np.asarray(t, dtype=np.float64)[..., None]  # a column: one row per time
+    w = np.array([-math.expm1(-x) for x in t.ravel().tolist()]).reshape(t.shape)
     if out is None:
-        out = np.empty((2, len(ks)))
-    qv, kw = out
-    w = -math.expm1(-t)
-    if w == 0.0:
+        out = np.empty((2, *t.shape[:-1], len(ks)))
+    qv, x = out
+    start = w == 0.0  # t = 0: q is the initial condition
+    w[start] = 1.0  # any w keeps log finite on the rows overwritten below
+    np.multiply(ks, w, out=qv)  # k w
+    np.log(qv, out=x)
+    x *= km1
+    x -= log_fact
+    x -= t
+    x -= qv
+    if x[..., -1].min() >= _EXP_ZERO:  # q falls in k, so the last column holds each row's least
+        np.exp(x, out=qv)
+    else:
         qv.fill(0.0)
-        qv[0] = 1.0
-        return qv
-    np.multiply(ks, w, out=kw)
-    np.log(kw, out=qv)
-    qv *= km1
-    qv -= log_fact
-    qv -= t
-    qv -= kw
-    return np.exp(qv, out=qv)
+        np.exp(x, out=qv, where=x >= _EXP_ZERO)
+    start = start[..., 0]
+    qv[start] = 0.0
+    qv[start, 0] = 1.0
+    return qv
 
 
 def q_vector(kmax: int, t: float) -> np.ndarray:
@@ -243,49 +257,68 @@ class _Integrand:
     c is the functional's conditional mean cost (cost_engine.conditional_mean).
     Each functional uses an exact rearrangement of the truncated double sum:
     products of the moments m_p = sum_k k^p q_k, or a prefix-sum form for
-    QFW's min(k, l).  Each instance computes only the moments its functional
-    reads, in buffers of its own, so a call allocates no array.
+    QFW's min(k, l).  A call takes a time t, or a 1-D array of nodes, which
+    it evaluates in row batches of at most `_BATCH_CELLS` q values: one row
+    of q per node, with the same float operations in the same order as a
+    scalar call, so each node's value is bit for bit the scalar value.  The
+    moment dots stay one `np.dot` per row (a matrix-vector product rounds
+    differently); row sums and prefix sums along the rows are bit-equal to
+    their 1-D forms.  Each instance computes only the moments its
+    functional reads, in buffers of its own.
     """
 
     def __init__(self, functional, kmax: int):
         self.functional = Functional(functional)
         self.kmax = kmax
         self.terms = _k_terms(kmax)  # shared by every node of the segments using kmax
-        # rows 0-1: q and its scratch; QFW adds k q and its two prefix sums
-        self._work = np.empty((4 if self.functional is Functional.QFW else 2, kmax))
+        self._rows = max(1, _BATCH_CELLS // kmax)
+        # planes 0-1: q and log q, a row per node; QFW adds k q and its two prefix sums
+        self._work = np.empty((4 if self.functional is Functional.QFW else 2, self._rows, kmax))
         self._ks2 = self.terms[0] * self.terms[0]  # the weights of m2
 
-    def __call__(self, t: float) -> float:
-        work = self._work
-        qv = _q_from_terms(self.terms, t, work[:2])
+    def __call__(self, t):
+        """I(t) as a float for a scalar t; for a 1-D array, an array of I at
+        each node.  A node whose truncation loses mass raises, the first
+        such node in array order."""
+        ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        values = []
+        for lo in range(0, len(ts), self._rows):
+            values += self._batch(ts[lo:lo + self._rows])
+        return values[0] if np.ndim(t) == 0 else np.array(values)
+
+    def _batch(self, ts) -> list:
+        work = self._work[:, :len(ts)]
+        qv = _q_from_terms(self.terms, ts, work[:2])
         ks = self.terms[0]
-        m1 = float(np.dot(ks, qv))
-        residual = abs(1.0 - m1)
-        if residual > 10.0 * _MASS_TOL:
-            raise QuadratureError(
-                f"truncation mass residual {residual:.2e} at t={t:.4f} (kmax={self.kmax})"
-            )
+        m1 = [float(np.dot(ks, row)) for row in qv]
+        for t, m in zip(ts.tolist(), m1):
+            residual = abs(1.0 - m)
+            if residual > 10.0 * _MASS_TOL:
+                raise QuadratureError(
+                    f"truncation mass residual {residual:.2e} at t={t:.4f} (kmax={self.kmax})"
+                )
         functional = self.functional
         if functional in (Functional.PREY, Functional.QFB):
-            return m1 * m1
-        m0 = float(np.sum(qv))
+            return [u1 * u1 for u1 in m1]
+        m0 = np.sum(qv, axis=1)
         if functional is Functional.QFW:
             kq, p1, q1 = work[1], work[2], work[3]
             np.multiply(ks, qv, out=kq)
-            np.cumsum(kq, out=p1)
-            np.cumsum(qv, out=q1)
+            np.cumsum(kq, axis=1, out=p1)
+            np.cumsum(qv, axis=1, out=q1)
             # sum_l min(k,l) q_l = p1 + k (m0 - q1), then weight by k q_k (symmetrized kernel)
-            np.subtract(m0, q1, out=q1)
+            np.subtract(m0[:, None], q1, out=q1)
             q1 *= ks
             p1 += q1
-            return float(np.dot(kq, p1))
-        m2 = float(np.dot(self._ks2, qv))
+            return [float(np.dot(a, b)) for a, b in zip(kq, p1)]
+        m0 = m0.tolist()
+        m2 = [float(np.dot(self._ks2, row)) for row in qv]
         if functional is Functional.PREDATOR:
-            return m2 * m0
+            return [u2 * u0 for u0, u2 in zip(m0, m2)]
         if functional is Functional.QF:
-            return 0.5 * (m2 * m0 + m1 * m1)
+            return [0.5 * (u2 * u0 + u1 * u1) for u0, u1, u2 in zip(m0, m1, m2)]
         # displacement, floor convention: ((k^2+l^2)/(k+l) - 1)/2 * (k+l)/2
-        return 0.5 * m2 * m0 - 0.25 * (m1 * m0 + m0 * m1)
+        return [0.5 * u2 * u0 - 0.25 * (u1 * u0 + u0 * u1) for u0, u1, u2 in zip(m0, m1, m2)]
 
 
 def _choose_kmax(t_max: float, tol: float, start: int = 1024) -> int:
@@ -325,27 +358,39 @@ def _choose_kmax(t_max: float, tol: float, start: int = 1024) -> int:
 
 
 def _simpson(f, a: float, b: float, tol: float):
-    """Composite Simpson with panel doubling on [a, b] until |delta| < tol."""
+    """Composite Simpson with panel doubling on [a, b] until |delta| < tol.
+
+    f takes an array of nodes and returns an array of values.  It is called
+    once per check: the first check compares `_MIN_PANELS` panels with twice
+    as many, so its call holds both levels' nodes; each later check adds one
+    call for the new level's nodes.  Nodes are passed in the order a
+    node-by-node loop would meet them (the ends, then each level's new
+    interior nodes left to right), so a failing f names the same node.  No
+    level past `_MAX_PANELS` is evaluated.
+    """
     if b <= a:
         return 0.0, 0.0
-    cache = {}
+    cache = {}  # panel counts are powers of two, so node ratios are exact dyadics
 
-    def eval_at(ratio: float) -> float:
-        # panel counts are powers of two, so ratios are exact dyadics
-        try:
-            return cache[ratio]
-        except KeyError:
-            val = f(a + (b - a) * ratio)
-            cache[ratio] = val
-            return val
+    def evaluate(ratios):
+        cache.update(zip(ratios, f(np.array([a + (b - a) * r for r in ratios])).tolist()))
 
+    def new_ratios(panels):
+        return [j / panels for j in range(1, panels, 1 if panels == _MIN_PANELS else 2)]
+
+    first = [0.0, 1.0] + new_ratios(_MIN_PANELS)
+    if 2 * _MIN_PANELS <= _MAX_PANELS:
+        first += new_ratios(2 * _MIN_PANELS)
+    evaluate(first)
     prev = None
     panels = _MIN_PANELS
     while panels <= _MAX_PANELS:
+        if panels > 2 * _MIN_PANELS:
+            evaluate(new_ratios(panels))
         h = (b - a) / panels
-        total = eval_at(0.0) + eval_at(1.0)
+        total = cache[0.0] + cache[1.0]
         for j in range(1, panels):
-            total += (4.0 if j % 2 else 2.0) * eval_at(j / panels)
+            total += (4.0 if j % 2 else 2.0) * cache[j / panels]
         val = total * h / 3.0
         if prev is not None and abs(val - prev) < tol:
             return val, abs(val - prev)

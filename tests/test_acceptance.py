@@ -6,7 +6,9 @@ criterion (run pytest -s to watch them).  The QFW constant criterion is a
 conjecture: its result is reported but never fails the suite.
 """
 
+import dataclasses
 import functools
+import os
 import time
 from collections import defaultdict
 from types import SimpleNamespace
@@ -201,8 +203,19 @@ def test_run_criteria_charges_a_shared_sample_once(monkeypatch):
         "direct n=100000 reps=100 seed=110"]
     assert all(s["seconds"] >= 0.2 for s in samples)
     assert all(s["criteria"] == ["qfb-constant", "phase-transition"] for s in samples)
+    assert all(s["workers"] == acceptance.SAMPLE_WORKERS for s in samples)
     # the detail names the draws, so a failure can be re-run alone
     assert results[0].detail == "; ".join(s["sample"] for s in samples)
+
+
+def test_declared_samples_run_on_every_core(monkeypatch):
+    ran = []
+    monkeypatch.setattr(acceptance, "run_monte_carlo", ran.append)
+    acceptance._sample.__wrapped__(acceptance.QF_TOTAL_SPEC)
+    assert acceptance.SAMPLE_WORKERS == (os.cpu_count() or 1)
+    assert ran == [dataclasses.replace(acceptance.QF_TOTAL_SPEC,
+                                       workers=acceptance.SAMPLE_WORKERS)]
+    assert acceptance.QF_TOTAL_SPEC.workers == 1  # the declared spec itself is unchanged
 
 
 def test_monte_carlo_detail_names_the_call():

@@ -268,6 +268,42 @@ def test_verify_single_fast_criterion(tmp_path, capsys):
     assert "borel-limit" in printed and "PASS" in printed
 
 
+def test_verify_determinism_writes_no_json_line_on_stderr(tmp_path, capsys):
+    # the three simulate runs inside the criterion keep their side records to themselves
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--only", "determinism", "--out", out]) == 0
+    [result] = json.loads(out.read_text())["criteria"]
+    assert result["passed"] is True and result["measured"] == "byte-identical"
+    for line in capsys.readouterr().err.splitlines():
+        with pytest.raises(ValueError):
+            json.loads(line)
+
+
+def test_determinism_requires_each_run_to_name_its_workers(monkeypatch):
+    from addcoal import acceptance
+
+    stderr_line = cli._stderr_line
+    monkeypatch.setattr(cli, "_stderr_line",
+                        lambda payload: stderr_line({**payload, "workers": 1}))
+    result = acceptance.criterion_determinism()
+    assert not result.passed
+    assert result.measured == "stderr names workers [1, 1, 1], not [1, 1, 8]"
+
+
+def test_determinism_passes_a_failed_run_s_error_on(monkeypatch, capsys):
+    from addcoal import acceptance
+
+    def broken(config):
+        open(config.out, "w").close()
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "simulate", broken)
+    result = acceptance.criterion_determinism()
+    assert not result.passed and result.measured == "outputs differ"
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(e["kind"], e["error"]) for e in errors] == [("runtime", "RuntimeError: boom")] * 3
+
+
 def test_verify_unknown_criterion(capsys):
     assert run_cli(["verify", "--only", "not-a-criterion"]) == 1
     # a mistyped mutation would otherwise run the unperturbed null and pass

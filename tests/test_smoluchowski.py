@@ -6,6 +6,9 @@ from scipy.special import gammaln
 
 from addcoal.cost_engine import ALL_FUNCTIONALS, Functional, conditional_mean
 from addcoal.smoluchowski import (
+    _BATCH_CELLS,
+    _EXP_ZERO,
+    _MIN_PANELS,
     QuadratureError,
     _Integrand,
     _choose_kmax,
@@ -313,6 +316,109 @@ def test_integrand_equals_the_allocating_formula_bit_for_bit(functional, kmax):
         else:
             assert integrand(t) == expected, (t, integrand(t), expected)
     assert _allocating_integrand(functional, 1024, 3.0)[1] is None  # the cutoff is too low there
+
+
+# nodes spanning several row batches: t = 0, log q crossing _EXP_ZERO, subnormal q,
+# and at kmax 1024 a last batch with neither
+BATCH_NODES = {1024: (0.0, *np.linspace(0.001, 1.7, 70), 0.2545),
+               32768: (0.0, 0.01, 0.2545, 0.5, 1.0, 2.0, 3.0)}
+
+
+@pytest.mark.parametrize("kmax", [1024, 32768])
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+def test_batched_integrand_equals_scalar_calls_bit_for_bit(functional, kmax):
+    ts = np.array(BATCH_NODES[kmax])
+    assert len(ts) > _BATCH_CELLS // kmax
+    reference = [_allocating_integrand(functional, kmax, float(t)) for t in ts]
+    rows = _q_from_terms(_k_terms(kmax), ts)
+    assert np.array_equal(rows, np.stack([qv for qv, _ in reference]))
+    tiny = np.finfo(float).tiny
+    assert (rows == 0.0).any() and ((rows > 0.0) & (rows < tiny)).any()
+    assert (rows >= tiny).all(axis=1)[1:].any()  # a node past t = 0 with no zero or subnormal
+    integrand = _Integrand(functional, kmax)
+    batched = integrand(ts)
+    assert isinstance(batched, np.ndarray) and batched.shape == ts.shape
+    scalar = [integrand(float(t)) for t in ts]
+    assert all(type(v) is float for v in scalar)
+    assert batched.tolist() == scalar == [value for _, value in reference]
+
+
+def test_batch_raises_at_the_node_a_scalar_loop_fails_first():
+    # the failing nodes sit in the second row batch, behind nodes that pass
+    ts = np.concatenate([np.linspace(0.1, 1.5, 40), [3.0, 1.0, 3.5]])
+    integrand = _Integrand(Functional.QFW, 1024)
+    with pytest.raises(QuadratureError) as scalar:
+        for t in ts:
+            integrand(float(t))
+    assert "t=3.0000" in str(scalar.value)
+    with pytest.raises(QuadratureError) as batched:
+        integrand(ts)
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_exp_is_exactly_zero_below_the_skip_threshold():
+    # the premise that lets _q_from_terms write 0.0 without calling exp
+    xs = np.concatenate([np.linspace(-800.0, _EXP_ZERO, 10001), [-1e4, -np.inf]])
+    assert (np.exp(xs) == 0.0).all()
+    assert all(math.exp(x) == 0.0 for x in xs.tolist())
+    assert 0.0 < np.exp(-745.0) < np.finfo(float).tiny  # subnormal results are still computed
+
+
+def _node_by_node_simpson(f, a, b, tol, max_panels=1 << 16):
+    """The reference loop: one scalar call per new node, levels in turn."""
+    cache = {}
+
+    def eval_at(ratio):
+        if ratio not in cache:
+            cache[ratio] = f(a + (b - a) * ratio)
+        return cache[ratio]
+
+    prev, panels = None, _MIN_PANELS
+    while panels <= max_panels:
+        total = eval_at(0.0) + eval_at(1.0)
+        for j in range(1, panels):
+            total += (4.0 if j % 2 else 2.0) * eval_at(j / panels)
+        val = total * (b - a) / panels / 3.0
+        if prev is not None and abs(val - prev) < tol:
+            return val, abs(val - prev)
+        prev, panels = val, panels * 2
+    raise QuadratureError("no convergence")
+
+
+@pytest.mark.parametrize("tol, calls", [(1e-3, [129]), (1e-13, [129, 128, 256, 512])])
+def test_simpson_calls_once_per_check(tol, calls):
+    # same value and error as the node-by-node loop, nodes met in the same order
+    integrand = _Integrand(Functional.QFW, 1024)
+    batches, order = [], []
+
+    def batched(ts):
+        batches.append(ts.tolist())
+        return integrand(ts)
+
+    def scalar(t):
+        order.append(t)
+        return integrand(t)
+
+    a, b = 0.3, 0.9
+    assert _simpson(batched, a, b, tol) == _node_by_node_simpson(scalar, a, b, tol)
+    assert [len(nodes) for nodes in batches] == calls
+    assert [t for nodes in batches for t in nodes] == order
+
+
+@pytest.mark.parametrize("max_panels, calls", [(64, [65]), (128, [129]), (256, [129, 128])])
+def test_simpson_evaluates_no_level_past_the_panel_budget(monkeypatch, max_panels, calls):
+    import addcoal.smoluchowski as sm
+
+    monkeypatch.setattr(sm, "_MAX_PANELS", max_panels)
+    integrand, batches = _Integrand(Functional.QFW, 1024), []
+
+    def batched(ts):
+        batches.append(len(ts))
+        return integrand(ts)
+
+    with pytest.raises(QuadratureError, match=f"within {max_panels} panels"):
+        _simpson(batched, 0.3, 0.9, 1e-15)
+    assert batches == calls
 
 
 def test_cutoff_tables_are_shared_and_read_only():
