@@ -32,6 +32,7 @@ import numpy as np
 from .cost_engine import Functional
 from .exact_oracles import (
     borel_pmf,
+    decode_counts,
     dp_sequence_distribution,
     enumerate_parking,
     enumerate_spanning_trees,
@@ -402,8 +403,10 @@ def criterion_determinism():
             if codes[-1] != 0:
                 sys.stderr.write(err.getvalue())
             named.append(_named_workers(err.getvalue()))
-        blobs = [open(p, "rb").read() for p in paths]
-    same = codes == [0, 0, 0] and blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > 0
+        same = codes == [0, 0, 0]  # a failed run may have written nothing to compare
+        if same:
+            blobs = [open(p, "rb").read() for p in paths]
+            same = blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > 0
     if not same:
         measured = "outputs differ"
     elif named != list(workers):
@@ -450,24 +453,6 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
             label, "level 0.01")
 
 
-def _sequence_counts(n, codes, keys):
-    """How many of the `sequence_codes` replay each (s, S, L) sequence of keys, in order.
-
-    Raises RuntimeError when a code is not that of a key.
-    """
-    key_L = np.array([[e[2] for e in key] for key in keys], np.int64)
-    key_R = np.array([[e[0] + e[1] - e[2] for e in key] for key in keys], np.int64)
-    key_codes = sequence_codes(n, key_L, key_R)
-    order = np.argsort(key_codes)
-    # the key each code equals, if any: bins per key, not per possible code
-    key = order[np.searchsorted(key_codes, codes, sorter=order).clip(max=len(keys) - 1)]
-    outside = np.count_nonzero(key_codes[key] != codes)
-    if outside:
-        raise RuntimeError(f"{outside} simulated n={n} sequences lie outside the exact "
-                           "law's support")
-    return np.bincount(key, minlength=len(keys))
-
-
 @_criterion("chain-vs-oracle-chi-square",
             detail=f"direct n=5 reps={{reps}} seed={SEED_CHAIN_CHI}, one shared stream")
 def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
@@ -475,8 +460,10 @@ def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
 
     All replications draw from one shared stream in two calls, the
     predator elements as one (reps, n-1) array and then the prey uniforms,
-    and replay in lockstep blocks; frequencies are tested against the
-    partition-chain enumeration at level 0.01.  With mutate=True the null
+    and replay in lockstep blocks.  Their `sequence_codes` are tallied and
+    decoded by `decode_counts`; a sequence outside the law's support raises
+    RuntimeError, and the frequencies are tested against the partition-chain
+    enumeration at level 0.01.  With mutate=True the null
     is perturbed and the test must reject.  The sample is drawn at every
     call.
     """
@@ -489,8 +476,13 @@ def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
     for i in range(0, reps, rows):
         _, _, L, R, _ = direct_chain_rows(n, elem[i:i + rows], prey_u[i:i + rows])
         codes.append(sequence_codes(n, L, R))
-    codes = np.concatenate(codes)
-    counts = _sequence_counts(n, codes, keys)
+    values, tally = np.unique(np.concatenate(codes), return_counts=True)
+    decoded = decode_counts(n, dict(zip(values.tolist(), tally.tolist())), 2)
+    outside = sum(c for seq, c in decoded.items() if seq not in law.probs)
+    if outside:
+        raise RuntimeError(f"{outside} simulated n={n} sequences lie outside the exact "
+                           "law's support")
+    counts = np.array([decoded.get(k, 0) for k in keys])
     probs = np.array([float(law.probs[k]) for k in keys])
     if mutate:
         probs = _perturbed(probs)

@@ -6,14 +6,16 @@ lockstep union-find kernels that small-n simulation runs,
 `_replay.parking_rows` and `_replay.tree_rows`, which the tests check
 against the walks, so criterion 1 certifies the simulating code itself.
 Both count each block of rows by one integer code per row
-(`sequence_codes`).  The final-merge law is counted by the order-free
-parking scan (`_replay.parking_last_block_counts`), so criterion 2
-certifies that scan.  The partition DP and the two-stage-chain sequence
-law step through integer partitions with the (L, R) transition law of
-`_merges`, whose integer weights share one denominator per step: they
-carry integer numerators over the running product of those denominators
-and make each Fraction once per output entry.  At small n the three
-routes must produce identical event-sequence distributions.
+(`sequence_codes`), and `decode_counts` turns the codes into sequences,
+as it does for the chain chi-square's draws.  The final-merge law is
+counted by the order-free parking scan (`_replay.parking_last_block_counts`),
+so criterion 2 certifies that scan.  The partition DP and the
+two-stage-chain sequence law step through integer partitions with the
+(L, R) transition law of `_merges`, whose integer weights share one
+denominator per step: they carry integer numerators over the running
+product of those denominators and make each Fraction once per output
+entry.  At small n the three routes must produce identical event-sequence
+distributions.
 """
 
 import itertools
@@ -71,33 +73,6 @@ def borel_pmf(k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     return math.exp((k - 1) * math.log(k) - k - math.lgamma(k + 1))
-
-
-def block_config_count(n: int, k: int, blocks) -> int:
-    """Number of k-car parking configurations with the given block sizes.
-
-    blocks = (b_0, ..., b_{n-k}) lists the n-k+1 block sizes clockwise,
-    starting from the block that receives the k-th arrival; the count is
-
-        multinomial(k-1; b_0 - 1, ..., b_{n-k} - 1) * n * b_0 * prod b_i^(b_i - 2).
-
-    Infeasible vectors (wrong total, or a part < 1) count 0.
-    """
-    blocks = tuple(int(b) for b in blocks)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}]")
-    if len(blocks) != n - k + 1:
-        raise ValueError(f"expected {n - k + 1} block sizes, got {len(blocks)}")
-    if min(blocks) < 1 or sum(blocks) != n:
-        return 0
-    count = math.factorial(k - 1)
-    for b in blocks:
-        count //= math.factorial(b - 1)
-    count *= n * blocks[0]
-    for b in blocks:
-        if b >= 2:
-            count *= b ** (b - 2)
-    return count
 
 
 def parking_final_merge_marginal(m: int):
@@ -173,20 +148,6 @@ class EventSequenceDistribution:
         return diff / 2
 
 
-def _law(counts, m: int, total: int) -> dict:
-    """Exact law of per-step (s, S, L[, D]) tuples from walk-column counts.
-
-    Each key of `counts` is (L_1..L_m, R_1..R_m[, D_1..D_m]); (L, R) fixes
-    (s, S, L), so distinct keys give distinct sequences.
-    """
-    probs = {}
-    for key, c in counts.items():
-        steps = (key[k::m] for k in range(m))  # (L_k, R_k[, D_k])
-        seq = tuple((min(l, r), max(l, r), l, *d) for l, r, *d in steps)
-        probs[seq] = Fraction(c, total)
-    return probs
-
-
 def sequence_codes(n: int, *columns):
     """Mixed-radix code of each row's sequence of (L_k, R_k[, D_k]).
 
@@ -200,14 +161,17 @@ def sequence_codes(n: int, *columns):
     return (digit * (n ** len(columns)) ** np.arange(n - 1)).sum(axis=1)
 
 
-def _coded_law(n: int, counts: dict, width: int, total: int) -> dict:
-    """The law of `_law` from {sequence code: count}, codes of `width` digits per step."""
-    m = n - 1
+def decode_counts(n: int, counts: dict, width: int) -> dict:
+    """{per-step (s, S, L[, D]) sequence: count} from {`sequence_codes` code: count}.
+
+    Each code has `width` digits per step, (L, R) or (L, R, D); (L, R)
+    fixes (s, S, L), so distinct codes give distinct sequences.
+    """
     radix = n ** width
-    digits = np.array(list(counts), np.int64)[:, None] // radix ** np.arange(m) % radix
-    columns = [digits // n ** (width - 1 - i) % n for i in range(width)]  # L, R[, D]
-    keys = map(tuple, np.hstack(columns).tolist())  # (L_1..L_m, R_1..R_m[, D_1..D_m])
-    return _law(dict(zip(keys, counts.values())), m, total)
+    digits = np.array(list(counts), np.int64)[:, None] // radix ** np.arange(n - 1) % radix
+    L, R, *D = (digits // n ** (width - 1 - i) % n for i in range(width))
+    steps = np.stack([np.minimum(L, R), np.maximum(L, R), L, *D], axis=-1).tolist()
+    return {tuple(map(tuple, seq)): c for seq, c in zip(steps, counts.values())}
 
 
 def _count_codes(counts: Counter, codes) -> None:
@@ -233,7 +197,8 @@ def enumerate_parking(n: int) -> EventSequenceDistribution:
         tries = np.arange(start, min(start + rows, total))[:, None] // place % n
         _, _, L, R, D = _replay.parking_rows(n, tries)
         _count_codes(counts, sequence_codes(n, L, R, D))
-    return EventSequenceDistribution(n, ("s", "S", "L", "D"), _coded_law(n, counts, 3, total))
+    probs = {seq: Fraction(c, total) for seq, c in decode_counts(n, counts, 3).items()}
+    return EventSequenceDistribution(n, ("s", "S", "L", "D"), probs)
 
 
 def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
@@ -259,7 +224,8 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
                                           np.tile(tops, (len(pars), 1)))
         _count_codes(counts, sequence_codes(n, L, R))
     total = n ** (n - 2) * math.factorial(n - 1)
-    return EventSequenceDistribution(n, ("s", "S", "L"), _coded_law(n, counts, 2, total))
+    probs = {seq: Fraction(c, total) for seq, c in decode_counts(n, counts, 2).items()}
+    return EventSequenceDistribution(n, ("s", "S", "L"), probs)
 
 
 # ---------------------------------------------------------------------------

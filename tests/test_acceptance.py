@@ -10,7 +10,7 @@ import dataclasses
 import functools
 import os
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,23 +112,31 @@ def test_supplementary_mutation_mode_has_power():
 
 def test_chain_counts_by_mixed_radix_match_tuple_keys():
     from addcoal._replay import direct_chain_rows
-    from addcoal.exact_oracles import dp_sequence_distribution, sequence_codes
+    from addcoal.exact_oracles import decode_counts, sequence_codes
     from addcoal.process_core import direct_picks
     from addcoal.seeding import make_rng
 
     n = 5
-    keys = sorted(dp_sequence_distribution(n).probs)
     elem, prey_u = direct_picks(n, make_rng(1), (3000,))
     _, _, L, R, _ = direct_chain_rows(n, elem, prey_u)
-    index = {seq: i for i, seq in enumerate(keys)}
-    expected = np.zeros(len(keys), np.int64)
-    for l_row, r_row in zip(L.tolist(), R.tolist()):
-        expected[index[tuple((min(l, r), max(l, r), l) for l, r in zip(l_row, r_row))]] += 1
-    codes = sequence_codes(n, L, R)
-    assert np.array_equal(acceptance._sequence_counts(n, codes, keys), expected)
-    # a sequence the law cannot produce is an error, not a dropped row
-    with pytest.raises(RuntimeError, match="outside"):
-        acceptance._sequence_counts(n, sequence_codes(n, L[:, ::-1], R[:, ::-1]), keys)
+    expected = Counter(tuple((min(l, r), max(l, r), l) for l, r in zip(l_row, r_row))
+                       for l_row, r_row in zip(L.tolist(), R.tolist()))
+    codes = Counter(sequence_codes(n, L, R).tolist())
+    assert decode_counts(n, codes, 2) == expected
+
+
+def test_chain_chi_square_rejects_sequences_outside_the_law(monkeypatch):
+    # a kernel that swaps L and R replays sequences the law cannot produce:
+    # an error, not a dropped row
+    from addcoal import _replay
+
+    def swapped(n, elem, prey_u):
+        s, S, L, R, D = _replay.direct_chain_rows(n, elem, prey_u)
+        return s, S, L[:, ::-1], R[:, ::-1], D
+
+    monkeypatch.setattr(acceptance, "direct_chain_rows", swapped)
+    with pytest.raises(RuntimeError, match="outside the exact law's support"):
+        acceptance.criterion_chain_chi_square(reps=3000)
 
 
 def test_suite_passed_helper():

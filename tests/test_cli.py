@@ -304,6 +304,24 @@ def test_determinism_passes_a_failed_run_s_error_on(monkeypatch, capsys):
     assert [(e["kind"], e["error"]) for e in errors] == [("runtime", "RuntimeError: boom")] * 3
 
 
+def test_determinism_fails_and_verify_goes_on_when_a_run_writes_nothing(monkeypatch, capsys,
+                                                                        tmp_path):
+    def broken(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "simulate", broken)
+    out = tmp_path / "report.json"
+    code = run_cli(["verify", "--only", "determinism", "--only", "chain-vs-oracle-chi-square",
+                    "--out", out])
+    assert code == 2
+    determinism, chain = json.loads(out.read_text())["criteria"]
+    assert determinism["cid"] == "determinism" and determinism["status"] == "FAIL"
+    assert determinism["measured"] == "outputs differ"
+    assert chain["cid"] == "chain-vs-oracle-chi-square" and chain["status"] == "PASS"
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(e["kind"], e["error"]) for e in errors] == [("runtime", "RuntimeError: boom")] * 3
+
+
 def test_verify_unknown_criterion(capsys):
     assert run_cli(["verify", "--only", "not-a-criterion"]) == 1
     # a mistyped mutation would otherwise run the unperturbed null and pass

@@ -6,10 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from addcoal import _replay, exact_oracles
+from addcoal import _replay
 from addcoal.exact_oracles import (
     _sum_by,
-    block_config_count,
     borel_pmf,
     dp_sequence_distribution,
     enumerate_parking,
@@ -18,6 +17,7 @@ from addcoal.exact_oracles import (
     parking_final_merge_marginal,
     partition_dp,
 )
+from addcoal.process_core import EventBatch
 
 
 def test_p_mk_examples():
@@ -90,6 +90,17 @@ def test_enumerate_spanning_trees_small():
     assert d3.marginal(2, "L") == {1: Fraction(1, 3), 2: Fraction(2, 3)}
 
 
+def _law(counts, total):
+    """{(s, S, L) sequence: p} of equally likely walks, from counts of their
+    (L_1..L_m, R_1..R_m) rows."""
+    law = Counter()
+    for key, c in counts.items():
+        m = len(key) // 2
+        seq = tuple((min(l, r), max(l, r), l) for l, r in zip(key[:m], key[m:]))
+        law[seq] += Fraction(c, total)
+    return dict(law)
+
+
 def test_tree_enumeration_matches_one_walk_per_configuration():
     # n = 6 is the one size whose Prufer sequences span several lockstep blocks
     n = 6
@@ -104,7 +115,7 @@ def test_tree_enumeration_matches_one_walk_per_configuration():
             _replay._tree_walk(view(bottom), view(top), ids.copy(), ones.copy(), view(L), view(R))
             counts[(*L.tolist(), *R.tolist())] += 1
     total = n ** (n - 2) * math.factorial(n - 1)
-    assert enumerate_spanning_trees(n).probs == exact_oracles._law(counts, n - 1, total)
+    assert enumerate_spanning_trees(n).probs == _law(counts, total)
 
 
 def _direct_inputs(n, codes):
@@ -137,13 +148,13 @@ def test_direct_kernels_replay_the_exact_chain_law(n):
         elem, prey_u = _direct_inputs(n, np.arange(start, min(start + rows, total)))
         _, _, L, R, _ = _replay.direct_chain_rows(n, elem, prey_u)
         counts.update(map(tuple, np.hstack([L, R]).tolist()))
-    assert exact_oracles._law(counts, n - 1, total) == law
+    assert _law(counts, total) == law
     if n <= 5:
         elem, prey_u = _direct_inputs(n, np.arange(total))
         zeros = np.zeros(n - 1)  # u' only sets D, which the law leaves out
         walks = Counter((*L, *R) for _, _, L, R, _ in (
             _replay.direct_chain_replay(n, e, u, zeros) for e, u in zip(elem, prey_u)))
-        assert exact_oracles._law(walks, n - 1, total) == law
+        assert _law(walks, total) == law
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -265,52 +276,21 @@ def test_l_marginal_is_size_biased():
     assert marg == expect
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 7])
-def test_block_config_counts_complete(n):
-    for k in range(1, n):
-        total = sum(
-            block_config_count(n, k, b) for b in _compositions(n, n - k + 1)
-        )
-        assert total == n**k
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_parking_scan_blocks_match_block_config_count(n):
-    # block sizes after k - 1 cars, over every first-try vector, against the
-    # counts of k-car configurations summed over the k-th car's block
-    for k in range(1, n):
-        tries = np.array(list(itertools.product(range(n), repeat=k - 1)), np.int64)
-        h = np.zeros((len(tries), n), np.int64)
-        for j in range(k - 1):
-            h[np.arange(len(tries)), tries[:, j]] += 1
+    # after j cars, for every first-try vector, the block-configuration count
+    # the scan leaves ({size: blocks}, each block ending at an empty place) is
+    # the cluster spectrum of the walk on the same tries
+    tries = np.array(list(itertools.product(range(n), repeat=n - 1)), np.int64)
+    walks = [EventBatch(n, s, S, L, R, None, D)
+             for s, S, L, R, D in (_replay.parking_replay(n, t) for t in tries)]
+    h = np.zeros((len(tries), n), np.int64)
+    for j in range(n - 1):
         _, occupied = _replay.parking_scan(h)
-        scan = Counter()
-        for row in occupied:
-            empty = np.flatnonzero(~row)
-            scan[tuple(sorted(np.diff(empty, prepend=-1).tolist()))] += n
-        exact = Counter()
-        for b in _compositions(n, n - k + 1):
-            exact[tuple(sorted(b))] += block_config_count(n, k, b)
-        assert scan == exact
-
-
-def test_block_config_count_edges():
-    assert block_config_count(4, 2, (2, 1, 1)) > 0
-    assert block_config_count(4, 2, (2, 2, 1)) == 0  # wrong total
-    assert block_config_count(4, 2, (0, 2, 2)) == 0  # empty block
-    with pytest.raises(ValueError):
-        block_config_count(4, 2, (2, 2))  # wrong number of blocks
-    # exchangeable in the non-anchored coordinates
-    assert block_config_count(6, 3, (2, 1, 1, 2)) == block_config_count(6, 3, (2, 2, 1, 1))
+        for walk, row in zip(walks, occupied):
+            sizes = np.diff(np.flatnonzero(~row), prepend=-1)
+            assert Counter(sizes.tolist()) == walk.spectrum_at(j)
+        h[np.arange(len(tries)), tries[:, j]] += 1
 
 
 def test_final_prey_mean_scales_like_sqrt_m():

@@ -66,3 +66,24 @@ def test_exact_layer_keeps_what_the_benchmark_reads():
     assert park.tv_distance(exact_oracles.dp_sequence_distribution(4)) == 0
     marginal = exact_oracles.parking_final_merge_marginal(5)
     assert all(marginal.get(k, Fraction(0)) == exact_oracles.p_mk(5, k) for k in range(1, 5))
+
+
+def test_benchmark_keeps_the_result_fields_it_reads():
+    # run.py records the backend; workloads.py digests and checks these fields
+    import dataclasses
+
+    from addcoal import _replay
+    from addcoal.acceptance import CriterionResult
+    from addcoal.experiment import KsResult, RegimeRow, SummaryStats
+    from addcoal.smoluchowski import QuadratureResult
+
+    assert isinstance(_replay.HAVE_NUMBA, bool)
+    read = {
+        RegimeRow: {"n", "k_sparse", "k_full", "sparse", "full"},
+        SummaryStats: {"count", "mean", "m2", "min", "max"},
+        KsResult: {"statistic", "pvalue"},
+        CriterionResult: {"passed", "measured"},
+        QuadratureResult: {"value"},
+    }
+    for cls, names in read.items():
+        assert names <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
