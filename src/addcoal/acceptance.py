@@ -352,11 +352,12 @@ def criterion_phase_transition():
             "strictly decreasing, < 0.05 at n=1e5", "0.05 gate")
 
 
-@_criterion("regime-sweep", detail=f"direct n={','.join(map(str, SCALING_NS))} "
+@_criterion("regime-sweep", detail=f"parking n={','.join(map(str, SCALING_NS))} "
                                    f"reps={REGIME_REPS} seed={SEED_REGIME}")
 def criterion_regime_sweep():
     """Largest cluster: B/n -> 0 in the sparse window, -> 1 near-full."""
-    rows = regime_sweep(SCALING_NS, REGIME_EPS, reps=REGIME_REPS, seed=SEED_REGIME)
+    rows = regime_sweep(SCALING_NS, REGIME_EPS, reps=REGIME_REPS, seed=SEED_REGIME,
+                        embedding=Embedding.PARKING)
     sparse = [r.sparse.mean for r in rows]
     full = [r.full.mean for r in rows]
     ok = (

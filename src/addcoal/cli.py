@@ -9,10 +9,10 @@ backend); the verify report carries version and backend.  After a
 successful run, simulate also writes one JSON side record on stderr: the
 provenance columns and the worker count, which the rows leave out so that
 they stay byte-identical across worker counts.  Exit codes:
-0 success, 1 usage error (invalid flags, config or argument values),
-2 verification failure, 3 runtime failure (an error inside a computation
-or while writing output; the error report names the command and the
-seed).
+0 success, 1 usage error (invalid flags, config or argument values, or a
+config file that cannot be read), 2 verification failure, 3 runtime
+failure (an error inside a computation or while writing output; the error
+report names the command and the seed).
 """
 
 import argparse
@@ -62,23 +62,6 @@ def _validating():
 
 _ALL_FUNCTIONALS = tuple(f.value for f in Functional)
 
-EXACT_TABLES = ("pmk", "condr", "dp")
-
-# Each subcommand's help line and the RunConfig fields it reads, which are
-# exactly its flags (exact's `table` is a positional).  Config files accept
-# every key whatever the command.
-COMMANDS = {
-    "simulate": ("Monte Carlo cost curves and totals",
-                 ("n", "reps", "seed", "embedding", "functionals", "alpha_grid", "beta_grid",
-                  "fmt", "out", "workers", "raw_out")),
-    "limit": ("deterministic limit curves phi(alpha)",
-              ("functionals", "alpha_grid", "tol", "seed", "fmt", "out")),
-    "exact": ("exact oracle tables", ("table", "n", "functionals", "fmt", "out")),
-    "verify": ("run the acceptance suite", ("only", "mutate", "out")),
-    "sweep": ("largest-cluster regime sweep",
-              ("n", "reps", "seed", "embedding", "fmt", "out", "eps")),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -86,44 +69,49 @@ class RunConfig:
 
     Each field other than `command` is set by the config line
     ``<key> = value`` and, on the subcommands that read it (`COMMANDS`), by
-    the flag ``--<key>`` (or, for `table`, the positional of that name).  The key is the field name with dashes for
-    underscores unless the field's metadata names another.  The annotation
-    gives the value syntax: ``tuple[X, ...]`` is a comma-separated list of
-    X (a list of strings is given as a repeated flag on the command line).
+    the flag ``--<key>`` (or, for `table`, the positional of that name).
+    The key is the field name with dashes for underscores unless the
+    field's metadata names another; the metadata also holds the flag's help
+    text and the `choices` the field accepts, if any.  The annotation gives
+    the value syntax: ``tuple[X, ...]`` is a comma-separated list of X (a
+    list of strings is given as a repeated flag on the command line).
     """
 
     command: str
-    n: tuple[int, ...] = (1000,)
-    embedding: str = "direct"
-    functionals: tuple[str, ...] = field(default=_ALL_FUNCTIONALS,
-                                         metadata={"key": "functional"})
+    n: tuple[int, ...] = field(default=(1000,), metadata={
+        "help": "chain size, 2 <= n < 2**31; a comma-separated list of distinct sizes for sweep"})
+    embedding: str = field(default="direct",
+                           metadata={"choices": tuple(e.value for e in Embedding)})
+    functionals: tuple[str, ...] = field(default=_ALL_FUNCTIONALS, metadata={
+        "key": "functional", "choices": _ALL_FUNCTIONALS,
+        "help": "repeatable; defaults to all six"})
     reps: int = 1
     seed: int = 0
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
+    alpha_grid: tuple[float, ...] = field(default=DEFAULT_ALPHA_GRID,
+                                          metadata={"help": "comma-separated"})
+    beta_grid: tuple[float, ...] = field(default=DEFAULT_BETA_GRID,
+                                         metadata={"help": "comma-separated"})
     tol: float = 1e-8
-    fmt: str = field(default="csv", metadata={"key": "format"})
+    fmt: str = field(default="csv", metadata={"key": "format", "choices": ("csv", "json")})
     out: str = ""
-    raw_out: str = ""
+    raw_out: str = field(default="", metadata={"help": "also stream per-replication records here"})
     workers: int = 1
-    eps: float = 0.15
-    table: str = ""
-    only: tuple[str, ...] = ()
-    mutate: tuple[str, ...] = ()
+    eps: float = field(default=0.15, metadata={"help": "regime exponent offset in (0, 1/2)"})
+    table: str = field(default="", metadata={"choices": ("pmk", "condr", "dp")})
+    only: tuple[str, ...] = field(default=(), metadata={
+        "help": "run only the named criteria (repeatable)"})
+    mutate: tuple[str, ...] = field(default=(), metadata={"help": "mutation test mode (e.g. pmk)"})
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}; "
                              f"expected one of {tuple(COMMANDS)}")
-        if self.fmt not in ("csv", "json"):
-            raise UsageError("format must be csv or json")
-        if self.embedding not in tuple(e.value for e in Embedding):
-            raise UsageError(f"unknown embedding {self.embedding!r}")
-        for f in self.functionals:
-            if f not in _ALL_FUNCTIONALS:
-                raise UsageError(f"unknown functional {f!r}; known: {_ALL_FUNCTIONALS}")
-        if self.table and self.table not in EXACT_TABLES:
-            raise UsageError(f"unknown exact table {self.table!r}; known: {EXACT_TABLES}")
+        for f in fields(self):
+            choices, value = f.metadata.get("choices"), getattr(self, f.name)
+            if choices and value != f.default:
+                for v in value if _is_list(f) else (value,):
+                    if v not in choices:
+                        raise UsageError(f"unknown {_key(f)} {v!r}; known: {choices}")
         if self.reps < 1 or self.workers < 1:
             raise UsageError("reps and workers must be >= 1")
         if not 0 <= self.seed < _SEED_LIMIT:
@@ -219,6 +207,11 @@ def write_rows(rows, fmt: str, out_path: str) -> None:
             for row in rows:
                 writer.writerow([_fmt_cell(v) for v in row.values()])
         payload = buf.getvalue()
+    _write(payload, out_path)
+
+
+def _write(payload: str, out_path: str) -> None:
+    """Write a command's output to `out_path`, or to stdout if it is empty."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -342,7 +335,7 @@ def _rational(x) -> str:
 
 def cmd_exact(config: RunConfig) -> int:
     if not config.table:
-        raise UsageError(f"exact needs a table argument: one of {EXACT_TABLES}")
+        raise UsageError("exact needs a table argument")
     n = _one_n(config)
     if config.table == "pmk" and n < 2:
         raise UsageError("pmk table needs n >= 2")
@@ -419,12 +412,7 @@ def cmd_verify(config: RunConfig) -> int:
         "criteria": [{"cid": r.cid, "status": r.status, **asdict(r)} for r in results],
         "samples": samples,
     }
-    payload = json.dumps(report, indent=1) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(json.dumps(report, indent=1) + "\n", config.out)
     return 0 if report["passed"] else 2
 
 
@@ -456,12 +444,19 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "limit": cmd_limit,
-    "exact": cmd_exact,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
+# Each subcommand's help line, handler and the RunConfig fields it reads,
+# which are exactly its flags (exact's `table` is a positional).  Config
+# files accept every key whatever the command.
+COMMANDS = {
+    "simulate": ("Monte Carlo cost curves and totals", cmd_simulate,
+                 ("n", "reps", "seed", "embedding", "functionals", "alpha_grid", "beta_grid",
+                  "fmt", "out", "workers", "raw_out")),
+    "limit": ("deterministic limit curves phi(alpha)", cmd_limit,
+              ("functionals", "alpha_grid", "tol", "seed", "fmt", "out")),
+    "exact": ("exact oracle tables", cmd_exact, ("table", "n", "functionals", "fmt", "out")),
+    "verify": ("run the acceptance suite", cmd_verify, ("only", "mutate", "out")),
+    "sweep": ("largest-cluster regime sweep", cmd_sweep,
+              ("n", "reps", "seed", "embedding", "fmt", "out", "eps")),
 }
 
 
@@ -485,36 +480,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def flag(p, name, **kw):
-        """Add --<key> for RunConfig field `name`; a list of strings is repeatable."""
-        f = _FIELDS[name]
-        key = _key(f)
-        if _is_list(f) and _item_type(f) is str:
-            kw["action"] = "append"
-        if "choices" not in kw:
-            kw["metavar"] = key.replace("-", "_").upper()
-        p.add_argument(f"--{key}", dest=name, default=None, **kw)
-
-    options = {
-        "n": dict(help="chain size, 2 <= n < 2**31; a comma-separated list of distinct "
-                         "sizes for sweep"),
-        "embedding": dict(choices=[e.value for e in Embedding]),
-        "functionals": dict(help="repeatable; defaults to all six"),
-        "alpha_grid": dict(help="comma-separated"),
-        "beta_grid": dict(help="comma-separated"),
-        "fmt": dict(choices=("csv", "json")),
-        "raw_out": dict(help="also stream per-replication records here"),
-        "only": dict(help="run only the named criteria (repeatable)"),
-        "mutate": dict(help="mutation test mode (e.g. pmk)"),
-        "eps": dict(help="regime exponent offset in (0, 1/2)"),
-    }
-    for command, (help_line, names) in COMMANDS.items():
+    for command, (help_line, _, names) in COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         for name in names:
+            f = _FIELDS[name]
+            kw = dict(choices=f.metadata.get("choices"), help=f.metadata.get("help"))
             if name == "table":
-                p.add_argument("table", choices=EXACT_TABLES)
-            else:
-                flag(p, name, **options.get(name, {}))
+                p.add_argument(name, **kw)
+                continue
+            if not kw["choices"]:
+                kw["metavar"] = _key(f).replace("-", "_").upper()
+            if _is_list(f) and _item_type(f) is str:
+                kw["action"] = "append"
+            p.add_argument(f"--{_key(f)}", dest=name, default=None, **kw)
         p.add_argument("--config", type=str, default=None, help="flat key=value file")
     return parser
 
@@ -523,8 +501,12 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     """The config file's settings (if any), overridden by the flags given."""
     values = {}
     if ns.config:
-        with open(ns.config, encoding="utf-8") as fh:
-            values = asdict(parse_config(fh.read()))
+        try:
+            with open(ns.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read config {ns.config!r}: {exc.strerror or exc}") from exc
+        values = asdict(parse_config(text))
     for name, f in _FIELDS.items():  # the subcommand is stored as `command` too
         given = getattr(ns, name, None)
         if given is not None:
@@ -538,7 +520,7 @@ def main(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
         with _validating():  # malformed numbers in flags or config text
             config = config_from_args(ns)
-        return _DISPATCH[config.command](config)
+        return COMMANDS[config.command][1](config)
     except SystemExit as exc:  # --help and --version
         return exc.code
     except UsageError as exc:

@@ -2,7 +2,9 @@ import argparse
 import csv
 import json
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +94,65 @@ def test_every_field_has_one_flag_named_by_its_key():
     for key, name in fields_by_key.items():
         if name != "command":
             assert names_by_dest[name] in ({f"--{key}"}, {key})
+
+
+def test_every_choice_is_checked_as_a_config_line_and_as_a_flag(tmp_path, capsys):
+    # a field's choices are its only list of accepted values: a value
+    # outside them is a usage error that names the key
+    cfg = tmp_path / "bad.cfg"
+    out = tmp_path / "x.csv"
+    checked = []
+    for f in fields(RunConfig):
+        if not f.metadata.get("choices"):
+            continue
+        key = cli._key(f)
+        cfg.write_text(f"command = simulate\n{key} = nope\n")
+        command = next(c for c, (_, _, names) in cli.COMMANDS.items() if f.name in names)
+        flag = ["exact", "nope", "--n", "3"] if f.name == "table" else [command, f"--{key}", "nope"]
+        for args in (["simulate", "--config", cfg, "--n", "10"], flag):
+            assert run_cli(args + ["--out", out]) == 1, args
+            err = _stderr_json(capsys)
+            assert err["kind"] == "usage" and key in err["error"], (args, err)
+        checked.append(key)
+    assert checked == ["embedding", "functional", "format", "table"]
+    assert not out.exists()
+
+
+def test_each_command_s_help_shows_its_fields_help_and_choices(capsys):
+    for command, (_, _, names) in cli.COMMANDS.items():
+        capsys.readouterr()
+        assert run_cli([command, "--help"]) == 0
+        shown = "".join(capsys.readouterr().out.split())
+        for name in names:
+            f = cli._FIELDS[name]
+            assert "".join(f.metadata.get("help", "").split()) in shown, (command, name)
+            if f.metadata.get("choices"):
+                assert "{" + ",".join(f.metadata["choices"]) + "}" in shown, (command, name)
+
+
+def test_readme_command_table_matches_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = [re.fullmatch(r"\| `(\w+)( \{[^}]*\})?` \| `([^`]*)` \|", line).groups()
+            for line in table.splitlines()]
+    assert [command for command, _, _ in rows] == list(cli.COMMANDS)
+    for command, positional, flags in rows:
+        names = cli.COMMANDS[command][2]
+        listed = re.findall(r"--([\w-]+)( \{[^}]*\})?", flags)
+        assert [key for key, _ in listed] == \
+            [cli._key(cli._FIELDS[name]) for name in names if name != "table"], command
+        assert bool(positional) == ("table" in names), command
+        for key, shown in dict(listed, table=positional).items():
+            if shown:
+                choices = cli._FIELD_BY_KEY[key].metadata.get("choices")
+                assert shown.strip()[1:-1].split(",") == list(choices or ()), (command, key)
+
+
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        assert run_cli(["simulate", "--config", path, "--n", "10"]) == 1, path
+        err = _stderr_json(capsys)
+        assert err["kind"] == "usage" and str(path) in err["error"], err
 
 
 def test_config_unknown_key_rejected():
@@ -297,7 +358,7 @@ def test_determinism_passes_a_failed_run_s_error_on(monkeypatch, capsys):
         open(config.out, "w").close()
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._DISPATCH, "simulate", broken)
+    monkeypatch.setitem(cli.COMMANDS, "simulate", ("", broken, cli.COMMANDS["simulate"][2]))
     result = acceptance.criterion_determinism()
     assert not result.passed and result.measured == "outputs differ"
     errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
@@ -309,7 +370,7 @@ def test_determinism_fails_and_verify_goes_on_when_a_run_writes_nothing(monkeypa
     def broken(config):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._DISPATCH, "simulate", broken)
+    monkeypatch.setitem(cli.COMMANDS, "simulate", ("", broken, cli.COMMANDS["simulate"][2]))
     out = tmp_path / "report.json"
     code = run_cli(["verify", "--only", "determinism", "--only", "chain-vs-oracle-chi-square",
                     "--out", out])
