@@ -168,7 +168,7 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    values = {}
+    values, seen = {}, {}  # seen: the line that set each key
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -179,6 +179,9 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in _FIELD_BY_KEY:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise UsageError(f"config lines {seen[key]} and {lineno} both set {key!r}")
+        seen[key] = lineno
         f = _FIELD_BY_KEY[key]
         values[f.name] = _parse_value(f, raw.strip())
     if "command" not in values:

@@ -126,19 +126,6 @@ class EventSequenceDistribution:
         out = _sum_by(self.probs, lambda seq: tuple(tuple(step[i] for i in idx) for step in seq))
         return EventSequenceDistribution(self.n, fields, out)
 
-    def marginal(self, step: int, field: str):
-        """Law of one field at one step (1-based)."""
-        i = self.fields.index(field)
-        return _sum_by(self.probs, lambda seq: seq[step - 1][i])
-
-    def joint(self, step: int, fields):
-        idx = [self.fields.index(f) for f in fields]
-        return _sum_by(self.probs, lambda seq: tuple(seq[step - 1][i] for i in idx))
-
-    def conditional_mean(self, step: int, target: str, given: str):
-        """{value of `given`: E[target | given = value]} at one step, exact."""
-        return _conditional_means(self.joint(step, (given, target)))
-
     def tv_distance(self, other: "EventSequenceDistribution") -> Fraction:
         if self.fields != other.fields:
             raise ValueError("distributions carry different fields")

@@ -42,7 +42,8 @@ _BATCH_CELLS = 1 << 15  # q values per row batch of the integrand
 
 
 class QuadratureError(RuntimeError):
-    """Composite Simpson failed to converge within the panel budget."""
+    """No cutoff below `_KMAX_HARD` passes `_choose_kmax`'s certificates, an
+    integrand node loses mass, or Simpson does not converge within its panels."""
 
 
 def alpha_to_time(alpha: float) -> float:
@@ -122,12 +123,12 @@ def q_vector(kmax: int, t: float) -> np.ndarray:
     return _q_from_terms(_k_terms(kmax), t)
 
 
-def moment(t: float, p: int, method: str = "closed", tol: float = 1e-10) -> float:
+def moment(t: float, p: int, method: str = "closed") -> float:
     """Moment sum_k k^p q(k, t) for p in {0, 1, 2}.
 
     method="closed" returns e^-t, 1, e^{2t}; method="sum" evaluates the
-    truncated series, doubling the cutoff until the increment drops below
-    tol (cross-check mode).
+    series truncated at the cutoff `_choose_kmax` certifies at t, the one
+    the phi curves use (cross-check mode).
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -137,38 +138,26 @@ def moment(t: float, p: int, method: str = "closed", tol: float = 1e-10) -> floa
         return (math.exp(-t), 1.0, math.exp(2.0 * t))[p]
     if method != "sum":
         raise ValueError("method must be 'closed' or 'sum'")
-    kmax = 256
-    prev = None
-    while kmax <= _KMAX_HARD:
-        qv = q_vector(kmax, t)
-        ks = np.arange(1, kmax + 1, dtype=np.float64)
-        val = float(np.sum(ks**p * qv))
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        kmax *= 2
-    raise QuadratureError("moment series did not stabilize")
+    kmax = _choose_kmax(t, DEFAULT_TOL)
+    return float(np.sum(_k_terms(kmax)[0] ** p * q_vector(kmax, t)))
 
 
 def smoluchowski_rhs(k: int, t: float) -> float:
     """Right-hand side of the coagulation ODE for q(k, .) at time t.
 
     (k/2) sum_{j<k} q(j)q(k-j) - q(k) sum_j (j+k) q(j), with the infinite
-    j-sum truncated once its leftover first-moment mass drops below 1e-12.
+    j-sum truncated at the cutoff `_choose_kmax` certifies at t, or at k
+    if that is larger, so that the gain term's q(k - 1) is in range.
     """
-    kmax = 256
-    while True:
-        qv = q_vector(kmax, t)
-        ks = np.arange(1, kmax + 1, dtype=np.float64)
-        residual = abs(1.0 - float(np.sum(ks * qv)))
-        if residual < 1e-12 or kmax > _KMAX_HARD:
-            break
-        kmax *= 2
+    qk = q(k, t)  # also rejects k < 1 and t < 0
+    kmax = max(_choose_kmax(t, DEFAULT_TOL), k)
+    ks = _k_terms(kmax)[0]
+    qv = q_vector(kmax, t)
     gain = 0.0
     if k >= 2:
         j = np.arange(1, k, dtype=np.int64)
         gain = 0.5 * k * float(np.sum(qv[j - 1] * qv[k - j - 1]))
-    loss = q(k, t) * float(np.sum((ks + k) * qv))
+    loss = qk * float(np.sum((ks + k) * qv))
     return gain - loss
 
 
@@ -199,7 +188,7 @@ def phi_closed_form(functional, alpha: float) -> float:
     Closed forms exist for QF, Prey (= QFB) and Predator.  For
     Displacement this returns the idealized table curve alpha/(2(1-alpha))
     whose conditional cost is (x^2+y^2)/(2(x+y)); simulated displacement
-    totals follow phi_displacement_floor instead (D lives on {0..L-1}).
+    totals follow phi_comparison_curve instead (D lives on {0..L-1}).
     QFW has no closed form and raises ValueError; phi_curve_quadrature
     computes its curve.
     """
@@ -209,17 +198,6 @@ def phi_closed_form(functional, alpha: float) -> float:
     if functional is Functional.QFW:
         raise ValueError("qfw has no closed form; use phi_curve_quadrature")
     return _CLOSED_FORMS[functional](alpha)
-
-
-def phi_displacement_floor(alpha: float) -> float:
-    """Limit curve of the implemented displacement totals.
-
-    D uniform on {0, ..., L-1} costs 1/2 less per merge than the
-    idealized table cost, which integrates to -alpha/2.
-    """
-    if not alpha_in_range(alpha):
-        raise ValueError("alpha must be in [0, 1)")
-    return 0.5 * alpha / (1.0 - alpha) - 0.5 * alpha
 
 
 def phi_classical_table(functional, alpha: float):
@@ -232,13 +210,12 @@ def phi_classical_table(functional, alpha: float):
 def phi_comparison_curve(functional, alpha: float) -> float:
     """The curve simulated C/n values converge to, per functional.
 
-    Same as phi_closed_form except Displacement, which uses the floor
-    convention actually realized by the event streams.
+    Same as phi_closed_form except Displacement: D uniform on {0, ..., L-1}
+    costs 1/2 less per merge than the idealized table cost, which
+    integrates to alpha/2 below the table curve.
     """
-    functional = Functional(functional)
-    if functional is Functional.DISPLACEMENT:
-        return phi_displacement_floor(alpha)
-    return phi_closed_form(functional, alpha)
+    value = phi_closed_form(functional, alpha)
+    return value - 0.5 * alpha if Functional(functional) is Functional.DISPLACEMENT else value
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import argparse
 import csv
+import gc
 import json
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -163,6 +165,18 @@ def test_config_unknown_key_rejected():
 def test_config_requires_command():
     with pytest.raises(UsageError):
         parse_config("n = 10\n")
+
+
+def test_config_key_given_twice_is_a_usage_error(tmp_path, capsys):
+    # a repeated key is ambiguous; a flag setting the same key does not excuse it
+    for text, key in (("command = simulate\nn = 50\nreps = 2\nn = 60\n", "n"),
+                      ("command = simulate\nfunctional = qf\n\nfunctional = prey\n", "functional")):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        assert run_cli(["simulate", "--config", cfg, "--n", "10"]) == 1, key
+        err = _stderr_json(capsys)
+        assert err["kind"] == "usage", err
+        assert err["error"] == f"config lines 2 and 4 both set {key!r}", err
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -349,6 +363,17 @@ def test_determinism_requires_each_run_to_name_its_workers(monkeypatch):
     result = acceptance.criterion_determinism()
     assert not result.passed
     assert result.measured == "stderr names workers [1, 1, 1], not [1, 1, 8]"
+
+
+def test_determinism_closes_the_files_it_compares():
+    from addcoal import acceptance
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        result = acceptance.criterion_determinism()
+        gc.collect()
+    assert result.passed
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_determinism_passes_a_failed_run_s_error_on(monkeypatch, capsys):

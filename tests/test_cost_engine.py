@@ -12,7 +12,7 @@ from addcoal.cost_engine import (
     conditional_mean,
     event_costs,
 )
-from addcoal.exact_oracles import _sum_by, enumerate_parking, partition_dp
+from addcoal.exact_oracles import _conditional_means, _sum_by, enumerate_parking, partition_dp
 from addcoal.experiment import ExperimentSpec, run_monte_carlo
 from addcoal.process_core import EventBatch, simulate_direct
 from addcoal.seeding import make_rng
@@ -111,7 +111,8 @@ def test_displacement_identity_by_enumeration():
     for n in (3, 4, 5, 6):
         dist = enumerate_parking(n)
         for k in range(1, n):
-            for l, e_d in dist.conditional_mean(k, "D", "L").items():
+            joint = _sum_by(dist.project(("L", "D")).probs, lambda seq: seq[k - 1])
+            for l, e_d in _conditional_means(joint).items():
                 assert e_d == Fraction(l - 1, 2)
 
 

@@ -68,7 +68,8 @@ def test_enumerate_parking_small():
     d2 = enumerate_parking(2)
     assert d2.probs == {((1, 1, 1, 0),): Fraction(1)}
     d3 = enumerate_parking(3)
-    assert d3.marginal(2, "L") == {1: Fraction(1, 3), 2: Fraction(2, 3)}
+    assert _sum_by(d3.project(("L",)).probs, lambda seq: seq[1][0]) == {
+        1: Fraction(1, 3), 2: Fraction(2, 3)}
     assert sum(d3.probs.values()) == 1
 
 
@@ -87,7 +88,8 @@ def test_enumerate_spanning_trees_small():
     d2 = enumerate_spanning_trees(2)
     assert d2.probs == {((1, 1, 1),): Fraction(1)}
     d3 = enumerate_spanning_trees(3)
-    assert d3.marginal(2, "L") == {1: Fraction(1, 3), 2: Fraction(2, 3)}
+    assert _sum_by(d3.project(("L",)).probs, lambda seq: seq[1][0]) == {
+        1: Fraction(1, 3), 2: Fraction(2, 3)}
 
 
 def _law(counts, total):
@@ -179,7 +181,7 @@ def test_conditional_size_biasedness():
     for n in (3, 4, 5):
         dist = enumerate_parking(n)
         for k in range(1, n):
-            joint = dist.joint(k, ("s", "S", "L"))
+            joint = _sum_by(dist.project(("s", "S", "L")).probs, lambda seq: seq[k - 1])
             pair_mass = {}
             for (s, S, L), p in joint.items():
                 pair_mass[(s, S)] = pair_mass.get((s, S), Fraction(0)) + p
@@ -189,7 +191,7 @@ def test_conditional_size_biasedness():
                 ) or s == S  # equal sizes carry the whole pair mass at L = s
     # explicit n=3 step 2: merged pair is always {1, 2}
     d3 = enumerate_parking(3)
-    assert d3.joint(2, ("s", "S")) == {(1, 2): Fraction(1)}
+    assert _sum_by(d3.project(("s", "S")).probs, lambda seq: seq[1]) == {(1, 2): Fraction(1)}
 
 
 def test_final_merge_marginal_matches_p_mk():
@@ -308,4 +310,4 @@ def test_marginals_match_across_oracles_n6():
     park = enumerate_parking(6)
     dp = partition_dp(6)
     for k in (1, 3, 5):
-        assert park.marginal(k, "L") == dp.l_marginal(k)
+        assert _sum_by(park.project(("L",)).probs, lambda seq: seq[k - 1][0]) == dp.l_marginal(k)

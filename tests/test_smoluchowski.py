@@ -20,7 +20,6 @@ from addcoal.smoluchowski import (
     phi_closed_form,
     phi_comparison_curve,
     phi_curve_quadrature,
-    phi_displacement_floor,
     phi_classical_table,
     q,
     q_vector,
@@ -68,7 +67,7 @@ def test_moments_closed_form():
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_moments_truncated_sum(t, p):
-    assert abs(moment(t, p, "sum", tol=1e-11) - moment(t, p)) < 1e-8
+    assert abs(moment(t, p, "sum") - moment(t, p)) < 1e-8
 
 
 def test_alpha_to_time():
@@ -92,10 +91,13 @@ def test_phi_closed_form_values():
 
 
 def test_phi_displacement_floor():
-    # probe-distance convention: alpha/(2(1-alpha)) - alpha/2
-    assert phi_displacement_floor(0.0) == 0.0
-    assert abs(phi_displacement_floor(0.5) - 0.25) < 1e-15
-    assert phi_comparison_curve(Functional.DISPLACEMENT, 0.5) == phi_displacement_floor(0.5)
+    # probe-distance convention: alpha/(2(1-alpha)) - alpha/2, bit for bit
+    for a in [i / 100 for i in range(99)] + [0.95, 0.98, 0.999]:
+        assert phi_comparison_curve(Functional.DISPLACEMENT, a) == 0.5 * a / (1.0 - a) - 0.5 * a
+    assert phi_comparison_curve(Functional.DISPLACEMENT, 0.0) == 0.0
+    assert abs(phi_comparison_curve(Functional.DISPLACEMENT, 0.5) - 0.25) < 1e-15
+    with pytest.raises(ValueError):
+        phi_comparison_curve(Functional.DISPLACEMENT, 1.0)
     assert phi_comparison_curve(Functional.PREY, 0.5) == phi_closed_form(Functional.PREY, 0.5)
 
 
@@ -135,9 +137,10 @@ def test_phi_quadrature_matches_closed_forms(functional, alpha):
 
 def test_phi_quadrature_displacement_floor_convention():
     value = phi_at(Functional.DISPLACEMENT, 0.6, tol=1e-9)
-    assert abs(value - phi_displacement_floor(0.6)) < 1e-7
+    floor = phi_comparison_curve(Functional.DISPLACEMENT, 0.6)
+    assert abs(value - floor) < 1e-7
     # the table cost (x^2+y^2)/(2(x+y)) is 1/2 above the floor cost per merge
-    gap = phi_closed_form(Functional.DISPLACEMENT, 0.6) - phi_displacement_floor(0.6)
+    gap = phi_closed_form(Functional.DISPLACEMENT, 0.6) - floor
     assert abs(gap - 0.6 / 2) < 1e-15
 
 
@@ -434,3 +437,50 @@ def test_coagulation_ode(k):
     h = 1e-5
     lhs = (q(k, 1.0 + h) - q(k, 1.0 - h)) / (2.0 * h)
     assert abs(lhs - smoluchowski_rhs(k, 1.0)) < 1e-6
+
+
+# Criterion 5's series values on its grid, as float.hex, pinned bit for bit:
+# a change to the cutoff or to the order of the sums shows here.
+_MOMENT_SUMS = {
+    (0.1, 0): "0x1.cf46d99d52b3ap-1",
+    (0.1, 1): "0x1.fffffffffffffp-1",
+    (0.1, 2): "0x1.38add9e58ac8cp+0",
+    (1.0, 0): "0x1.78b56362cef39p-2",
+    (1.0, 1): "0x1.0000000000001p+0",
+    (1.0, 2): "0x1.d8e64b8d4ddb3p+2",
+    (3.0, 0): "0x1.97db0ccceb0abp-5",
+    (3.0, 1): "0x1.000000000001dp+0",
+    (3.0, 2): "0x1.936dc5690c45ep+8",
+}
+_RHS_AT_1 = {
+    1: "-0x1.11dbdf81d5e17p-2",
+    2: "-0x1.366910133de38p-4",
+    3: "-0x1.fd969634ec1a8p-6",
+    7: "-0x1.1e87c76d9c440p-11",
+    14: "0x1.ca91999fa1b90p-10",
+    20: "0x1.29a89a0ae1b96p-10",
+}
+
+
+def test_series_on_criterion_5_s_grid_are_bit_stable():
+    for (t, p), value in _MOMENT_SUMS.items():
+        assert moment(t, p, "sum").hex() == value, (t, p)
+    for k, value in _RHS_AT_1.items():
+        assert smoluchowski_rhs(k, 1.0).hex() == value, k
+
+
+def test_series_raise_where_no_cutoff_is_certified():
+    # at t = 8 every cutoff below _KMAX_HARD misses much of the mass
+    with pytest.raises(QuadratureError, match="t=8.000"):
+        smoluchowski_rhs(3, 8.0)
+    with pytest.raises(QuadratureError, match="t=8.000"):
+        moment(8.0, 1, "sum")
+
+
+@pytest.mark.parametrize("k, t", [(2, 0.0), (2000, 0.0), (300, 0.1), (2000, 1.0), (1500, 2.0)])
+def test_rhs_matches_a_brute_force_sum(k, t):
+    # for k above the certified cutoff (1024, or 256 at t = 0) the sums run to k
+    gain = 0.5 * k * math.fsum(q(j, t) * q(k - j, t) for j in range(1, k))
+    loss = q(k, t) * math.fsum((j + k) * q(j, t) for j in range(1, 2 * k + 4096))
+    expected = gain - loss
+    assert abs(smoluchowski_rhs(k, t) - expected) <= 1e-10 * abs(expected) + 1e-300, (k, t)
