@@ -5,22 +5,21 @@ deterministic integer/float arithmetic, so a given seed yields the same
 event stream whether or not numba is present.  All uniform-index picks
 use ``int(u * m)`` on ``u in [0, 1)``, i.e. plain floor.
 
-Event columns returned by every replay:
-    s, S : merged sizes in increasing order
-    L    : size of the size-biased side (predator / bottom of edge /
-           block before the filled place)
-    R    : size of the other side, R = s + S - L
-    D    : displacement in {0, ..., L-1}
+Every replay returns the ordered split of each merge, one entry per step:
+L, the size of the size-biased side (predator / component of the edge's
+bottom endpoint / block holding the car's first try), and R, that of the
+other side.  Parking also returns D, the probed distance in {0, ..., L-1};
+the direct and tree runs draw theirs next to their inputs (`process_core`).
 
 Each embedding has one walk (``_*_walk``) that holds only its union-find
 loop; everything fixed by the step index or by the loop's outputs (prey
-index, D, s and S, the tree's edge endpoints) is computed in numpy by the
-public kernel around it.  With numba the walk is compiled and runs over
-numpy arrays.  Without it the walk runs as plain Python over ``memoryview``s
-of the numpy inputs and outputs, with its union-find state in lists below
-``COMPACT_N`` places and in int32 ``memoryview``s from there on, so that a
-long chain's state fits in L2 (see `_ids`); all of them read and write the
-same values, so the streams are bit-identical.
+index, parking's D) is computed in numpy by the public kernel around it.
+With numba the walk is compiled and runs over numpy arrays.  Without it
+the walk runs as plain Python over ``memoryview``s of the numpy inputs and
+outputs, with its union-find state in lists below ``COMPACT_N`` places and
+in int32 ``memoryview``s from there on, so that a long chain's state fits
+in L2 (see `_ids`); all of them read and write the same values, so the
+streams are bit-identical.
 
 Many short chains replay in lockstep instead: `direct_chain_rows`,
 `parking_rows` and `tree_rows` run their walk's steps over a row axis in
@@ -104,10 +103,6 @@ def _int64(a):
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _events(L, R, D):
-    return np.minimum(L, R), np.maximum(L, R), L, R, D
-
-
 @njit(cache=True)
 def _direct_walk(elem, prey_j, parent, size, roots, pos, L, R):
     """Union-find loop of the two-stage chain; fills L[k], R[k].
@@ -144,12 +139,11 @@ def _direct_walk(elem, prey_j, parent, size, roots, pos, L, R):
         R[k] = y
 
 
-def direct_chain_replay(n, elem, prey_u, uprime):
-    """Replay the two-stage chain: size-biased predator, uniform prey.
+def direct_chain_replay(n, elem, prey_u):
+    """Replay the two-stage chain: size-biased predator, uniform prey -> (L, R).
 
     elem[k] is a uniform element index in [0, n) whose root is the
-    predator; prey_u[k] picks uniformly among the other n-1-k live roots;
-    uprime[k] drives the displacement D = floor(u' * L).
+    predator; prey_u[k] picks uniformly among the other n-1-k live roots.
     """
     m = n - 1
     L = np.empty(m, np.int64)
@@ -157,7 +151,7 @@ def direct_chain_replay(n, elem, prey_u, uprime):
     ids = _ids(n)
     _direct_walk(_view(_int64(elem)), _view(_prey_index(n, prey_u)), _copy(ids), _ones(n),
                  _copy(ids), ids, _view(L), _view(R))
-    return _events(L, R, (uprime * L).astype(np.int64))
+    return L, R
 
 
 def _prey_index(n, prey_u):
@@ -199,17 +193,16 @@ def _find_rows(parent, a):
     return a
 
 
-def direct_chain_rows(n, elem, prey_u, uprime=None):
-    """`_direct_walk` in lockstep over rows: (s, S, L, R, D), each of shape (rows, n-1).
+def direct_chain_rows(n, elem, prey_u):
+    """`_direct_walk` in lockstep over rows: (L, R), each of shape (rows, n-1).
 
-    Row r replays the chain of elem[r], prey_u[r] and uprime[r] exactly as
-    `direct_chain_replay` does; D is None when uprime is not given.  The
-    rows' union-find states sit side by side in rows*n flat places (row r
-    owns r*n .. r*n+n-1), so the find (`_find_rows`), the predator's
-    swap-out and the union are each a few fancy-index steps over all rows
-    at once, and no two rows touch the same place.  Per step the cost is a
-    fixed number of numpy calls, so this pays when rows >= n; one long
-    chain stays on the walk.
+    Row r replays the chain of elem[r] and prey_u[r] exactly as
+    `direct_chain_replay` does.  The rows' union-find states sit side by
+    side in rows*n flat places (row r owns r*n .. r*n+n-1), so the find
+    (`_find_rows`), the predator's swap-out and the union are each a few
+    fancy-index steps over all rows at once, and no two rows touch the
+    same place.  Per step the cost is a fixed number of numpy calls, so
+    this pays when rows >= n; one long chain stays on the walk.
     """
     elem = _int64(elem)
     rows, m = elem.shape
@@ -241,7 +234,7 @@ def direct_chain_rows(n, elem, prey_u, uprime=None):
         size[r] = x + y
         L[:, k] = x
         R[:, k] = y
-    return _events(L, R, None if uprime is None else (uprime * L).astype(np.int64))
+    return L, R
 
 
 @njit(cache=True)
@@ -281,12 +274,12 @@ def _parking_walk(tries, parent, bsize, L, R, P):
 
 
 def parking_replay(n, tries):
-    """Replay circular parking with linear probing.
+    """Replay circular parking with linear probing -> (L, R, D).
 
     tries[c] is the c-th car's uniform first try.  Parking a car merges
-    the block holding its first try with the next block clockwise.  D is
-    the probed distance, L the size of the block holding the first try,
-    R the size of the block after the filled place.
+    the block holding its first try with the next block clockwise.  L is
+    the size of the block holding the first try, R the size of the block
+    after the filled place, and D the probed distance.
     """
     m = n - 1
     tries = _int64(tries)
@@ -294,11 +287,11 @@ def parking_replay(n, tries):
     R = np.empty(m, np.int64)
     P = np.empty(m, np.int64)
     _parking_walk(_view(tries), _ids(n), _ones(n), _view(L), _view(R), _view(P))
-    return _events(L, R, np.remainder(P - tries, n))
+    return L, R, np.remainder(P - tries, n)
 
 
 def parking_rows(n, tries):
-    """`_parking_walk` in lockstep over rows: (s, S, L, R, D), each of shape (rows, n-1).
+    """`_parking_walk` in lockstep over rows: (L, R, D), each of shape (rows, n-1).
 
     Row r parks the cars of tries[r] exactly as `parking_replay` does.  The
     rows' union-find states sit side by side in rows*n flat places as in
@@ -326,7 +319,7 @@ def parking_rows(n, tries):
         L[:, c] = x
         R[:, c] = y
         P[:, c] = a
-    return _events(L, R, np.remainder(P - base[:, None] - tries, n))
+    return L, R, np.remainder(P - base[:, None] - tries, n)
 
 
 def parking_scan(h):
@@ -458,31 +451,29 @@ def _tree_walk(bottom, top, parent, csize, L, R):
         R[k] = y
 
 
-def tree_replay(n, par, perm, uprime):
-    """Insert the rooted tree's edges in permuted order, merging components.
+def tree_replay(n, bottom, top):
+    """Insert a rooted tree's edges in order, merging components -> (L, R).
 
-    Edge j (j = 0..n-2) joins vertex j+1 to its parent; the k-th inserted
-    edge is edge perm[k].  L is the size of the component holding the
-    bottom (parent-side) endpoint, R the size of the top component.
+    The k-th inserted edge joins bottom[k] (parent side) to top[k]; a tree
+    with parents par inserted in the order perm has top = perm + 1 and
+    bottom = par[top].  L is the size of the component holding the bottom
+    endpoint, R the size of the top component.
     """
     m = n - 1
-    top = _int64(perm) + 1
-    bottom = _int64(par)[top]
     L = np.empty(m, np.int64)
     R = np.empty(m, np.int64)
-    _tree_walk(_view(bottom), _view(top), _ids(n), _ones(n), _view(L), _view(R))
-    return _events(L, R, (uprime * L).astype(np.int64))
+    _tree_walk(_view(_int64(bottom)), _view(_int64(top)), _ids(n), _ones(n), _view(L), _view(R))
+    return L, R
 
 
-def tree_rows(n, bottom, top, uprime=None):
-    """`_tree_walk` in lockstep over rows: (s, S, L, R, D), each of shape (rows, n-1).
+def tree_rows(n, bottom, top):
+    """`_tree_walk` in lockstep over rows: (L, R), each of shape (rows, n-1).
 
     Row r inserts the edges bottom[r, k] -- top[r, k], k = 0..n-2, exactly
-    as `tree_replay` does (there top = perm + 1 and bottom = par[top]); D is
-    None when uprime is not given.  The rows' union-find states sit side by
-    side in rows*n flat places as in `direct_chain_rows`, so each insertion
-    is one `_find_rows` of the bottom endpoints and a few fancy-index steps
-    over all rows.
+    as `tree_replay` does.  The rows' union-find states sit side by side in
+    rows*n flat places as in `direct_chain_rows`, so each insertion is one
+    `_find_rows` of the bottom endpoints and a few fancy-index steps over
+    all rows.
     """
     top = _int64(top)
     rows, m = top.shape
@@ -502,4 +493,4 @@ def tree_rows(n, bottom, top, uprime=None):
         csize[a] = x + y
         L[:, k] = x
         R[:, k] = y
-    return _events(L, R, None if uprime is None else (uprime * L).astype(np.int64))
+    return L, R

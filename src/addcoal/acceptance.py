@@ -444,7 +444,7 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
         stop = min(start + rows, runs)
         elem, prey_u = direct_rows(m, [substream_rng(SEED_ORACLE_CHI, rep)
                                        for rep in range(start, stop)], 1)
-        _, _, L, _, _ = direct_chain_rows(m, elem, prey_u)
+        L, _ = direct_chain_rows(m, elem, prey_u)
         counts += np.bincount(L[:, -1] - 1, minlength=m - 1)
     probs = np.array([p_mk(m, k) for k in range(1, m)], dtype=np.float64)
     if mutate:
@@ -476,7 +476,7 @@ def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
     rows = block_rows(n)
     codes = []
     for i in range(0, reps, rows):
-        _, _, L, R, _ = direct_chain_rows(n, elem[i:i + rows], prey_u[i:i + rows])
+        L, R = direct_chain_rows(n, elem[i:i + rows], prey_u[i:i + rows])
         codes.append(sequence_codes(n, L, R))
     values, tally = np.unique(np.concatenate(codes), return_counts=True)
     decoded = decode_counts(n, dict(zip(values.tolist(), tally.tolist())), 2)

@@ -114,6 +114,8 @@ class RunConfig:
                         raise UsageError(f"unknown {_key(f)} {v!r}; known: {choices}")
         if self.reps < 1 or self.workers < 1:
             raise UsageError("reps and workers must be >= 1")
+        if not self.functionals:
+            raise UsageError("functional must name at least one functional")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise UsageError(f"seed must be in [0, 2^64), got {self.seed}")
         for name, values in (("n", self.n), ("functional", self.functionals),
@@ -488,8 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for name in names:
             f = _FIELDS[name]
             kw = dict(choices=f.metadata.get("choices"), help=f.metadata.get("help"))
-            if name == "table":
-                p.add_argument(name, **kw)
+            if name == "table":  # optional here, so that a config file can set it
+                p.add_argument(name, nargs="?", **kw)
                 continue
             if not kw["choices"]:
                 kw["metavar"] = _key(f).replace("-", "_").upper()

@@ -3,24 +3,25 @@
 Six cost functionals are tracked per merge event.  Naming convention
 (used consistently across the package): the *predator* is the size-biased
 first pick, whose size is the event's L; the *prey* is the uniformly
-chosen second cluster, whose size is R = s + S - L.
+chosen second cluster, whose size is R.
 
-    QF           s or S by a fair coin (the event's u)
-    QFW          s, the smaller side
+    QF           min(L, R) or max(L, R) by a fair coin (the event's u)
+    QFW          min(L, R), the smaller side
     QFB          R, the non-size-biased side
     Prey         R  (identical to QFB event by event)
     Predator     L
     Displacement D, uniform on {0, ..., L-1} given L
 
-Conditional means given merged sizes {x, y}:
+Conditional means given the ordered split (L, R) = (l, r), `split_mean`:
 
-    QF (x+y)/2 | QFW min(x,y) | Prey = QFB 2xy/(x+y)
-    Predator (x^2+y^2)/(x+y) | Displacement ((x^2+y^2)/(x+y) - 1)/2
+    QF (l+r)/2 | QFW min(l,r) | Prey = QFB r | Predator l | Displacement (l-1)/2
 
-The displacement mean carries a -1/2 relative to the idealized table
-value (x^2+y^2)/(2(x+y)) because D lives on {0, ..., L-1}; at the
-partial-cost scale this shifts the limit curve by -alpha/2 (see
-smoluchowski.phi_closed_form's conventions).
+Given only the merged sizes {x, y}, x is L with probability x/(x+y), so
+the mean is (x c(x, y) + y c(y, x))/(x+y), e.g. 2xy/(x+y) for the prey;
+that average drops the split's own variance.  The displacement mean
+carries a -1/2 relative to the idealized table value (x^2+y^2)/(2(x+y))
+because D lives on {0, ..., L-1}; at the partial-cost scale this shifts
+the limit curve by -alpha/2 (see smoluchowski.phi_closed_form).
 """
 
 import enum
@@ -51,9 +52,9 @@ def event_costs(functional: Functional, batch: EventBatch) -> np.ndarray:
     """Vectorized realized costs for a whole run (int64)."""
     functional = Functional(functional)
     if functional is Functional.QF:
-        return np.where(batch.u < 0.5, batch.s, batch.S)
+        return np.where(batch.u < 0.5, np.minimum(batch.L, batch.R), np.maximum(batch.L, batch.R))
     if functional is Functional.QFW:
-        return batch.s
+        return np.minimum(batch.L, batch.R)
     if functional in (Functional.QFB, Functional.PREY):
         return batch.R
     if functional is Functional.PREDATOR:
@@ -61,21 +62,18 @@ def event_costs(functional: Functional, batch: EventBatch) -> np.ndarray:
     return batch.D
 
 
-def conditional_mean(functional: Functional, x, y):
-    """Exact conditional mean of the realized cost given merged sizes {x, y}.
-
-    Returns a Fraction when x and y are ints.
-    """
+def split_mean(functional: Functional, l, r) -> Fraction:
+    """E[cost | L = l, R = r], exact for int sizes."""
     functional = Functional(functional)
     if functional is Functional.QF:
-        return Fraction(x + y, 2)
+        return Fraction(l + r, 2)
     if functional is Functional.QFW:
-        return Fraction(min(x, y))
+        return Fraction(min(l, r))
     if functional in (Functional.QFB, Functional.PREY):
-        return Fraction(2 * x * y, x + y)
+        return Fraction(r)
     if functional is Functional.PREDATOR:
-        return Fraction(x * x + y * y, x + y)
-    return (Fraction(x * x + y * y, x + y) - 1) / 2
+        return Fraction(l)
+    return Fraction(l - 1, 2)
 
 
 def _snap(x: float) -> float:

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _replay
-from .cost_engine import conditional_mean
+from .cost_engine import split_mean
 
 PARKING_ENUM_MAX = 8  # 8^7 ~ 2.1e6 first-try vectors; their codes fit int64 up to 8
 TREE_ENUM_MAX = 6  # 6^4 * 5! = 155,520 ordered trees
@@ -182,7 +182,7 @@ def enumerate_parking(n: int) -> EventSequenceDistribution:
     counts = Counter()
     for start in range(0, total, rows):
         tries = np.arange(start, min(start + rows, total))[:, None] // place % n
-        _, _, L, R, D = _replay.parking_rows(n, tries)
+        L, R, D = _replay.parking_rows(n, tries)
         _count_codes(counts, sequence_codes(n, L, R, D))
     probs = {seq: Fraction(c, total) for seq, c in decode_counts(n, counts, 3).items()}
     return EventSequenceDistribution(n, ("s", "S", "L", "D"), probs)
@@ -207,8 +207,7 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
     for start in range(0, len(prufers), group):
         pars = np.stack([_replay.tree_parents_from_prufer(n, prufer)
                          for prufer in prufers[start:start + group]])
-        _, _, L, R, _ = _replay.tree_rows(n, pars[:, tops].reshape(-1, m),
-                                          np.tile(tops, (len(pars), 1)))
+        L, R = _replay.tree_rows(n, pars[:, tops].reshape(-1, m), np.tile(tops, (len(pars), 1)))
         _count_codes(counts, sequence_codes(n, L, R))
     total = n ** (n - 2) * math.factorial(n - 1)
     probs = {seq: Fraction(c, total) for seq, c in decode_counts(n, counts, 2).items()}
@@ -280,8 +279,9 @@ class PartitionDp:
         self.final = {state: Fraction(p, den) for state, p in dist.items()}
 
     def expected_step_cost(self, functional, k: int) -> Fraction:
+        """E[cost of the k-th merge], summed over its (L, R) law."""
         return sum(
-            (p * conditional_mean(functional, l, r) for (l, r), p in self.steps[k - 1].items()),
+            (p * split_mean(functional, l, r) for (l, r), p in self.steps[k - 1].items()),
             Fraction(0),
         )
 

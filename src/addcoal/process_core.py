@@ -8,10 +8,11 @@ x + y.  Three statistically equivalent generators are provided:
 * a uniform labeled tree with a uniform edge ordering,
 * circular parking with linear probing.
 
-Each of the n-1 merge events records the ordered sizes (s, S), the
-size-biased side L and its complement R = s + S - L, an auxiliary
-uniform u, and a displacement D uniform on {0, ..., L-1} (in the parking
-model D is the physical probe distance).
+Each of the n-1 merge events records its ordered split (L, R), the sizes
+of the size-biased side and of the other side, an auxiliary uniform u,
+and a displacement D uniform on {0, ..., L-1} given L: floor(u' L) for a
+drawn uniform u' in the direct and tree runs, the physical probe distance
+in the parking model.
 """
 
 import enum
@@ -37,12 +38,10 @@ class EventBatch:
     methods read one run.
     """
 
-    __slots__ = ("n", "s", "S", "L", "R", "u", "D")
+    __slots__ = ("n", "L", "R", "u", "D")
 
-    def __init__(self, n, s, S, L, R, u, D):
+    def __init__(self, n, L, R, u, D):
         self.n = n
-        self.s = s
-        self.S = S
         self.L = L
         self.R = R
         self.u = u
@@ -58,17 +57,17 @@ class EventBatch:
         if step == 0:
             return 1
         # merged sizes only ever grow, so the running max is the largest cluster
-        return int(np.max(self.s[:step] + self.S[:step]))
+        return int(np.max(self.L[:step] + self.R[:step]))
 
     def spectrum_at(self, step):
         """Cluster-size spectrum {size: count} after `step` merges."""
         if not 0 <= step <= len(self):
             raise ValueError(f"step must be in [0, {len(self)}]")
-        s, S = self.s[:step], self.S[:step]
+        L, R = self.L[:step], self.R[:step]
         size_range = self.n + 1
-        # each merge adds a cluster of size s + S and removes one each of sizes s and S
-        counts = (np.bincount(s + S, minlength=size_range) - np.bincount(s, minlength=size_range)
-                  - np.bincount(S, minlength=size_range))
+        # each merge adds a cluster of size L + R and removes one each of sizes L and R
+        counts = (np.bincount(L + R, minlength=size_range) - np.bincount(L, minlength=size_range)
+                  - np.bincount(R, minlength=size_range))
         counts[1] += self.n
         return {int(size): int(counts[size]) for size in np.flatnonzero(counts)}
 
@@ -89,6 +88,11 @@ def direct_picks(n: int, rng, shape=()):
     """
     _check_n(n)
     return rng.integers(0, n, size=(*shape, n - 1)), rng.random((*shape, n - 1))
+
+
+def _floor_displacement(uprime, L):
+    """The direct and tree runs' D = floor(u' L), uniform on {0, ..., L-1} given L."""
+    return (uprime * L).astype(np.int64)
 
 
 def direct_inputs(n: int, rng):
@@ -147,8 +151,8 @@ def direct_rows(n: int, rngs, uniforms: int):
 def simulate_direct(n: int, rng) -> EventBatch:
     """Full direct-chain run.  Draw order: elements, prey picks, u, u'."""
     elem, prey_u, u, uprime = direct_inputs(n, rng)
-    s, S, L, R, D = _replay.direct_chain_replay(n, elem, prey_u, uprime)
-    return EventBatch(n, s, S, L, R, u, D)
+    L, R = _replay.direct_chain_replay(n, elem, prey_u)
+    return EventBatch(n, L, R, u, _floor_displacement(uprime, L))
 
 
 def parking_tries(n: int, rng) -> np.ndarray:
@@ -169,8 +173,8 @@ def simulate_parking(n: int, rng) -> EventBatch:
     """
     tries = parking_tries(n, rng)
     u = rng.random(n - 1)
-    s, S, L, R, D = _replay.parking_replay(n, tries)
-    return EventBatch(n, s, S, L, R, u, D)
+    L, R, D = _replay.parking_replay(n, tries)
+    return EventBatch(n, L, R, u, D)
 
 
 def tree_inputs(n: int, rng):
@@ -188,9 +192,9 @@ def simulate_spanning_tree(n: int, rng) -> EventBatch:
     tree is rooted at vertex 0 to orient bottom/top.
     """
     prufer, perm, u, uprime = tree_inputs(n, rng)
-    par = _replay.tree_parents_from_prufer(n, prufer)
-    s, S, L, R, D = _replay.tree_replay(n, par, perm, uprime)
-    return EventBatch(n, s, S, L, R, u, D)
+    top = perm + 1  # the k-th inserted edge joins vertex perm[k] + 1 to its parent
+    L, R = _replay.tree_replay(n, _replay.tree_parents_from_prufer(n, prufer)[top], top)
+    return EventBatch(n, L, R, u, _floor_displacement(uprime, L))
 
 
 _SIMULATORS = {
@@ -216,16 +220,17 @@ def simulate_rows(n: int, rngs, embedding) -> EventBatch:
     `_replay.parking_rows` or `_replay.tree_rows`.
     """
     embedding = Embedding(embedding)
+    if embedding is Embedding.PARKING:
+        tries, u = direct_rows(n, rngs, 1)
+        L, R, D = _replay.parking_rows(n, tries)
+        return EventBatch(n, L, R, u, D)
     if embedding is Embedding.TREE:
         prufer, perm, u, uprime = (np.stack(col)
                                    for col in zip(*(tree_inputs(n, rng) for rng in rngs)))
         par = np.stack([_replay.tree_parents_from_prufer(n, row) for row in prufer])
         top = perm + 1
-        s, S, L, R, D = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top, uprime)
-    elif embedding is Embedding.PARKING:
-        tries, u = direct_rows(n, rngs, 1)
-        s, S, L, R, D = _replay.parking_rows(n, tries)
+        L, R = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top)
     else:
         elem, prey_u, u, uprime = direct_rows(n, rngs, 3)
-        s, S, L, R, D = _replay.direct_chain_rows(n, elem, prey_u, uprime)
-    return EventBatch(n, s, S, L, R, u, D)
+        L, R = _replay.direct_chain_rows(n, elem, prey_u)
+    return EventBatch(n, L, R, u, _floor_displacement(uprime, L))

@@ -10,15 +10,14 @@ with moments sum_k q = e^-t, sum_k k q = 1, sum_k k^2 q = e^{2t}.
 Partial merge costs normalized by n converge, uniformly on compact
 alpha ranges, to
 
-    phi^c(alpha) = int_0^{-log(1-alpha)} sum_k sum_l c(k,l) (k+l)/2
-                                         q(k,t) q(l,t) dt
+    phi^c(alpha) = int_0^{-log(1-alpha)} sum_k sum_l k c(k,l) q(k,t) q(l,t) dt
 
-where c is the conditional mean cost of a merge of sizes {k, l}.  The
-(k+l)/2 factor is the merge intensity; with it the unit cost c = 1
-integrates to alpha, matching the event count.  All phi curves here are
-normalized so that phi(0) = 0; the classical table values for QF,
-Predator and Displacement sit 1/2, 1 and 1/2 above these (their alpha=0
-offsets).
+where c(k, l) = cost_engine.split_mean(k, l), the mean cost given L = k
+and R = l: sizes {k, l} merge at rate (k+l)/2, with L = k at probability
+k/(k+l).  The unit cost c = 1 integrates to alpha, matching the event
+count.  All phi curves here are normalized so that phi(0) = 0; the
+classical table values for QF, Predator and Displacement sit 1/2, 1 and
+1/2 above these (their alpha=0 offsets).
 """
 
 import functools
@@ -35,6 +34,7 @@ _MASS_TOL = 1e-10
 _MIN_PANELS = 64
 _MAX_PANELS = 1 << 16
 _KMAX_HARD = 1 << 21
+_CACHE_KMAX = 1 << 15  # the largest cutoff whose `_k_terms` table stays cached
 _ALPHA_MAX = 0.98  # the cutoff kmax grows like (1 - alpha)^-2 toward alpha = 1
 _TINY = np.finfo(float).tiny  # smallest normal float; below it q has underflowed
 _EXP_ZERO = -746.0  # exp(x) rounds to exactly 0.0 below about -745.13
@@ -65,20 +65,28 @@ def q(k: int, t: float) -> float:
     return math.exp((k - 1) * math.log(k * w) - math.lgamma(k + 1) - t - k * w)
 
 
-@functools.lru_cache(maxsize=8)
-def _k_terms(kmax: int):
-    """The t-free parts of log q(k, t) for k = 1..kmax: k, k - 1 and log k!.
-
-    Cached per cutoff and read-only, so `q_vector`, `_choose_kmax` and every
-    `_Integrand` of one cutoff share one gammaln table.  A quadrature uses
-    at most six cutoffs (1024 to 32768 at alpha = 0.95), which eight entries
-    hold.
-    """
+def _k_table(kmax: int):
     ks = np.arange(1, kmax + 1, dtype=np.float64)
     terms = ks, ks - 1.0, gammaln(ks + 1.0)
     for a in terms:
         a.flags.writeable = False
     return terms
+
+
+_cached_k_table = functools.lru_cache(maxsize=8)(_k_table)
+
+
+def _k_terms(kmax: int):
+    """The t-free parts of log q(k, t) for k = 1..kmax: k, k - 1 and log k!.
+
+    Read-only and cached per cutoff up to `_CACHE_KMAX`, so `q_vector`,
+    `_choose_kmax` and every `_Integrand` of one cutoff share one gammaln
+    table.  A quadrature to alpha = 0.95 uses at most six cutoffs (1024 to
+    32768), which eight entries hold.  A larger table (48 MiB at
+    `_KMAX_HARD`) is built per call, so that a search that climbs to
+    `_KMAX_HARD` and raises leaves no large table cached.
+    """
+    return (_cached_k_table if kmax <= _CACHE_KMAX else _k_table)(kmax)
 
 
 def _q_from_terms(terms, t, out=None) -> np.ndarray:
@@ -229,19 +237,19 @@ class QuadratureResult:
 
 
 class _Integrand:
-    """Evaluates I(t) = sum_{k,l} c(k,l) (k+l)/2 q(k,t) q(l,t), truncated.
+    """Evaluates I(t) = sum_{k,l} k c(k,l) q(k,t) q(l,t), truncated.
 
-    c is the functional's conditional mean cost (cost_engine.conditional_mean).
-    Each functional uses an exact rearrangement of the truncated double sum:
-    products of the moments m_p = sum_k k^p q_k, or a prefix-sum form for
-    QFW's min(k, l).  A call takes a time t, or a 1-D array of nodes, which
-    it evaluates in row batches of at most `_BATCH_CELLS` q values: one row
-    of q per node, with the same float operations in the same order as a
-    scalar call, so each node's value is bit for bit the scalar value.  The
-    moment dots stay one `np.dot` per row (a matrix-vector product rounds
-    differently); row sums and prefix sums along the rows are bit-equal to
-    their 1-D forms.  Each instance computes only the moments its
-    functional reads, in buffers of its own.
+    c(k, l) is the functional's cost_engine.split_mean(k, l), its mean cost
+    given L = k and R = l.  Each functional uses an exact rearrangement of
+    the truncated double sum: products of the moments m_p = sum_k k^p q_k,
+    or a prefix-sum form for QFW's min(k, l).  A call takes a time t, or a
+    1-D array of nodes, which it evaluates in row batches of at most
+    `_BATCH_CELLS` q values: one row of q per node, with the same float
+    operations in the same order as a scalar call, so each node's value is
+    bit for bit the scalar value.  The moment dots stay one `np.dot` per row
+    (a matrix-vector product rounds differently); row sums and prefix sums
+    along the rows are bit-equal to their 1-D forms.  Each instance computes
+    only the moments its functional reads, in buffers of its own.
     """
 
     def __init__(self, functional, kmax: int):
@@ -283,7 +291,7 @@ class _Integrand:
             np.multiply(ks, qv, out=kq)
             np.cumsum(kq, axis=1, out=p1)
             np.cumsum(qv, axis=1, out=q1)
-            # sum_l min(k,l) q_l = p1 + k (m0 - q1), then weight by k q_k (symmetrized kernel)
+            # sum_l min(k,l) q_l = p1 + k (m0 - q1), then weight by k q_k
             np.subtract(m0[:, None], q1, out=q1)
             q1 *= ks
             p1 += q1
@@ -294,7 +302,7 @@ class _Integrand:
             return [u2 * u0 for u0, u2 in zip(m0, m2)]
         if functional is Functional.QF:
             return [0.5 * (u2 * u0 + u1 * u1) for u0, u1, u2 in zip(m0, m1, m2)]
-        # displacement, floor convention: ((k^2+l^2)/(k+l) - 1)/2 * (k+l)/2
+        # displacement, floor convention: sum_{k,l} k (k-1)/2 q_k q_l = (m2 m0 - m1 m0)/2
         return [0.5 * u2 * u0 - 0.25 * (u1 * u0 + u0 * u1) for u0, u1, u2 in zip(m0, m1, m2)]
 
 

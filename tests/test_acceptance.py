@@ -118,7 +118,7 @@ def test_chain_counts_by_mixed_radix_match_tuple_keys():
 
     n = 5
     elem, prey_u = direct_picks(n, make_rng(1), (3000,))
-    _, _, L, R, _ = direct_chain_rows(n, elem, prey_u)
+    L, R = direct_chain_rows(n, elem, prey_u)
     expected = Counter(tuple((min(l, r), max(l, r), l) for l, r in zip(l_row, r_row))
                        for l_row, r_row in zip(L.tolist(), R.tolist()))
     codes = Counter(sequence_codes(n, L, R).tolist())
@@ -131,8 +131,8 @@ def test_chain_chi_square_rejects_sequences_outside_the_law(monkeypatch):
     from addcoal import _replay
 
     def swapped(n, elem, prey_u):
-        s, S, L, R, D = _replay.direct_chain_rows(n, elem, prey_u)
-        return s, S, L[:, ::-1], R[:, ::-1], D
+        L, R = _replay.direct_chain_rows(n, elem, prey_u)
+        return L[:, ::-1], R[:, ::-1]
 
     monkeypatch.setattr(acceptance, "direct_chain_rows", swapped)
     with pytest.raises(RuntimeError, match="outside the exact law's support"):

@@ -591,3 +591,33 @@ def test_repeated_functional_rejected(tmp_path, capsys):
     assert "functional" in _stderr_json(capsys)["error"]
     assert run_cli(["limit", "--functional", "qf", "--functional", "qf", "--out", out]) == 1
     assert not out.exists()
+
+
+def test_exact_table_set_only_in_the_config(tmp_path, capsys):
+    cfg = tmp_path / "pmk.cfg"
+    cfg.write_text("command = exact\ntable = pmk\nn = 5\n")
+    from_config, from_arg = tmp_path / "config.csv", tmp_path / "arg.csv"
+    assert run_cli(["exact", "--config", cfg, "--out", from_config]) == 0
+    assert run_cli(["exact", "pmk", "--n", "5", "--out", from_arg]) == 0
+    assert from_config.read_text() == from_arg.read_text()
+    # no table anywhere: still a usage error
+    cfg.write_text("command = exact\nn = 5\n")
+    out = tmp_path / "x.csv"
+    for args in (["exact", "--n", "5"], ["exact", "--config", cfg]):
+        assert run_cli(args + ["--out", out]) == 1, args
+        assert _stderr_json(capsys) == {"error": "exact needs a table argument", "kind": "usage"}
+    assert not out.exists()
+
+
+def test_an_empty_functional_list_is_a_usage_error(tmp_path, capsys):
+    # each command that reads the functionals would otherwise write no rows
+    cfg = tmp_path / "empty.cfg"
+    out = tmp_path / "x.csv"
+    for args in (["simulate", "--n", "10"], ["limit"], ["exact", "dp", "--n", "5"]):
+        cfg.write_text(f"command = {args[0]}\nfunctional =\n")
+        assert run_cli(args + ["--config", cfg, "--out", out]) == 1, args
+        err = _stderr_json(capsys)
+        assert err["kind"] == "usage" and "functional" in err["error"], (args, err)
+    assert not out.exists()
+    with pytest.raises(UsageError, match="functional"):
+        RunConfig("simulate", functionals=())

@@ -9,8 +9,8 @@ from addcoal.cost_engine import (
     Functional,
     alpha_step,
     beta_step,
-    conditional_mean,
     event_costs,
+    split_mean,
 )
 from addcoal.exact_oracles import _conditional_means, _sum_by, enumerate_parking, partition_dp
 from addcoal.experiment import ExperimentSpec, run_monte_carlo
@@ -19,13 +19,13 @@ from addcoal.seeding import make_rng
 
 
 def batch_of(*events):
-    """EventBatch of hand-written (s, S, L, R, u, D) rows, one per step."""
-    s, S, L, R, u, D = (np.array(col) for col in zip(*events))
-    return EventBatch(len(events) + 1, s, S, L, R, u, D)
+    """EventBatch of hand-written (L, R, u, D) rows, one per step."""
+    L, R, u, D = (np.array(col) for col in zip(*events))
+    return EventBatch(len(events) + 1, L, R, u, D)
 
 
-def ev(s=1, S=1, L=1, R=1, u=0.3, D=0):
-    return (s, S, L, R, u, D)
+def ev(L=1, R=1, u=0.3, D=0):
+    return (L, R, u, D)
 
 
 def fold(monkeypatch, batch, functionals, alpha_grid=(), beta_grid=()):
@@ -42,11 +42,11 @@ def test_instantaneous_examples():
     def cost(functional, event):
         return int(event_costs(functional, batch_of(event))[0])
 
-    e = ev(s=2, S=5, L=5, R=2, u=0.2, D=3)
+    e = ev(L=5, R=2, u=0.2, D=3)
     assert cost(Functional.QFW, e) == 2
     assert cost(Functional.QF, e) == 2  # u < 1/2 -> smaller side
-    assert cost(Functional.QF, ev(s=2, S=5, u=0.9)) == 5
-    assert cost(Functional.PREDATOR, ev(L=3, R=4, s=3, S=4)) == 3
+    assert cost(Functional.QF, ev(L=2, R=5, u=0.9)) == 5
+    assert cost(Functional.PREDATOR, ev(L=3, R=4)) == 3
     assert cost(Functional.PREY, e) == 2
     assert cost(Functional.QFB, e) == 2
     assert cost(Functional.DISPLACEMENT, e) == 3
@@ -60,21 +60,33 @@ def test_per_event_relations():
     qfb = event_costs(Functional.QFB, batch)
     pred = event_costs(Functional.PREDATOR, batch)
     assert np.array_equal(prey, qfb)  # the complement-side costs coincide
-    assert np.array_equal(prey + pred, batch.s + batch.S)
-    assert np.all(qfw <= qf) and np.all(qf <= batch.s + batch.S - qfw)
+    assert np.array_equal(prey + pred, batch.L + batch.R)
+    assert np.all(qfw <= qf) and np.all(qf <= batch.L + batch.R - qfw)
+
+
+def _unordered_mean(functional, x, y):
+    """The mean given merged sizes {x, y}: x is L with probability x / (x + y)."""
+    return (x * split_mean(functional, x, y) + y * split_mean(functional, y, x)) / (x + y)
 
 
 def test_conditional_means():
-    assert conditional_mean(Functional.QF, 2, 5) == Fraction(7, 2)
-    assert conditional_mean(Functional.QFW, 2, 5) == 2
-    assert conditional_mean(Functional.PREY, 1, 2) == Fraction(4, 3)
-    assert conditional_mean(Functional.PREDATOR, 1, 2) == Fraction(5, 3)
-    assert conditional_mean(Functional.DISPLACEMENT, 1, 2) == Fraction(1, 3)
+    assert split_mean(Functional.QF, 2, 5) == Fraction(7, 2)
+    assert split_mean(Functional.QFW, 5, 2) == 2
+    assert split_mean(Functional.PREY, 1, 2) == split_mean(Functional.QFB, 1, 2) == 2
+    assert split_mean(Functional.PREDATOR, 1, 2) == 1
+    assert split_mean(Functional.DISPLACEMENT, 4, 1) == Fraction(3, 2)
+    assert all(type(split_mean(f, 3, 4)) is Fraction for f in ALL_FUNCTIONALS)
+    # averaged over which side is L, they give the means of the unordered sizes
+    assert _unordered_mean(Functional.QF, 2, 5) == Fraction(7, 2)
+    assert _unordered_mean(Functional.QFW, 2, 5) == 2
+    assert _unordered_mean(Functional.PREY, 1, 2) == Fraction(4, 3)
+    assert _unordered_mean(Functional.PREDATOR, 1, 2) == Fraction(5, 3)
+    assert _unordered_mean(Functional.DISPLACEMENT, 1, 2) == Fraction(1, 3)
 
 
 def test_accumulate_prey_n3_example(monkeypatch):
     # run 1: L2 = 2 (prey cost R2 = 1); run 2: L2 = 1 (prey cost 2)
-    batch = batch_of(ev(), ev(s=1, S=2, L=2, R=1))
+    batch = batch_of(ev(), ev(L=2, R=1))
     _, _, totals = fold(monkeypatch, batch, (Functional.PREY, Functional.PREDATOR))
     assert list(totals) == [2, 3]
 

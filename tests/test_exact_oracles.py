@@ -148,14 +148,13 @@ def test_direct_kernels_replay_the_exact_chain_law(n):
     rows = _replay.block_rows(n)
     for start in range(0, total, rows):
         elem, prey_u = _direct_inputs(n, np.arange(start, min(start + rows, total)))
-        _, _, L, R, _ = _replay.direct_chain_rows(n, elem, prey_u)
+        L, R = _replay.direct_chain_rows(n, elem, prey_u)
         counts.update(map(tuple, np.hstack([L, R]).tolist()))
     assert _law(counts, total) == law
     if n <= 5:
         elem, prey_u = _direct_inputs(n, np.arange(total))
-        zeros = np.zeros(n - 1)  # u' only sets D, which the law leaves out
-        walks = Counter((*L, *R) for _, _, L, R, _ in (
-            _replay.direct_chain_replay(n, e, u, zeros) for e, u in zip(elem, prey_u)))
+        walks = Counter((*L, *R) for L, R in (
+            _replay.direct_chain_replay(n, e, u) for e, u in zip(elem, prey_u)))
         assert _law(walks, total) == law
 
 
@@ -284,8 +283,8 @@ def test_parking_scan_blocks_match_block_config_count(n):
     # the scan leaves ({size: blocks}, each block ending at an empty place) is
     # the cluster spectrum of the walk on the same tries
     tries = np.array(list(itertools.product(range(n), repeat=n - 1)), np.int64)
-    walks = [EventBatch(n, s, S, L, R, None, D)
-             for s, S, L, R, D in (_replay.parking_replay(n, t) for t in tries)]
+    walks = [EventBatch(n, L, R, None, D)
+             for L, R, D in (_replay.parking_replay(n, t) for t in tries)]
     h = np.zeros((len(tries), n), np.int64)
     for j in range(n - 1):
         _, occupied = _replay.parking_scan(h)

@@ -162,7 +162,7 @@ def test_chi_square_detects_wrong_null():
 
 
 def test_monte_carlo_matches_exact_dp_frequencies():
-    # empirical sanity chain: simulated (s, S) at step 2 of n = 4 vs DP law
+    # empirical sanity chain: simulated (min, max) of (L, R) at step 2 of n = 4 vs DP law
     n, reps = 4, 20_000
     dp = partition_dp(n)
     law = _sum_by(dp.steps[1], lambda lr: (min(lr), max(lr)))  # (s, S) at step 2
@@ -170,7 +170,8 @@ def test_monte_carlo_matches_exact_dp_frequencies():
     counts = {pair: 0 for pair in pairs}
     for rep in range(reps):
         batch = simulate_direct(n, substream_rng(77, rep))
-        counts[(int(batch.s[1]), int(batch.S[1]))] += 1
+        l, r = int(batch.L[1]), int(batch.R[1])
+        counts[(min(l, r), max(l, r))] += 1
     res = chi_square_gof(
         [counts[p] for p in pairs], [float(law[p]) for p in pairs], level=0.001
     )

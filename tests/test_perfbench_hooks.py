@@ -15,6 +15,33 @@ def test_every_traced_name_exists(monkeypatch):
     assert not missing
 
 
+def test_traced_replays_take_n_first_and_return_n_minus_1_events(monkeypatch):
+    # spans._n_minus_1 counts a traced replay's merges as its first argument
+    # minus 1, which replay.*.ns_per_merge divides by
+    import numpy as np
+
+    from addcoal import _replay
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    n = 7
+    rng = np.random.default_rng(0)
+    top = rng.permutation(n - 1) + 1
+    par = _replay.tree_parents_from_prufer(n, rng.integers(0, n, n - 2))
+    calls = {
+        "direct_chain_replay": (n, rng.integers(0, n, n - 1), rng.random(n - 1)),
+        "parking_replay": (n, rng.integers(0, n, n - 1)),
+        "tree_replay": (n, par[top], top),
+    }
+    assert {attr for owner, attr, _, count in spans.PATCHES
+            if owner is _replay and count is spans._n_minus_1} == set(calls)
+    for name, args in calls.items():
+        func = getattr(_replay, name)
+        assert next(iter(inspect.signature(func).parameters)) == "n", name
+        events = func(*args)
+        assert len(events) >= 2 and all(len(col) == n - 1 for col in events), name
+
+
 def test_traced_criteria_keep_their_keywords():
     # the benchmark's mc-small workload calls these with runs= and reps=
     from addcoal import acceptance

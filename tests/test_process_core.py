@@ -30,8 +30,8 @@ ALL_SIMS = [simulate_direct, simulate_spanning_tree, simulate_parking]
 
 
 def _rows(batch):
-    """The batch's events as (s, S, L, R, D) tuples of ints, one per step."""
-    return [tuple(int(col[k]) for col in (batch.s, batch.S, batch.L, batch.R, batch.D))
+    """The batch's events as (L, R, D) tuples of ints, one per step."""
+    return [tuple(int(col[k]) for col in (batch.L, batch.R, batch.D))
             for k in range(len(batch))]
 
 
@@ -52,7 +52,7 @@ def test_monodisperse_rejects_zero():
 
 def test_direct_n2_only_outcome():
     batch = simulate_direct(2, make_rng(0))
-    assert _rows(batch) == [(1, 1, 1, 1, 0)]
+    assert _rows(batch) == [(1, 1, 0)]
     assert batch.spectrum_at(1) == {2: 1}
     with pytest.raises(ValueError):  # one cluster left: no further merge
         batch.spectrum_at(2)
@@ -62,11 +62,9 @@ def test_direct_full_run_invariants():
     n = 30
     batch = simulate_direct(n, make_rng(11))
     assert len(batch) == n - 1
-    for k, (s, S, L, R, D) in enumerate(_rows(batch), 1):
-        assert {L, R} == {s, S}
-        assert R == s + S - L
+    for k, (L, R, D) in enumerate(_rows(batch), 1):
         assert 0 <= D <= L - 1
-        assert 1 <= s <= S and s + S <= n
+        assert 1 <= min(L, R) and L + R <= n
         spectrum = batch.spectrum_at(k)
         assert sum(spectrum.values()) == n - k
         assert sum(size * cnt for size, cnt in spectrum.items()) == n
@@ -81,7 +79,7 @@ def test_direct_size_biased_pick():
     rng = make_rng(5)
     for _ in range(trials):
         batch = simulate_direct(3, rng)
-        assert (batch.s[1], batch.S[1]) == (1, 2)
+        assert sorted((batch.L[1], batch.R[1])) == [1, 2]
         hits += int(batch.L[1] == 2)
     assert abs(hits / trials - 2 / 3) < 0.03
 
@@ -91,11 +89,9 @@ def test_event_invariants_all_embeddings(sim):
     n = 257
     batch = sim(n, make_rng(123))
     assert len(batch) == n - 1
-    assert np.array_equal(batch.R, batch.s + batch.S - batch.L)
-    assert np.all((batch.L == batch.s) | (batch.L == batch.S))
     assert np.all(batch.D >= 0) and np.all(batch.D <= batch.L - 1)
-    assert np.all(batch.s >= 1) and np.all(batch.s <= batch.S)
-    assert np.all(batch.s + batch.S <= n)
+    assert np.all(batch.L >= 1) and np.all(batch.R >= 1)
+    assert np.all(batch.L + batch.R <= n)
     assert batch.largest_cluster_at(n - 1) == n
     # mass conservation at intermediate steps
     for step in (0, 1, n // 2, n - 1):
@@ -108,11 +104,11 @@ def test_event_invariants_all_embeddings(sim):
 def test_determinism_per_embedding(sim):
     a = sim(400, make_rng(99))
     b = sim(400, make_rng(99))
-    for field in ("s", "S", "L", "R", "u", "D"):
+    for field in ("L", "R", "u", "D"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     c = sim(400, make_rng(100))
     assert not all(
-        np.array_equal(getattr(a, f), getattr(c, f)) for f in ("s", "S", "L", "u")
+        np.array_equal(getattr(a, f), getattr(c, f)) for f in ("L", "R", "u")
     )
 
 
@@ -145,11 +141,11 @@ def test_n_stays_below_2_to_the_31():
 
 def test_tree_and_parking_n2():
     for b in (simulate_spanning_tree(2, make_rng(0)), simulate_parking(2, make_rng(0))):
-        assert _rows(b) == [(1, 1, 1, 1, 0)]
+        assert _rows(b) == [(1, 1, 0)]
 
 
 def _direct_events(n, elem, prey_u, uprime):
-    """Plain-python step-by-step replay of the two-stage chain: (s, S, L, R, D) per step.
+    """Plain-python step-by-step replay of the two-stage chain: (L, R, D) per step.
 
     Clusters are frozensets in a list of live clusters; the predator is
     swapped out for the last live cluster, then the prey index
@@ -167,7 +163,7 @@ def _direct_events(n, elem, prey_u, uprime):
         prey = live[j]
         live[j] = pred | prey
         x, y = len(pred), len(prey)
-        events.append((min(x, y), max(x, y), x, y, int(float(uprime[k]) * x)))
+        events.append((x, y, int(float(uprime[k]) * x)))
     return events
 
 
@@ -175,7 +171,8 @@ def test_direct_kernel_matches_reference_replay():
     from addcoal._replay import direct_chain_replay
 
     def check(n, elem, prey_u, uprime):
-        got = direct_chain_replay(n, elem, prey_u, uprime)
+        L, R = direct_chain_replay(n, elem, prey_u)
+        got = L, R, process_core._floor_displacement(uprime, L)
         rows = [tuple(int(col[k]) for col in got) for k in range(n - 1)]
         assert rows == _direct_events(n, elem, prey_u, uprime)
 
@@ -189,8 +186,8 @@ def test_direct_kernel_matches_reference_replay():
     for n in (2, 3, 60):
         ones = np.full(n - 1, top)
         check(n, rng.integers(0, n, size=n - 1), ones, ones)
-        _, _, L, _, D = direct_chain_replay(n, np.zeros(n - 1, np.int64), ones, ones)
-        assert np.array_equal(D, L - 1)
+        L, _ = direct_chain_replay(n, np.zeros(n - 1, np.int64), ones)
+        assert np.array_equal(process_core._floor_displacement(ones, L), L - 1)
 
 
 def test_prey_pick_below_left_without_a_clamp():
@@ -209,11 +206,10 @@ def test_direct_rows_match_the_walk_row_by_row(n):
     # prey uniforms just below 1 pick the last live root, on whole rows and on single steps
     prey_u[::4] = np.nextafter(1.0, 0.0)
     prey_u[1::4, ::2] = np.nextafter(1.0, 0.0)
-    uprime = rng.random((rows, n - 1))
-    lockstep = _replay.direct_chain_rows(n, elem, prey_u, uprime)
+    lockstep = _replay.direct_chain_rows(n, elem, prey_u)
     assert all(col.shape == (rows, n - 1) for col in lockstep)
     for r in range(rows):
-        walk = _replay.direct_chain_replay(n, elem[r], prey_u[r], uprime[r])
+        walk = _replay.direct_chain_replay(n, elem[r], prey_u[r])
         assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
 
 
@@ -328,7 +324,7 @@ def test_direct_lockstep_runs_draw_as_single_runs():
     for row, rep in enumerate(reps):
         single = simulate_direct(n, substream_rng(3, rep))
         assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))
-                   for col in ("s", "S", "L", "R", "u", "D"))
+                   for col in ("L", "R", "u", "D"))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 50, 300])
@@ -347,11 +343,11 @@ def test_tree_rows_match_the_walk_row_by_row(n):
     perm = np.stack([rng.permutation(n - 1) for _ in range(37)]
                     + [far_first, rng.permutation(n - 1), far_first])
     top = perm + 1
-    uprime = rng.random(top.shape)
-    lockstep = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top, uprime)
+    bottom = np.take_along_axis(par, top, axis=1)
+    lockstep = _replay.tree_rows(n, bottom, top)
     assert all(col.shape == (40, n - 1) for col in lockstep)
     for r in range(40):
-        walk = _replay.tree_replay(n, par[r], perm[r], uprime[r])
+        walk = _replay.tree_replay(n, bottom[r], top[r])
         assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
 
 
@@ -377,11 +373,11 @@ def test_parking_lockstep_runs_draw_as_single_runs():
     for row, rep in enumerate(reps):
         single = simulate_parking(n, substream_rng(3, rep))
         assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))
-                   for col in ("s", "S", "L", "R", "u", "D"))
+                   for col in ("L", "R", "u", "D"))
 
 
 def _parking_events(n, tries):
-    """Plain-python parking by scanning places: (s, S, L, R, D) per car.
+    """Plain-python parking by scanning places: (L, R, D) per car.
 
     The car fills the first empty place p at or after its first try t.  L is
     1 plus the occupied run ending at p-1, R is 1 plus the occupied run
@@ -399,7 +395,7 @@ def _parking_events(n, tries):
             x += 1
         while occupied[(p + y) % n]:
             y += 1
-        events.append((min(x, y), max(x, y), x, y, (p - t) % n))
+        events.append((x, y, (p - t) % n))
     return events
 
 
@@ -433,7 +429,7 @@ def _tree_parents(n, prufer):
 
 def _tree_events(n, par, order):
     """Insert edge (par[v], v), v = order[k] + 1, over frozenset components:
-    (s, S, L, R) per step, L the size of the parent-side component."""
+    (L, R) per step, L the size of the parent-side component."""
     comp = [frozenset([v]) for v in range(n)]
     events = []
     for i in order:
@@ -441,8 +437,7 @@ def _tree_events(n, par, order):
         merged = bottom | top
         for v in merged:
             comp[v] = merged
-        x, y = len(bottom), len(top)
-        events.append((min(x, y), max(x, y), x, y))
+        events.append((len(bottom), len(top)))
     return events
 
 
@@ -468,9 +463,8 @@ def test_tree_kernel_matches_reference_replay():
             par = tree_parents_from_prufer(n, prufer)
             assert par.tolist() == _tree_parents(n, [int(v) for v in prufer])
             order = rng.permutation(n - 1)
-            uprime = rng.random(n - 1)
-            got = tree_replay(n, par, order, uprime)
-            rows = [tuple(int(col[k]) for col in got[:4]) for k in range(n - 1)]
+            got = tree_replay(n, par[order + 1], order + 1)
+            rows = [tuple(int(col[k]) for col in got) for k in range(n - 1)]
             assert rows == _tree_events(n, par.tolist(), [int(i) for i in order])
 
 
@@ -484,14 +478,14 @@ def _reference_law(sequences, total):
 def test_enumerations_match_reference_replays():
     for n in range(2, 7):
         law = _reference_law(
-            (tuple((s, S, L, D) for s, S, L, _, D in _parking_events(n, tries))
+            (tuple((min(L, R), max(L, R), L, D) for L, R, D in _parking_events(n, tries))
              for tries in itertools.product(range(n), repeat=n - 1)),
             n ** (n - 1))
         assert exact_oracles.enumerate_parking(n).probs == law
     for n in range(2, 6):
         pars = [_tree_parents(n, prufer) for prufer in itertools.product(range(n), repeat=n - 2)]
         law = _reference_law(
-            (tuple(e[:3] for e in _tree_events(n, par, order))
+            (tuple((min(L, R), max(L, R), L) for L, R in _tree_events(n, par, order))
              for par in pars for order in itertools.permutations(range(n - 1))),
             n ** (n - 2) * math.factorial(n - 1))
         assert exact_oracles.enumerate_spanning_trees(n).probs == law
@@ -501,7 +495,7 @@ def _walk_last_block_counts(m):
     """Final-merge L counts by walking all m**(m-1) first-try vectors."""
     counts = np.zeros(m, np.int64)
     for tries in itertools.product(range(m), repeat=m - 1):
-        _, _, L, _, _ = _replay.parking_replay(m, tries)
+        L, _, _ = _replay.parking_replay(m, tries)
         counts[L[m - 2]] += 1
     return counts
 
@@ -566,13 +560,13 @@ def _spectrum_by_merges(batch, step):
     """Reference spectrum: the first `step` merges applied one at a time."""
     spectrum = {1: batch.n}
     for i in range(step):
-        for size in (int(batch.s[i]), int(batch.S[i])):
+        for size in (int(batch.L[i]), int(batch.R[i])):
             left = spectrum[size] - 1
             if left:
                 spectrum[size] = left
             else:
                 del spectrum[size]
-        merged = int(batch.s[i] + batch.S[i])
+        merged = int(batch.L[i] + batch.R[i])
         spectrum[merged] = spectrum.get(merged, 0) + 1
     return spectrum
 

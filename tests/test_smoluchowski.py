@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from addcoal.cost_engine import ALL_FUNCTIONALS, Functional, conditional_mean
+from addcoal.cost_engine import ALL_FUNCTIONALS, Functional, split_mean
 from addcoal.smoluchowski import (
     _BATCH_CELLS,
     _EXP_ZERO,
@@ -12,6 +12,7 @@ from addcoal.smoluchowski import (
     QuadratureError,
     _Integrand,
     _choose_kmax,
+    _cached_k_table,
     _k_terms,
     _q_from_terms,
     _simpson,
@@ -256,29 +257,31 @@ def test_cutoff_search_from_the_previous_segment_finds_the_same_cutoff(grid):
         _choose_kmax(alpha_to_time(a), 1e-8) for a in grid]
 
 
-# conditional mean costs c(k, l) as float array expressions
+# mean costs c(k, l) given the ordered split L = k, R = l, as float array expressions
 DOUBLE_SUM_COSTS = {
     Functional.QF: lambda k, l: (k + l) / 2.0,
     Functional.QFW: np.minimum,
-    Functional.QFB: lambda k, l: 2.0 * k * l / (k + l),
-    Functional.PREY: lambda k, l: 2.0 * k * l / (k + l),
-    Functional.PREDATOR: lambda k, l: (k * k + l * l) / (k + l),
-    Functional.DISPLACEMENT: lambda k, l: ((k * k + l * l) / (k + l) - 1.0) / 2.0,
+    Functional.QFB: lambda k, l: l,
+    Functional.PREY: lambda k, l: l,
+    Functional.PREDATOR: lambda k, l: k,
+    Functional.DISPLACEMENT: lambda k, l: (k - 1.0) / 2.0,
 }
 
 
 @pytest.mark.parametrize("t", [0.2, 1.0])
 @pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
 def test_integrand_matches_double_sum(functional, t):
+    # I(t) = sum_{k,l} k q_k q_l c(k, l): the ordered pair (k, l) merges at rate k/2,
+    # counted once as (k, l) and once as (l, k)
     cost = DOUBLE_SUM_COSTS[functional]
     for x, y in ((1, 1), (1, 4), (3, 7), (6, 2)):
         assert cost(float(x), float(y)) == pytest.approx(
-            float(conditional_mean(functional, x, y)), rel=1e-15)
+            float(split_mean(functional, x, y)), rel=1e-15)
     kmax = 1024
     qv = q_vector(kmax, t)
     ks = np.arange(1, kmax + 1, dtype=np.float64)
     k, l = ks[:, None], ks[None, :]
-    brute = float(qv @ (cost(k, l) * (k + l) / 2.0) @ qv)
+    brute = float(qv @ np.broadcast_to(k * cost(k, l), (kmax, kmax)) @ qv)
     assert _Integrand(functional, kmax)(t) == pytest.approx(brute, rel=1e-9)
 
 
@@ -422,6 +425,23 @@ def test_simpson_evaluates_no_level_past_the_panel_budget(monkeypatch, max_panel
     with pytest.raises(QuadratureError, match=f"within {max_panels} panels"):
         _simpson(batched, 0.3, 0.9, 1e-15)
     assert batches == calls
+
+
+def test_a_raising_cutoff_search_caches_no_table_above_2_to_the_15():
+    # the search tries every cutoff from 2^10 to 2^21 before it raises; of
+    # those tables only the six up to 2^15 stay cached
+    _cached_k_table.cache_clear()
+    with pytest.raises(QuadratureError, match="no admissible truncation"):
+        smoluchowski_rhs(3, 8.0)
+    assert _cached_k_table.cache_info().currsize == 6
+    for j in range(10, 16):
+        _k_terms(1 << j)
+    assert _cached_k_table.cache_info().hits == 6
+    big = _k_terms(1 << 16)
+    assert _k_terms(1 << 16) is not big
+    assert _cached_k_table.cache_info().currsize == 6
+    ks = np.arange(1, (1 << 16) + 1, dtype=np.float64)
+    assert all(np.array_equal(a, b) for a, b in zip(big, (ks, ks - 1.0, gammaln(ks + 1.0))))
 
 
 def test_cutoff_tables_are_shared_and_read_only():
