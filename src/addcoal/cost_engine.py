@@ -1,4 +1,4 @@
-"""Per-merge costs, conditional means, and checkpoint steps.
+"""Per-merge costs, their means given the split, and checkpoint steps.
 
 Six cost functionals are tracked per merge event.  Naming convention
 (used consistently across the package): the *predator* is the size-biased
@@ -12,16 +12,14 @@ chosen second cluster, whose size is R.
     Predator     L
     Displacement D, uniform on {0, ..., L-1} given L
 
-Conditional means given the ordered split (L, R) = (l, r), `split_mean`:
-
-    QF (l+r)/2 | QFW min(l,r) | Prey = QFB r | Predator l | Displacement (l-1)/2
-
-Given only the merged sizes {x, y}, x is L with probability x/(x+y), so
-the mean is (x c(x, y) + y c(y, x))/(x+y), e.g. 2xy/(x+y) for the prey;
-that average drops the split's own variance.  The displacement mean
-carries a -1/2 relative to the idealized table value (x^2+y^2)/(2(x+y))
-because D lives on {0, ..., L-1}; at the partial-cost scale this shifts
-the limit curve by -alpha/2 (see smoluchowski.phi_closed_form).
+`SPLIT_MEANS` is the one definition of the mean costs given the ordered
+split (L, R) = (l, r), as polynomial coefficients; QFW's min(l, r) is the
+one mean that is not a polynomial.  `split_mean` and every limit curve in
+`smoluchowski` derive from it.  Given only the merged sizes {x, y}, x is
+L with probability x/(x+y), so the mean is (x c(x, y) + y c(y, x))/(x+y),
+e.g. 2xy/(x+y) for the prey; that average drops the split's own variance.
+Displacement's constant -1/2 sets it below the idealized table value
+(x^2+y^2)/(2(x+y)) = E[L/2 | {x, y}] because D lives on {0, ..., L-1}.
 """
 
 import enum
@@ -62,18 +60,22 @@ def event_costs(functional: Functional, batch: EventBatch) -> np.ndarray:
     return batch.D
 
 
+# E[cost | L = l, R = r] = sum of c l^i r^j over each functional's {(i, j): c}
+SPLIT_MEANS = {
+    Functional.QF: {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)},
+    Functional.QFB: {(0, 1): Fraction(1)},
+    Functional.PREY: {(0, 1): Fraction(1)},
+    Functional.PREDATOR: {(1, 0): Fraction(1)},
+    Functional.DISPLACEMENT: {(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 2)},
+}
+
+
 def split_mean(functional: Functional, l, r) -> Fraction:
     """E[cost | L = l, R = r], exact for int sizes."""
     functional = Functional(functional)
-    if functional is Functional.QF:
-        return Fraction(l + r, 2)
     if functional is Functional.QFW:
         return Fraction(min(l, r))
-    if functional in (Functional.QFB, Functional.PREY):
-        return Fraction(r)
-    if functional is Functional.PREDATOR:
-        return Fraction(l)
-    return Fraction(l - 1, 2)
+    return sum((c * l**i * r**j for (i, j), c in SPLIT_MEANS[functional].items()), Fraction(0))
 
 
 def _snap(x: float) -> float:

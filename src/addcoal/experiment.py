@@ -249,8 +249,12 @@ class KsResult:
 
 
 def _kolmogorov_sf(y: float) -> float:
-    """Survival function of the Kolmogorov distribution (alternating series)."""
-    if y < 1e-8:
+    """Survival function of the Kolmogorov distribution (alternating series).
+
+    Below y = 0.17 the true value rounds to 1.0 (1 - K(0.17) < 4e-18), where
+    the series, cut at 100 terms, would fall short of it (0.867 at y = 0.01).
+    """
+    if y < 0.17:
         return 1.0
     total = 0.0
     sign = 1.0
@@ -297,7 +301,7 @@ def chi_square_gof(observed, expected_probs, level: float = 0.05) -> ChiSquareRe
     Adjacent cells are pooled left to right until each pooled cell's
     expected count reaches 5 (a trailing underfull pool is
     merged into the last cell); fewer than two cells after pooling is an
-    error.
+    error, and so is an observation in a cell of probability zero.
     """
     from scipy.special import gammaincc
 
@@ -307,6 +311,9 @@ def chi_square_gof(observed, expected_probs, level: float = 0.05) -> ChiSquareRe
         raise ValueError("observed and expected lengths differ")
     if np.any(probs < 0):
         raise ValueError("expected probabilities must be nonnegative")
+    impossible = np.flatnonzero((probs == 0) & (obs != 0))
+    if impossible.size:
+        raise ValueError(f"observations in cells of probability zero: {impossible.tolist()}")
     total = obs.sum()
     expected = probs / probs.sum() * total
     pooled_obs, pooled_exp = [], []

@@ -35,7 +35,7 @@ class EventBatch:
 
     `simulate_rows` fills it with several runs, one per row of
     (runs, n-1) columns; `event_costs` reads either shape.  The snapshot
-    methods read one run.
+    methods read one run and reject a batch of several.
     """
 
     __slots__ = ("n", "L", "R", "u", "D")
@@ -50,10 +50,16 @@ class EventBatch:
     def __len__(self):
         return self.n - 1
 
-    def largest_cluster_at(self, step):
-        """Size of the largest cluster after `step` merges (0 <= step <= n-1)."""
+    def _check_snapshot(self, step):
+        """Raise ValueError unless the batch holds one run and 0 <= step <= n-1."""
+        if self.L.ndim != 1:
+            raise ValueError(f"snapshots read one run, not a batch of shape {self.L.shape}")
         if not 0 <= step <= len(self):
             raise ValueError(f"step must be in [0, {len(self)}]")
+
+    def largest_cluster_at(self, step):
+        """Size of the largest cluster after `step` merges (0 <= step <= n-1)."""
+        self._check_snapshot(step)
         if step == 0:
             return 1
         # merged sizes only ever grow, so the running max is the largest cluster
@@ -61,8 +67,7 @@ class EventBatch:
 
     def spectrum_at(self, step):
         """Cluster-size spectrum {size: count} after `step` merges."""
-        if not 0 <= step <= len(self):
-            raise ValueError(f"step must be in [0, {len(self)}]")
+        self._check_snapshot(step)
         L, R = self.L[:step], self.R[:step]
         size_range = self.n + 1
         # each merge adds a cluster of size L + R and removes one each of sizes L and R

@@ -12,10 +12,12 @@ alpha ranges, to
 
     phi^c(alpha) = int_0^{-log(1-alpha)} sum_k sum_l k c(k,l) q(k,t) q(l,t) dt
 
-where c(k, l) = cost_engine.split_mean(k, l), the mean cost given L = k
-and R = l: sizes {k, l} merge at rate (k+l)/2, with L = k at probability
-k/(k+l).  The unit cost c = 1 integrates to alpha, matching the event
-count.  All phi curves here are normalized so that phi(0) = 0; the
+where c(k, l) is the mean cost given L = k and R = l: sizes {k, l} merge
+at rate (k+l)/2, with L = k at probability k/(k+l).  Its one definition
+is cost_engine.SPLIT_MEANS: a term c k^i l^j sums to c m_(i+1) m_j in the
+moments m_p, so the integrand and every closed-form curve derive from it
+(QFW's min(k, l) has none).  The unit cost c = 1 integrates to alpha, the
+event count.  All phi curves here are normalized so that phi(0) = 0; the
 classical table values for QF, Predator and Displacement sit 1/2, 1 and
 1/2 above these (their alpha=0 offsets).
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .cost_engine import Functional, alpha_in_range
+from .cost_engine import SPLIT_MEANS, Functional, alpha_in_range
 
 DEFAULT_TOL = 1e-8
 _MASS_TOL = 1e-10
@@ -173,21 +175,25 @@ def smoluchowski_rhs(k: int, t: float) -> float:
 # phi curves
 # ---------------------------------------------------------------------------
 
-_CLOSED_FORMS = {
-    Functional.QF: lambda a: 0.5 * a / (1.0 - a) - 0.5 * math.log1p(-a),
-    Functional.PREY: lambda a: -math.log1p(-a),
-    Functional.QFB: lambda a: -math.log1p(-a),
-    Functional.PREDATOR: lambda a: a / (1.0 - a),
-    Functional.DISPLACEMENT: lambda a: 0.5 * a / (1.0 - a),
+# the integrals over [0, -log(1 - alpha)] of m2 m0 = e^t, m1 m1 = 1 and m1 m0 = e^-t
+_MOMENT_INTEGRALS = {
+    (2, 0): lambda a: a / (1.0 - a),
+    (1, 1): lambda a: -math.log1p(-a),
+    (1, 0): lambda a: a,
 }
+# the classical table keeps e^t's value at alpha = 0 in the m2 m0 term
+_TABLE_INTEGRALS = {**_MOMENT_INTEGRALS, (2, 0): lambda a: 1.0 / (1.0 - a)}
 
-_CLASSICAL_TABLE = {
-    Functional.QF: lambda a: 0.5 * (1.0 / (1.0 - a) - math.log1p(-a)),
-    Functional.PREY: lambda a: -math.log1p(-a),
-    Functional.QFB: lambda a: -math.log1p(-a),
-    Functional.PREDATOR: lambda a: 1.0 / (1.0 - a),
-    Functional.DISPLACEMENT: lambda a: 0.5 / (1.0 - a),
-}
+
+def _integrate_means(functional, alpha: float, integrals, constant: bool) -> float:
+    """Sum over the `SPLIT_MEANS` terms c l^i r^j of c times the integral of m_(i+1) m_j."""
+    if not alpha_in_range(alpha):
+        raise ValueError("alpha must be in [0, 1)")
+    functional = Functional(functional)
+    if functional is Functional.QFW:
+        raise ValueError("qfw has no closed form; use phi_curve_quadrature")
+    return sum(float(c) * integrals[i + 1, j](alpha)
+               for (i, j), c in SPLIT_MEANS[functional].items() if constant or i or j)
 
 
 def phi_closed_form(functional, alpha: float) -> float:
@@ -195,24 +201,19 @@ def phi_closed_form(functional, alpha: float) -> float:
 
     Closed forms exist for QF, Prey (= QFB) and Predator.  For
     Displacement this returns the idealized table curve alpha/(2(1-alpha))
-    whose conditional cost is (x^2+y^2)/(2(x+y)); simulated displacement
-    totals follow phi_comparison_curve instead (D lives on {0..L-1}).
+    whose conditional cost is (x^2+y^2)/(2(x+y)), its split mean without the
+    constant; simulated displacement totals follow phi_comparison_curve.
     QFW has no closed form and raises ValueError; phi_curve_quadrature
     computes its curve.
     """
-    if not alpha_in_range(alpha):
-        raise ValueError("alpha must be in [0, 1)")
-    functional = Functional(functional)
-    if functional is Functional.QFW:
-        raise ValueError("qfw has no closed form; use phi_curve_quadrature")
-    return _CLOSED_FORMS[functional](alpha)
+    return _integrate_means(functional, alpha, _MOMENT_INTEGRALS, constant=False)
 
 
 def phi_classical_table(functional, alpha: float):
     """Unnormalized table value (phi + its alpha=0 offset), None for QFW."""
-    functional = Functional(functional)
-    fn = _CLASSICAL_TABLE.get(functional)
-    return None if fn is None else fn(alpha)
+    if Functional(functional) is Functional.QFW and alpha_in_range(alpha):
+        return None
+    return _integrate_means(functional, alpha, _TABLE_INTEGRALS, constant=False)
 
 
 def phi_comparison_curve(functional, alpha: float) -> float:
@@ -222,8 +223,7 @@ def phi_comparison_curve(functional, alpha: float) -> float:
     costs 1/2 less per merge than the idealized table cost, which
     integrates to alpha/2 below the table curve.
     """
-    value = phi_closed_form(functional, alpha)
-    return value - 0.5 * alpha if Functional(functional) is Functional.DISPLACEMENT else value
+    return _integrate_means(functional, alpha, _MOMENT_INTEGRALS, constant=True)
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,9 @@ class _Integrand:
     """Evaluates I(t) = sum_{k,l} k c(k,l) q(k,t) q(l,t), truncated.
 
     c(k, l) is the functional's cost_engine.split_mean(k, l), its mean cost
-    given L = k and R = l.  Each functional uses an exact rearrangement of
-    the truncated double sum: products of the moments m_p = sum_k k^p q_k,
-    or a prefix-sum form for QFW's min(k, l).  A call takes a time t, or a
+    given L = k and R = l.  Each `SPLIT_MEANS` term c k^i l^j sums exactly
+    to c m_(i+1) m_j, a product of the moments m_p = sum_k k^p q_k; QFW's
+    min(k, l) uses a prefix-sum form.  A call takes a time t, or a
     1-D array of nodes, which it evaluates in row batches of at most
     `_BATCH_CELLS` q values: one row of q per node, with the same float
     operations in the same order as a scalar call, so each node's value is
@@ -259,7 +259,11 @@ class _Integrand:
         self._rows = max(1, _BATCH_CELLS // kmax)
         # planes 0-1: q and log q, a row per node; QFW adds k q and its two prefix sums
         self._work = np.empty((4 if self.functional is Functional.QFW else 2, self._rows, kmax))
-        self._ks2 = self.terms[0] * self.terms[0]  # the weights of m2
+        self._means = [(float(c), i + 1, j)
+                       for (i, j), c in SPLIT_MEANS.get(self.functional, {}).items()]
+        # the moments the terms read besides m1, which the mass check computes
+        reads = {p for _, i, j in self._means for p in (i, j)} - {1}
+        self._weights = {p: self.terms[0] ** p if p else None for p in reads}  # m0: a row sum
 
     def __call__(self, t):
         """I(t) as a float for a scalar t; for a 1-D array, an array of I at
@@ -282,11 +286,8 @@ class _Integrand:
                 raise QuadratureError(
                     f"truncation mass residual {residual:.2e} at t={t:.4f} (kmax={self.kmax})"
                 )
-        functional = self.functional
-        if functional in (Functional.PREY, Functional.QFB):
-            return [u1 * u1 for u1 in m1]
-        m0 = np.sum(qv, axis=1)
-        if functional is Functional.QFW:
+        if self.functional is Functional.QFW:
+            m0 = np.sum(qv, axis=1)
             kq, p1, q1 = work[1], work[2], work[3]
             np.multiply(ks, qv, out=kq)
             np.cumsum(kq, axis=1, out=p1)
@@ -296,14 +297,11 @@ class _Integrand:
             q1 *= ks
             p1 += q1
             return [float(np.dot(a, b)) for a, b in zip(kq, p1)]
-        m0 = m0.tolist()
-        m2 = [float(np.dot(self._ks2, row)) for row in qv]
-        if functional is Functional.PREDATOR:
-            return [u2 * u0 for u0, u2 in zip(m0, m2)]
-        if functional is Functional.QF:
-            return [0.5 * (u2 * u0 + u1 * u1) for u0, u1, u2 in zip(m0, m1, m2)]
-        # displacement, floor convention: sum_{k,l} k (k-1)/2 q_k q_l = (m2 m0 - m1 m0)/2
-        return [0.5 * u2 * u0 - 0.25 * (u1 * u0 + u0 * u1) for u0, u1, u2 in zip(m0, m1, m2)]
+        m = {1: np.array(m1)}
+        for p, weights in self._weights.items():
+            m[p] = (np.sum(qv, axis=1) if weights is None
+                    else np.array([float(np.dot(weights, row)) for row in qv]))
+        return sum(c * (m[p] * m[q]) for c, p, q in self._means).tolist()
 
 
 def _choose_kmax(t_max: float, tol: float, start: int = 1024) -> int:

@@ -84,6 +84,21 @@ def test_conditional_means():
     assert _unordered_mean(Functional.DISPLACEMENT, 1, 2) == Fraction(1, 3)
 
 
+def test_split_means_average_the_realized_costs():
+    # independent of SPLIT_MEANS: average event_costs over the fair coin u and
+    # D uniform on {0, ..., l-1}, with the split (L, R) = (l, r) held fixed
+    events = [ev(L=l, R=r, u=u, D=d) for l in range(1, 13) for r in range(1, 13)
+              for u in (0.25, 0.75) for d in range(l)]
+    batch = batch_of(*events)
+    for functional in ALL_FUNCTIONALS:
+        sums, counts = {}, {}
+        for (l, r, _, _), cost in zip(events, event_costs(functional, batch).tolist()):
+            sums[l, r] = sums.get((l, r), 0) + cost
+            counts[l, r] = counts.get((l, r), 0) + 1
+        for (l, r), total in sums.items():
+            assert Fraction(total, counts[l, r]) == split_mean(functional, l, r), (functional, l, r)
+
+
 def test_accumulate_prey_n3_example(monkeypatch):
     # run 1: L2 = 2 (prey cost R2 = 1); run 2: L2 = 1 (prey cost 2)
     batch = batch_of(ev(), ev(L=2, R=1))

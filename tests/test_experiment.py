@@ -129,6 +129,25 @@ def test_ks_rejects_empty():
         ks_two_sample([], [1.0])
 
 
+def test_kolmogorov_sf_matches_scipy_down_to_tiny_y():
+    from scipy.special import kolmogorov
+
+    for y in np.geomspace(1e-6, 3.0, 2001).tolist():
+        # scipy's kolmogorov is itself up to 4e-15 off the series (at 40 digits) near y = 0.82
+        tol = 5e-15 if 0.7 <= y <= 1.0 else 1e-15
+        assert abs(experiment._kolmogorov_sf(y) - kolmogorov(y)) <= tol, y
+    assert experiment._kolmogorov_sf(0.01) == experiment._kolmogorov_sf(1e-6) == 1.0
+
+
+def test_ks_does_not_reject_samples_that_differ_in_one_value():
+    a = np.arange(200_000, dtype=np.float64)
+    b = a.copy()
+    b[7] = -1.0
+    res = ks_two_sample(a, b)
+    assert res.statistic == pytest.approx(5e-6)
+    assert res.pvalue == 1.0 and not res.reject
+
+
 def test_chi_square_exact_proportional():
     probs = [0.2, 0.3, 0.5]
     observed = [20, 30, 50]
@@ -149,6 +168,13 @@ def test_chi_square_pools_small_cells():
 def test_chi_square_degenerate_pooling():
     with pytest.raises(ValueError):
         chi_square_gof([1, 1], [0.5, 0.5])
+
+
+def test_chi_square_rejects_observations_in_impossible_cells():
+    with pytest.raises(ValueError, match=r"probability zero: \[2, 3\]"):
+        chi_square_gof([5, 5, 3, 1], [0.5, 0.5, 0.0, 0.0])
+    # an empty cell of probability zero is no evidence either way
+    assert chi_square_gof([10, 10, 0], [0.5, 0.5, 0.0]).pvalue == 1.0
 
 
 def test_chi_square_detects_wrong_null():

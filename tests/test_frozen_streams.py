@@ -1,13 +1,20 @@
-"""Digests of event streams, recorded once, that any change to the draws, the
-replay kernels or the cost fold must keep: bit-identical results per seed."""
+"""Digests recorded once, that any change to the draws, the replay kernels, the
+cost fold or the limit curves must keep: bit-identical results."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+from addcoal.cost_engine import ALL_FUNCTIONALS, DEFAULT_ALPHA_GRID, Functional
 from addcoal.exact_oracles import enumerate_parking
 from addcoal.experiment import ExperimentSpec, run_monte_carlo
+from addcoal.smoluchowski import (
+    phi_classical_table,
+    phi_closed_form,
+    phi_comparison_curve,
+    phi_curve_quadrature,
+)
 
 # (embedding, n, reps) -> sha256 of run_monte_carlo's arrays at seed 7.  At
 # n = 2 and 8 every replication walks alone; n = 50 with 340 replications
@@ -45,3 +52,25 @@ def test_monte_carlo_arrays_keep_their_digest(embedding, n, reps):
 def test_parking_enumeration_keeps_its_digest():
     law = repr(sorted(enumerate_parking(5).probs.items())).encode()
     assert hashlib.sha256(law).hexdigest() == PARKING_5
+
+
+# sha256 over the float.hex of the limit layer's curves, recorded before the
+# curves were derived from cost_engine.SPLIT_MEANS: the closed-form curves on a
+# dense alpha grid with tiny and subnormal alpha, and the quadrature's (value,
+# error, kmax) for every functional on the default 19-point grid.  With one
+# BLAS thread, as conftest pins: a threaded np.dot moves the last bits at 32768.
+LIMIT_CURVES = "473930067692e794c8c193eb6309e1578f3e5f5fac742c6a1736db216ca847ab"
+TINY_ALPHAS = (5e-324, 1e-310, 1e-200, 1e-17, 2.0**-53, 1e-9, 1e-5)
+
+
+def test_limit_curves_keep_their_digest():
+    alphas = TINY_ALPHAS + tuple(i / 2000 for i in range(2000)) + (0.9995, 0.99999)
+    h = hashlib.sha256()
+    for functional in ALL_FUNCTIONALS:
+        h.update(functional.value.encode())
+        if functional is not Functional.QFW:
+            for curve in (phi_closed_form, phi_comparison_curve, phi_classical_table):
+                h.update(" ".join(curve(functional, a).hex() for a in alphas).encode())
+        for r in phi_curve_quadrature(functional, DEFAULT_ALPHA_GRID):
+            h.update(f"{r.value.hex()} {r.error.hex()} {r.kmax}".encode())
+    assert h.hexdigest() == LIMIT_CURVES

@@ -44,6 +44,13 @@ def test_monodisperse_basics():
     assert simulate_direct(100, make_rng(0)).spectrum_at(0) == {1: 100}
 
 
+def test_snapshots_reject_a_batch_of_several_runs():
+    batch = simulate_rows(5, [substream_rng(0, rep) for rep in range(6)], Embedding.DIRECT)
+    for snapshot in (batch.largest_cluster_at, batch.spectrum_at):
+        with pytest.raises(ValueError, match=r"one run, not a batch of shape \(6, 4\)"):
+            snapshot(2)
+
+
 def test_monodisperse_rejects_zero():
     for sim in ALL_SIMS:
         with pytest.raises(ValueError):

@@ -120,6 +120,14 @@ def test_phi_classical_table_offsets():
     assert phi_classical_table(Functional.QFW, 0.5) is None
 
 
+@pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5])
+def test_every_closed_form_curve_rejects_alpha_outside_the_unit_interval(alpha):
+    for functional in ALL_FUNCTIONALS:
+        for curve in (phi_closed_form, phi_comparison_curve, phi_classical_table):
+            with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\)"):
+                curve(functional, alpha)
+
+
 def phi_at(functional, alpha, **kw):
     """phi(alpha) from the quadrature driver on a one-point grid."""
     return phi_curve_quadrature(functional, [alpha], **kw)[0].value
