@@ -4,7 +4,8 @@ Config files are flat UTF-8 ``key = value`` text with keys matching the
 flag names; unknown keys are rejected and explicitly given flags override
 file values.  Output rows lead with provenance: simulate and sweep rows
 with (seed, n, reps, embedding, version, backend), limit rows with the
-same columns with n, reps and embedding blank, exact rows with (version,
+same columns with n, reps and embedding blank (and, per quadrature point,
+the certified cutoff that produced it), exact rows with (version,
 backend); the verify report carries version and backend.  After a
 successful run, simulate also writes one JSON side record on stderr: the
 provenance columns and the worker count, which the rows leave out so that
@@ -311,13 +312,13 @@ def cmd_limit(config: RunConfig) -> int:
         functional = Functional(name)
         if functional is Functional.QFW:
             quad = phi_curve_quadrature(functional, grid, tol=config.tol)
-            values = [(r.value, r.value, r.error) for r in quad]
+            values = [(r.value, r.value, r.error, r.kmax) for r in quad]
         else:
             values = [
-                (phi_closed_form(functional, a), phi_comparison_curve(functional, a), 0.0)
+                (phi_closed_form(functional, a), phi_comparison_curve(functional, a), 0.0, "")
                 for a in grid
             ]
-        for a, (phi, phi_sim, err) in zip(grid, values):
+        for a, (phi, phi_sim, err, kmax) in zip(grid, values):
             table = phi_classical_table(functional, a)
             rows.append(
                 {
@@ -328,6 +329,8 @@ def cmd_limit(config: RunConfig) -> int:
                     "phi_match_simulation": phi_sim,
                     "phi_classical_table_if_any": "" if table is None else table,
                     "quadrature_error_estimate": err,
+                    # the certified cutoff of the segment ending at alpha; closed forms have none
+                    "quadrature_kmax": kmax,
                 }
             )
     write_rows(rows, config.fmt, config.out)

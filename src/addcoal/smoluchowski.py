@@ -5,7 +5,15 @@ coagulation system with monodisperse start and have the explicit form
 
     q(k, t) = [k w]^(k-1) / k! * exp(-t - k w),   w = 1 - exp(-t),
 
-with moments sum_k q = e^-t, sum_k k q = 1, sum_k k^2 q = e^{2t}.
+with moments sum_k q = e^-t, sum_k k q = 1, sum_k k^2 q = e^{2t}.  Over
+k = 1..kmax it is evaluated as exp((k-1) log w + A_k - k w - t), one log
+per time and one exp per term: A_k = log(k^(k-1) / k!) is a table per
+cutoff, (k-1) log k - log k! below k = 100 and Stirling's series from
+there on, which avoids the cancellation of k log k against log k!.  The
+integrand of the phi curves evaluates only its live columns, those a
+Stirling bound does not place below k^2 q = 1e-30, and writes 0.0 past
+them; the cutoff certificates, the moment sums and the ODE right-hand
+side read full rows.
 
 Partial merge costs normalized by n converge, uniformly on compact
 alpha ranges, to
@@ -41,6 +49,9 @@ _ALPHA_MAX = 0.98  # the cutoff kmax grows like (1 - alpha)^-2 toward alpha = 1
 _TINY = np.finfo(float).tiny  # smallest normal float; below it q has underflowed
 _EXP_ZERO = -746.0  # exp(x) rounds to exactly 0.0 below about -745.13
 _BATCH_CELLS = 1 << 15  # q values per row batch of the integrand
+_STIRLING_FROM = 100  # A_k = log(k^(k-1) / k!) by Stirling's series from this k on
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_NEGLIGIBLE = math.log(1e-30)  # a column with k^2 q below e^this moves no sum
 
 
 class QuadratureError(RuntimeError):
@@ -69,7 +80,16 @@ def q(k: int, t: float) -> float:
 
 def _k_table(kmax: int):
     ks = np.arange(1, kmax + 1, dtype=np.float64)
-    terms = ks, ks - 1.0, gammaln(ks + 1.0)
+    small, big = ks[:_STIRLING_FROM - 1], ks[_STIRLING_FROM - 1:]
+    r = 1.0 / big
+    r2 = r * r
+    log_norm = np.concatenate([
+        (small - 1.0) * np.log(small) - gammaln(small + 1.0),
+        # (k-1) log k - log k! with log k! = k log k - k + log(2 pi k)/2 + 1/(12k) - ...
+        big - 1.5 * np.log(big) - _HALF_LOG_2PI
+        - r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0)),
+    ])
+    terms = ks, ks - 1.0, log_norm
     for a in terms:
         a.flags.writeable = False
     return terms
@@ -79,14 +99,18 @@ _cached_k_table = functools.lru_cache(maxsize=8)(_k_table)
 
 
 def _k_terms(kmax: int):
-    """The t-free parts of log q(k, t) for k = 1..kmax: k, k - 1 and log k!.
+    """The t-free parts of log q(k, t) for k = 1..kmax: k, k - 1 and
+    A_k = log(k^(k-1) / k!).
 
-    Read-only and cached per cutoff up to `_CACHE_KMAX`, so `q_vector`,
-    `_choose_kmax` and every `_Integrand` of one cutoff share one gammaln
-    table.  A quadrature to alpha = 0.95 uses at most six cutoffs (1024 to
-    32768), which eight entries hold.  A larger table (48 MiB at
-    `_KMAX_HARD`) is built per call, so that a search that climbs to
-    `_KMAX_HARD` and raises leaves no large table cached.
+    A_k is (k-1) log k - gammaln(k+1) below k = `_STIRLING_FROM` and
+    k - 3/2 log k - log(2 pi)/2 - 1/(12k) + 1/(360k^3) - 1/(1260k^5) from
+    there on (the next term, 1/(1680k^7), is below 1e-17).  Read-only and
+    cached per cutoff up to `_CACHE_KMAX`, so `q_vector`, `_choose_kmax`
+    and every `_Integrand` of one cutoff share one table.  A quadrature to
+    alpha = 0.95 uses at most six cutoffs (1024 to 32768), which eight
+    entries hold.  A larger table (48 MiB at `_KMAX_HARD`) is built per
+    call, so that a search that climbs to `_KMAX_HARD` and raises leaves
+    no large table cached.
     """
     return (_cached_k_table if kmax <= _CACHE_KMAX else _k_table)(kmax)
 
@@ -96,14 +120,15 @@ def _q_from_terms(terms, t, out=None) -> np.ndarray:
 
     The result has shape (kmax,) for a scalar t, and one row per time,
     (len(t), kmax), for an array; each row is bit for bit the scalar call's.
-    out, when given, is a float64 array of shape (2, *that shape): q is
-    written into out[0], which is returned, and out[1] holds log q.
+    log q is (k-1) log w + A_k - k w - t, in that order, with one log per
+    time.  out, when given, is a float64 array of shape (2, *that shape): q
+    is written into out[0], which is returned, and out[1] holds log q.
     exp is exactly 0.0 below `_EXP_ZERO`, where it is also slow, so those q
     are written as 0.0 without calling it (through a boolean mask, the one
     array a call with out allocates).  Subnormal q, just above, are still
     computed by exp: they are not 0.0, and the moment sums read them.
     """
-    ks, km1, log_fact = terms
+    ks, km1, log_norm = terms
     t = np.asarray(t, dtype=np.float64)[..., None]  # a column: one row per time
     w = np.array([-math.expm1(-x) for x in t.ravel().tolist()]).reshape(t.shape)
     if out is None:
@@ -111,12 +136,12 @@ def _q_from_terms(terms, t, out=None) -> np.ndarray:
     qv, x = out
     start = w == 0.0  # t = 0: q is the initial condition
     w[start] = 1.0  # any w keeps log finite on the rows overwritten below
+    log_w = np.array([math.log(v) for v in w.ravel().tolist()]).reshape(t.shape)
+    np.multiply(km1, log_w, out=x)
+    x += log_norm
     np.multiply(ks, w, out=qv)  # k w
-    np.log(qv, out=x)
-    x *= km1
-    x -= log_fact
-    x -= t
     x -= qv
+    x -= t
     if x[..., -1].min() >= _EXP_ZERO:  # q falls in k, so the last column holds each row's least
         np.exp(x, out=qv)
     else:
@@ -126,6 +151,43 @@ def _q_from_terms(terms, t, out=None) -> np.ndarray:
     qv[start] = 0.0
     qv[start, 0] = 1.0
     return qv
+
+
+def _live_columns(t_max: float, kmax: int) -> int:
+    """How many leading columns of q the integrand evaluates for times up to
+    t_max: past them k^2 q(k, t) < 1e-30 at every t in [0, t_max].
+
+    Stirling's bound k! >= sqrt(2 pi k) (k/e)^k gives
+    log(k^2 q) <= b(k, t) = log(k)/2 - k eps - log w - t - log(2 pi)/2,
+    with eps = w - 1 - log w > 0.  b is concave in k and falls past
+    k = 1/(2 eps); it rises in t wherever k > 1/(1-w)^2 = e^(2t).  The
+    count returned is the larger of e^(2 t_max) and the last k before
+    b(k, t_max) falls below log 1e-30 for good, so it serves every row of
+    a batch whose largest time is t_max.
+    """
+    w = -math.expm1(-t_max)
+    if w == 0.0:
+        return 1  # q is the initial condition: only k = 1 is nonzero
+    rising = math.floor(math.exp(2.0 * t_max))  # b rises in t at every k past this
+    if rising >= kmax:
+        return kmax
+    log_w = math.log(w)
+    eps = -math.exp(-t_max) - log_w
+    bound = _LOG_NEGLIGIBLE + log_w + t_max + _HALF_LOG_2PI
+
+    def negligible(k):  # b(k, t_max) < log 1e-30
+        return 0.5 * math.log(k) - k * eps < bound
+
+    lo, hi = max(1, math.ceil(0.5 / eps)), kmax  # b falls in k on [lo, hi]
+    if lo >= hi or not negligible(hi):
+        return kmax
+    while lo < hi:  # the first negligible k in [lo, hi]
+        mid = (lo + hi) // 2
+        if negligible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(hi - 1, rising)
 
 
 def q_vector(kmax: int, t: float) -> np.ndarray:
@@ -250,6 +312,12 @@ class _Integrand:
     (a matrix-vector product rounds differently); row sums and prefix sums
     along the rows are bit-equal to their 1-D forms.  Each instance computes
     only the moments its functional reads, in buffers of its own.
+
+    A batch evaluates q only on the `_live_columns` of its largest time and
+    writes 0.0 past them, where every k^2 q < 1e-30; each dot and sum still
+    runs over all kmax columns (a shorter BLAS dot groups its lanes
+    differently), so the dropped terms, far below half an ulp of every
+    lane's sum, change no bit: a node's value does not depend on its batch.
     """
 
     def __init__(self, functional, kmax: int):
@@ -277,7 +345,10 @@ class _Integrand:
 
     def _batch(self, ts) -> list:
         work = self._work[:, :len(ts)]
-        qv = _q_from_terms(self.terms, ts, work[:2])
+        live = _live_columns(max(ts.tolist()), self.kmax)
+        _q_from_terms([a[:live] for a in self.terms], ts, work[:2, :, :live])
+        qv = work[0]
+        qv[:, live:] = 0.0
         ks = self.terms[0]
         m1 = [float(np.dot(ks, row)) for row in qv]
         for t, m in zip(ts.tolist(), m1):
@@ -288,15 +359,16 @@ class _Integrand:
                 )
         if self.functional is Functional.QFW:
             m0 = np.sum(qv, axis=1)
-            kq, p1, q1 = work[1], work[2], work[3]
+            kq, p1, q1 = work[1], work[2, :, :live], work[3, :, :live]
             np.multiply(ks, qv, out=kq)
-            np.cumsum(kq, axis=1, out=p1)
-            np.cumsum(qv, axis=1, out=q1)
+            np.cumsum(kq[:, :live], axis=1, out=p1)
+            np.cumsum(qv[:, :live], axis=1, out=q1)
             # sum_l min(k,l) q_l = p1 + k (m0 - q1), then weight by k q_k
             np.subtract(m0[:, None], q1, out=q1)
-            q1 *= ks
+            q1 *= ks[:live]
             p1 += q1
-            return [float(np.dot(a, b)) for a, b in zip(kq, p1)]
+            work[2, :, live:] = 0.0  # k q is 0.0 there: a finite factor keeps its products 0.0
+            return [float(np.dot(a, b)) for a, b in zip(kq, work[2])]
         m = {1: np.array(m1)}
         for p, weights in self._weights.items():
             m[p] = (np.sum(qv, axis=1) if weights is None
@@ -306,12 +378,15 @@ class _Integrand:
 
 def _choose_kmax(t_max: float, tol: float, start: int = 1024) -> int:
     """Smallest power-of-two cutoff of at least max(start, 1024) passing both
-    tail certificates at t_max.
+    tail certificates at t_max; at t_max = 0, where q is the initial
+    condition, 256 whatever start is.
 
-    Certificates: leftover first-moment mass below the configured bound,
-    and a ratio-test majorization of sum_{k>K} k^2 q(k, t_max) below
-    max(tol * 1e-3, 1e-12).  Every functional's cost is at most linear in
-    the merged sizes, so with the (k+l)/2 intensity the summand is O(k^2).
+    Certificates, read from a full row of q (never one the integrand
+    trimmed, since the tail test reads its last two terms): leftover
+    first-moment mass below the configured bound, and a ratio-test
+    majorization of sum_{k>K} k^2 q(k, t_max) below max(tol * 1e-3, 1e-12).
+    Every functional's cost is at most linear in the merged sizes, so
+    with the (k+l)/2 intensity the summand is O(k^2).
     A last term below the smallest normal float has underflowed, like an
     exact zero, and passes the tail test: subnormal terms carry no ratio.
     Both tails grow with t, so a cutoff certified at t_max holds at every

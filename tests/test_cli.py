@@ -12,6 +12,7 @@ import pytest
 
 from addcoal import _replay, cli
 from addcoal.cli import RunConfig, UsageError, parse_config, serialize_config
+from addcoal.smoluchowski import _choose_kmax, alpha_to_time
 
 
 def run_cli(args):
@@ -299,6 +300,18 @@ def test_limit_table(tmp_path):
     assert abs(float(disp["phi_normalized"]) - 0.5) < 1e-12
     assert abs(float(disp["phi_match_simulation"]) - 0.25) < 1e-12
     assert abs(float(disp["phi_classical_table_if_any"]) - 1.0) < 1e-12
+
+
+def test_limit_rows_name_the_quadrature_cutoff(tmp_path):
+    out = tmp_path / "limit.csv"
+    grid = (0.0, 0.3, 0.9, 0.95)
+    assert run_cli(["limit", "--alpha-grid", ",".join(map(str, grid)), "--functional", "qfw",
+                    "--functional", "qf", "--tol", "1e-6", "--out", out]) == 0
+    rows = read_csv(out)
+    qfw = [r["quadrature_kmax"] for r in rows if r["functional"] == "qfw"]
+    assert qfw == [str(_choose_kmax(alpha_to_time(a), 1e-6)) for a in grid]
+    assert qfw[0] == "256" and qfw[-1] == "32768"
+    assert [r["quadrature_kmax"] for r in rows if r["functional"] != "qfw"] == [""] * len(grid)
 
 
 def test_exact_pmk_table(tmp_path):

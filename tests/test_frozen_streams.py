@@ -54,12 +54,13 @@ def test_parking_enumeration_keeps_its_digest():
     assert hashlib.sha256(law).hexdigest() == PARKING_5
 
 
-# sha256 over the float.hex of the limit layer's curves, recorded before the
-# curves were derived from cost_engine.SPLIT_MEANS: the closed-form curves on a
-# dense alpha grid with tiny and subnormal alpha, and the quadrature's (value,
-# error, kmax) for every functional on the default 19-point grid.  With one
-# BLAS thread, as conftest pins: a threaded np.dot moves the last bits at 32768.
-LIMIT_CURVES = "473930067692e794c8c193eb6309e1578f3e5f5fac742c6a1736db216ca847ab"
+# sha256 over the float.hex of the limit layer's curves: the closed-form curves
+# on a dense alpha grid with tiny and subnormal alpha, and the quadrature's
+# (value, error, kmax) for every functional on the default 19-point grid.
+# The quadrature's bits are those of log q = (k-1) log w + A_k - k w - t with
+# A_k = log(k^(k-1) / k!) from Stirling's series past k = 100.  With one BLAS
+# thread, as conftest pins: a threaded np.dot moves the last bits at 32768.
+LIMIT_CURVES = "439f2f414e12158c54c376f85f6e321f7cc9cd363d0e34dfc7133130ccdbafe1"
 TINY_ALPHAS = (5e-324, 1e-310, 1e-200, 1e-17, 2.0**-53, 1e-9, 1e-5)
 
 

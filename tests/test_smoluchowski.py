@@ -1,10 +1,12 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from addcoal.cost_engine import ALL_FUNCTIONALS, Functional, split_mean
+import addcoal.smoluchowski as sm
+from addcoal.cost_engine import ALL_FUNCTIONALS, DEFAULT_ALPHA_GRID, Functional, split_mean
 from addcoal.smoluchowski import (
     _BATCH_CELLS,
     _EXP_ZERO,
@@ -14,6 +16,7 @@ from addcoal.smoluchowski import (
     _choose_kmax,
     _cached_k_table,
     _k_terms,
+    _live_columns,
     _q_from_terms,
     _simpson,
     alpha_to_time,
@@ -293,16 +296,27 @@ def test_integrand_matches_double_sum(functional, t):
     assert _Integrand(functional, kmax)(t) == pytest.approx(brute, rel=1e-9)
 
 
+def log_norm_table(ks):
+    """A_k = log(k^(k-1) / k!): exact form below k = 100, Stirling's series from there on."""
+    small, big = ks[:99], ks[99:]
+    r = 1.0 / big
+    return np.concatenate([
+        (small - 1.0) * np.log(small) - gammaln(small + 1.0),
+        big - 1.5 * np.log(big) - 0.5 * math.log(2.0 * math.pi)
+        - r * (1.0 / 12.0 - r * r * (1.0 / 360.0 - r * r / 1260.0)),
+    ])
+
+
 def _allocating_integrand(functional, kmax, t):
-    """The integrand as a fresh-array formula: (q, value), the value None
-    where the mass test fails."""
+    """The integrand as a fresh-array formula over all kmax columns: (q,
+    value), the value None where the mass test fails."""
     ks = np.arange(1, kmax + 1, dtype=np.float64)
     w = -math.expm1(-t)
     if w == 0.0:
         qv = np.zeros(kmax)
         qv[0] = 1.0
     else:
-        qv = np.exp((ks - 1.0) * np.log(ks * w) - gammaln(ks + 1.0) - t - ks * w)
+        qv = np.exp((ks - 1.0) * math.log(w) + log_norm_table(ks) - ks * w - t)
     m0, m1, m2 = float(np.sum(qv)), float(np.dot(ks, qv)), float(np.dot(ks * ks, qv))
     if abs(1.0 - m1) > 1e-9:
         return qv, None
@@ -378,6 +392,90 @@ def test_exp_is_exactly_zero_below_the_skip_threshold():
     assert 0.0 < np.exp(-745.0) < np.finfo(float).tiny  # subnormal results are still computed
 
 
+# k straddling the switch to Stirling's series at k = 100, and times up to alpha = 0.98
+EXPONENT_KS = (1, 2, 10, 99, 100, 101, 1000, 10**4, 32768)
+EXPONENT_TS = (0.05, 0.5, 1.0, 2.0, 3.0, 3.9)
+
+
+def test_log_q_matches_a_40_digit_reference():
+    # log q = (k-1) log(k w) - log k! - t - k w, with exact k! and w = 1 - e^-t at the
+    # float t; below _EXP_ZERO exp returns 0.0, so those logs never reach a q
+    out = np.empty((2, len(EXPONENT_TS), 32768))
+    _q_from_terms(_k_terms(32768), np.array(EXPONENT_TS), out)
+    errors = {}
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        log_fact = {k: decimal.Decimal(math.factorial(k)).ln() for k in EXPONENT_KS}
+        for row, t in zip(out[1].tolist(), EXPONENT_TS):
+            w = 1 - (-decimal.Decimal(t)).exp()
+            for k in EXPONENT_KS:
+                exact = (k - 1) * (k * w).ln() - log_fact[k] - decimal.Decimal(t) - k * w
+                if exact >= _EXP_ZERO:
+                    errors[k, t] = abs(float(decimal.Decimal(row[k - 1]) - exact))
+    assert len(errors) == 47 and (32768, 2.0) in errors and (32768, 3.9) in errors
+    assert max(errors.values()) <= 1e-11, max(errors.items(), key=lambda kv: kv[1])
+
+
+# the end time of every benchmark and default grid segment, t = 0.2545 (subnormal
+# last terms at 1024) and a sweep from 1e-3 to alpha = 0.98
+TRIM_TIMES = sorted({0.2545, *np.linspace(1e-3, alpha_to_time(0.98), 60).tolist(),
+                     *(alpha_to_time(a) for a in QFW_GRID + PREY_GRID + DEFAULT_ALPHA_GRID)})
+TRIM_CUTOFFS = tuple(1 << j for j in range(10, 16))
+
+
+def test_trimmed_columns_are_negligible_at_every_earlier_time():
+    trimmed = 0
+    for kmax in TRIM_CUTOFFS:
+        terms = _k_terms(kmax)
+        for t_max in TRIM_TIMES:
+            live = _live_columns(t_max, kmax)
+            assert 1 <= live <= kmax
+            trimmed += live < kmax
+            rows = _q_from_terms(terms, np.array([t_max, 0.9 * t_max, 0.5 * t_max, 0.1 * t_max]))
+            assert (terms[0][live:] ** 2 * rows[:, live:] < 1e-30).all(), (kmax, t_max, live)
+    assert trimmed > len(TRIM_CUTOFFS) * len(TRIM_TIMES) // 2
+    assert _live_columns(0.0, 1024) == 1
+
+
+def _simpson_nodes(functional, full_width):
+    """Every integrand call of a FINE_GRID curve: (kmax, nodes, values), and the curve."""
+    calls = []
+    call = _Integrand.__call__
+
+    def recording(self, t):
+        values = call(self, t)
+        calls.append((self.kmax, t.tolist(), values.tolist()))
+        return values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Integrand, "__call__", recording)
+        if full_width:
+            patch.setattr(sm, "_live_columns", lambda t_max, kmax: kmax)
+        curve = phi_curve_quadrature(functional, FINE_GRID, tol=1e-8)
+    return calls, curve
+
+
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+def test_trimmed_integrand_equals_full_width_on_every_simpson_node(functional):
+    trimmed, curve = _simpson_nodes(functional, full_width=False)
+    full, full_curve = _simpson_nodes(functional, full_width=True)
+    assert sum(len(nodes) for _, nodes, _ in trimmed) > 1000
+    assert trimmed == full and curve == full_curve
+
+
+@pytest.mark.parametrize("kmax", TRIM_CUTOFFS[:-1])  # at 2^15 a batch holds one node
+@pytest.mark.parametrize("functional", [Functional.QFW, Functional.PREY, Functional.QF])
+def test_a_scalar_call_equals_its_batched_row_though_its_live_columns_differ(functional, kmax):
+    ts = [t for t in TRIM_TIMES if _choose_kmax(t, 1e-8) <= kmax]
+    integrand = _Integrand(functional, kmax)
+    rows = _BATCH_CELLS // kmax
+    assert len(ts) > rows
+    batch_max = [max(ts[lo:lo + rows]) for lo in range(0, len(ts), rows)]
+    assert any(_live_columns(t, kmax) < _live_columns(batch_max[i // rows], kmax)
+               for i, t in enumerate(ts))
+    assert integrand(np.array(ts)).tolist() == [integrand(t) for t in ts]
+
+
 def _node_by_node_simpson(f, a, b, tol, max_panels=1 << 16):
     """The reference loop: one scalar call per new node, levels in turn."""
     cache = {}
@@ -449,7 +547,7 @@ def test_a_raising_cutoff_search_caches_no_table_above_2_to_the_15():
     assert _k_terms(1 << 16) is not big
     assert _cached_k_table.cache_info().currsize == 6
     ks = np.arange(1, (1 << 16) + 1, dtype=np.float64)
-    assert all(np.array_equal(a, b) for a, b in zip(big, (ks, ks - 1.0, gammaln(ks + 1.0))))
+    assert all(np.array_equal(a, b) for a, b in zip(big, (ks, ks - 1.0, log_norm_table(ks))))
 
 
 def test_cutoff_tables_are_shared_and_read_only():
@@ -473,20 +571,20 @@ _MOMENT_SUMS = {
     (0.1, 0): "0x1.cf46d99d52b3ap-1",
     (0.1, 1): "0x1.fffffffffffffp-1",
     (0.1, 2): "0x1.38add9e58ac8cp+0",
-    (1.0, 0): "0x1.78b56362cef39p-2",
-    (1.0, 1): "0x1.0000000000001p+0",
-    (1.0, 2): "0x1.d8e64b8d4ddb3p+2",
-    (3.0, 0): "0x1.97db0ccceb0abp-5",
-    (3.0, 1): "0x1.000000000001dp+0",
-    (3.0, 2): "0x1.936dc5690c45ep+8",
+    (1.0, 0): "0x1.78b56362cef38p-2",
+    (1.0, 1): "0x1.ffffffffffffep-1",
+    (1.0, 2): "0x1.d8e64b8d4ddabp+2",
+    (3.0, 0): "0x1.97db0ccceb0afp-5",
+    (3.0, 1): "0x1.fffffffffffc6p-1",
+    (3.0, 2): "0x1.936dc5690bfedp+8",
 }
 _RHS_AT_1 = {
-    1: "-0x1.11dbdf81d5e17p-2",
-    2: "-0x1.366910133de38p-4",
-    3: "-0x1.fd969634ec1a8p-6",
-    7: "-0x1.1e87c76d9c440p-11",
-    14: "0x1.ca91999fa1b90p-10",
-    20: "0x1.29a89a0ae1b96p-10",
+    1: "-0x1.11dbdf81d5e15p-2",
+    2: "-0x1.366910133de36p-4",
+    3: "-0x1.fd969634ec1a4p-6",
+    7: "-0x1.1e87c76d9c460p-11",
+    14: "0x1.ca91999fa1b9cp-10",
+    20: "0x1.29a89a0ae1b7ep-10",
 }
 
 
