@@ -15,7 +15,9 @@ two-stage-chain sequence law step through integer partitions with the
 denominator per step: they carry integer numerators over the running
 product of those denominators and make each Fraction once per output
 entry.  At small n the three routes must produce identical event-sequence
-distributions.
+distributions.  The sequence laws keep (s, S, L) keys rather than (L, R),
+because the benchmark's oracle workload projects the parking law on
+("s", "S", "L") and compares it with the tree and chain laws by TV distance.
 """
 
 import itertools
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import _replay
 from .cost_engine import split_mean
+from .smoluchowski import log_tree_coefficient
 
 PARKING_ENUM_MAX = 8  # 8^7 ~ 2.1e6 first-try vectors; their codes fit int64 up to 8
 TREE_ENUM_MAX = 6  # 6^4 * 5! = 155,520 ordered trees
@@ -44,7 +47,9 @@ PMK_EXACT_MAX = 30
 def p_mk(m: int, k: int):
     """P(final predator block of an m-chain has size k) = P(L_{m-1,m} = k).
 
-    Exact Fraction for m <= 30, log-space float beyond.
+    C(m-2, k-1) k^(k-1) (m-k)^(m-k-2) / m^(m-2), an exact Fraction for
+    m <= 30; beyond, the float k e^(A_k + A_(m-k) - A_m) / (m - 1) with
+    A_k = log(k^(k-1) / k!) from `smoluchowski.log_tree_coefficient`.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -55,24 +60,15 @@ def p_mk(m: int, k: int):
         if m - k >= 2:
             num *= (m - k) ** (m - k - 2)
         return Fraction(num, m ** (m - 2))
-    logp = (
-        _log_comb(m - 2, k - 1)
-        + (k - 1) * math.log(k)
-        + (m - k - 2) * math.log(m - k)
-        - (m - 2) * math.log(m)
-    )
-    return math.exp(logp)
-
-
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    a_k, a_r, a_m = log_tree_coefficient([k, m - k, m]).tolist()
+    return k * math.exp(a_k + a_r - a_m) / (m - 1)
 
 
 def borel_pmf(k: int) -> float:
-    """Borel(1) mass k^(k-1) e^-k / k!, the m -> infinity limit of p_{m, m-k}."""
+    """Borel(1) mass k^(k-1) e^-k / k! = e^(A_k - k), the m -> infinity limit of p_{m, m-k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return math.exp((k - 1) * math.log(k) - k - math.lgamma(k + 1))
+    return math.exp(float(log_tree_coefficient(k)) - k)
 
 
 def parking_final_merge_marginal(m: int):

@@ -5,11 +5,11 @@ coagulation system with monodisperse start and have the explicit form
 
     q(k, t) = [k w]^(k-1) / k! * exp(-t - k w),   w = 1 - exp(-t),
 
-with moments sum_k q = e^-t, sum_k k q = 1, sum_k k^2 q = e^{2t}.  Over
-k = 1..kmax it is evaluated as exp((k-1) log w + A_k - k w - t), one log
-per time and one exp per term: A_k = log(k^(k-1) / k!) is a table per
-cutoff, (k-1) log k - log k! below k = 100 and Stirling's series from
-there on, which avoids the cancellation of k log k against log k!.  The
+with moments sum_k q = e^-t, sum_k k q = 1, sum_k k^2 q = e^{2t}.  It is
+evaluated as exp((k-1) log w + A_k - k w - t), one log per time and one
+exp per term.  A_k = log(k^(k-1) / k!) has one definition,
+`log_tree_coefficient`, which rows of q read as a table per cutoff and
+the scalar q, p_mk and the Borel(1) mass read directly.  The
 integrand of the phi curves evaluates only its live columns, those a
 Stirling bound does not place below k^2 q = 1e-30, and writes 0.0 past
 them; the cutoff certificates, the moment sums and the ODE right-hand
@@ -66,30 +66,39 @@ def alpha_to_time(alpha: float) -> float:
     return -math.log1p(-alpha)
 
 
-def q(k: int, t: float) -> float:
-    """Concentration of size-k clusters at time t (log-space evaluation)."""
+def _check_size_and_time(k: int, t: float) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if t < 0.0:
         raise ValueError("t must be >= 0")
+
+
+def log_tree_coefficient(k):
+    """Log tree-function coefficient A_k = log(k^(k-1) / k!), a 0-d array
+    for an int k, elementwise for an array: (k-1) log k - gammaln(k+1)
+    below k = `_STIRLING_FROM`, then k - 3/2 log k - log(2 pi)/2 - 1/(12k)
+    + 1/(360k^3) - 1/(1260k^5), whose next term, 1/(1680k^7), is below
+    1e-17, so no k log k cancels against log k!."""
+    k = np.asarray(k, dtype=np.float64)
+    r = 1.0 / k
+    r2 = r * r
+    return np.where(k < _STIRLING_FROM, (k - 1.0) * np.log(k) - gammaln(k + 1.0),
+                    k - 1.5 * np.log(k) - _HALF_LOG_2PI
+                    - r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0)))
+
+
+def q(k: int, t: float) -> float:
+    """Concentration of size-k clusters at time t: the exponent of `_q_from_terms`, one exp."""
+    _check_size_and_time(k, t)
     w = -math.expm1(-t)  # 1 - e^-t
     if w == 0.0:
         return 1.0 if k == 1 else 0.0
-    return math.exp((k - 1) * math.log(k * w) - math.lgamma(k + 1) - t - k * w)
+    return math.exp((k - 1) * math.log(w) + float(log_tree_coefficient(k)) - k * w - t)
 
 
 def _k_table(kmax: int):
     ks = np.arange(1, kmax + 1, dtype=np.float64)
-    small, big = ks[:_STIRLING_FROM - 1], ks[_STIRLING_FROM - 1:]
-    r = 1.0 / big
-    r2 = r * r
-    log_norm = np.concatenate([
-        (small - 1.0) * np.log(small) - gammaln(small + 1.0),
-        # (k-1) log k - log k! with log k! = k log k - k + log(2 pi k)/2 + 1/(12k) - ...
-        big - 1.5 * np.log(big) - _HALF_LOG_2PI
-        - r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0)),
-    ])
-    terms = ks, ks - 1.0, log_norm
+    terms = ks, ks - 1.0, log_tree_coefficient(ks)
     for a in terms:
         a.flags.writeable = False
     return terms
@@ -100,17 +109,14 @@ _cached_k_table = functools.lru_cache(maxsize=8)(_k_table)
 
 def _k_terms(kmax: int):
     """The t-free parts of log q(k, t) for k = 1..kmax: k, k - 1 and
-    A_k = log(k^(k-1) / k!).
-
-    A_k is (k-1) log k - gammaln(k+1) below k = `_STIRLING_FROM` and
-    k - 3/2 log k - log(2 pi)/2 - 1/(12k) + 1/(360k^3) - 1/(1260k^5) from
-    there on (the next term, 1/(1680k^7), is below 1e-17).  Read-only and
-    cached per cutoff up to `_CACHE_KMAX`, so `q_vector`, `_choose_kmax`
-    and every `_Integrand` of one cutoff share one table.  A quadrature to
-    alpha = 0.95 uses at most six cutoffs (1024 to 32768), which eight
-    entries hold.  A larger table (48 MiB at `_KMAX_HARD`) is built per
-    call, so that a search that climbs to `_KMAX_HARD` and raises leaves
-    no large table cached.
+    A_k = `log_tree_coefficient(k)`, which the scalar `q` reads too; the ODE
+    right-hand side takes every q it sums, q(k) included, from one row
+    built on this table.  Read-only and cached per cutoff up to
+    `_CACHE_KMAX`, so `q_vector`, `_choose_kmax` and every `_Integrand` of
+    one cutoff share one table.  A quadrature to alpha = 0.95 uses at most
+    six cutoffs (1024 to 32768), which eight entries hold.  A larger table
+    (48 MiB at `_KMAX_HARD`) is built per call, so that a search that
+    climbs to `_KMAX_HARD` and raises leaves no large table cached.
     """
     return (_cached_k_table if kmax <= _CACHE_KMAX else _k_table)(kmax)
 
@@ -219,17 +225,14 @@ def smoluchowski_rhs(k: int, t: float) -> float:
 
     (k/2) sum_{j<k} q(j)q(k-j) - q(k) sum_j (j+k) q(j), with the infinite
     j-sum truncated at the cutoff `_choose_kmax` certifies at t, or at k
-    if that is larger, so that the gain term's q(k - 1) is in range.
+    if that is larger, so that q(k) and q(k - 1) are in its one row of q.
     """
-    qk = q(k, t)  # also rejects k < 1 and t < 0
+    _check_size_and_time(k, t)
     kmax = max(_choose_kmax(t, DEFAULT_TOL), k)
     ks = _k_terms(kmax)[0]
     qv = q_vector(kmax, t)
-    gain = 0.0
-    if k >= 2:
-        j = np.arange(1, k, dtype=np.int64)
-        gain = 0.5 * k * float(np.sum(qv[j - 1] * qv[k - j - 1]))
-    loss = qk * float(np.sum((ks + k) * qv))
+    gain = 0.5 * k * float(np.sum(qv[:k - 1] * qv[:k - 1][::-1]))  # 0.0 at k = 1
+    loss = float(qv[k - 1]) * float(np.sum((ks + k) * qv))
     return gain - loss
 
 

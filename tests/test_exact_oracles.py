@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 from collections import Counter
@@ -40,23 +41,38 @@ def test_p_mk_out_of_range():
         p_mk(1, 1)
 
 
+def _p_mk_integers(m, k):
+    """C(m-2, k-1) k^(k-1) (m-k)^(m-k-2) / m^(m-2) as an integer numerator and denominator."""
+    r = m - k
+    return math.comb(m - 2, k - 1) * k ** (k - 1) * r ** (r - 1), r * m ** (m - 2)
+
+
 def test_p_mk_log_space_continuity():
-    # float evaluation agrees with the rational one near the switchover
-    for m in (28, 29, 30):
-        for k in (1, m // 2, m - 1):
-            exact = float(p_mk(m, k))
-            logp = (
-                math.lgamma(m - 1) - math.lgamma(k) - math.lgamma(m - k)
-                + (k - 1) * math.log(k) + (m - k - 2) * math.log(m - k)
-                - (m - 2) * math.log(m)
-            )
-            assert abs(exact - math.exp(logp)) < 1e-12
+    # the float branch, from m = 31 on, against exact integer ratios (int / int rounds once)
+    assert type(p_mk(30, 7)) is Fraction and p_mk(30, 7) == Fraction(*_p_mk_integers(30, 7))
+    cases = [(m, k) for m in range(31, 301) for k in range(1, m)]
+    cases += [(m, k) for m in (500, 1000, 2000) for k in range(1, m, 7)]
+    worst = 0.0
+    for m, k in cases:
+        num, den = _p_mk_integers(m, k)
+        p, exact = p_mk(m, k), num / den
+        assert type(p) is float
+        worst = max(worst, abs(p - exact) / exact)
+    assert worst <= 1e-12, worst
 
 
 def test_borel_values():
     assert abs(borel_pmf(1) - math.exp(-1)) < 1e-15
     assert abs(borel_pmf(2) - math.exp(-2)) < 1e-15
     assert abs(borel_pmf(1) - 0.367879) < 5e-7
+    # k^(k-1) e^-k / k! at 40 digits with the exact k!
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for k in (10, 99, 100, 101, 1000, 10**4):
+            kd = decimal.Decimal(k)
+            exact = kd ** (k - 1) * (-kd).exp() / math.factorial(k)
+            error = abs((decimal.Decimal(borel_pmf(k)) - exact) / exact)
+            assert error <= decimal.Decimal("2e-12"), (k, error)
 
 
 def test_borel_is_p_mk_limit():
