@@ -27,8 +27,5 @@ from .process_core import (  # noqa: F401, E402
     Embedding,
     EventBatch,
     simulate,
-    simulate_direct,
-    simulate_parking,
-    simulate_spanning_tree,
 )
 from .seeding import make_rng, substream_rng, substream_seed  # noqa: F401, E402

@@ -24,9 +24,11 @@ streams are bit-identical.
 Many short chains replay in lockstep instead: `direct_chain_rows`,
 `parking_rows` and `tree_rows` run their walk's steps over a row axis in
 numpy, sharing one find (`_find_rows`), which beats a walk per chain once
-a block holds at least n rows.  The parking and tree enumerations of the
-exact oracles run `parking_rows` and `tree_rows` too.  The walks stay for
-long chains and are the lockstep kernels' test reference.
+a block holds at least n rows; `process_core.simulate_rows` picks the
+walk or the lockstep kernel by that rule.  The parking and tree
+enumerations of the exact oracles run `parking_rows` and `tree_rows` too.
+The walks stay for long chains and are the lockstep kernels' test
+reference.
 
 Parking statistics that depend only on which places the first k cars try,
 not on the order they arrive in, skip the walk: `parking_scan` reads them

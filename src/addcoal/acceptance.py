@@ -38,6 +38,7 @@ from .exact_oracles import (
     enumerate_parking,
     enumerate_spanning_trees,
     p_mk,
+    p_mk_row,
     parking_final_merge_marginal,
     partition_dp,
     sequence_codes,
@@ -51,7 +52,7 @@ from .experiment import (
 )
 from ._replay import block_rows, direct_chain_rows
 from .process_core import Embedding, direct_picks, direct_rows
-from .process_core import simulate_direct  # noqa: F401  (perfbench/spans.py traces this name)
+from .process_core import simulate as simulate_direct  # noqa: F401  (perfbench/spans.py traces it)
 from .seeding import make_rng, substream_rng
 from .smoluchowski import (
     moment,
@@ -220,7 +221,7 @@ def criterion_pmk_exact():
         for k in range(1, m):
             if marginal.get(k, Fraction(0)) != p_mk(m, k):
                 mismatch.append((m, k))
-    bad_rows = [m for m in range(2, 31) if sum(p_mk(m, k) for k in range(1, m)) != 1]
+    bad_rows = [m for m in range(2, 31) if sum(p_mk_row(m)) != 1]
     ok = not mismatch and not bad_rows
     return (ok, "exact equality" if ok else f"mismatches {mismatch[:3]} rows {bad_rows[:3]}",
             "rational equality, m<=8; unit row sums, m<=30", "exact")
@@ -446,7 +447,7 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
                                        for rep in range(start, stop)], 1)
         L, _ = direct_chain_rows(m, elem, prey_u)
         counts += np.bincount(L[:, -1] - 1, minlength=m - 1)
-    probs = np.array([p_mk(m, k) for k in range(1, m)], dtype=np.float64)
+    probs = np.array(p_mk_row(m), dtype=np.float64)
     if mutate:
         probs = _perturbed(probs)
     test = chi_square_gof(counts, probs, level=0.01)

@@ -34,7 +34,7 @@ from .cost_engine import (
     Functional,
     alpha_in_range,
 )
-from .exact_oracles import DP_MAX, PMK_EXACT_MAX, p_mk, partition_dp
+from .exact_oracles import DP_MAX, PMK_EXACT_MAX, p_mk_row, partition_dp
 from .experiment import ExperimentSpec, beta_in_range, regime_sweep, run_monte_carlo
 from .process_core import Embedding, _check_n
 from .smoluchowski import (
@@ -351,9 +351,8 @@ def cmd_exact(config: RunConfig) -> int:
         raise UsageError(f"{config.table} table needs 2 <= n <= {DP_MAX} (partition DP cap)")
     rows = []
     if config.table == "pmk":
-        for k in range(1, n):
-            p = p_mk(n, k)
-            exact = n <= PMK_EXACT_MAX
+        exact = n <= PMK_EXACT_MAX
+        for k, p in enumerate(p_mk_row(n), start=1):
             rows.append(
                 {
                     **_BUILD,

@@ -60,8 +60,21 @@ def p_mk(m: int, k: int):
         if m - k >= 2:
             num *= (m - k) ** (m - k - 2)
         return Fraction(num, m ** (m - 2))
-    a_k, a_r, a_m = log_tree_coefficient([k, m - k, m]).tolist()
-    return k * math.exp(a_k + a_r - a_m) / (m - 1)
+    return _p_mk_floats(m, np.array([k]))[0]
+
+
+def p_mk_row(m: int) -> list:
+    """[p_mk(m, k) for k = 1..m-1]; past m = 30 from one `log_tree_coefficient` call."""
+    if m <= PMK_EXACT_MAX:
+        return [p_mk(m, k) for k in range(1, m)]
+    return _p_mk_floats(m, np.arange(1, m))
+
+
+def _p_mk_floats(m, ks):
+    """p_mk's float law at each k of the int array ks: one `log_tree_coefficient`
+    call for all of them, one `math.exp` per k."""
+    a_k, a_r, a_m = log_tree_coefficient(np.stack([ks, m - ks, np.full_like(ks, m)])).tolist()
+    return [k * math.exp(x + y - z) / (m - 1) for k, x, y, z in zip(ks.tolist(), a_k, a_r, a_m)]
 
 
 def borel_pmf(k: int) -> float:

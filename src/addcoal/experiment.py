@@ -6,7 +6,6 @@ for a fixed spec regardless of worker count or scheduling.  Aggregation
 is an ordered fold over replication indices.
 """
 
-import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -112,9 +111,10 @@ class ExperimentSpec:
 def _blocks(n, reps):
     """(start, stop) replication ranges, one per `_one_rep` call.
 
-    Blocks of `_replay.block_rows(n)` rows where those reach n rows and so
-    replay in lockstep; otherwise one replication per block, so that
-    workers still share out the replications one at a time.
+    Blocks of `_replay.block_rows(n)` rows where those reach n rows, so
+    that `simulate_rows` replays them in lockstep; otherwise one
+    replication per block, so that workers still share out the walks one
+    at a time.
     """
     rows = _replay.block_rows(n)
     if rows < n:
@@ -131,29 +131,21 @@ def _checkpoints(spec):
             + [("beta", b, beta_step(n, b), n ** 1.5) for b in spec.beta_grid])
 
 
-@functools.lru_cache(maxsize=16)
-def _gather_index(spec):
-    """The steps and scales of `_checkpoints(spec)` as read-only arrays, built
-    once per spec rather than once per block."""
-    checkpoints = _checkpoints(spec)
-    steps = np.array([step for _, _, step, _ in checkpoints], np.int64)
-    scales = np.array([scale for _, _, _, scale in checkpoints], np.float64)
-    steps.flags.writeable = scales.flags.writeable = False
-    return steps, scales
-
-
 def _one_rep(spec, start, stop):
     """Replications start..stop-1 of spec -> (values, totals), a row per replication.
 
     values has shape (functionals, rows, checkpoints) and holds each
     `_checkpoints` value, totals (functionals, rows) the raw totals.  Each
     replication draws from its own substream, so a block gives the rows
-    that one replication at a time would.  A block of at least n rows
-    replays in lockstep; other blocks replay one replication at a time.
+    that one replication at a time would.  A parking run that reads only
+    the displacement total takes the scan; every other block is one
+    `simulate_rows` call, which replays it in lockstep or walks it.
     """
     n, embedding, functionals = spec.n, spec.embedding, spec.functionals
-    steps, scales = _gather_index(spec)
-    rngs = (substream_rng(spec.seed, rep) for rep in range(start, stop))
+    checkpoints = _checkpoints(spec)
+    steps = np.array([step for _, _, step, _ in checkpoints], np.int64)
+    scales = np.array([scale for _, _, _, scale in checkpoints], np.float64)
+    rngs = [substream_rng(spec.seed, rep) for rep in range(start, stop)]
     rows = stop - start
     if (embedding is Embedding.PARKING and set(functionals) == {Functional.DISPLACEMENT}
             and set(steps.tolist()) <= {0, n - 1}):
@@ -162,13 +154,9 @@ def _one_rep(spec, start, stop):
         carry, _ = _replay.parking_scan(
             np.stack([np.bincount(parking_tries(n, rng), minlength=n) for rng in rngs]))
         csums = [np.broadcast_to(carry.sum(axis=1)[:, None], (rows, n - 1))] * len(functionals)
-    elif rows >= n:
+    else:
         batch = simulate_rows(n, rngs, embedding)
         csums = (np.cumsum(event_costs(functional, batch), axis=1) for functional in functionals)
-    else:
-        batches = [simulate(n, rng, embedding) for rng in rngs]
-        csums = (np.cumsum([event_costs(functional, batch) for batch in batches], axis=1)
-                 for functional in functionals)
     values = np.empty((len(functionals), rows, len(steps)))
     totals = np.empty((len(functionals), rows))
     for i, csum in enumerate(csums):

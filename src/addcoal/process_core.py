@@ -13,6 +13,10 @@ of the size-biased side and of the other side, an auxiliary uniform u,
 and a displacement D uniform on {0, ..., L-1} given L: floor(u' L) for a
 drawn uniform u' in the direct and tree runs, the physical probe distance
 in the parking model.
+
+`simulate_rows` is the one path from generators to an `EventBatch`: it
+draws a block of runs, replays them in lockstep or walks them one by one,
+and `simulate` reads one run as a one-row block.
 """
 
 import enum
@@ -33,9 +37,10 @@ class Embedding(str, enum.Enum):
 class EventBatch:
     """Columnar sequence of the n-1 merge events of one chain run.
 
-    `simulate_rows` fills it with several runs, one per row of
-    (runs, n-1) columns; `event_costs` reads either shape.  The snapshot
-    methods read one run and reject a batch of several.
+    `simulate_rows` fills it with a block of runs, one per row of
+    (runs, n-1) columns; `simulate` gives one run's 1-D columns.
+    `event_costs` reads either shape.  The snapshot methods read one run
+    and reject a batch of several.
     """
 
     __slots__ = ("n", "L", "R", "u", "D")
@@ -153,13 +158,6 @@ def direct_rows(n: int, rngs, uniforms: int):
     return out
 
 
-def simulate_direct(n: int, rng) -> EventBatch:
-    """Full direct-chain run.  Draw order: elements, prey picks, u, u'."""
-    elem, prey_u, u, uprime = direct_inputs(n, rng)
-    L, R = _replay.direct_chain_replay(n, elem, prey_u)
-    return EventBatch(n, L, R, u, _floor_displacement(uprime, L))
-
-
 def parking_tries(n: int, rng) -> np.ndarray:
     """The n-1 cars' uniform first tries: the first draw of a parking run.
 
@@ -171,17 +169,6 @@ def parking_tries(n: int, rng) -> np.ndarray:
     return rng.integers(0, n, size=n - 1)
 
 
-def simulate_parking(n: int, rng) -> EventBatch:
-    """Full parking run.  Draw order: first tries, u.
-
-    D is the probed distance, 0 when the first try is empty.
-    """
-    tries = parking_tries(n, rng)
-    u = rng.random(n - 1)
-    L, R, D = _replay.parking_replay(n, tries)
-    return EventBatch(n, L, R, u, D)
-
-
 def tree_inputs(n: int, rng):
     """All draws of a spanning-tree run, in order: Prufer sequence, edge order, u, u'."""
     _check_n(n)
@@ -189,53 +176,51 @@ def tree_inputs(n: int, rng):
             rng.random(n - 1), rng.random(n - 1))
 
 
-def simulate_spanning_tree(n: int, rng) -> EventBatch:
-    """Full spanning-tree run.  Draw order: Prufer sequence, edge order, u, u'.
-
-    The tree is uniform over the n**(n-2) labeled trees (Prufer decode),
-    the edge insertion order uniform over the (n-1)! permutations, and the
-    tree is rooted at vertex 0 to orient bottom/top.
-    """
-    prufer, perm, u, uprime = tree_inputs(n, rng)
-    top = perm + 1  # the k-th inserted edge joins vertex perm[k] + 1 to its parent
-    L, R = _replay.tree_replay(n, _replay.tree_parents_from_prufer(n, prufer)[top], top)
-    return EventBatch(n, L, R, u, _floor_displacement(uprime, L))
-
-
-_SIMULATORS = {
-    Embedding.DIRECT: simulate_direct,
-    Embedding.TREE: simulate_spanning_tree,
-    Embedding.PARKING: simulate_parking,
-}
-
-def simulate(n: int, rng, embedding=Embedding.DIRECT) -> EventBatch:
-    return _SIMULATORS[Embedding(embedding)](n, rng)
+def _stack(runs):
+    """Per-run array tuples stacked on a new run axis; a lone run's as views `a[None]`."""
+    runs = list(runs)
+    if len(runs) == 1:
+        return tuple(a[None] for a in runs[0])
+    return tuple(np.stack(col) for col in zip(*runs))
 
 
 def simulate_rows(n: int, rngs, embedding) -> EventBatch:
-    """Runs of one embedding in lockstep, one per generator, each drawn as
-    `simulate` draws it: every column has shape (len(rngs), n-1),
-    a row per run.
+    """Full runs of one embedding, one per generator of the sequence rngs:
+    every column has shape (len(rngs), n-1), a row per run.
 
-    Direct and parking rows take their draws from one raw call per
-    generator (`direct_rows`): a parking run's first tries and u are drawn
-    as a direct run's elements and prey uniforms are.  Tree rows call
-    numpy per generator, since `permutation` draws with a varying range.
-    The rows replay through `_replay.direct_chain_rows`,
-    `_replay.parking_rows` or `_replay.tree_rows`.
+    Each generator draws as `direct_inputs`, `tree_inputs` or, for parking,
+    `direct_picks` does (a parking run's first tries and u).  A block of at
+    least n rows replays in lockstep (`_replay.*_rows`), direct and parking
+    draws from one raw call per generator (`direct_rows`; a tree's
+    `permutation` has a varying range); a smaller block walks each row
+    (`_replay.direct_chain_replay`, `parking_replay`, `tree_replay`).
     """
     embedding = Embedding(embedding)
+    lockstep = len(rngs) >= n
     if embedding is Embedding.PARKING:
-        tries, u = direct_rows(n, rngs, 1)
-        L, R, D = _replay.parking_rows(n, tries)
+        tries, u = (direct_rows(n, rngs, 1) if lockstep
+                    else _stack(direct_picks(n, rng) for rng in rngs))
+        L, R, D = (_replay.parking_rows(n, tries) if lockstep
+                   else _stack(_replay.parking_replay(n, row) for row in tries))
         return EventBatch(n, L, R, u, D)
     if embedding is Embedding.TREE:
-        prufer, perm, u, uprime = (np.stack(col)
-                                   for col in zip(*(tree_inputs(n, rng) for rng in rngs)))
-        par = np.stack([_replay.tree_parents_from_prufer(n, row) for row in prufer])
-        top = perm + 1
-        L, R = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top)
+        prufer, perm, u, uprime = _stack(tree_inputs(n, rng) for rng in rngs)
+        top = perm + 1  # the k-th inserted edge joins vertex perm[k] + 1 to its parent
+        if lockstep:
+            par = np.stack([_replay.tree_parents_from_prufer(n, row) for row in prufer])
+            L, R = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top)
+        else:  # a row's parents and bottom endpoints are freed once it is replayed
+            L, R = _stack(_replay.tree_replay(n, _replay.tree_parents_from_prufer(n, p)[t], t)
+                          for p, t in zip(prufer, top))
     else:
-        elem, prey_u, u, uprime = direct_rows(n, rngs, 3)
-        L, R = _replay.direct_chain_rows(n, elem, prey_u)
+        elem, prey_u, u, uprime = (direct_rows(n, rngs, 3) if lockstep
+                                   else _stack(direct_inputs(n, rng) for rng in rngs))
+        L, R = (_replay.direct_chain_rows(n, elem, prey_u) if lockstep
+                else _stack(_replay.direct_chain_replay(n, e, p) for e, p in zip(elem, prey_u)))
     return EventBatch(n, L, R, u, _floor_displacement(uprime, L))
+
+
+def simulate(n: int, rng, embedding=Embedding.DIRECT) -> EventBatch:
+    """One full run: row 0 of a one-row `simulate_rows` block, as 1-D views."""
+    batch = simulate_rows(n, [rng], embedding)
+    return EventBatch(n, batch.L[0], batch.R[0], batch.u[0], batch.D[0])

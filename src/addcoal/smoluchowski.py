@@ -78,13 +78,18 @@ def log_tree_coefficient(k):
     for an int k, elementwise for an array: (k-1) log k - gammaln(k+1)
     below k = `_STIRLING_FROM`, then k - 3/2 log k - log(2 pi)/2 - 1/(12k)
     + 1/(360k^3) - 1/(1260k^5), whose next term, 1/(1680k^7), is below
-    1e-17, so no k log k cancels against log k!."""
+    1e-17, so no k log k cancels against log k!.  Each branch runs only on
+    its own entries."""
     k = np.asarray(k, dtype=np.float64)
-    r = 1.0 / k
+    out = np.empty_like(k)
+    small = k < _STIRLING_FROM
+    ks, kl = k[small], k[~small]
+    out[small] = (ks - 1.0) * np.log(ks) - gammaln(ks + 1.0)
+    r = 1.0 / kl
     r2 = r * r
-    return np.where(k < _STIRLING_FROM, (k - 1.0) * np.log(k) - gammaln(k + 1.0),
-                    k - 1.5 * np.log(k) - _HALF_LOG_2PI
-                    - r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0)))
+    out[~small] = (kl - 1.5 * np.log(kl) - _HALF_LOG_2PI
+                   - r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0)))
+    return out
 
 
 def q(k: int, t: float) -> float:

@@ -14,7 +14,7 @@ from addcoal.cost_engine import (
 )
 from addcoal.exact_oracles import _conditional_means, _sum_by, enumerate_parking, partition_dp
 from addcoal.experiment import ExperimentSpec, run_monte_carlo
-from addcoal.process_core import EventBatch, simulate_direct
+from addcoal.process_core import Embedding, EventBatch, simulate
 from addcoal.seeding import make_rng
 
 
@@ -31,7 +31,8 @@ def ev(L=1, R=1, u=0.3, D=0):
 def fold(monkeypatch, batch, functionals, alpha_grid=(), beta_grid=()):
     """experiment._one_rep's (alpha, beta, totals) over a given batch: the
     one row of a block holding replication 0 alone."""
-    monkeypatch.setattr(experiment, "simulate", lambda n, rng, embedding: batch)
+    row = EventBatch(batch.n, *(col[None] for col in (batch.L, batch.R, batch.u, batch.D)))
+    monkeypatch.setattr(experiment, "simulate_rows", lambda n, rngs, embedding: row)
     spec = ExperimentSpec(n=batch.n, functionals=tuple(functionals), alpha_grid=alpha_grid,
                           beta_grid=beta_grid)
     values, totals = experiment._one_rep(spec, 0, 1)
@@ -53,7 +54,7 @@ def test_instantaneous_examples():
 
 
 def test_per_event_relations():
-    batch = simulate_direct(300, make_rng(2))
+    batch = simulate(300, make_rng(2), Embedding.DIRECT)
     qf = event_costs(Functional.QF, batch)
     qfw = event_costs(Functional.QFW, batch)
     prey = event_costs(Functional.PREY, batch)
@@ -144,7 +145,7 @@ def test_displacement_identity_by_enumeration():
 
 
 def test_totals_n2_all_functionals(monkeypatch):
-    batch = simulate_direct(2, make_rng(0))
+    batch = simulate(2, make_rng(0), Embedding.DIRECT)
     _, _, totals = fold(monkeypatch, batch, ALL_FUNCTIONALS)
     for f, total in zip(ALL_FUNCTIONALS, totals):
         expected = 0 if f is Functional.DISPLACEMENT else 1
@@ -154,7 +155,7 @@ def test_totals_n2_all_functionals(monkeypatch):
 def test_one_rep_matches_incremental_fold(monkeypatch):
     # the cumsum-and-gather equals a running total taken event by event
     n = 200
-    batch = simulate_direct(n, make_rng(31))
+    batch = simulate(n, make_rng(31), Embedding.DIRECT)
     alpha_grid = (0.0, 0.25, 0.5, 0.75)
     beta_grid = (0.0, 1.0, 3.0, n ** 0.5)
     alpha_steps = [alpha_step(n, a) for a in alpha_grid]
@@ -200,7 +201,7 @@ def test_checkpoint_step_mapping():
 
 
 def test_cumulative_nondecreasing():
-    batch = simulate_direct(500, make_rng(12))
+    batch = simulate(500, make_rng(12), Embedding.DIRECT)
     for f in ALL_FUNCTIONALS:
         csum = np.cumsum(event_costs(f, batch))
         assert np.all(np.diff(csum) >= 0)

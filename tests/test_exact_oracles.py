@@ -15,6 +15,7 @@ from addcoal.exact_oracles import (
     enumerate_parking,
     enumerate_spanning_trees,
     p_mk,
+    p_mk_row,
     parking_final_merge_marginal,
     partition_dp,
 )
@@ -30,6 +31,16 @@ def test_p_mk_examples():
 def test_p_mk_rows_sum_to_one_exactly():
     for m in range(2, 31):
         assert sum(p_mk(m, k) for k in range(1, m)) == 1
+
+
+@pytest.mark.parametrize("m", [2, 30, 31, 50, 1000])
+def test_p_mk_row_equals_per_k_calls_bit_for_bit(m):
+    row = p_mk_row(m)
+    single = [p_mk(m, k) for k in range(1, m)]
+    assert [type(p) for p in row] == [type(p) for p in single]
+    if m > 30:
+        row, single = [p.hex() for p in row], [p.hex() for p in single]
+    assert row == single
 
 
 def test_p_mk_out_of_range():

@@ -14,7 +14,7 @@ from addcoal.experiment import (
 )
 from addcoal import _replay, experiment
 from addcoal.exact_oracles import _sum_by, parking_final_merge_marginal, partition_dp
-from addcoal.process_core import Embedding, simulate_direct, simulate_parking
+from addcoal.process_core import Embedding, simulate
 from addcoal.seeding import make_rng, substream_rng
 
 
@@ -195,7 +195,7 @@ def test_monte_carlo_matches_exact_dp_frequencies():
     pairs = sorted(law)
     counts = {pair: 0 for pair in pairs}
     for rep in range(reps):
-        batch = simulate_direct(n, substream_rng(77, rep))
+        batch = simulate(n, substream_rng(77, rep), Embedding.DIRECT)
         l, r = int(batch.L[1]), int(batch.R[1])
         counts[(min(l, r), max(l, r))] += 1
     res = chi_square_gof(
@@ -215,7 +215,7 @@ def test_cluster_spectrum_tracks_mean_field():
     t = math.log(2.0)
     fractions = {1: [], 2: [], 3: []}
     for rep in range(reps):
-        batch = simulate_direct(n, substream_rng(91, rep))
+        batch = simulate(n, substream_rng(91, rep), Embedding.DIRECT)
         spectrum = batch.spectrum_at(step)
         for k in fractions:
             fractions[k].append(spectrum.get(k, 0) / n)
@@ -267,7 +267,7 @@ def test_parking_regime_sweep_matches_replay():
     for i, (n, row) in enumerate(zip(n_list, rows)):
         sparse, full = SummaryStats(), SummaryStats()
         for rep in range(reps):
-            batch = simulate_parking(n, substream_rng(seed, i * reps + rep))
+            batch = simulate(n, substream_rng(seed, i * reps + rep), Embedding.PARKING)
             sparse.push(batch.largest_cluster_at(row.k_sparse) / n)
             full.push(batch.largest_cluster_at(row.k_full) / n)
         assert (row.sparse, row.full) == (sparse, full)

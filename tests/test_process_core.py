@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -19,14 +20,11 @@ from addcoal.process_core import (
     direct_rows,
     parking_tries,
     simulate,
-    simulate_direct,
-    simulate_parking,
     simulate_rows,
-    simulate_spanning_tree,
 )
 from addcoal.seeding import make_rng, substream_rng
 
-ALL_SIMS = [simulate_direct, simulate_spanning_tree, simulate_parking]
+ALL_SIMS = [functools.partial(simulate, embedding=embedding) for embedding in Embedding]
 
 
 def _rows(batch):
@@ -41,7 +39,7 @@ def test_monodisperse_basics():
         batch = sim(5, make_rng(0))
         assert sum(batch.spectrum_at(0).values()) == 5
         assert batch.largest_cluster_at(0) == 1
-    assert simulate_direct(100, make_rng(0)).spectrum_at(0) == {1: 100}
+    assert simulate(100, make_rng(0), Embedding.DIRECT).spectrum_at(0) == {1: 100}
 
 
 def test_snapshots_reject_a_batch_of_several_runs():
@@ -58,7 +56,7 @@ def test_monodisperse_rejects_zero():
 
 
 def test_direct_n2_only_outcome():
-    batch = simulate_direct(2, make_rng(0))
+    batch = simulate(2, make_rng(0), Embedding.DIRECT)
     assert _rows(batch) == [(1, 1, 0)]
     assert batch.spectrum_at(1) == {2: 1}
     with pytest.raises(ValueError):  # one cluster left: no further merge
@@ -67,7 +65,7 @@ def test_direct_n2_only_outcome():
 
 def test_direct_full_run_invariants():
     n = 30
-    batch = simulate_direct(n, make_rng(11))
+    batch = simulate(n, make_rng(11), Embedding.DIRECT)
     assert len(batch) == n - 1
     for k, (L, R, D) in enumerate(_rows(batch), 1):
         assert 0 <= D <= L - 1
@@ -85,7 +83,7 @@ def test_direct_size_biased_pick():
     trials = 4000
     rng = make_rng(5)
     for _ in range(trials):
-        batch = simulate_direct(3, rng)
+        batch = simulate(3, rng, Embedding.DIRECT)
         assert sorted((batch.L[1], batch.R[1])) == [1, 2]
         hits += int(batch.L[1] == 2)
     assert abs(hits / trials - 2 / 3) < 0.03
@@ -147,8 +145,8 @@ def test_n_stays_below_2_to_the_31():
 
 
 def test_tree_and_parking_n2():
-    for b in (simulate_spanning_tree(2, make_rng(0)), simulate_parking(2, make_rng(0))):
-        assert _rows(b) == [(1, 1, 0)]
+    for embedding in (Embedding.TREE, Embedding.PARKING):
+        assert _rows(simulate(2, make_rng(0), embedding)) == [(1, 1, 0)]
 
 
 def _direct_events(n, elem, prey_u, uprime):
@@ -325,13 +323,26 @@ def test_a_real_rejection_takes_the_redraw():
     assert [_pcg_position(r) for r in rngs] == [_pcg_position(r) for r in refs]
 
 
-def test_direct_lockstep_runs_draw_as_single_runs():
-    n, reps = 20, range(4090, 4110)
-    batch = simulate_rows(n, [substream_rng(3, rep) for rep in reps], Embedding.DIRECT)
-    for row, rep in enumerate(reps):
-        single = simulate_direct(n, substream_rng(3, rep))
-        assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))
-                   for col in ("L", "R", "u", "D"))
+@pytest.mark.parametrize("embedding", list(Embedding))
+def test_blocks_draw_as_single_runs(embedding):
+    # 20 generators replay in lockstep; 7, fewer than n, walk row by row
+    n = 20
+    for reps in (range(4090, 4110), range(4090, 4097)):
+        batch = simulate_rows(n, [substream_rng(3, rep) for rep in reps], embedding)
+        assert batch.L.shape == (len(reps), n - 1)
+        for row, rep in enumerate(reps):
+            single = simulate(n, substream_rng(3, rep), embedding)
+            assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))
+                       for col in ("L", "R", "u", "D"))
+
+
+def test_a_one_row_block_stacks_views():
+    runs = [(np.arange(3), np.ones(3))]
+    stacked = process_core._stack(runs)
+    assert all(s.shape == (1, 3) and np.shares_memory(s, a) for s, a in zip(stacked, runs[0]))
+    runs.append((np.arange(3, 6), np.zeros(3)))
+    assert [s.tolist() for s in process_core._stack(runs)] == [[[0, 1, 2], [3, 4, 5]],
+                                                               [[1, 1, 1], [0, 0, 0]]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 50, 300])
@@ -372,15 +383,6 @@ def test_parking_rows_match_the_walk_row_by_row(n):
     for r in range(40):
         walk = _replay.parking_replay(n, tries[r])
         assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
-
-
-def test_parking_lockstep_runs_draw_as_single_runs():
-    n, reps = 20, range(4090, 4110)
-    batch = simulate_rows(n, [substream_rng(3, rep) for rep in reps], Embedding.PARKING)
-    for row, rep in enumerate(reps):
-        single = simulate_parking(n, substream_rng(3, rep))
-        assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))
-                   for col in ("L", "R", "u", "D"))
 
 
 def _parking_events(n, tries):
@@ -592,14 +594,14 @@ def test_spectrum_matches_merge_by_merge_reference(embedding):
 
 
 def test_largest_cluster_curve_matches_spectrum():
-    batch = simulate_parking(120, make_rng(8))
+    batch = simulate(120, make_rng(8), Embedding.PARKING)
     for step in (0, 5, 60, 119):
         assert batch.largest_cluster_at(step) == max(batch.spectrum_at(step))
 
 
 def test_displacement_identity_at_scale():
     # E[2D - L + 1] = 0 per merge (D uniform on {0..L-1} given L)
-    batch = simulate_parking(100_000, make_rng(55))
+    batch = simulate(100_000, make_rng(55), Embedding.PARKING)
     diffs = 2.0 * batch.D - batch.L + 1.0
     stderr = diffs.std(ddof=1) / np.sqrt(len(diffs))
     assert abs(diffs.mean()) < 4.0 * stderr
@@ -611,7 +613,7 @@ def test_sparse_regime_largest_cluster_shrinks():
     for i, n in enumerate((300, 3000, 30000)):
         rng = make_rng(40 + i)
         k = int(n - n**0.75)
-        vals = [simulate_direct(n, rng).largest_cluster_at(k) / n for _ in range(20)]
+        vals = [simulate(n, rng, Embedding.DIRECT).largest_cluster_at(k) / n for _ in range(20)]
         means.append(sum(vals) / len(vals))
     assert means[0] > means[1] > means[2]
 
@@ -621,7 +623,7 @@ def test_parking_scan_matches_replay(n):
     # total displacement and largest block read from the tries' histogram
     for rep in range(5):
         tries = parking_tries(n, substream_rng(n, rep))
-        batch = simulate_parking(n, substream_rng(n, rep))
+        batch = simulate(n, substream_rng(n, rep), Embedding.PARKING)
         carry, occupied = _replay.parking_scan(np.bincount(tries, minlength=n)[None])
         assert carry.sum() == batch.D.sum()
         assert occupied.sum() == n - 1 and not occupied[0, -1]
