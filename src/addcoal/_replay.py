@@ -24,9 +24,10 @@ streams are bit-identical.
 Many short chains replay in lockstep instead: `direct_chain_rows`,
 `parking_rows` and `tree_rows` run their walk's steps over a row axis in
 numpy, sharing one find (`_find_rows`), which beats a walk per chain once
-a block holds at least n rows; `process_core.simulate_rows` picks the
-walk or the lockstep kernel by that rule.  The parking and tree
-enumerations of the exact oracles run `parking_rows` and `tree_rows` too.
+a block holds at least n rows, and `prufer_rows` decodes a block's Prufer
+sequences the same way; `process_core.simulate_rows` picks the walk or
+the lockstep kernel by that rule.  The parking and tree enumerations of
+the exact oracles run `parking_rows`, `prufer_rows` and `tree_rows` too.
 The walks stay for long chains and are the lockstep kernels' test
 reference.
 
@@ -426,6 +427,44 @@ def tree_parents_from_prufer(n, prufer):
     par = np.empty(n, np.int64)
     _prufer_walk(_view(prufer), _state(degree), _view(par))
     return par
+
+
+def prufer_rows(n, prufer):
+    """`_prufer_walk` in lockstep over rows: par of shape (rows, n), rooted at 0.
+
+    Row r decodes prufer[r] (shape (rows, n-2)) exactly as
+    `tree_parents_from_prufer` does.  A vertex is a leaf before step i once
+    its last entry in the sequence, last[v], is below i, so each step takes
+    the smallest v with last[v] < i as its leaf, joins it to prufer[:, i],
+    and sets last[v] = n so that it is never taken again.  That is one
+    comparison and one argmax over the rows' (rows, n) table per step, in
+    place of the walk's scan; past the last step the smallest leaf left is
+    joined to n-1, the value par starts with.
+    """
+    prufer = _int64(prufer)
+    rows = len(prufer)
+    base = np.arange(rows, dtype=np.int64) * n  # row r owns r*n .. r*n+n-1
+    last = np.full((rows, n), -1, np.int64)
+    flat = last.reshape(-1)
+    for i, v in enumerate(prufer.T):  # column by column, so the last entry wins
+        flat[base + v] = i
+    par = np.full(rows * n, n - 1, np.int64)
+    for i, v in enumerate(prufer.T):
+        leaf = base + (last < i).argmax(axis=1)
+        par[leaf] = v
+        flat[leaf] = n
+    # reverse each row's path from 0 to n-1; a row that has reached n-1
+    # rewrites par[n-1] with the same vertex until every row has
+    end = base + (n - 1)
+    v = base
+    prev = np.full(rows, -1, np.int64)
+    while True:
+        done = v == end
+        up = par[v]
+        par[v] = prev
+        if done.all():
+            return par.reshape(rows, n)
+        prev, v = np.where(done, prev, v - base), np.where(done, v, base + up)
 
 
 @njit(cache=True)

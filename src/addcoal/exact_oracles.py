@@ -1,10 +1,19 @@
 """Exact ground truth at desk scale: enumerations, DP, closed formulas.
 
-The parking and tree enumerations replay every equally likely
-configuration (first-try vectors; labeled trees x edge orders) with the
-lockstep union-find kernels that small-n simulation runs,
-`_replay.parking_rows` and `_replay.tree_rows`, which the tests check
-against the walks, so criterion 1 certifies the simulating code itself.
+The parking and tree enumerations give the exact law over every equally
+likely configuration (first-try vectors; labeled trees x edge orders) but
+replay one representative per symmetry class, each class as large as the
+next.  Relabelling the non-root vertices in insertion order, sigma_perm:
+perm[k] + 1 -> k + 1, maps a tree in edge order perm to a tree in the
+identity order with the same merges (Pitman 1999), so each of the
+n**(n-2) trees is replayed once.  Rotating a first-try vector by
+-tries[0] leaves circular parking's merges and probe distances unchanged
+(Flajolet, Poblete and Viola 1998), so only the n**(n-2) vectors with
+tries[0] = 0 are replayed.  They run the lockstep kernels that small-n
+simulation runs, `_replay.parking_rows`, `_replay.prufer_rows` and
+`_replay.tree_rows`, which the tests check against the walks, so
+criterion 1 certifies the simulating code itself; the tests also check
+both reductions against the full enumerations.
 Both count each block of rows by one integer code per row
 (`sequence_codes`), and `decode_counts` turns the codes into sequences,
 as it does for the chain chi-square's draws.  The final-merge law is
@@ -20,7 +29,6 @@ because the benchmark's oracle workload projects the parking law on
 ("s", "S", "L") and compares it with the tree and chain laws by TV distance.
 """
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -32,8 +40,8 @@ from . import _replay
 from .cost_engine import split_mean
 from .smoluchowski import log_tree_coefficient
 
-PARKING_ENUM_MAX = 8  # 8^7 ~ 2.1e6 first-try vectors; their codes fit int64 up to 8
-TREE_ENUM_MAX = 6  # 6^4 * 5! = 155,520 ordered trees
+PARKING_ENUM_MAX = 8  # 8^6 ~ 2.6e5 replayed vectors (tries[0] = 0); codes fit int64 up to 8
+TREE_ENUM_MAX = 6  # 6^4 = 1296 replayed trees, one per tree (edge orders by relabelling)
 DP_MAX = 20  # p(20) = 627 partition states
 DP_SEQUENCE_MAX = 7
 PMK_EXACT_MAX = 30
@@ -175,22 +183,31 @@ def _count_codes(counts: Counter, codes) -> None:
     counts.update(dict(zip(values.tolist(), c.tolist())))
 
 
+def _digit_blocks(n: int, width: int, total: int):
+    """Rows of the `width` base-n digits (most significant first) of 0 .. total-1,
+    in lexicographic order, in blocks of `_replay.block_rows(n)` rows."""
+    place = n ** np.arange(width - 1, -1, -1)
+    rows = _replay.block_rows(n)
+    for start in range(0, total, rows):
+        yield np.arange(start, min(start + rows, total))[:, None] // place % n
+
+
 def enumerate_parking(n: int) -> EventSequenceDistribution:
     """Exact law of (s, S, L, D) sequences over all n**(n-1) first-try vectors.
 
-    The vectors are replayed in lexicographic order by `_replay.parking_rows`,
-    in blocks of `_replay.block_rows(n)` rows, and each block is counted by
-    its rows' `sequence_codes` (with D) before the next one is built.
+    Rotating every try by -tries[0] (mod n) maps the n vectors of a rotation
+    class one to one onto the class's vector with tries[0] = 0, and leaves
+    L, R and D unchanged, since circular parking has no distinguished place.
+    So only the n**(n-2) vectors with tries[0] = 0 are replayed, in
+    lexicographic order by `_replay.parking_rows`, and each counts 1 over
+    n**(n-2).  Each block of rows is counted by its `sequence_codes` (with
+    D) before the next one is built.
     """
     if not 2 <= n <= PARKING_ENUM_MAX:
         raise ValueError(f"parking enumeration supports 2 <= n <= {PARKING_ENUM_MAX}")
-    m = n - 1
-    total = n ** m
-    place = n ** np.arange(m - 1, -1, -1)  # the tries are the base-n digits of the index
-    rows = _replay.block_rows(n)
+    total = n ** (n - 2)
     counts = Counter()
-    for start in range(0, total, rows):
-        tries = np.arange(start, min(start + rows, total))[:, None] // place % n
+    for tries in _digit_blocks(n, n - 1, total):  # the leading digit, tries[0], is 0
         L, R, D = _replay.parking_rows(n, tries)
         _count_codes(counts, sequence_codes(n, L, R, D))
     probs = {seq: Fraction(c, total) for seq, c in decode_counts(n, counts, 3).items()}
@@ -201,24 +218,26 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
     """Exact law of (s, S, L) sequences over all trees x edge orders.
 
     Trees come from the n**(n-2) Prufer sequences, each rooted at 0, and
-    edge orders from the (n-1)! permutations.  Each lockstep block of
-    `_replay.tree_rows` holds a group of trees times all edge orders, at
-    most `_replay.BLOCK_CELLS` places, and is counted by its rows'
-    `sequence_codes` before the next block is replayed.
+    edge orders from the (n-1)! permutations perm, whose k-th edge joins
+    vertex perm[k] + 1 to its parent.  Relabelling by sigma_perm, which maps
+    vertex perm[k] + 1 to k + 1 and fixes the root 0, is a bijection on the
+    trees rooted at 0 that turns each tree in the order perm into its image
+    in the identity order with the same (L, R) at every step (Pitman 1999).
+    So every edge order gives the same law, and each tree is replayed once,
+    in the identity order (top = 1..n-1, bottom = par[top]), counting 1
+    over n**(n-2).  Each block of `_replay.block_rows(n)` Prufer sequences
+    is decoded by `_replay.prufer_rows`, replayed by `_replay.tree_rows` and
+    counted by its rows' `sequence_codes` before the next one.
     """
     if not 2 <= n <= TREE_ENUM_MAX:
         raise ValueError(f"tree enumeration supports 2 <= n <= {TREE_ENUM_MAX}")
-    m = n - 1
-    tops = np.array(list(itertools.permutations(range(1, n))), np.int64)  # edge order + 1
-    prufers = list(itertools.product(range(n), repeat=n - 2))
-    group = max(1, _replay.block_rows(n) // len(tops))
+    total = n ** (n - 2)
+    top = np.arange(1, n)
     counts = Counter()
-    for start in range(0, len(prufers), group):
-        pars = np.stack([_replay.tree_parents_from_prufer(n, prufer)
-                         for prufer in prufers[start:start + group]])
-        L, R = _replay.tree_rows(n, pars[:, tops].reshape(-1, m), np.tile(tops, (len(pars), 1)))
+    for prufer in _digit_blocks(n, n - 2, total):
+        bottom = _replay.prufer_rows(n, prufer)[:, 1:]  # par[top]
+        L, R = _replay.tree_rows(n, bottom, np.broadcast_to(top, bottom.shape))
         _count_codes(counts, sequence_codes(n, L, R))
-    total = n ** (n - 2) * math.factorial(n - 1)
     probs = {seq: Fraction(c, total) for seq, c in decode_counts(n, counts, 2).items()}
     return EventSequenceDistribution(n, ("s", "S", "L"), probs)
 

@@ -190,10 +190,11 @@ def simulate_rows(n: int, rngs, embedding) -> EventBatch:
 
     Each generator draws as `direct_inputs`, `tree_inputs` or, for parking,
     `direct_picks` does (a parking run's first tries and u).  A block of at
-    least n rows replays in lockstep (`_replay.*_rows`), direct and parking
-    draws from one raw call per generator (`direct_rows`; a tree's
-    `permutation` has a varying range); a smaller block walks each row
-    (`_replay.direct_chain_replay`, `parking_replay`, `tree_replay`).
+    least n rows replays in lockstep (`_replay.*_rows`, a tree's Prufer
+    decode too: `prufer_rows`), direct and parking draws from one raw call
+    per generator (`direct_rows`; a tree's `permutation` has a varying
+    range); a smaller block walks each row (`_replay.direct_chain_replay`,
+    `parking_replay`, `tree_replay` after `tree_parents_from_prufer`).
     """
     embedding = Embedding(embedding)
     lockstep = len(rngs) >= n
@@ -207,7 +208,7 @@ def simulate_rows(n: int, rngs, embedding) -> EventBatch:
         prufer, perm, u, uprime = _stack(tree_inputs(n, rng) for rng in rngs)
         top = perm + 1  # the k-th inserted edge joins vertex perm[k] + 1 to its parent
         if lockstep:
-            par = np.stack([_replay.tree_parents_from_prufer(n, row) for row in prufer])
+            par = _replay.prufer_rows(n, prufer)
             L, R = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top)
         else:  # a row's parents and bottom endpoints are freed once it is replayed
             L, R = _stack(_replay.tree_replay(n, _replay.tree_parents_from_prufer(n, p)[t], t)

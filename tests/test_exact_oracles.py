@@ -131,7 +131,9 @@ def _law(counts, total):
 
 
 def test_tree_enumeration_matches_one_walk_per_configuration():
-    # n = 6 is the one size whose Prufer sequences span several lockstep blocks
+    # n = 6: every tree in every edge order, walked one by one (more rows than
+    # a lockstep block holds), against the enumeration's one identity-order
+    # replay per tree, which this certifies
     n = 6
     ids, ones, view = _replay._ids(n), _replay._ones(n), _replay._view
     L, R = np.empty(n - 1, np.int64), np.empty(n - 1, np.int64)
@@ -145,6 +147,27 @@ def test_tree_enumeration_matches_one_walk_per_configuration():
             counts[(*L.tolist(), *R.tolist())] += 1
     total = n ** (n - 2) * math.factorial(n - 1)
     assert enumerate_spanning_trees(n).probs == _law(counts, total)
+
+
+def test_parking_enumeration_matches_every_first_try_vector():
+    # all 7^6 first-try vectors through `parking_rows`, against the
+    # enumeration's 7^5 with tries[0] = 0 (one per rotation class), which
+    # span several lockstep blocks
+    n = 7
+    total = n ** (n - 1)
+    rows = _replay.block_rows(n)
+    assert total // n > rows
+    place = n ** np.arange(n - 2, -1, -1)  # the tries are the base-n digits of the index
+    counts = Counter()
+    for start in range(0, total, rows):
+        tries = np.arange(start, min(start + rows, total))[:, None] // place % n
+        keys, c = np.unique(np.hstack(_replay.parking_rows(n, tries)), axis=0, return_counts=True)
+        counts.update(dict(zip(map(tuple, keys.tolist()), c.tolist())))
+    law = Counter()
+    for key, c in counts.items():
+        L, R, D = key[:n - 1], key[n - 1:2 * n - 2], key[2 * n - 2:]
+        law[tuple((min(l, r), max(l, r), l, d) for l, r, d in zip(L, R, D))] += Fraction(c, total)
+    assert enumerate_parking(n).probs == dict(law)
 
 
 def _direct_inputs(n, codes):

@@ -336,6 +336,18 @@ def test_blocks_draw_as_single_runs(embedding):
                        for col in ("L", "R", "u", "D"))
 
 
+@pytest.mark.parametrize("n", [5, 50])
+def test_tree_blocks_decode_in_lockstep_as_single_runs(n):
+    # a block of n + 3 generators decodes its Prufer sequences with
+    # `prufer_rows`; each single run walks `tree_parents_from_prufer`
+    reps = range(4090, 4093 + n)
+    batch = simulate_rows(n, [substream_rng(3, rep) for rep in reps], Embedding.TREE)
+    for row, rep in enumerate(reps):
+        single = simulate(n, substream_rng(3, rep), Embedding.TREE)
+        assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))
+                   for col in ("L", "R", "u", "D"))
+
+
 def test_a_one_row_block_stacks_views():
     runs = [(np.arange(3), np.ones(3))]
     stacked = process_core._stack(runs)
@@ -367,6 +379,23 @@ def test_tree_rows_match_the_walk_row_by_row(n):
     for r in range(40):
         walk = _replay.tree_replay(n, bottom[r], top[r])
         assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 50, 128])
+def test_prufer_rows_match_the_walk_row_by_row(n):
+    # every Prufer sequence up to n = 6 (n = 2: one empty sequence, zero
+    # columns); above, random ones, then a star at 0, a star at n-1, and the
+    # rising and falling paths
+    if n <= 6:
+        prufer = np.array(list(itertools.product(range(n), repeat=n - 2)), np.int64)
+    else:
+        prufer = np.vstack([make_rng(n).integers(0, n, size=(3 * n, n - 2)),
+                            np.zeros(n - 2, np.int64), np.full(n - 2, n - 1),
+                            np.arange(n - 2), np.arange(n - 2)[::-1]])
+    par = _replay.prufer_rows(n, prufer)
+    assert par.shape == (len(prufer), n)
+    for row, seq in zip(par, prufer):
+        assert np.array_equal(row, _replay.tree_parents_from_prufer(n, seq))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 50, 200])
