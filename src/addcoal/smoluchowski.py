@@ -13,7 +13,9 @@ the scalar q, p_mk and the Borel(1) mass read directly.  The
 integrand of the phi curves evaluates only its live columns, those a
 Stirling bound does not place below k^2 q = 1e-30, and writes 0.0 past
 them; the cutoff certificates, the moment sums and the ODE right-hand
-side read full rows.
+side read full rows.  The integrand and the cutoff certificates sum a
+row's products with numpy's pairwise `add.reduce`, which uses no BLAS, so
+the curves do not depend on the BLAS thread count.
 
 Partial merge costs normalized by n converge, uniformly on compact
 alpha ranges, to
@@ -27,7 +29,10 @@ moments m_p, so the integrand and every closed-form curve derive from it
 (QFW's min(k, l) has none).  The unit cost c = 1 integrates to alpha, the
 event count.  All phi curves here are normalized so that phi(0) = 0; the
 classical table values for QF, Predator and Displacement sit 1/2, 1 and
-1/2 above these (their alpha=0 offsets).
+1/2 above these (their alpha=0 offsets).  The time integral runs segment
+by segment along the alpha grid, each segment by adaptive Gauss-Legendre
+panels (`_gauss_panels`): the integrand is analytic in t, so a 10-point
+Gauss rule is far more accurate than Simpson's rule with as many nodes.
 """
 
 import functools
@@ -35,14 +40,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .cost_engine import SPLIT_MEANS, Functional, alpha_in_range
 
 DEFAULT_TOL = 1e-8
 _MASS_TOL = 1e-10
-_MIN_PANELS = 64
-_MAX_PANELS = 1 << 16
+_MAX_DEPTH = 16  # bisection levels below a segment: panels down to 2^-16 of it
 _KMAX_HARD = 1 << 21
 _CACHE_KMAX = 1 << 15  # the largest cutoff whose `_k_terms` table stays cached
 _ALPHA_MAX = 0.98  # the cutoff kmax grows like (1 - alpha)^-2 toward alpha = 1
@@ -54,9 +59,22 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_NEGLIGIBLE = math.log(1e-30)  # a column with k^2 q below e^this moves no sum
 
 
+def _panel_rule():
+    """The 5- and the 10-point Gauss-Legendre nodes on [-1, 1] in increasing
+    order (the two sets are disjoint), their weights, and a mask of the
+    5-point rule's nodes."""
+    (x5, w5), (x10, w10) = leggauss(5), leggauss(10)
+    order = np.argsort(np.concatenate([x5, x10]))
+    return np.concatenate([x5, x10])[order], np.concatenate([w5, w10])[order], order < 5
+
+
+_PANEL_NODES, _PANEL_WEIGHTS, _OF_G5 = _panel_rule()
+
+
 class QuadratureError(RuntimeError):
     """No cutoff below `_KMAX_HARD` passes `_choose_kmax`'s certificates, an
-    integrand node loses mass, or Simpson does not converge within its panels."""
+    integrand node loses mass, or a Gauss-Legendre panel is still open at
+    depth `_MAX_DEPTH`."""
 
 
 def alpha_to_time(alpha: float) -> float:
@@ -299,7 +317,10 @@ def phi_comparison_curve(functional, alpha: float) -> float:
 @dataclass(frozen=True)
 class QuadratureResult:
     """phi at one grid point: cumulative value and error estimate, and the
-    cutoff of the segment that ends at that point."""
+    cutoff of the segment that ends at that point.  error sums |G10 - G5|
+    over the accepted panels of every segment so far: an estimate of the
+    5-point rule's error, so a conservative one for the 10-point values the
+    curve adds up."""
 
     value: float
     error: float
@@ -316,16 +337,17 @@ class _Integrand:
     1-D array of nodes, which it evaluates in row batches of at most
     `_BATCH_CELLS` q values: one row of q per node, with the same float
     operations in the same order as a scalar call, so each node's value is
-    bit for bit the scalar value.  The moment dots stay one `np.dot` per row
-    (a matrix-vector product rounds differently); row sums and prefix sums
-    along the rows are bit-equal to their 1-D forms.  Each instance computes
+    bit for bit the scalar value.  A weighted moment is `np.add.reduce`
+    along the rows of the products `np.multiply(..., out=)` writes into a
+    buffer: numpy's pairwise sum, free of BLAS and bit-equal to its 1-D
+    form, as are the row sums and the prefix sums.  Each instance computes
     only the moments its functional reads, in buffers of its own.
 
     A batch evaluates q only on the `_live_columns` of its largest time and
-    writes 0.0 past them, where every k^2 q < 1e-30; each dot and sum still
-    runs over all kmax columns (a shorter BLAS dot groups its lanes
+    writes 0.0 past them, where every k^2 q < 1e-30; each sum still runs
+    over all kmax columns (a shorter pairwise sum groups its terms
     differently), so the dropped terms, far below half an ulp of every
-    lane's sum, change no bit: a node's value does not depend on its batch.
+    partial sum, change no bit: a node's value does not depend on its batch.
     """
 
     def __init__(self, functional, kmax: int):
@@ -333,7 +355,7 @@ class _Integrand:
         self.kmax = kmax
         self.terms = _k_terms(kmax)  # shared by every node of the segments using kmax
         self._rows = max(1, _BATCH_CELLS // kmax)
-        # planes 0-1: q and log q, a row per node; QFW adds k q and its two prefix sums
+        # planes 0-1: q and log q (then k q or k^p q), a row per node; QFW adds two prefix sums
         self._work = np.empty((4 if self.functional is Functional.QFW else 2, self._rows, kmax))
         self._means = [(float(c), i + 1, j)
                        for (i, j), c in SPLIT_MEANS.get(self.functional, {}).items()]
@@ -355,20 +377,20 @@ class _Integrand:
         work = self._work[:, :len(ts)]
         live = _live_columns(max(ts.tolist()), self.kmax)
         _q_from_terms([a[:live] for a in self.terms], ts, work[:2, :, :live])
-        qv = work[0]
+        qv, kq = work[0], work[1]
         qv[:, live:] = 0.0
         ks = self.terms[0]
-        m1 = [float(np.dot(ks, row)) for row in qv]
-        for t, m in zip(ts.tolist(), m1):
-            residual = abs(1.0 - m)
-            if residual > 10.0 * _MASS_TOL:
-                raise QuadratureError(
-                    f"truncation mass residual {residual:.2e} at t={t:.4f} (kmax={self.kmax})"
-                )
+        np.multiply(ks, qv, out=kq)
+        m1 = np.add.reduce(kq, axis=1)
+        residual = np.abs(1.0 - m1)
+        bad = residual > 10.0 * _MASS_TOL
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise QuadratureError(f"truncation mass residual {float(residual[i]):.2e} "
+                                  f"at t={float(ts[i]):.4f} (kmax={self.kmax})")
         if self.functional is Functional.QFW:
             m0 = np.sum(qv, axis=1)
-            kq, p1, q1 = work[1], work[2, :, :live], work[3, :, :live]
-            np.multiply(ks, qv, out=kq)
+            p1, q1 = work[2, :, :live], work[3, :, :live]
             np.cumsum(kq[:, :live], axis=1, out=p1)
             np.cumsum(qv[:, :live], axis=1, out=q1)
             # sum_l min(k,l) q_l = p1 + k (m0 - q1), then weight by k q_k
@@ -376,11 +398,11 @@ class _Integrand:
             q1 *= ks[:live]
             p1 += q1
             work[2, :, live:] = 0.0  # k q is 0.0 there: a finite factor keeps its products 0.0
-            return [float(np.dot(a, b)) for a, b in zip(kq, work[2])]
-        m = {1: np.array(m1)}
+            return np.add.reduce(np.multiply(kq, work[2], out=work[3]), axis=1).tolist()
+        m = {1: m1}
         for p, weights in self._weights.items():
             m[p] = (np.sum(qv, axis=1) if weights is None
-                    else np.array([float(np.dot(weights, row)) for row in qv]))
+                    else np.add.reduce(np.multiply(weights, qv, out=kq), axis=1))
         return sum(c * (m[p] * m[q]) for c, p, q in self._means).tolist()
 
 
@@ -407,8 +429,9 @@ def _choose_kmax(t_max: float, tol: float, start: int = 1024) -> int:
     kmax = max(start, 1024)
     while kmax <= _KMAX_HARD:
         terms = _k_terms(kmax)
-        qv = _q_from_terms(terms, t_max)
-        residual = 1.0 - float(np.dot(terms[0], qv))
+        rows = np.empty((2, kmax))
+        qv = _q_from_terms(terms, t_max, rows)
+        residual = 1.0 - float(np.add.reduce(np.multiply(terms[0], qv, out=rows[1])))
         a_last = kmax**2 * qv[-1]
         a_prev = (kmax - 1) ** 2 * qv[-2]
         ok_tail = False
@@ -423,46 +446,41 @@ def _choose_kmax(t_max: float, tol: float, start: int = 1024) -> int:
     raise QuadratureError(f"no admissible truncation below {_KMAX_HARD} for t={t_max:.3f}")
 
 
-def _simpson(f, a: float, b: float, tol: float):
-    """Composite Simpson with panel doubling on [a, b] until |delta| < tol.
+def _gauss_panels(f, a: float, b: float, tol: float):
+    """Adaptive Gauss-Legendre on [a, b]: (value, error).
 
-    f takes an array of nodes and returns an array of values.  It is called
-    once per check: the first check compares `_MIN_PANELS` panels with twice
-    as many, so its call holds both levels' nodes; each later check adds one
-    call for the new level's nodes.  Nodes are passed in the order a
-    node-by-node loop would meet them (the ends, then each level's new
-    interior nodes left to right), so a failing f names the same node.  No
-    level past `_MAX_PANELS` is evaluated.
+    A panel evaluates the 5- and the 10-point rule on its 15 nodes, G5 and
+    G10.  It is accepted when |G10 - G5| < its tolerance, and then adds G10
+    to the value and |G10 - G5| to the error; otherwise it is split in half,
+    each half with half its tolerance.  [a, b] is the one panel of level 0,
+    with tolerance tol.  f takes an array of nodes and returns an array of
+    values; it is called once per level with the nodes of all the level's
+    open panels in increasing order, so a failing f names the node a
+    left-to-right loop meets first.  Each rule's weighted sum, and the value
+    and error over the accepted panels, are `math.fsum`s: correctly rounded,
+    so they do not depend on the order of the terms.  A panel still
+    open at depth `_MAX_DEPTH` raises; no deeper level is evaluated.
     """
     if b <= a:
         return 0.0, 0.0
-    cache = {}  # panel counts are powers of two, so node ratios are exact dyadics
-
-    def evaluate(ratios):
-        cache.update(zip(ratios, f(np.array([a + (b - a) * r for r in ratios])).tolist()))
-
-    def new_ratios(panels):
-        return [j / panels for j in range(1, panels, 1 if panels == _MIN_PANELS else 2)]
-
-    first = [0.0, 1.0] + new_ratios(_MIN_PANELS)
-    if 2 * _MIN_PANELS <= _MAX_PANELS:
-        first += new_ratios(2 * _MIN_PANELS)
-    evaluate(first)
-    prev = None
-    panels = _MIN_PANELS
-    while panels <= _MAX_PANELS:
-        if panels > 2 * _MIN_PANELS:
-            evaluate(new_ratios(panels))
-        h = (b - a) / panels
-        total = cache[0.0] + cache[1.0]
-        for j in range(1, panels):
-            total += (4.0 if j % 2 else 2.0) * cache[j / panels]
-        val = total * h / 3.0
-        if prev is not None and abs(val - prev) < tol:
-            return val, abs(val - prev)
-        prev = val
-        panels *= 2
-    raise QuadratureError(f"Simpson did not converge below {tol:g} within {_MAX_PANELS} panels")
+    lo, hi = np.array([a]), np.array([b])
+    values, errors = [], []
+    for depth in range(_MAX_DEPTH + 1):
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = centre[:, None] + half[:, None] * _PANEL_NODES
+        products = f(nodes.ravel()).reshape(nodes.shape) * _PANEL_WEIGHTS
+        g5, g10 = (half * np.array([math.fsum(row) for row in products[:, rule].tolist()])
+                   for rule in (_OF_G5, ~_OF_G5))
+        diff = np.abs(g10 - g5)
+        done = diff < tol * 0.5**depth
+        values += g10[done].tolist()
+        errors += diff[done].tolist()
+        if done.all():
+            return math.fsum(values), math.fsum(errors)
+        lo, centre, hi = lo[~done], centre[~done], hi[~done]
+        lo, hi = np.stack([lo, centre], axis=1).ravel(), np.stack([centre, hi], axis=1).ravel()
+    raise QuadratureError(f"Gauss-Legendre panels did not converge below {tol:g} "
+                          f"within depth {_MAX_DEPTH}")
 
 
 def check_alpha_grid(alphas) -> None:
@@ -477,11 +495,12 @@ def check_alpha_grid(alphas) -> None:
 
 
 def phi_curve_quadrature(functional, alphas, tol: float = DEFAULT_TOL):
-    """phi(alpha) of a Functional by composite Simpson over [0, -log(1-alpha)].
+    """phi(alpha) of a Functional by adaptive Gauss-Legendre panels over [0, -log(1-alpha)].
 
-    Integrates segment by segment along an increasing alpha grid and
-    returns a list of QuadratureResult whose values are cumulative, with
-    per-point error estimates summed over the segments used.  The double
+    Integrates segment by segment along an increasing alpha grid, each
+    segment by `_gauss_panels` to tol / len(alphas), and returns a list of
+    QuadratureResult whose values are cumulative, with per-point error
+    estimates summed over the segments used.  The double
     sum is truncated per segment, at the cutoff `_choose_kmax` certifies
     at the segment's end time; since the tails grow with t, it holds at
     every node of the segment, and each segment's search starts at the
@@ -505,7 +524,7 @@ def phi_curve_quadrature(functional, alphas, tol: float = DEFAULT_TOL):
         kmax = _choose_kmax(t_next, tol, kmax)
         if integrand is None or integrand.kmax != kmax:
             integrand = _Integrand(functional, kmax)
-        val, err = _simpson(integrand, t_prev, t_next, seg_tol)
+        val, err = _gauss_panels(integrand, t_prev, t_next, seg_tol)
         acc += val
         err_acc += err
         out.append(QuadratureResult(acc, err_acc, kmax))

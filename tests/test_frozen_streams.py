@@ -2,6 +2,10 @@
 cost fold or the limit curves must keep: bit-identical results."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ MONTE_CARLO = {
     ("parking", 50, 340): "9032d39b7a0b8ba7cbc2c21dde5176685f2b60862989d3d420ee1c618741273c",
     ("parking", 300, 3): "9af9080c937d6171582c466b8178c2cbcbd4aac453e5d71e8220e777b786f9d1",
 }
+ROOT = Path(__file__).resolve().parent.parent
 PARKING_5 = "b26db970bf21142a4192666c8cda1e545a23d6db31aff01ddf0e670955d42447"
 
 
@@ -58,13 +63,14 @@ def test_parking_enumeration_keeps_its_digest():
 # on a dense alpha grid with tiny and subnormal alpha, and the quadrature's
 # (value, error, kmax) for every functional on the default 19-point grid.
 # The quadrature's bits are those of log q = (k-1) log w + A_k - k w - t with
-# A_k = log(k^(k-1) / k!) from Stirling's series past k = 100.  With one BLAS
-# thread, as conftest pins: a threaded np.dot moves the last bits at 32768.
-LIMIT_CURVES = "439f2f414e12158c54c376f85f6e321f7cc9cd363d0e34dfc7133130ccdbafe1"
+# A_k = log(k^(k-1) / k!) from Stirling's series past k = 100, of the
+# adaptive 5/10-point Gauss-Legendre panels, and of numpy's pairwise sums
+# (`np.add.reduce`), which use no BLAS, so no thread count moves them.
+LIMIT_CURVES = "91c4921d878f8d564f748184fd6c1ff495f311bbdb0b98d3d812cf27282052d0"
 TINY_ALPHAS = (5e-324, 1e-310, 1e-200, 1e-17, 2.0**-53, 1e-9, 1e-5)
 
 
-def test_limit_curves_keep_their_digest():
+def limit_curves_digest():
     alphas = TINY_ALPHAS + tuple(i / 2000 for i in range(2000)) + (0.9995, 0.99999)
     h = hashlib.sha256()
     for functional in ALL_FUNCTIONALS:
@@ -74,4 +80,20 @@ def test_limit_curves_keep_their_digest():
                 h.update(" ".join(curve(functional, a).hex() for a in alphas).encode())
         for r in phi_curve_quadrature(functional, DEFAULT_ALPHA_GRID):
             h.update(f"{r.value.hex()} {r.error.hex()} {r.kmax}".encode())
-    assert h.hexdigest() == LIMIT_CURVES
+    return h.hexdigest()
+
+
+def test_limit_curves_keep_their_digest():
+    assert limit_curves_digest() == LIMIT_CURVES
+
+
+def test_limit_curves_do_not_depend_on_the_blas_thread_count():
+    # numpy imported first, with a two-thread BLAS pool: nothing can pin it to one
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "MKL_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = ("import numpy, runpy, sys; "
+            "print(runpy.run_path(sys.argv[1])['limit_curves_digest']())")
+    out = subprocess.run([sys.executable, "-c", code, __file__], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.strip() == LIMIT_CURVES

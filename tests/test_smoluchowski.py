@@ -10,15 +10,14 @@ from addcoal.cost_engine import ALL_FUNCTIONALS, DEFAULT_ALPHA_GRID, Functional,
 from addcoal.smoluchowski import (
     _BATCH_CELLS,
     _EXP_ZERO,
-    _MIN_PANELS,
     QuadratureError,
+    _gauss_panels,
     _Integrand,
     _choose_kmax,
     _cached_k_table,
     _k_terms,
     _live_columns,
     _q_from_terms,
-    _simpson,
     alpha_to_time,
     log_tree_coefficient,
     moment,
@@ -209,12 +208,10 @@ def test_phi_closed_form_rejects_qfw():
         phi_comparison_curve(Functional.QFW, 0.5)
 
 
-def test_simpson_panel_budget_reported(monkeypatch):
-    import addcoal.smoluchowski as sm
-
-    monkeypatch.setattr(sm, "_MAX_PANELS", 64)
-    with pytest.raises(QuadratureError):
-        phi_at(Functional.QFW, 0.5, tol=1e-12)
+def test_quadrature_depth_cap_reported(monkeypatch):
+    monkeypatch.setattr(sm, "_MAX_DEPTH", 1)
+    with pytest.raises(QuadratureError, match="within depth 1"):
+        phi_at(Functional.QFW, 0.5, tol=1e-300)
 
 
 QFW_GRID = tuple(round(0.05 * i, 2) for i in range(1, 19))  # 0.05 .. 0.90
@@ -230,7 +227,7 @@ def one_cutoff_curve(functional, alphas, tol):
     out, acc, err_acc, t_prev = [], 0.0, 0.0, 0.0
     for a in alphas:
         t_next = alpha_to_time(a)
-        val, err = _simpson(integrand, t_prev, t_next, seg_tol)
+        val, err = _gauss_panels(integrand, t_prev, t_next, seg_tol)
         acc += val
         err_acc += err
         out.append((acc, err_acc))
@@ -328,12 +325,13 @@ def _allocating_integrand(functional, kmax, t):
         qv[0] = 1.0
     else:
         qv = np.exp((ks - 1.0) * math.log(w) + log_norm_table(ks) - ks * w - t)
-    m0, m1, m2 = float(np.sum(qv)), float(np.dot(ks, qv)), float(np.dot(ks * ks, qv))
+    m0 = float(np.sum(qv))
+    m1, m2 = (float(np.add.reduce(weights * qv)) for weights in (ks, ks * ks))
     if abs(1.0 - m1) > 1e-9:
         return qv, None
     if functional is Functional.QFW:
         kq = ks * qv
-        return qv, float(np.dot(kq, np.cumsum(kq) + ks * (m0 - np.cumsum(qv))))
+        return qv, float(np.add.reduce(kq * (np.cumsum(kq) + ks * (m0 - np.cumsum(qv)))))
     return qv, {Functional.QF: 0.5 * (m2 * m0 + m1 * m1), Functional.PREY: m1 * m1,
                 Functional.QFB: m1 * m1, Functional.PREDATOR: m2 * m0,
                 Functional.DISPLACEMENT: 0.5 * m2 * m0 - 0.25 * (m1 * m0 + m0 * m1)}[functional]
@@ -448,8 +446,13 @@ def test_trimmed_columns_are_negligible_at_every_earlier_time():
     assert _live_columns(0.0, 1024) == 1
 
 
-def _simpson_nodes(functional, full_width):
-    """Every integrand call of a FINE_GRID curve: (kmax, nodes, values), and the curve."""
+# the grids the trimmed and full-width integrands are compared on: FINE_GRID, the
+# default grid, and each default alpha alone, one segment from t = 0
+TRIM_GRIDS = (FINE_GRID, DEFAULT_ALPHA_GRID, *((a,) for a in DEFAULT_ALPHA_GRID))
+
+
+def _quadrature_nodes(functional, full_width):
+    """Every integrand call of the TRIM_GRIDS curves: (kmax, nodes, values), and the curves."""
     calls = []
     call = _Integrand.__call__
 
@@ -462,16 +465,16 @@ def _simpson_nodes(functional, full_width):
         patch.setattr(_Integrand, "__call__", recording)
         if full_width:
             patch.setattr(sm, "_live_columns", lambda t_max, kmax: kmax)
-        curve = phi_curve_quadrature(functional, FINE_GRID, tol=1e-8)
-    return calls, curve
+        curves = [phi_curve_quadrature(functional, grid, tol=1e-8) for grid in TRIM_GRIDS]
+    return calls, curves
 
 
 @pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
-def test_trimmed_integrand_equals_full_width_on_every_simpson_node(functional):
-    trimmed, curve = _simpson_nodes(functional, full_width=False)
-    full, full_curve = _simpson_nodes(functional, full_width=True)
+def test_trimmed_integrand_equals_full_width_on_every_quadrature_node(functional):
+    trimmed, curves = _quadrature_nodes(functional, full_width=False)
+    full, full_curves = _quadrature_nodes(functional, full_width=True)
     assert sum(len(nodes) for _, nodes, _ in trimmed) > 1000
-    assert trimmed == full and curve == full_curve
+    assert trimmed == full and curves == full_curves
 
 
 @pytest.mark.parametrize("kmax", TRIM_CUTOFFS[:-1])  # at 2^15 a batch holds one node
@@ -487,30 +490,22 @@ def test_a_scalar_call_equals_its_batched_row_though_its_live_columns_differ(fun
     assert integrand(np.array(ts)).tolist() == [integrand(t) for t in ts]
 
 
-def _node_by_node_simpson(f, a, b, tol, max_panels=1 << 16):
-    """The reference loop: one scalar call per new node, levels in turn."""
-    cache = {}
-
-    def eval_at(ratio):
-        if ratio not in cache:
-            cache[ratio] = f(a + (b - a) * ratio)
-        return cache[ratio]
-
-    prev, panels = None, _MIN_PANELS
-    while panels <= max_panels:
-        total = eval_at(0.0) + eval_at(1.0)
-        for j in range(1, panels):
-            total += (4.0 if j % 2 else 2.0) * eval_at(j / panels)
-        val = total * (b - a) / panels / 3.0
-        if prev is not None and abs(val - prev) < tol:
-            return val, abs(val - prev)
-        prev, panels = val, panels * 2
-    raise QuadratureError("no convergence")
+def _node_by_node_panels(f, a, b, tol):
+    """The reference rule, depth first with one scalar call per node: the
+    accepted panels' (G10, |G10 - G5|), left to right."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    g5, g10 = (half * math.fsum(w * f(centre + half * x) for x, w in zip(*rule))
+               for rule in (np.polynomial.legendre.leggauss(m) for m in (5, 10)))
+    if abs(g10 - g5) < tol:
+        return [(g10, abs(g10 - g5))]
+    return (_node_by_node_panels(f, a, centre, tol / 2)
+            + _node_by_node_panels(f, centre, b, tol / 2))
 
 
-@pytest.mark.parametrize("tol, calls", [(1e-3, [129]), (1e-13, [129, 128, 256, 512])])
-def test_simpson_calls_once_per_check(tol, calls):
-    # same value and error as the node-by-node loop, nodes met in the same order
+@pytest.mark.parametrize("tol, calls", [(1e-8, [15]), (1e-12, [15, 30, 30]),
+                                        (1e-14, [15, 30, 60, 30])])
+def test_gauss_panels_equal_the_node_by_node_rule_with_one_call_per_level(tol, calls):
+    # a tight tol bisects; at 1e-12 and 1e-14 some panels of a level pass and the others split
     integrand = _Integrand(Functional.QFW, 1024)
     batches, order = [], []
 
@@ -523,25 +518,63 @@ def test_simpson_calls_once_per_check(tol, calls):
         return integrand(t)
 
     a, b = 0.3, 0.9
-    assert _simpson(batched, a, b, tol) == _node_by_node_simpson(scalar, a, b, tol)
+    value, error = _gauss_panels(batched, a, b, tol)
+    panels = _node_by_node_panels(scalar, a, b, tol)
+    assert (value, error) == tuple(math.fsum(p) for p in zip(*panels))
     assert [len(nodes) for nodes in batches] == calls
-    assert [t for nodes in batches for t in nodes] == order
+    assert all(x < y for nodes in batches for x, y in zip(nodes, nodes[1:]))  # left to right
+    assert sorted(t for nodes in batches for t in nodes) == sorted(order)
+    # a tighter tol refines the same value
+    assert abs(value - _gauss_panels(integrand, a, b, 1e-3)[0]) < 1e-9
 
 
-@pytest.mark.parametrize("max_panels, calls", [(64, [65]), (128, [129]), (256, [129, 128])])
-def test_simpson_evaluates_no_level_past_the_panel_budget(monkeypatch, max_panels, calls):
-    import addcoal.smoluchowski as sm
-
-    monkeypatch.setattr(sm, "_MAX_PANELS", max_panels)
+@pytest.mark.parametrize("max_depth", [0, 1, 3])
+def test_gauss_panels_evaluate_no_level_past_the_depth_cap(monkeypatch, max_depth):
+    monkeypatch.setattr(sm, "_MAX_DEPTH", max_depth)
     integrand, batches = _Integrand(Functional.QFW, 1024), []
 
     def batched(ts):
         batches.append(len(ts))
         return integrand(ts)
 
-    with pytest.raises(QuadratureError, match=f"within {max_panels} panels"):
-        _simpson(batched, 0.3, 0.9, 1e-15)
-    assert batches == calls
+    with pytest.raises(QuadratureError, match=f"within depth {max_depth}$"):
+        _gauss_panels(batched, 0.3, 0.9, 0.0)  # no panel passes |G10 - G5| < 0
+    assert batches == [15 << d for d in range(max_depth + 1)]
+
+
+def test_closed_form_curves_equal_the_quadrature_to_1e_12():
+    for grid in (DEFAULT_ALPHA_GRID, FINE_GRID):
+        for functional in ALL_FUNCTIONALS:
+            if functional is Functional.QFW:
+                continue
+            curve = phi_curve_quadrature(functional, grid)
+            worst = max(abs(r.value - phi_comparison_curve(functional, a))
+                        for r, a in zip(curve, grid))
+            assert worst < 1e-12, (functional, len(grid), worst)
+
+
+def _equal_panel_curve(functional, alphas):
+    """phi on each segment by 16 equal panels of the 10-point Gauss-Legendre
+    rule, at the cutoff the driver certifies for that segment at tol 1e-8."""
+    xs, ws = np.polynomial.legendre.leggauss(10)
+    acc, out, t_prev = [], [], 0.0
+    for a in alphas:
+        t_next = alpha_to_time(a)
+        integrand = _Integrand(functional, _choose_kmax(t_next, 1e-8))
+        edges = np.linspace(t_prev, t_next, 17)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            acc.extend((0.5 * (hi - lo) * ws * integrand(0.5 * (lo + hi) + 0.5 * (hi - lo) * xs))
+                       .tolist())
+        out.append(math.fsum(acc))
+        t_prev = t_next
+    return out
+
+
+@pytest.mark.parametrize("grid", [QFW_GRID, DEFAULT_ALPHA_GRID])
+def test_qfw_curve_equals_an_equal_panel_gauss_reference_to_1e_13(grid):
+    curve = phi_curve_quadrature(Functional.QFW, grid)
+    reference = _equal_panel_curve(Functional.QFW, grid)
+    assert max(abs(r.value - v) for r, v in zip(curve, reference)) < 1e-13
 
 
 def test_a_raising_cutoff_search_caches_no_table_above_2_to_the_15():
