@@ -11,25 +11,32 @@ bottom endpoint / block holding the car's first try), and R, that of the
 other side.  Parking also returns D, the probed distance in {0, ..., L-1};
 the direct and tree runs draw theirs next to their inputs (`process_core`).
 
-Each embedding has one walk (``_*_walk``) that holds only its union-find
-loop; everything fixed by the step index or by the loop's outputs (prey
-index, parking's D) is computed in numpy by the public kernel around it.
-With numba the walk is compiled and runs over numpy arrays.  Without it
-the walk runs as plain Python over ``memoryview``s of the numpy inputs and
-outputs, with its union-find state in lists below ``COMPACT_N`` places and
-in int32 ``memoryview``s from there on, so that a long chain's state fits
-in L2 (see `_ids`); all of them read and write the same values, so the
-streams are bit-identical.
+The direct and parking chains each have one walk (`_direct_walk`,
+`_parking_walk`), and the tree's Prufer decode one (`_prufer_walk`).  A
+walk holds only its loop; everything fixed by the step index or by the
+loop's outputs (prey index, parking's D) is computed in numpy by the
+public kernel around it.  With numba the walk is compiled and runs over
+numpy arrays.  Without it the walk runs as plain Python over
+``memoryview``s of the numpy inputs and outputs, with its union-find state
+in lists below ``COMPACT_N`` places and in int32 ``memoryview``s from there
+on, so that a long chain's state fits in L2 (see `_ids`); all of them read
+and write the same values, so the streams are bit-identical.
+
+A tree's edge insertions need no walk: `tree_replay` reads every split
+from the tree and its insertion times in a few numpy passes (each vertex's
+nearest ancestor inserted after it, the subtree sizes of the forest those
+links form, and one sort), without a loop over the merges.
 
 Many short chains replay in lockstep instead: `direct_chain_rows`,
-`parking_rows` and `tree_rows` run their walk's steps over a row axis in
-numpy, sharing one find (`_find_rows`), which beats a walk per chain once
-a block holds at least n rows, and `prufer_rows` decodes a block's Prufer
-sequences the same way; `process_core.simulate_rows` picks the walk or
-the lockstep kernel by that rule.  The parking and tree enumerations of
-the exact oracles run `parking_rows`, `prufer_rows` and `tree_rows` too.
-The walks stay for long chains and are the lockstep kernels' test
-reference.
+`parking_rows` and `tree_rows` run union-find steps over a row axis in
+numpy, sharing one find (`_find_rows`), which beats one kernel call per
+chain once a block holds at least n rows, and `prufer_rows` decodes a
+block's Prufer sequences the same way; `process_core.simulate_rows` picks
+the single-chain or the lockstep kernel by that rule.  The parking and
+tree enumerations of the exact oracles run `parking_rows`, `prufer_rows`
+and `tree_rows` too.  The single-chain kernels stay for long chains; the
+walks are the lockstep kernels' test reference, and the tests keep a
+union-find walk of edge insertion as the reference for both tree kernels.
 
 Parking statistics that depend only on which places the first k cars try,
 not on the order they arrive in, skip the walk: `parking_scan` reads them
@@ -467,29 +474,53 @@ def prufer_rows(n, prufer):
         prev, v = np.where(done, prev, v - base), np.where(done, v, base + up)
 
 
-@njit(cache=True)
-def _tree_walk(bottom, top, parent, csize, L, R):
-    """Union-find loop of edge insertion; fills L[k], R[k].
+def _later_ancestors(n, bottom, top):
+    """rp[v], the nearest proper ancestor of v inserted after v, and the root.
 
-    Edge k joins bottom[k] (parent side) to top[k].  A component's
-    representative is its vertex nearest the root, so top[k], whose edge
-    upward is still missing, represents its own component: only the
-    bottom endpoint needs a find.  L is the size of the component holding
-    the bottom endpoint, R that of the top one.
+    Insertion times are t[top[k]] = k and t = n at the root, which is never
+    inserted, so rp[v] is the root when no other ancestor comes after v;
+    rp[root] = root.  By synchronous pointer doubling: every candidate
+    starts at v's parent, and while it went in before v, v jumps to the
+    candidate's own candidate (every vertex jumped over went in before v
+    too).  In the uniform edge orders `process_core` draws that takes 16-19
+    rounds at n = 1e5.  A vertex whose candidates have all settled climbs
+    one rp-link per round, though: a path inserted from the far end up,
+    with the far-end leaf last, takes n - 2 rounds.
     """
-    for k, a, v in zip(range(len(L)), bottom, top):
-        p = parent[a]
-        while p != a:
-            g = parent[p]
-            parent[a] = g
-            a = g
-            p = parent[a]
-        x = csize[a]
-        y = csize[v]
-        parent[v] = a
-        csize[a] = x + y
-        L[k] = x
-        R[k] = y
+    t = np.full(n, n, np.int32)
+    t[top] = np.arange(n - 1, dtype=np.int32)
+    rp = np.arange(n)
+    rp[top] = bottom
+    live = np.flatnonzero(t[rp] < t)
+    t_live = t[live]
+    while live.size:
+        up = rp[rp[live]]
+        rp[live] = up
+        keep = t[up] < t_live
+        # `np.compress`: a mask this mixed mispredicts when it indexes
+        live, t_live = np.compress(keep, live), np.compress(keep, t_live)
+    return rp, int(t.argmax())
+
+
+def _subtree_sizes(rp, root):
+    """Size of each vertex's subtree in the forest rp: 1 + the vertices whose
+    rp-chain passes through it (the root's entry is left at 1).
+
+    All chains climb one level per round, and each round adds 1 where they
+    stand; a chain stops at the root.  So there are as many rounds as the
+    forest is high, and the work is the sum of the rp-depths: 14-16 rounds
+    and about 5.5 n entries at n = 1e5 in a uniform edge order, but about
+    n rounds and n^2 / 2 entries on a path inserted from the far end up.
+    """
+    size = np.ones(len(rp), np.int64)
+    chain = rp
+    while chain.size:
+        # most chains go on in each round, so a mask, which copies no
+        # index array, is no slower here than `np.compress`
+        chain = chain[chain != root]
+        np.add.at(size, chain, 1)
+        chain = rp[chain]
+    return size
 
 
 def tree_replay(n, bottom, top):
@@ -499,22 +530,51 @@ def tree_replay(n, bottom, top):
     with parents par inserted in the order perm has top = perm + 1 and
     bottom = par[top].  L is the size of the component holding the bottom
     endpoint, R the size of the top component.
+
+    No merge is replayed.  Just before step k, v = top[k] tops a component
+    holding v and every w whose rp-chain passes through v (`_later_ancestors`),
+    and the bottom's component is topped by u = rp[v], holding u and the
+    rp-subtrees of those rp-children of u inserted before v.  So R_k is the
+    size of v's subtree in the forest rp (`_subtree_sizes`), and L_k is 1 +
+    the sizes of the rp-children of u inserted before step k: an exclusive
+    prefix sum of R over the steps sorted by (u, k), restarted at each u.
+    Both loops take under 20 rounds at n = 1e5 in the uniform edge orders
+    simulated; on a path inserted from the far end up either takes about n,
+    where the union-find walk of `tree_rows` stays near linear.
     """
-    m = n - 1
-    L = np.empty(m, np.int64)
-    R = np.empty(m, np.int64)
-    _tree_walk(_view(_int64(bottom)), _view(_int64(top)), _ids(n), _ones(n), _view(L), _view(R))
+    bottom, top = _int64(bottom), _int64(top)
+    rp, root = _later_ancestors(n, bottom, top)
+    R = _subtree_sizes(rp, root)[top]
+    u = rp[top]
+    del rp  # each array freed early lowers the peak, which a long chain's run sets
+    key = u * (n - 1)
+    key += np.arange(n - 1)
+    order = np.argsort(key)  # rp-siblings together, in step order
+    del key
+    u = u[order]
+    head = np.r_[True, u[1:] != u[:-1]]  # the first sorted step of each u
+    del u
+    L = R[order]
+    ahead = np.cumsum(L)
+    ahead -= L  # sizes of the sorted steps before each one
+    np.multiply(ahead, head, out=L)
+    ahead -= np.maximum.accumulate(L, out=L)  # ... and of those under the same u
+    ahead += 1
+    L[order] = ahead
     return L, R
 
 
 def tree_rows(n, bottom, top):
-    """`_tree_walk` in lockstep over rows: (L, R), each of shape (rows, n-1).
+    """`tree_replay` by union-find in lockstep over rows: (L, R), each of
+    shape (rows, n-1).
 
-    Row r inserts the edges bottom[r, k] -- top[r, k], k = 0..n-2, exactly
-    as `tree_replay` does.  The rows' union-find states sit side by side in
-    rows*n flat places as in `direct_chain_rows`, so each insertion is one
-    `_find_rows` of the bottom endpoints and a few fancy-index steps over
-    all rows.
+    Row r inserts the edges bottom[r, k] -- top[r, k], k = 0..n-2, and gets
+    what `tree_replay` gives.  A component's representative is its vertex
+    nearest the root, so top[r, k], whose edge upward is still missing,
+    represents its own component and only the bottom endpoint needs a find.
+    The rows' union-find states sit side by side in rows*n flat places as
+    in `direct_chain_rows`, so each insertion is one `_find_rows` of the
+    bottom endpoints and a few fancy-index steps over all rows.
     """
     top = _int64(top)
     rows, m = top.shape

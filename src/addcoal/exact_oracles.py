@@ -11,9 +11,10 @@ n**(n-2) trees is replayed once.  Rotating a first-try vector by
 (Flajolet, Poblete and Viola 1998), so only the n**(n-2) vectors with
 tries[0] = 0 are replayed.  They run the lockstep kernels that small-n
 simulation runs, `_replay.parking_rows`, `_replay.prufer_rows` and
-`_replay.tree_rows`, which the tests check against the walks, so
-criterion 1 certifies the simulating code itself; the tests also check
-both reductions against the full enumerations.
+`_replay.tree_rows`, which the tests check against the walks (the tree
+rows, like `tree_replay`, against a union-find walk of edge insertion
+kept in the tests), so criterion 1 certifies the simulating code itself;
+the tests also check both reductions against the full enumerations.
 Both count each block of rows by one integer code per row
 (`sequence_codes`), and `decode_counts` turns the codes into sequences,
 as it does for the chain chi-square's draws.  The final-merge law is

@@ -15,7 +15,7 @@ drawn uniform u' in the direct and tree runs, the physical probe distance
 in the parking model.
 
 `simulate_rows` is the one path from generators to an `EventBatch`: it
-draws a block of runs, replays them in lockstep or walks them one by one,
+draws a block of runs, replays them in lockstep or one by one,
 and `simulate` reads one run as a one-row block.
 """
 
@@ -193,8 +193,11 @@ def simulate_rows(n: int, rngs, embedding) -> EventBatch:
     least n rows replays in lockstep (`_replay.*_rows`, a tree's Prufer
     decode too: `prufer_rows`), direct and parking draws from one raw call
     per generator (`direct_rows`; a tree's `permutation` has a varying
-    range); a smaller block walks each row (`_replay.direct_chain_replay`,
-    `parking_replay`, `tree_replay` after `tree_parents_from_prufer`).
+    range); a smaller block replays each row alone: direct and parking
+    rows by their walks (`_replay.direct_chain_replay`, `parking_replay`),
+    tree rows by the walk-free `tree_replay` after the Prufer decode walk
+    `tree_parents_from_prufer`.  `tree_rows` keeps the lockstep side for
+    trees because at n <= 128 it beats a `tree_replay` call per row.
     """
     embedding = Embedding(embedding)
     lockstep = len(rngs) >= n

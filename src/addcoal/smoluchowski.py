@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .cost_engine import SPLIT_MEANS, Functional, alpha_in_range
@@ -59,16 +58,32 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_NEGLIGIBLE = math.log(1e-30)  # a column with k^2 q below e^this moves no sum
 
 
-def _panel_rule():
-    """The 5- and the 10-point Gauss-Legendre nodes on [-1, 1] in increasing
-    order (the two sets are disjoint), their weights, and a mask of the
-    5-point rule's nodes."""
-    (x5, w5), (x10, w10) = leggauss(5), leggauss(10)
-    order = np.argsort(np.concatenate([x5, x10]))
-    return np.concatenate([x5, x10])[order], np.concatenate([w5, w10])[order], order < 5
-
-
-_PANEL_NODES, _PANEL_WEIGHTS, _OF_G5 = _panel_rule()
+# The 5- and the 10-point Gauss-Legendre rules on [-1, 1], merged in
+# increasing order (the two node sets are disjoint): node, weight, and
+# whether the node is the 5-point rule's.  They are numpy's `leggauss(5)`
+# and `leggauss(10)` bit for bit (a test checks), written out so that the
+# import makes no eigenvalue solve: that is the process's first LAPACK
+# call, and it raised every run's peak memory.
+_PANEL_RULE = (
+    ("-0x1.f2a3e062af2d8p-1", "0x1.1115f8b62dc1fp-4", False),
+    ("-0x1.cff6ce0533a69p-1", "0x1.e539ec36e0393p-3", True),
+    ("-0x1.bae995e9cb2f3p-1", "0x1.32138c878efdep-3", False),
+    ("-0x1.5bdb9228de198p-1", "0x1.c0b059d00bc30p-3", False),
+    ("-0x1.13b23fd99b705p-1", "0x1.ea1da25ae4158p-2", True),
+    ("-0x1.bbcc009016adcp-2", "0x1.13baa7a559c01p-2", False),
+    ("-0x1.30e507891e27ap-3", "0x1.2e9de7014d6eep-2", False),
+    ("0x0.0p+0", "0x1.23456789abcddp-1", True),
+    ("0x1.30e507891e27ap-3", "0x1.2e9de7014d6eep-2", False),
+    ("0x1.bbcc009016adcp-2", "0x1.13baa7a559c01p-2", False),
+    ("0x1.13b23fd99b705p-1", "0x1.ea1da25ae4158p-2", True),
+    ("0x1.5bdb9228de198p-1", "0x1.c0b059d00bc30p-3", False),
+    ("0x1.bae995e9cb2f3p-1", "0x1.32138c878efdep-3", False),
+    ("0x1.cff6ce0533a69p-1", "0x1.e539ec36e0393p-3", True),
+    ("0x1.f2a3e062af2d8p-1", "0x1.1115f8b62dc1fp-4", False),
+)
+_PANEL_NODES = np.array([float.fromhex(x) for x, _, _ in _PANEL_RULE])
+_PANEL_WEIGHTS = np.array([float.fromhex(w) for _, w, _ in _PANEL_RULE])
+_OF_G5 = np.array([of_g5 for _, _, of_g5 in _PANEL_RULE])
 
 
 class QuadratureError(RuntimeError):

@@ -20,6 +20,7 @@ from addcoal.exact_oracles import (
     partition_dp,
 )
 from addcoal.process_core import EventBatch
+from tree_walk import tree_walk
 
 
 def test_p_mk_examples():
@@ -131,20 +132,17 @@ def _law(counts, total):
 
 
 def test_tree_enumeration_matches_one_walk_per_configuration():
-    # n = 6: every tree in every edge order, walked one by one (more rows than
-    # a lockstep block holds), against the enumeration's one identity-order
-    # replay per tree, which this certifies
+    # n = 6: every tree in every edge order, walked one by one by the
+    # union-find reference, against the enumeration's one identity-order
+    # lockstep replay per tree, which this certifies
     n = 6
-    ids, ones, view = _replay._ids(n), _replay._ones(n), _replay._view
-    L, R = np.empty(n - 1, np.int64), np.empty(n - 1, np.int64)
     tops = np.array(list(itertools.permutations(range(1, n))), np.int64)  # edge order + 1
-    assert len(tops) * n ** (n - 2) > _replay.block_rows(n)
     counts = Counter()
     for prufer in itertools.product(range(n), repeat=n - 2):
         bottoms = _replay.tree_parents_from_prufer(n, prufer)[tops]
         for bottom, top in zip(bottoms, tops):
-            _replay._tree_walk(view(bottom), view(top), ids.copy(), ones.copy(), view(L), view(R))
-            counts[(*L.tolist(), *R.tolist())] += 1
+            L, R = tree_walk(n, bottom, top)
+            counts[(*L, *R)] += 1
     total = n ** (n - 2) * math.factorial(n - 1)
     assert enumerate_spanning_trees(n).probs == _law(counts, total)
 

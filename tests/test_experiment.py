@@ -338,7 +338,7 @@ def _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, embedding, walk_na
 
 
 def test_tree_blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch):
-    _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, Embedding.TREE, "_tree_walk")
+    _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, Embedding.TREE, "tree_replay")
 
 
 def test_parking_blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch):

@@ -23,6 +23,7 @@ from addcoal.process_core import (
     simulate_rows,
 )
 from addcoal.seeding import make_rng, substream_rng
+from tree_walk import tree_walk
 
 ALL_SIMS = [functools.partial(simulate, embedding=embedding) for embedding in Embedding]
 
@@ -360,25 +361,54 @@ def test_a_one_row_block_stacks_views():
 @pytest.mark.parametrize("n", [2, 3, 5, 50, 300])
 def test_tree_rows_match_the_walk_row_by_row(n):
     rng = make_rng(n)
-    # random trees, then a path twice, a star, and a broom: the path with its
-    # end leaf moved one vertex up.  The second path and the broom insert the
-    # path edges from the far end first, chaining n - 2 places, and the
-    # broom's last edge then finds from the bottom of that chain.
+    # random trees, then a path inserted three ways: from the far end up (an
+    # rp forest n - 1 high, so n - 1 rounds of `tree_replay`'s subtree sizes),
+    # the same with the far-end leaf last (also n - 2 rounds of its pointer
+    # doubling) and from the root down; a star; and a broom, the path with its
+    # end leaf moved one vertex up, inserted like the second path, whose last
+    # edge then finds from the bottom of a chain of n - 2 places
     path = np.arange(-1, n - 1)
     star = np.r_[-1, np.zeros(n - 1, np.int64)]
     broom = np.r_[path[:-1], max(0, n - 3)]
     far_first = np.r_[np.arange(n - 2)[::-1], n - 2]
     par = np.stack([_replay.tree_parents_from_prufer(n, rng.integers(0, n, size=n - 2))
-                    for _ in range(36)] + [path, path, star, broom])
-    perm = np.stack([rng.permutation(n - 1) for _ in range(37)]
-                    + [far_first, rng.permutation(n - 1), far_first])
+                    for _ in range(36)] + [path, path, path, star, broom])
+    perm = np.stack([rng.permutation(n - 1) for _ in range(36)]
+                    + [np.arange(n - 1)[::-1], far_first, np.arange(n - 1),
+                       rng.permutation(n - 1), far_first])
     top = perm + 1
     bottom = np.take_along_axis(par, top, axis=1)
     lockstep = _replay.tree_rows(n, bottom, top)
-    assert all(col.shape == (40, n - 1) for col in lockstep)
-    for r in range(40):
-        walk = _replay.tree_replay(n, bottom[r], top[r])
+    assert all(col.shape == (41, n - 1) for col in lockstep)
+    for r in range(41):
+        walk = tree_walk(n, bottom[r], top[r])
         assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
+        assert all(np.array_equal(got, w)
+                   for got, w in zip(_replay.tree_replay(n, bottom[r], top[r]), walk))
+
+
+def test_tree_replay_matches_the_walk_on_a_long_chain():
+    n = 100_000
+    rng = make_rng(5)
+    par = _replay.tree_parents_from_prufer(n, rng.integers(0, n, size=n - 2))
+    top = rng.permutation(n - 1) + 1
+    got = _replay.tree_replay(n, par[top], top)
+    assert all(np.array_equal(g, w) for g, w in zip(got, tree_walk(n, par[top], top)))
+
+
+def test_every_n6_tree_replays_as_the_walk_in_three_edge_orders():
+    n = 6
+    rng = make_rng(6)
+    par = _replay.prufer_rows(n, np.array(list(itertools.product(range(n), repeat=n - 2))))
+    for _ in range(3):
+        top = np.stack([rng.permutation(n - 1) for _ in par]) + 1
+        bottom = np.take_along_axis(par, top, axis=1)
+        lockstep = _replay.tree_rows(n, bottom, top)
+        for r in range(len(par)):
+            walk = tree_walk(n, bottom[r], top[r])
+            assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
+            assert all(np.array_equal(got, w)
+                       for got, w in zip(_replay.tree_replay(n, bottom[r], top[r]), walk))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 50, 128])

@@ -490,6 +490,15 @@ def test_a_scalar_call_equals_its_batched_row_though_its_live_columns_differ(fun
     assert integrand(np.array(ts)).tolist() == [integrand(t) for t in ts]
 
 
+def test_panel_rule_is_leggauss_bit_for_bit():
+    # the written-out nodes and weights, split by rule, are numpy's
+    for of_rule, m in ((sm._OF_G5, 5), (~sm._OF_G5, 10)):
+        x, w = np.polynomial.legendre.leggauss(m)
+        assert sm._PANEL_NODES[of_rule].tobytes() == x.tobytes()
+        assert sm._PANEL_WEIGHTS[of_rule].tobytes() == w.tobytes()
+    assert np.all(np.diff(sm._PANEL_NODES) > 0)
+
+
 def _node_by_node_panels(f, a, b, tol):
     """The reference rule, depth first with one scalar call per node: the
     accepted panels' (G10, |G10 - G5|), left to right."""
