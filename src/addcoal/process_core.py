@@ -197,7 +197,11 @@ def simulate_rows(n: int, rngs, embedding) -> EventBatch:
     rows by their walks (`_replay.direct_chain_replay`, `parking_replay`),
     tree rows by the walk-free `tree_replay` after the Prufer decode walk
     `tree_parents_from_prufer`.  `tree_rows` keeps the lockstep side for
-    trees because at n <= 128 it beats a `tree_replay` call per row.
+    trees because at n <= 128 it beats a `tree_replay` call per row.  Below n
+    of about 600 a `tree_replay` call costs more than the union-find walk
+    it replaced (its rounds are numpy calls of a fixed cost), so tree rows
+    replayed alone at such n are slower than they were; `run_monte_carlo`
+    replays every tree replication alone at 128 < n (`experiment._blocks`).
     """
     embedding = Embedding(embedding)
     lockstep = len(rngs) >= n
