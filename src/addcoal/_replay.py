@@ -19,8 +19,15 @@ public kernel around it.  With numba the walk is compiled and runs over
 numpy arrays.  Without it the walk runs as plain Python over
 ``memoryview``s of the numpy inputs and outputs, with its union-find state
 in lists below ``COMPACT_N`` places and in int32 ``memoryview``s from there
-on, so that a long chain's state fits in L2 (see `_ids`); all of them read
-and write the same values, so the streams are bit-identical.
+on, so that a long chain's state fits in L2 (the direct walk's sizes stay a
+list; see `_ints`); all of them read and write the same values, so the
+streams are bit-identical.
+
+The direct chain links by union by size, which keeps every tree of s
+elements at most floor(log2 s) high whatever the inputs (Tarjan 1975;
+Tarjan and van Leeuwen 1984), so its finds neither compress paths nor
+test for convergence in lockstep: `_direct_walk` climbs and only reads,
+and `direct_chain_rows` takes a fixed number of gathers per step.
 
 A tree's edge insertions need no walk: `tree_replay` reads every split
 from the tree and its insertion times in a few numpy passes (each vertex's
@@ -29,10 +36,13 @@ links form, and one sort), without a loop over the merges.
 
 Many short chains replay in lockstep instead: `direct_chain_rows`,
 `parking_rows` and `tree_rows` run union-find steps over a row axis in
-numpy, sharing one find (`_find_rows`), which beats one kernel call per
-chain once a block holds at least n rows, and `prufer_rows` decodes a
-block's Prufer sequences the same way; `process_core.simulate_rows` picks
-the single-chain or the lockstep kernel by that rule.  The parking and
+numpy, which beats one kernel call per chain once a block holds at least
+n rows.  Parking and tree insertion link a given side under the other,
+not by size, so their trees have no height bound: they share a find that
+halves paths until every row is at its root (`_find_rows`), as the
+parking walk does.  `prufer_rows` decodes a block's Prufer sequences the
+same way; `process_core.simulate_rows` picks the single-chain or the
+lockstep kernel by that rule.  The parking and
 tree enumerations of the exact oracles run `parking_rows`, `prufer_rows`
 and `tree_rows` too.  The single-chain kernels stay for long chains; the
 walks are the lockstep kernels' test reference, and the tests keep a
@@ -69,18 +79,23 @@ COMPACT_N = 1 << 16
 # memoryviews for the interpreter, which indexes them several times faster
 # than it indexes numpy arrays (each numpy read boxes a new scalar).  The
 # interpreted union-find state is a list below COMPACT_N, and an int32
-# memoryview from it: a list holds an 8-byte pointer to a 32-byte int per
-# place, so at n = 1e5 the direct walk's four state arrays take 6.4 MB, past
-# a 2 MiB L2, where int32 takes 1.6 MB.  Below the cut the state fits in
-# cache either way, and lists index 30-50 % faster (the list-vs-int32 table
-# in BENCH_compact_state.json).  n < 2**31 (`process_core._check_n`), so no
-# index or size wraps.
+# memoryview from it: a list holds an 8-byte pointer and a 32-byte int per
+# place, so at n = 1e5 the direct walk's two link lists take 8 MB, past a
+# 2 MiB L2, where int32 takes 0.8 MB.  Below the cut the state fits in cache
+# either way, and lists index faster (the list-vs-int32 tables in
+# BENCH_compact_state.json and BENCH_direct_union.json).  The direct walk's
+# sizes stay a list at every n (`_ones(n, False)`): all but a few hundred
+# are below 257, ints CPython shares, so the list takes 8 bytes a place and
+# its reads make no new int, which speeds the walk at n = 1e5 by about 5 %.
+# The parking walk's sizes go int32 from the cut, since a list there raised
+# peak memory at n = 1e5 by 0.2-0.4 MB.  n < 2**31 (`process_core._check_n`),
+# so no index or size wraps.
 if HAVE_NUMBA:  # pragma: no cover - numba is an optional extra
 
-    def _ids(n):
-        return np.arange(n)
+    def _ints(r):
+        return np.arange(r.start, r.stop, r.step)
 
-    def _ones(n):
+    def _ones(n, compact=True):
         return np.ones(n, np.int64)
 
     def _view(a):
@@ -91,11 +106,17 @@ if HAVE_NUMBA:  # pragma: no cover - numba is an optional extra
 
 else:
 
-    def _ids(n):
-        return list(range(n)) if n < COMPACT_N else memoryview(np.arange(n, dtype=np.int32))
+    def _ints(r):
+        """The ints of range r as union-find state: a list, or int32 from COMPACT_N of them."""
+        if len(r) < COMPACT_N:
+            return list(r)
+        return memoryview(np.arange(r.start, r.stop, r.step, dtype=np.int32))
 
-    def _ones(n):
-        return [1] * n if n < COMPACT_N else memoryview(np.ones(n, np.int32))
+    def _ones(n, compact=True):
+        """n sizes of 1: a list, or int32 from COMPACT_N of them when compact."""
+        if n < COMPACT_N or not compact:
+            return [1] * n
+        return memoryview(np.ones(n, np.int32))
 
     _view = memoryview
 
@@ -103,48 +124,42 @@ else:
         return a.tolist()
 
 
-def _copy(state):
-    """A fresh copy of state made by `_ids` or `_ones`.  A list's copy shares
-    its int objects, which keeps the state of several lists smaller in cache."""
-    return memoryview(state.obj.copy()) if isinstance(state, memoryview) else state.copy()
-
-
 def _int64(a):
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
 @njit(cache=True)
-def _direct_walk(elem, prey_j, parent, size, roots, pos, L, R):
+def _direct_walk(elem, prey_j, parent, size, roots, L, R):
     """Union-find loop of the two-stage chain; fills L[k], R[k].
 
-    At step k the live roots are roots[0 : n-k]; the predator is swapped
-    out of that range, and prey_j[k] indexes the n-1-k that remain.
+    Slot s of the live roots is roots[~s], so at step k the n-k live roots
+    fill roots[k:], the last slot at roots[k].  A root's own parent entry
+    holds ~s < 0: the sign marks it as a root and indexes its slot, so no
+    inverse of roots is kept.  The predator's slot takes the last live
+    root, and prey_j[k] = n-1-j indexes, as roots[~j] does, the prey's
+    slot j, uniform on the n-1-k that remain.  Union by size keeps a tree
+    of s elements at most floor(log2 s) high, so the find only reads.
     """
-    m = len(L)
-    for k, a, j in zip(range(m), elem, prey_j):
+    for k, a, j in zip(range(len(L)), elem, prey_j):
         p = parent[a]
-        while p != a:  # find with path halving
-            g = parent[p]
-            parent[a] = g
-            a = g
+        while p >= 0:
+            a = p
             p = parent[a]
         # swap the predator out so the prey pick is uniform on the rest
-        ia = pos[a]
-        last = roots[m - k]
-        roots[ia] = last
-        pos[last] = ia
+        last = roots[k]
+        roots[p] = last
+        parent[last] = p
         b = roots[j]
         x = size[a]
         y = size[b]
-        if x < y:
+        if x < y:  # the prey's root keeps its slot
             parent[a] = b
-            r = b
+            size[b] = x + y
         else:
+            parent[a] = parent[b]
             parent[b] = a
-            r = a
-        roots[j] = r
-        pos[r] = j
-        size[r] = x + y
+            roots[j] = a
+            size[a] = x + y
         L[k] = x
         R[k] = y
 
@@ -158,9 +173,10 @@ def direct_chain_replay(n, elem, prey_u):
     m = n - 1
     L = np.empty(m, np.int64)
     R = np.empty(m, np.int64)
-    ids = _ids(n)
-    _direct_walk(_view(_int64(elem)), _view(_prey_index(n, prey_u)), _copy(ids), _ones(n),
-                 _copy(ids), ids, _view(L), _view(R))
+    prey = _prey_index(n, prey_u)
+    np.subtract(m, prey, out=prey)  # slot j sits at roots[~j], that is roots[n-1-j]
+    _direct_walk(_view(_int64(elem)), _view(prey), _ints(range(-1, -n - 1, -1)), _ones(n, False),
+                 _ints(range(m, -1, -1)), _view(L), _view(R))
     return L, R
 
 
@@ -172,10 +188,10 @@ def _prey_index(n, prey_u):
     the exact product lies at least left * 2**-53 below left, which is
     more than half the spacing of doubles there (exactly one spacing when
     left is a power of two).  Round-to-nearest then stays below left, and
-    the pick is always in [0, left).
+    the pick is always in [0, left), which int32 holds as n < 2**31.
     """
-    left = n - 1 - np.arange(n - 1)
-    return (prey_u * left).astype(np.int64)
+    left = np.arange(n - 1, 0, -1)
+    return (prey_u * left).astype(np.int32)
 
 
 #: places (rows x n) one lockstep block of rows holds at once
@@ -190,9 +206,11 @@ def block_rows(n):
 def _find_rows(parent, a):
     """Roots of the flat places a, one place per row, by find with path halving.
 
-    The loop runs until every row has reached its root; a row already there
-    repeats parent[a] = a, which changes nothing.  Rows own disjoint places,
-    so no row's halving writes a place that another row reads.
+    For `parking_rows` and `tree_rows`, whose links are not by size, so no
+    bound on a tree's height tells how many steps a find takes: the loop
+    runs until every row has reached its root; a row already there repeats
+    parent[a] = a, which changes nothing.  Rows own disjoint places, so no
+    row's halving writes a place that another row reads.
     """
     p = parent[a]
     while (p != a).any():
@@ -208,31 +226,42 @@ def direct_chain_rows(n, elem, prey_u):
 
     Row r replays the chain of elem[r] and prey_u[r] exactly as
     `direct_chain_replay` does.  The rows' union-find states sit side by
-    side in rows*n flat places (row r owns r*n .. r*n+n-1), so the find
-    (`_find_rows`), the predator's swap-out and the union are each a few
-    fancy-index steps over all rows at once, and no two rows touch the
-    same place.  Per step the cost is a fixed number of numpy calls, so
-    this pays when rows >= n; one long chain stays on the walk.
+    side in rows*n flat places (row r owns r*n .. r*n+n-1), so the find,
+    the predator's swap-out and the union are each a few fancy-index steps
+    over all rows at once, and no two rows touch the same place.  A root
+    points at itself, and pos[r] is its flat slot (roots[pos[r]] = r).
+    Before step k no tree holds more than k+1 elements, so union by size
+    keeps each at most floor(log2(k+1)) high, and the find is that many
+    gathers a = parent[a], with no test and no write: a row that reaches
+    its root early stays there.  Per step the cost is a fixed number of
+    numpy calls, so this pays when rows >= n; one long chain stays on the
+    walk.  L and R are filled a step at a time and returned as transposed
+    views.
     """
     elem = _int64(elem)
     rows, m = elem.shape
-    prey_j = _prey_index(n, prey_u)
-    base = np.arange(rows, dtype=np.int64) * n
+    base = np.arange(0, rows * n, n, dtype=np.int64)  # row r owns r*n .. r*n+n-1
+    # flat places, one row of each per step: the predator's element, the
+    # prey's slot and the last live slot
+    elem = np.add(elem.T, base, order="C")
+    prey = np.add(_prey_index(n, prey_u).T, base, order="C")
+    lasts = np.arange(m, 0, -1)[:, None] + base
     parent = np.arange(rows * n, dtype=np.int64)
     size = np.ones(rows * n, np.int64)
     roots = parent.copy()  # roots[base + j]: flat place of the row's j-th live root
-    pos = np.tile(np.arange(n, dtype=np.int64), rows)  # inverse of roots, within the row
-    L = np.empty((rows, m), np.int64)
-    R = np.empty((rows, m), np.int64)
+    pos = parent.copy()
+    L = np.empty((m, rows), np.int64)
+    R = np.empty((m, rows), np.int64)
     for k in range(m):
-        a = _find_rows(parent, base + elem[:, k])
+        a = elem[k]
+        for _ in range((k + 1).bit_length() - 1):
+            a = parent[a]
         # swap the predator out so the prey pick is uniform on the rest
         ia = pos[a]
-        last = roots[base + (m - k)]
-        roots[base + ia] = last
+        last = roots[lasts[k]]
+        roots[ia] = last
         pos[last] = ia
-        j = prey_j[:, k]
-        jj = base + j
+        jj = prey[k]
         b = roots[jj]
         x = size[a]
         y = size[b]
@@ -240,11 +269,11 @@ def direct_chain_rows(n, elem, prey_u):
         r = np.where(small, b, a)
         parent[np.where(small, a, b)] = r
         roots[jj] = r
-        pos[r] = j
+        pos[r] = jj
         size[r] = x + y
-        L[:, k] = x
-        R[:, k] = y
-    return L, R
+        L[k] = x
+        R[k] = y
+    return L.T, R.T
 
 
 @njit(cache=True)
@@ -296,7 +325,7 @@ def parking_replay(n, tries):
     L = np.empty(m, np.int64)
     R = np.empty(m, np.int64)
     P = np.empty(m, np.int64)
-    _parking_walk(_view(tries), _ids(n), _ones(n), _view(L), _view(R), _view(P))
+    _parking_walk(_view(tries), _ints(range(n)), _ones(n), _view(L), _view(R), _view(P))
     return L, R, np.remainder(P - tries, n)
 
 

@@ -203,6 +203,41 @@ def test_prey_pick_below_left_without_a_clamp():
     assert (_replay._prey_index(3, np.full(2, np.nextafter(1.0, 0.0))) == [1, 0]).all()
 
 
+def _binomial_chain():
+    """A direct chain of n = 17 whose last find climbs floor(log2 16) = 4 links.
+
+    Steps 0-14 join elements 0..15 into one binomial tree by equal-size
+    merges, the block holding element 0 always the prey, so a tie keeps the
+    predator's root and element 0 ends 4 links below the root.  Step 15
+    takes element 0 as the predator and element 16 as the prey.  Returns
+    (n, elem, prey_u), prey_u aiming at the middle of the prey's slot in the
+    live-root order of `_direct_events`.
+    """
+    n = 17
+    merges = [(i + s, i) for s in (1, 2, 4, 8) for i in range(0, 16, 2 * s)] + [(0, 16)]
+    live = [frozenset([i]) for i in range(n)]
+    prey_u = []
+    for pred, prey in merges:
+        ia = next(i for i, c in enumerate(live) if pred in c)
+        cluster = live[ia]
+        live[ia] = live[-1]
+        live.pop()
+        j = next(i for i, c in enumerate(live) if prey in c)
+        prey_u.append((j + 0.5) / len(live))
+        live[j] = cluster | live[j]
+    return n, np.array([pred for pred, _ in merges]), np.array(prey_u)
+
+
+def test_direct_kernels_reach_the_union_by_size_depth_bound():
+    n, elem, prey_u = _binomial_chain()
+    want = [(x, y) for x, y, _ in _direct_events(n, elem, prey_u, np.zeros(n - 1))]
+    assert want == [(1, 1)] * 8 + [(2, 2)] * 4 + [(4, 4)] * 2 + [(8, 8), (16, 1)]
+    rows = np.tile(elem, (3, 1)), np.tile(prey_u, (3, 1))
+    for L, R in (_replay.direct_chain_replay(n, elem, prey_u),
+                 *zip(*_replay.direct_chain_rows(n, *rows))):
+        assert list(zip(L.tolist(), R.tolist())) == want
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 50, 300])
 def test_direct_rows_match_the_walk_row_by_row(n):
     rng = make_rng(n)
@@ -576,13 +611,14 @@ def test_walks_over_numpy_arrays_give_the_same_results(monkeypatch):
     # the containers the walks get when numba is present, run interpreted
     def results():
         return ([_rows(simulate(200, make_rng(5), e)) for e in Embedding],
+                [a.tolist() for a in _replay.direct_chain_replay(*_binomial_chain())],
                 _walk_last_block_counts(6).tolist(),
                 exact_oracles.enumerate_parking(5).probs,
                 exact_oracles.enumerate_spanning_trees(5).probs)
 
     expected = results()
-    monkeypatch.setattr(_replay, "_ids", np.arange)
-    monkeypatch.setattr(_replay, "_ones", lambda n: np.ones(n, np.int64))
+    monkeypatch.setattr(_replay, "_ints", lambda r: np.arange(r.start, r.stop, r.step))
+    monkeypatch.setattr(_replay, "_ones", lambda n, compact=True: np.ones(n, np.int64))
     monkeypatch.setattr(_replay, "_view", lambda a: a)
     monkeypatch.setattr(_replay, "_state", lambda a: a)
     assert results() == expected
@@ -590,6 +626,7 @@ def test_walks_over_numpy_arrays_give_the_same_results(monkeypatch):
 
 def _compact_results():
     return ([_rows(simulate(n, make_rng(n), e)) for n in (2, 3, 200, 5000) for e in Embedding],
+            [a.tolist() for a in _replay.direct_chain_replay(*_binomial_chain())],
             _walk_last_block_counts(6).tolist(),
             exact_oracles.enumerate_parking(5).probs,
             exact_oracles.enumerate_spanning_trees(5).probs)
@@ -604,6 +641,13 @@ def test_compact_state_gives_the_same_results(monkeypatch):
 
 @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16])
 def test_compact_state_matches_lists_at_the_cut(monkeypatch, n):
+    walk, links = _replay._direct_walk, []
+
+    def recording_walk(elem, prey_j, parent, size, roots, L, R):
+        links.append((type(parent), type(size), type(roots)))
+        walk(elem, prey_j, parent, size, roots, L, R)
+
+    monkeypatch.setattr(_replay, "_direct_walk", recording_walk)
     for embedding in Embedding:
         batches = []
         for cut in (2, n + 1):  # compact state, then lists
@@ -612,20 +656,24 @@ def test_compact_state_matches_lists_at_the_cut(monkeypatch, n):
         compact, lists = batches
         for col in EventBatch.__slots__[1:]:
             assert np.array_equal(getattr(compact, col), getattr(lists, col)), (embedding, col)
+    if not _replay.HAVE_NUMBA:  # int32 links, then lists; the sizes a list both times
+        assert links == [(memoryview, list, memoryview), (list, list, list)]
 
 
 @pytest.mark.skipif(_replay.HAVE_NUMBA, reason="compiled walks run over numpy arrays")
 def test_interpreted_state_is_compact_from_the_cut():
     cut = _replay.COMPACT_N
-    assert _replay._ids(cut - 1) == list(range(cut - 1))
-    assert _replay._ones(cut - 1) == [1] * (cut - 1)
-    for view, values in ((_replay._ids(cut), range(cut)), (_replay._ones(cut), [1] * cut)):
-        assert isinstance(view, memoryview) and view.format == "i" and view.itemsize == 4
-        assert view.tolist() == list(values)
-    for state in (_replay._ids(cut - 1), _replay._ids(cut)):
-        copy = _replay._copy(state)
-        copy[0] = 5
-        assert type(copy) is type(state) and state[0] == 0 and copy[1:] == state[1:]
+    # the parking walk's parents, the direct walk's root-slot parents and its roots, the sizes
+    for n in (cut - 1, cut):
+        assert _replay._ones(n, compact=False) == [1] * n  # the direct walk's sizes
+        ranges = range(n), range(-1, -n - 1, -1), range(n - 1, -1, -1)
+        for state, values in [(_replay._ints(r), list(r)) for r in ranges] + [
+                (_replay._ones(n), [1] * n)]:
+            if n < cut:
+                assert state == values
+            else:
+                assert isinstance(state, memoryview) and state.format == "i" and state.itemsize == 4
+                assert state.tolist() == values
 
 
 def _spectrum_by_merges(batch, step):
