@@ -40,9 +40,12 @@ numpy, which beats one kernel call per chain once a block holds at least
 n rows.  Parking and tree insertion link a given side under the other,
 not by size, so their trees have no height bound: they share a find that
 halves paths until every row is at its root (`_find_rows`), as the
-parking walk does.  `prufer_rows` decodes a block's Prufer sequences the
-same way; `process_core.simulate_rows` picks the single-chain or the
-lockstep kernel by that rule.  The parking and
+parking walk does.  Each parking car and each tree edge takes one find:
+the block after a car's filled place ends at the next empty place, which
+a circular doubly linked list of the empty places gives, and a tree
+edge's top vertex is its own component's root.  `prufer_rows` decodes a
+block's Prufer sequences the same way; `process_core.simulate_rows` picks
+the single-chain or the lockstep kernel by that rule.  The parking and
 tree enumerations of the exact oracles run `parking_rows`, `prufer_rows`
 and `tree_rows` too.  The single-chain kernels stay for long chains; the
 walks are the lockstep kernels' test reference, and the tests keep a
@@ -57,6 +60,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 try:
     from numba import njit
@@ -82,20 +86,21 @@ COMPACT_N = 1 << 16
 # memoryview from it: a list holds an 8-byte pointer and a 32-byte int per
 # place, so at n = 1e5 the direct walk's two link lists take 8 MB, past a
 # 2 MiB L2, where int32 takes 0.8 MB.  Below the cut the state fits in cache
-# either way, and lists index faster (the list-vs-int32 tables in
-# BENCH_compact_state.json and BENCH_direct_union.json).  The direct walk's
-# sizes stay a list at every n (`_ones(n, False)`): all but a few hundred
-# are below 257, ints CPython shares, so the list takes 8 bytes a place and
-# its reads make no new int, which speeds the walk at n = 1e5 by about 5 %.
-# The parking walk's sizes go int32 from the cut, since a list there raised
-# peak memory at n = 1e5 by 0.2-0.4 MB.  n < 2**31 (`process_core._check_n`),
-# so no index or size wraps.
+# either way, and lists index faster.  The direct walk's two link lists
+# break even between 4e4 and 65535 places, the parking walk's three
+# (parents and the empty places' two links) near 2.5e4, so parking chains
+# just below the cut run on the slower lists (the list-vs-int32 tables in
+# BENCH_compact_state.json and BENCH_parking_list.json).  The direct walk's
+# sizes stay a list at every n (`_ones`): all but a few hundred are below
+# 257, ints CPython shares, so the list takes 8 bytes a place and its reads
+# make no new int, which speeds the walk at n = 1e5 by about 5 %.
+# n < 2**31 (`process_core._check_n`), so no index or size wraps.
 if HAVE_NUMBA:  # pragma: no cover - numba is an optional extra
 
     def _ints(r):
         return np.arange(r.start, r.stop, r.step)
 
-    def _ones(n, compact=True):
+    def _ones(n):
         return np.ones(n, np.int64)
 
     def _view(a):
@@ -112,11 +117,9 @@ else:
             return list(r)
         return memoryview(np.arange(r.start, r.stop, r.step, dtype=np.int32))
 
-    def _ones(n, compact=True):
-        """n sizes of 1: a list, or int32 from COMPACT_N of them when compact."""
-        if n < COMPACT_N or not compact:
-            return [1] * n
-        return memoryview(np.ones(n, np.int32))
+    def _ones(n):
+        """n sizes of 1, a list at every n."""
+        return [1] * n
 
     _view = memoryview
 
@@ -175,7 +178,7 @@ def direct_chain_replay(n, elem, prey_u):
     R = np.empty(m, np.int64)
     prey = _prey_index(n, prey_u)
     np.subtract(m, prey, out=prey)  # slot j sits at roots[~j], that is roots[n-1-j]
-    _direct_walk(_view(_int64(elem)), _view(prey), _ints(range(-1, -n - 1, -1)), _ones(n, False),
+    _direct_walk(_view(_int64(elem)), _view(prey), _ints(range(-1, -n - 1, -1)), _ones(n),
                  _ints(range(m, -1, -1)), _view(L), _view(R))
     return L, R
 
@@ -277,16 +280,19 @@ def direct_chain_rows(n, elem, prey_u):
 
 
 @njit(cache=True)
-def _parking_walk(tries, parent, bsize, L, R, P):
-    """Union-find loop of circular parking; fills L[c], R[c] and P[c].
+def _parking_walk(tries, parent, prv, nxt, L, R, P):
+    """Union-find loop of circular parking; fills P[c], L[c] and R[c].
 
     A block is a maximal run of occupied places plus the empty place that
     ends it (clockwise), and that empty place is the block's representative.
-    Car c fills the empty place P[c] of the block holding its first try,
-    merging that block (size L[c]) into the next one (size R[c]), whose
-    empty place then ends the merged block.
+    The empty places also form a circular doubly linked list (prv, nxt).
+    Car c fills the empty place P[c] = a of the block holding its first
+    try, which runs from just after the empty place L[c] = prv[a] up to a,
+    and merges it into the next block, which runs up to the empty place
+    R[c] = nxt[a] and then ends the merged block.  So one find per car:
+    a leaves the list and links under nxt[a].  The kernel around the walk
+    forms the block sizes from these places.
     """
-    n = len(parent)
     for c, a in zip(range(len(L)), tries):
         p = parent[a]
         while p != a:
@@ -294,22 +300,27 @@ def _parking_walk(tries, parent, bsize, L, R, P):
             parent[a] = g
             a = g
             p = parent[a]
-        P[c] = a
-        b = a + 1
-        if b == n:
-            b = 0
-        p = parent[b]
-        while p != b:
-            g = parent[p]
-            parent[b] = g
-            b = g
-            p = parent[b]
-        x = bsize[a]
-        y = bsize[b]
+        b = nxt[a]
+        l = prv[a]
+        nxt[l] = b
+        prv[b] = l
         parent[a] = b
-        bsize[b] = x + y
-        L[c] = x
-        R[c] = y
+        P[c] = a
+        L[c] = l
+        R[c] = b
+
+
+def _parking_splits(n, P, L, R, first):
+    """(L, R, D) in place from the filled places P, the empty places L before
+    and R after them, and the first tries (all on one circle of n places):
+    L = (P - L) mod n, R = (R - P) mod n and D = (P - first) mod n."""
+    np.subtract(P, L, out=L)
+    np.remainder(L, n, out=L)
+    np.subtract(R, P, out=R)
+    np.remainder(R, n, out=R)
+    np.subtract(P, first, out=P)
+    np.remainder(P, n, out=P)
+    return L, R, P
 
 
 def parking_replay(n, tries):
@@ -318,47 +329,56 @@ def parking_replay(n, tries):
     tries[c] is the c-th car's uniform first try.  Parking a car merges
     the block holding its first try with the next block clockwise.  L is
     the size of the block holding the first try, R the size of the block
-    after the filled place, and D the probed distance.
+    after the filled place, and D the probed distance.  At least two places
+    are empty before each car, so the empty places before and after the
+    filled one differ from it, and each size lies in [1, n).
     """
     m = n - 1
     tries = _int64(tries)
     L = np.empty(m, np.int64)
     R = np.empty(m, np.int64)
     P = np.empty(m, np.int64)
-    _parking_walk(_view(tries), _ints(range(n)), _ones(n), _view(L), _view(R), _view(P))
-    return L, R, np.remainder(P - tries, n)
+    prv = _ints(range(-1, m))
+    prv[0] = m
+    nxt = _ints(range(1, n + 1))
+    nxt[m] = 0
+    _parking_walk(_view(tries), _ints(range(n)), prv, nxt, _view(L), _view(R), _view(P))
+    return _parking_splits(n, P, L, R, tries)
 
 
 def parking_rows(n, tries):
     """`_parking_walk` in lockstep over rows: (L, R, D), each of shape (rows, n-1).
 
     Row r parks the cars of tries[r] exactly as `parking_replay` does.  The
-    rows' union-find states sit side by side in rows*n flat places as in
-    `direct_chain_rows`, so each car is two `_find_rows` (its first try's
-    block, then the block after the filled place, wrapping from place n-1
-    to place 0 inside the row) and a few fancy-index steps over all rows.
+    rows' union-find states and lists of empty places sit side by side in
+    rows*n flat places as in `direct_chain_rows` (each row's list closes on
+    itself), so each car is one `_find_rows` of its first try and a few
+    fancy-index steps over all rows.  The outputs are filled a car at a
+    time and returned as transposed views.
     """
     tries = _int64(tries)
     rows, m = tries.shape
-    base = np.arange(rows, dtype=np.int64) * n  # row r owns r*n .. r*n+n-1
-    end = base + n
+    base = np.arange(0, rows * n, n, dtype=np.int64)  # row r owns r*n .. r*n+n-1
+    first = np.add(tries.T, base, order="C")  # flat first tries, one row of each per car
     parent = np.arange(rows * n, dtype=np.int64)
-    bsize = np.ones(rows * n, np.int64)
-    L = np.empty((rows, m), np.int64)
-    R = np.empty((rows, m), np.int64)
-    P = np.empty((rows, m), np.int64)
+    prv = parent - 1
+    prv[base] = base + m
+    nxt = parent + 1
+    nxt[base + m] = base
+    L = np.empty((m, rows), np.int64)
+    R = np.empty((m, rows), np.int64)
+    P = np.empty((m, rows), np.int64)
     for c in range(m):
-        a = _find_rows(parent, base + tries[:, c])
-        b = a + 1
-        b = _find_rows(parent, np.where(b == end, base, b))  # place n-1 wraps to place 0
-        x = bsize[a]
-        y = bsize[b]
+        a = _find_rows(parent, first[c])
+        b = nxt[a]
+        l = prv[a]
+        nxt[l] = b
+        prv[b] = l
         parent[a] = b
-        bsize[b] = x + y
-        L[:, c] = x
-        R[:, c] = y
-        P[:, c] = a
-    return L, R, np.remainder(P - base[:, None] - tries, n)
+        P[c] = a
+        L[c] = l
+        R[c] = b
+    return tuple(col.T for col in _parking_splits(n, P, L, R, first))
 
 
 def parking_scan(h):
@@ -368,31 +388,60 @@ def parking_scan(h):
     holds k < n cars.  Linear probing fills the same places, with the same
     total displacement, whatever order the cars arrive in (Flajolet, Poblete
     and Viola 1998), so h fixes both.  Each row is rotated to start just
-    after the argmin of the prefix sums of h - 1: no car probes past that
+    after the argmin of the prefix sums S of h - 1: no car probes past that
     place, so the Lindley recursion carry_j = max(0, carry_{j-1} + h_j - 1)
-    started at 0 gives the number of cars that probe past each place.
+    started at 0 gives the number of cars that probe past each place, and
+    it is S (rotated, less its minimum) less its running minimum clipped at 0.
+
+    S is formed once, over two laps of the circle (the second adds the lap
+    total k - n), so each rotated row is one window of that doubled row:
+    one gather, no index mod n and no second cumsum.  The doubled row lies
+    in [-2n, n), which int32 holds up to n = 2**30, and the carry then
+    takes half the memory of an int64 one.
 
     Returns (carry, occupied), both of shape (rows, n) in rotated order:
-    carry.sum(axis=1) is the total displacement, and the last place of
-    every row is empty, so no run of occupied places wraps.
+    carry (int32, or int64 past 2**30 places) sums to the total
+    displacement, and the last place of every row is empty, so no run of
+    occupied places wraps.
     """
-    h = np.asarray(h, np.int64)
-    n = h.shape[1]
-    start = np.argmin(np.cumsum(h - 1, axis=1), axis=1) + 1
-    h = np.take_along_axis(h, (start[:, None] + np.arange(n)) % n, axis=1)
-    S = np.cumsum(h - 1, axis=1)
-    low = np.minimum.accumulate(np.minimum(S, 0), axis=1)
+    h = np.asarray(h)
+    rows, n = h.shape
+    S = np.empty((rows, 2 * n), np.int32 if n <= 1 << 30 else np.int64)
+    lap = S[:, :n]
+    np.subtract(h, 1, out=lap, casting="unsafe")
+    np.cumsum(lap, axis=1, out=lap)
+    np.add(lap, lap[:, -1:], out=S[:, n:])
+    at = np.arange(rows)
+    start = lap.argmin(axis=1)
+    low0 = S[at, start]
+    # each row from just after its minimum, one lap on; the minimum stands
+    # for the running minimum's start at 0
+    S = sliding_window_view(S, n, axis=1)[at, start + 1]
+    low = np.minimum(S, low0[:, None])
+    np.minimum.accumulate(low, axis=1, out=low)
+    S -= low
     # a place stays empty exactly where the running minimum falls
-    occupied = np.diff(low, axis=1, prepend=0) == 0
-    return S - low, occupied
+    occupied = np.empty((rows, n), bool)
+    np.equal(low[:, 0], low0, out=occupied[:, 0])
+    np.equal(low[:, 1:], low[:, :-1], out=occupied[:, 1:])
+    return S, occupied
 
 
 def parking_largest_block(h):
-    """Largest block per row of car counts h: longest occupied run + 1."""
+    """Largest block per row of car counts h, read from the gaps between
+    the empty places of `parking_scan`'s rotated rows.
+
+    A block is the run of occupied places up to an empty place and that
+    empty place, so its size is the gap from the empty place before it.
+    Every rotated row ends with an empty place, so over the flat places the
+    gap before a row's first empty place runs from the row's start, no gap
+    crosses two rows, and one `reduceat` takes every row's largest.
+    """
     _, occupied = parking_scan(h)
-    filled = np.cumsum(occupied, axis=1)
-    run = filled - np.maximum.accumulate(np.where(occupied, 0, filled), axis=1)
-    return run.max(axis=1) + 1
+    rows, n = occupied.shape
+    empty = np.flatnonzero(~occupied)
+    gap = np.diff(empty, prepend=-1)
+    return np.maximum.reduceat(gap, np.searchsorted(empty, np.arange(0, rows * n, n)))
 
 
 def parking_last_block_counts(m):

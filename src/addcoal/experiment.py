@@ -153,7 +153,8 @@ def _one_rep(spec, start, stop):
         # constant view stands in for the cumulative cost at step n - 1
         carry, _ = _replay.parking_scan(
             np.stack([np.bincount(parking_tries(n, rng), minlength=n) for rng in rngs]))
-        csums = [np.broadcast_to(carry.sum(axis=1)[:, None], (rows, n - 1))] * len(functionals)
+        total = carry.sum(axis=1, dtype=np.int64)  # int32 carries; the total grows like n**1.5
+        csums = [np.broadcast_to(total[:, None], (rows, n - 1))] * len(functionals)
     else:
         batch = simulate_rows(n, rngs, embedding)
         csums = (np.cumsum(event_costs(functional, batch), axis=1) for functional in functionals)

@@ -560,6 +560,30 @@ def test_parking_kernel_matches_reference_replay():
             assert rows == _parking_events(n, [int(t) for t in tries])
 
 
+@pytest.mark.parametrize("compact", [False, True])
+def test_parking_kernels_wrap_the_list_of_empty_places(monkeypatch, compact):
+    # hand-built tries at n = 7: place 6 filled while place 0 is empty, and
+    # a car probing from 6 to 0; places 5, 6, 0, 1 filled, so a car at 5
+    # probes across the circle's end to 2; place 0 filled first, so the
+    # block of a later car at 6 starts at prv[0] = 6.  In the lockstep block
+    # that row follows one whose place 6 is still empty, so a row's list
+    # that did not close on itself would link into its neighbour's.  Then n = 2
+    if compact:  # the walk's state as int32 memoryviews
+        monkeypatch.setattr(_replay, "COMPACT_N", 2)
+    blocks = {7: np.array([[6, 6, 3, 6, 1, 0],
+                           [5, 6, 0, 1, 5, 3],
+                           [0, 6, 0, 5, 2, 2],
+                           [6, 0, 5, 1, 6, 6]]),
+              2: np.array([[0], [1]])}
+    for n, tries in blocks.items():
+        lockstep = _replay.parking_rows(n, tries)
+        for r, row in enumerate(tries):
+            expected = _parking_events(n, row.tolist())
+            walk = _replay.parking_replay(n, row)
+            assert [tuple(int(col[k]) for col in walk) for k in range(n - 1)] == expected
+            assert [tuple(int(col[r, k]) for col in lockstep) for k in range(n - 1)] == expected
+
+
 def test_tree_kernel_matches_reference_replay():
     rng = make_rng(23)
     from addcoal._replay import tree_parents_from_prufer, tree_replay
@@ -618,7 +642,7 @@ def test_walks_over_numpy_arrays_give_the_same_results(monkeypatch):
 
     expected = results()
     monkeypatch.setattr(_replay, "_ints", lambda r: np.arange(r.start, r.stop, r.step))
-    monkeypatch.setattr(_replay, "_ones", lambda n, compact=True: np.ones(n, np.int64))
+    monkeypatch.setattr(_replay, "_ones", lambda n: np.ones(n, np.int64))
     monkeypatch.setattr(_replay, "_view", lambda a: a)
     monkeypatch.setattr(_replay, "_state", lambda a: a)
     assert results() == expected
@@ -663,12 +687,13 @@ def test_compact_state_matches_lists_at_the_cut(monkeypatch, n):
 @pytest.mark.skipif(_replay.HAVE_NUMBA, reason="compiled walks run over numpy arrays")
 def test_interpreted_state_is_compact_from_the_cut():
     cut = _replay.COMPACT_N
-    # the parking walk's parents, the direct walk's root-slot parents and its roots, the sizes
+    # the parking walk's parents and its empty places' links, the direct
+    # walk's root-slot parents and its roots
     for n in (cut - 1, cut):
-        assert _replay._ones(n, compact=False) == [1] * n  # the direct walk's sizes
-        ranges = range(n), range(-1, -n - 1, -1), range(n - 1, -1, -1)
-        for state, values in [(_replay._ints(r), list(r)) for r in ranges] + [
-                (_replay._ones(n), [1] * n)]:
+        assert _replay._ones(n) == [1] * n  # the direct walk's sizes
+        ranges = (range(n), range(-1, n - 1), range(1, n + 1), range(-1, -n - 1, -1),
+                  range(n - 1, -1, -1))
+        for state, values in [(_replay._ints(r), list(r)) for r in ranges]:
             if n < cut:
                 assert state == values
             else:
@@ -742,6 +767,41 @@ def test_parking_scan_matches_replay(n):
         h = np.stack([np.bincount(tries[:k], minlength=n) for k in steps])
         largest = _replay.parking_largest_block(h)
         assert largest.tolist() == [batch.largest_cluster_at(k) for k in steps]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 1000])
+def test_parking_scan_of_a_stacked_block_matches_rows_and_walks(n):
+    # one block mixing k = 0, 1, n//2 and n-1 cars, random tries and k cars
+    # all at one place: wrapping past place n-1, so that the block they fill
+    # comes first in its rotated row, or ending at place n-2, so that it
+    # ends at the row's last place
+    rng = make_rng(n)
+    ks, tries = [], []
+    for k in sorted({0, 1, n // 2, n - 1}):
+        crafted = [np.full(n - 1, (n - max(1, k // 2)) % n), np.full(n - 1, max(0, n - 1 - k))]
+        for t in [rng.integers(0, n, n - 1) for _ in range(3)] + crafted * (0 < k < n - 1):
+            ks.append(k)
+            tries.append(t)
+    h = np.stack([np.bincount(t[:k], minlength=n) for k, t in zip(ks, tries)])
+    carry, occupied = _replay.parking_scan(h)
+    largest = _replay.parking_largest_block(h)
+    if n > 2:
+        starts = np.argmin(np.cumsum(h - 1, axis=1), axis=1)
+        assert len(set(starts.tolist())) > 2
+    first, last = [], []
+    for r, (k, t) in enumerate(zip(ks, tries)):
+        alone = _replay.parking_scan(h[r:r + 1])
+        assert np.array_equal(carry[r], alone[0][0]) and np.array_equal(occupied[r], alone[1][0])
+        L, R, D = _replay.parking_replay(n, t)
+        assert int(carry[r].sum()) == int(D[:k].sum())
+        assert largest[r] == EventBatch(n, L, R, np.zeros(n - 1), D).largest_cluster_at(k)
+        assert largest[r] == _replay.parking_largest_block(h[r:r + 1])[0]
+        empty = np.flatnonzero(~occupied[r])
+        first.append(largest[r] == empty[0] + 1)
+        last.append(largest[r] == (n - 1 - empty[-2] if len(empty) > 1 else n))
+    if n > 2:  # the largest block is the row's first block, or its last, in some rows
+        assert any(f and not l for f, l in zip(first, last))
+        assert any(l and not f for f, l in zip(first, last))
 
 
 def test_last_block_counts_match_walk():
