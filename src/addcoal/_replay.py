@@ -32,24 +32,22 @@ and `direct_chain_rows` takes a fixed number of gathers per step.
 A tree's edge insertions need no walk: `tree_replay` reads every split
 from the tree and its insertion times in a few numpy passes (each vertex's
 nearest ancestor inserted after it, the subtree sizes of the forest those
-links form, and one sort), without a loop over the merges.
+links form, and one sort), without a loop over the merges.  A block of
+trees is one forest of rows * n vertices, so one call replays a tree or a
+block, the exact oracles' tree enumeration included.
 
-Many short chains replay in lockstep instead: `direct_chain_rows`,
-`parking_rows` and `tree_rows` run union-find steps over a row axis in
-numpy, which beats one kernel call per chain once a block holds at least
-n rows.  Parking and tree insertion link a given side under the other,
-not by size, so their trees have no height bound: they share a find that
-halves paths until every row is at its root (`_find_rows`), as the
-parking walk does.  Each parking car and each tree edge takes one find:
-the block after a car's filled place ends at the next empty place, which
-a circular doubly linked list of the empty places gives, and a tree
-edge's top vertex is its own component's root.  `prufer_rows` decodes a
-block's Prufer sequences the same way; `process_core.simulate_rows` picks
-the single-chain or the lockstep kernel by that rule.  The parking and
-tree enumerations of the exact oracles run `parking_rows`, `prufer_rows`
-and `tree_rows` too.  The single-chain kernels stay for long chains; the
-walks are the lockstep kernels' test reference, and the tests keep a
-union-find walk of edge insertion as the reference for both tree kernels.
+Many short direct and parking chains replay in lockstep instead:
+`direct_chain_rows` and `parking_rows` run union-find steps over a row
+axis in numpy, which beats one kernel call per chain once a block holds
+at least n rows.  Each parking car takes one find: the block after a car's
+filled place ends at the next empty place, which a circular doubly linked
+list of the empty places gives.  `prufer_rows` decodes a block's Prufer
+sequences the same way; `process_core.simulate_rows` picks the
+single-chain or the lockstep kernel by that rule.  The parking and tree
+enumerations of the exact oracles run `parking_rows` and `prufer_rows`
+too.  The single-chain kernels stay for long chains; the walks are the
+lockstep kernels' test reference, and the tests keep a union-find walk of
+edge insertion as the reference for `tree_replay`.
 
 Parking statistics that depend only on which places the first k cars try,
 not on the order they arrive in, skip the walk: `parking_scan` reads them
@@ -206,24 +204,6 @@ def block_rows(n):
     return max(1, BLOCK_CELLS // n)
 
 
-def _find_rows(parent, a):
-    """Roots of the flat places a, one place per row, by find with path halving.
-
-    For `parking_rows` and `tree_rows`, whose links are not by size, so no
-    bound on a tree's height tells how many steps a find takes: the loop
-    runs until every row has reached its root; a row already there repeats
-    parent[a] = a, which changes nothing.  Rows own disjoint places, so no
-    row's halving writes a place that another row reads.
-    """
-    p = parent[a]
-    while (p != a).any():
-        g = parent[p]
-        parent[a] = g
-        a = g
-        p = parent[a]
-    return a
-
-
 def direct_chain_rows(n, elem, prey_u):
     """`_direct_walk` in lockstep over rows: (L, R), each of shape (rows, n-1).
 
@@ -352,9 +332,14 @@ def parking_rows(n, tries):
     Row r parks the cars of tries[r] exactly as `parking_replay` does.  The
     rows' union-find states and lists of empty places sit side by side in
     rows*n flat places as in `direct_chain_rows` (each row's list closes on
-    itself), so each car is one `_find_rows` of its first try and a few
-    fancy-index steps over all rows.  The outputs are filled a car at a
-    time and returned as transposed views.
+    itself), so each car is one find of its first try and a few fancy-index
+    steps over all rows.  Parking links the filled place under the next
+    empty one, not by size, so no bound on a tree's height tells how many
+    steps a find takes: it halves paths until every row has reached its
+    root, and a row already there repeats parent[a] = a, which changes
+    nothing.  Rows own disjoint places, so no row's halving writes a place
+    that another row reads.  The outputs are filled a car at a time and
+    returned as transposed views.
     """
     tries = _int64(tries)
     rows, m = tries.shape
@@ -369,7 +354,13 @@ def parking_rows(n, tries):
     R = np.empty((m, rows), np.int64)
     P = np.empty((m, rows), np.int64)
     for c in range(m):
-        a = _find_rows(parent, first[c])
+        a = first[c]
+        p = parent[a]
+        while (p != a).any():
+            g = parent[p]
+            parent[a] = g
+            a = g
+            p = parent[a]
         b = nxt[a]
         l = prv[a]
         nxt[l] = b
@@ -553,21 +544,24 @@ def prufer_rows(n, prufer):
 
 
 def _later_ancestors(n, bottom, top):
-    """rp[v], the nearest proper ancestor of v inserted after v, and the root.
+    """rp[v], the nearest proper ancestor of v inserted after v, and the mask
+    of the roots, over a forest of rows * n vertices.
 
-    Insertion times are t[top[k]] = k and t = n at the root, which is never
-    inserted, so rp[v] is the root when no other ancestor comes after v;
-    rp[root] = root.  By synchronous pointer doubling: every candidate
-    starts at v's parent, and while it went in before v, v jumps to the
-    candidate's own candidate (every vertex jumped over went in before v
-    too).  In the uniform edge orders `process_core` draws that takes 16-19
-    rounds at n = 1e5.  A vertex whose candidates have all settled climbs
-    one rp-link per round, though: a path inserted from the far end up,
-    with the far-end leaf last, takes n - 2 rounds.
+    bottom and top have shape (rows, n-1) and hold flat vertices: row r's
+    lie in r*n .. r*n+n-1.  Insertion times are t[top[r, k]] = k and t = n
+    at a row's root, which is never inserted, so rp[v] is the root when no
+    other ancestor comes after v; rp[root] = root.  No link leaves a row, so
+    the rows' times never meet.  By synchronous pointer doubling: every
+    candidate starts at v's parent, and while it went in before v, v jumps
+    to the candidate's own candidate (every vertex jumped over went in
+    before v too).  In the uniform edge orders `process_core` draws that
+    takes 16-19 rounds at n = 1e5.  A vertex whose candidates have all
+    settled climbs one rp-link per round, though: a path inserted from the
+    far end up, with the far-end leaf last, takes n - 2 rounds.
     """
-    t = np.full(n, n, np.int32)
+    t = np.full(top.size + len(top), n, np.int32)
     t[top] = np.arange(n - 1, dtype=np.int32)
-    rp = np.arange(n)
+    rp = np.arange(len(t))
     rp[top] = bottom
     live = np.flatnonzero(t[rp] < t)
     t_live = t[live]
@@ -577,37 +571,42 @@ def _later_ancestors(n, bottom, top):
         keep = t[up] < t_live
         # `np.compress`: a mask this mixed mispredicts when it indexes
         live, t_live = np.compress(keep, live), np.compress(keep, t_live)
-    return rp, int(t.argmax())
+    return rp, t == n
 
 
-def _subtree_sizes(rp, root):
+def _subtree_sizes(rp):
     """Size of each vertex's subtree in the forest rp: 1 + the vertices whose
-    rp-chain passes through it (the root's entry is left at 1).
+    rp-chain passes through it.  A link into a root reads that root plus
+    len(rp), past every vertex, where the chain stops (a root's own entry
+    is left at 1).
 
     All chains climb one level per round, and each round adds 1 where they
-    stand; a chain stops at the root.  So there are as many rounds as the
-    forest is high, and the work is the sum of the rp-depths: 14-16 rounds
-    and about 5.5 n entries at n = 1e5 in a uniform edge order, but about
-    n rounds and n^2 / 2 entries on a path inserted from the far end up.
+    stand.  So there are as many rounds as the forest is high, and the work
+    is the sum of the rp-depths: 14-16 rounds and about 5.5 n entries at
+    n = 1e5 in a uniform edge order, but about n rounds and n^2 / 2 entries
+    on a path inserted from the far end up.
     """
-    size = np.ones(len(rp), np.int64)
+    end = len(rp)
+    size = np.ones(end, np.int64)
     chain = rp
     while chain.size:
         # most chains go on in each round, so a mask, which copies no
         # index array, is no slower here than `np.compress`
-        chain = chain[chain != root]
+        chain = chain[chain < end]
         np.add.at(size, chain, 1)
         chain = rp[chain]
     return size
 
 
 def tree_replay(n, bottom, top):
-    """Insert a rooted tree's edges in order, merging components -> (L, R).
+    """Insert rooted trees' edges in order, merging components -> (L, R).
 
-    The k-th inserted edge joins bottom[k] (parent side) to top[k]; a tree
-    with parents par inserted in the order perm has top = perm + 1 and
-    bottom = par[top].  L is the size of the component holding the bottom
-    endpoint, R the size of the top component.
+    bottom and top have shape (..., n-1), one tree per row; a 1-D call
+    replays one tree.  The k-th inserted edge of a row joins bottom[k]
+    (parent side) to top[k]; a tree with parents par inserted in the order
+    perm has top = perm + 1 and bottom = par[top].  L is the size of the
+    component holding the bottom endpoint, R the size of the top component,
+    both of top's shape.
 
     No merge is replayed.  Just before step k, v = top[k] tops a component
     holding v and every w whose rp-chain passes through v (`_later_ancestors`),
@@ -616,20 +615,37 @@ def tree_replay(n, bottom, top):
     size of v's subtree in the forest rp (`_subtree_sizes`), and L_k is 1 +
     the sizes of the rp-children of u inserted before step k: an exclusive
     prefix sum of R over the steps sorted by (u, k), restarted at each u.
-    Both loops take under 20 rounds at n = 1e5 in the uniform edge orders
-    simulated; on a path inserted from the far end up either takes about n,
-    where the union-find walk of `tree_rows` stays near linear.
+
+    The rows are one forest: row r's vertices are offset by r*n, so a
+    block takes the same few numpy passes as one tree.  Each link into a
+    root moves past the vertices, to that root plus rows*n, where
+    `_subtree_sizes` stops; u still names one row's root there, so the
+    sort key u*(n-1) + k keeps the rows apart.  Both loops take under 20
+    rounds at n = 1e5 in the uniform edge orders simulated; on a path
+    inserted from the far end up either takes about n, where a union-find
+    walk of the insertions (the tests' reference) stays near linear.
     """
-    bottom, top = _int64(bottom), _int64(top)
+    m = n - 1
+    shape = np.shape(top)
+    top = _int64(top).reshape(-1, m)
+    bottom = _int64(bottom).reshape(top.shape)
+    # a lone tree keeps its vertices: offset copies would add pages that
+    # each long chain's call faults in again (5-15 % of a call at n = 1e5)
+    if len(top) > 1:
+        base = np.arange(0, top.size + len(top), n)[:, None]  # row r owns r*n .. r*n+n-1
+        top = top + base
+        bottom = bottom + base
     rp, root = _later_ancestors(n, bottom, top)
-    R = _subtree_sizes(rp, root)[top]
+    rp[root[rp]] += len(rp)
+    del root
+    R = _subtree_sizes(rp)[top].reshape(-1)
     u = rp[top]
-    del rp  # each array freed early lowers the peak, which a long chain's run sets
-    key = u * (n - 1)
-    key += np.arange(n - 1)
-    order = np.argsort(key)  # rp-siblings together, in step order
+    del rp, top  # each array freed early lowers the peak, which a long chain's run sets
+    key = u * m
+    key += np.arange(m)
+    order = np.argsort(key, axis=None)  # rp-siblings together, in step order
     del key
-    u = u[order]
+    u = u.reshape(-1)[order]
     head = np.r_[True, u[1:] != u[:-1]]  # the first sorted step of each u
     del u
     L = R[order]
@@ -639,37 +655,4 @@ def tree_replay(n, bottom, top):
     ahead -= np.maximum.accumulate(L, out=L)  # ... and of those under the same u
     ahead += 1
     L[order] = ahead
-    return L, R
-
-
-def tree_rows(n, bottom, top):
-    """`tree_replay` by union-find in lockstep over rows: (L, R), each of
-    shape (rows, n-1).
-
-    Row r inserts the edges bottom[r, k] -- top[r, k], k = 0..n-2, and gets
-    what `tree_replay` gives.  A component's representative is its vertex
-    nearest the root, so top[r, k], whose edge upward is still missing,
-    represents its own component and only the bottom endpoint needs a find.
-    The rows' union-find states sit side by side in rows*n flat places as
-    in `direct_chain_rows`, so each insertion is one `_find_rows` of the
-    bottom endpoints and a few fancy-index steps over all rows.
-    """
-    top = _int64(top)
-    rows, m = top.shape
-    base = np.arange(rows, dtype=np.int64)[:, None] * n  # row r owns r*n .. r*n+n-1
-    bottom = _int64(bottom) + base
-    top = top + base
-    parent = np.arange(rows * n, dtype=np.int64)
-    csize = np.ones(rows * n, np.int64)
-    L = np.empty((rows, m), np.int64)
-    R = np.empty((rows, m), np.int64)
-    for k in range(m):
-        a = _find_rows(parent, bottom[:, k])
-        v = top[:, k]
-        x = csize[a]
-        y = csize[v]
-        parent[v] = a
-        csize[a] = x + y
-        L[:, k] = x
-        R[:, k] = y
-    return L, R
+    return L.reshape(shape), R.reshape(shape)

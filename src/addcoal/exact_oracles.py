@@ -9,11 +9,11 @@ identity order with the same merges (Pitman 1999), so each of the
 n**(n-2) trees is replayed once.  Rotating a first-try vector by
 -tries[0] leaves circular parking's merges and probe distances unchanged
 (Flajolet, Poblete and Viola 1998), so only the n**(n-2) vectors with
-tries[0] = 0 are replayed.  They run the lockstep kernels that small-n
-simulation runs, `_replay.parking_rows`, `_replay.prufer_rows` and
-`_replay.tree_rows`, which the tests check against the walks (the tree
-rows, like `tree_replay`, against a union-find walk of edge insertion
-kept in the tests), so criterion 1 certifies the simulating code itself;
+tries[0] = 0 are replayed.  They run the kernels that small-n simulation
+runs, `_replay.parking_rows`, `_replay.prufer_rows` and
+`_replay.tree_replay`, which the tests check against the walks (the
+trees against a union-find walk of edge insertion kept in the tests),
+so criterion 1 certifies the simulating code itself;
 the tests also check both reductions against the full enumerations.
 Both count each block of rows by one integer code per row
 (`sequence_codes`), and `decode_counts` turns the codes into sequences,
@@ -227,8 +227,8 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
     So every edge order gives the same law, and each tree is replayed once,
     in the identity order (top = 1..n-1, bottom = par[top]), counting 1
     over n**(n-2).  Each block of `_replay.block_rows(n)` Prufer sequences
-    is decoded by `_replay.prufer_rows`, replayed by `_replay.tree_rows` and
-    counted by its rows' `sequence_codes` before the next one.
+    is decoded by `_replay.prufer_rows`, replayed by one `_replay.tree_replay`
+    call and counted by its rows' `sequence_codes` before the next one.
     """
     if not 2 <= n <= TREE_ENUM_MAX:
         raise ValueError(f"tree enumeration supports 2 <= n <= {TREE_ENUM_MAX}")
@@ -237,7 +237,7 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
     counts = Counter()
     for prufer in _digit_blocks(n, n - 2, total):
         bottom = _replay.prufer_rows(n, prufer)[:, 1:]  # par[top]
-        L, R = _replay.tree_rows(n, bottom, np.broadcast_to(top, bottom.shape))
+        L, R = _replay.tree_replay(n, bottom, np.broadcast_to(top, bottom.shape))
         _count_codes(counts, sequence_codes(n, L, R))
     probs = {seq: Fraction(c, total) for seq, c in decode_counts(n, counts, 2).items()}
     return EventSequenceDistribution(n, ("s", "S", "L"), probs)

@@ -108,16 +108,17 @@ class ExperimentSpec:
             raise ValueError("beta grid must lie in [0, sqrt(n)]")
 
 
-def _blocks(n, reps):
+def _blocks(n, reps, embedding):
     """(start, stop) replication ranges, one per `_one_rep` call.
 
     Blocks of `_replay.block_rows(n)` rows where those reach n rows, so
-    that `simulate_rows` replays them in lockstep; otherwise one
+    that `simulate_rows` replays them in lockstep, and for tree runs, which
+    replay a block in one `tree_replay` call, at every n; otherwise one
     replication per block, so that workers still share out the walks one
     at a time.
     """
     rows = _replay.block_rows(n)
-    if rows < n:
+    if rows < n and embedding is not Embedding.TREE:
         rows = 1
     return [(start, min(start + rows, reps)) for start in range(0, reps, rows)]
 
@@ -207,7 +208,7 @@ def _map_blocks(spec, blocks):
 
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloResult:
     """Execute spec.reps independent replications (optionally in parallel)."""
-    blocks = _blocks(spec.n, spec.reps)
+    blocks = _blocks(spec.n, spec.reps, spec.embedding)
     na = len(spec.alpha_grid)
     values = np.empty((len(spec.functionals), spec.reps, na + len(spec.beta_grid)))
     totals = np.empty((len(spec.functionals), spec.reps))

@@ -193,15 +193,10 @@ def simulate_rows(n: int, rngs, embedding) -> EventBatch:
     least n rows replays in lockstep (`_replay.*_rows`, a tree's Prufer
     decode too: `prufer_rows`), direct and parking draws from one raw call
     per generator (`direct_rows`; a tree's `permutation` has a varying
-    range); a smaller block replays each row alone: direct and parking
-    rows by their walks (`_replay.direct_chain_replay`, `parking_replay`),
-    tree rows by the walk-free `tree_replay` after the Prufer decode walk
-    `tree_parents_from_prufer`.  `tree_rows` keeps the lockstep side for
-    trees because at n <= 128 it beats a `tree_replay` call per row.  Below n
-    of about 600 a `tree_replay` call costs more than the union-find walk
-    it replaced (its rounds are numpy calls of a fixed cost), so tree rows
-    replayed alone at such n are slower than they were; `run_monte_carlo`
-    replays every tree replication alone at 128 < n (`experiment._blocks`).
+    range); a smaller block replays each direct and parking row alone by
+    its walk (`_replay.direct_chain_replay`, `parking_replay`) and decodes
+    each tree row by the walk `tree_parents_from_prufer`.  Every tree block
+    replays in one walk-free `tree_replay` call.
     """
     embedding = Embedding(embedding)
     lockstep = len(rngs) >= n
@@ -212,14 +207,13 @@ def simulate_rows(n: int, rngs, embedding) -> EventBatch:
                    else _stack(_replay.parking_replay(n, row) for row in tries))
         return EventBatch(n, L, R, u, D)
     if embedding is Embedding.TREE:
-        prufer, perm, u, uprime = _stack(tree_inputs(n, rng) for rng in rngs)
-        top = perm + 1  # the k-th inserted edge joins vertex perm[k] + 1 to its parent
-        if lockstep:
-            par = _replay.prufer_rows(n, prufer)
-            L, R = _replay.tree_rows(n, np.take_along_axis(par, top, axis=1), top)
-        else:  # a row's parents and bottom endpoints are freed once it is replayed
-            L, R = _stack(_replay.tree_replay(n, _replay.tree_parents_from_prufer(n, p)[t], t)
-                          for p, t in zip(prufer, top))
+        prufer, top, u, uprime = _stack(tree_inputs(n, rng) for rng in rngs)
+        top += 1  # the k-th inserted edge joins vertex perm[k] + 1 to its parent
+        par = (_replay.prufer_rows(n, prufer) if lockstep
+               else np.stack([_replay.tree_parents_from_prufer(n, p) for p in prufer]))
+        bottom = np.take_along_axis(par, top, axis=1)
+        del prufer, par  # freed before the replay, whose peak a long chain's run sets
+        L, R = _replay.tree_replay(n, bottom, top)
     else:
         elem, prey_u, u, uprime = (direct_rows(n, rngs, 3) if lockstep
                                    else _stack(direct_inputs(n, rng) for rng in rngs))

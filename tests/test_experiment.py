@@ -323,7 +323,7 @@ def test_direct_blocks_of_n_rows_skip_the_walk(monkeypatch):
 
 def _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, embedding, walk_name):
     spec = ExperimentSpec(n=20, embedding=embedding, reps=20, seed=3)
-    monkeypatch.setattr(_replay, "BLOCK_CELLS", 20 * 19)  # blocks of one replication
+    monkeypatch.setattr(_replay, "BLOCK_CELLS", 20 * 19)  # blocks of fewer than n rows
     walked = _mc_arrays(run_monte_carlo(spec))
     monkeypatch.undo()
 
@@ -338,7 +338,10 @@ def _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, embedding, walk_na
 
 
 def test_tree_blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch):
-    _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, Embedding.TREE, "tree_replay")
+    # every tree block replays in one `tree_replay` call; the walk left is
+    # the Prufer decode, which blocks of n rows do in lockstep
+    _blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch, Embedding.TREE,
+                                                  "tree_parents_from_prufer")
 
 
 def test_parking_blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch):
@@ -364,8 +367,14 @@ def test_empty_grids_give_totals_only(workers):
 def test_only_lockstep_blocks_hold_several_replications():
     from addcoal.experiment import _blocks
 
-    # walk replays go out one replication per task, so several workers share them
-    assert _blocks(500, 6) == [(r, r + 1) for r in range(6)]
+    # walk replays go out one replication per task, so several workers share
+    # them; tree blocks replay in one call, so they hold block_rows(n) rows
+    # at every n
+    for embedding in (Embedding.DIRECT, Embedding.PARKING):
+        assert _blocks(500, 6, embedding) == [(r, r + 1) for r in range(6)]
+    assert _blocks(500, 6, Embedding.TREE) == [(0, 6)]
+    assert _blocks(500, 40, Embedding.TREE) == [(0, 32), (32, 40)]
     rows = _replay.block_rows(50)
-    assert _blocks(50, 3) == [(0, 3)]
-    assert _blocks(50, rows + 5) == [(0, rows), (rows, rows + 5)]
+    for embedding in Embedding:
+        assert _blocks(50, 3, embedding) == [(0, 3)]
+        assert _blocks(50, rows + 5, embedding) == [(0, rows), (rows, rows + 5)]

@@ -394,24 +394,26 @@ def test_a_one_row_block_stacks_views():
 
 
 def _special_trees(n):
-    """(parents, edge orders): random trees, then a path inserted four ways:
+    """(parents, top endpoints): random trees, then a path inserted four ways:
     in a random order, from the far end up with the far-end leaf last (n - 2
     rounds of `tree_replay`'s pointer doubling), from the far end up (an rp
     forest n - 1 high, so n - 1 rounds of its subtree sizes) and from the
-    root down; a star; and a broom, the path with its end leaf moved one
-    vertex up, inserted like the second path, whose last edge then finds
-    from the bottom of a chain of n - 2 places."""
+    root down; a star; a broom, the path with its end leaf moved one vertex
+    up, inserted like the second path, whose last edge then finds from the
+    bottom of a chain of n - 2 places; and last the path rooted at n - 1, in
+    a random order, so that one row of the block has its root elsewhere."""
     rng = make_rng(n)
     path = np.arange(-1, n - 1)
     star = np.r_[-1, np.zeros(n - 1, np.int64)]
     broom = np.r_[path[:-1], max(0, n - 3)]
     far_first = np.r_[np.arange(n - 2)[::-1], n - 2]
     par = np.stack([_replay.tree_parents_from_prufer(n, rng.integers(0, n, size=n - 2))
-                    for _ in range(36)] + [path, path, path, path, star, broom])
+                    for _ in range(36)] + [path, path, path, path, star, broom,
+                                           np.r_[np.arange(1, n), -1]])
     perm = np.stack([rng.permutation(n - 1) for _ in range(37)]
                     + [far_first, np.arange(n - 1)[::-1], np.arange(n - 1),
                        rng.permutation(n - 1), far_first])
-    return par, perm
+    return par, np.vstack([perm + 1, rng.permutation(n - 1)])
 
 
 def _every_tree_in_three_orders(n):
@@ -420,14 +422,14 @@ def _every_tree_in_three_orders(n):
     rng = make_rng(n)
     par = _replay.prufer_rows(n, np.array(list(itertools.product(range(n), repeat=n - 2))))
     par = np.tile(par, (3, 1))
-    return par, np.stack([rng.permutation(n - 1) for _ in par])
+    return par, np.stack([rng.permutation(n - 1) for _ in par]) + 1
 
 
 def _one_uniform_tree(n):
     """A uniform random tree in a uniform edge order, as `simulate` draws."""
     rng = make_rng(n)
     par = _replay.tree_parents_from_prufer(n, rng.integers(0, n, size=n - 2))
-    return par[None], rng.permutation(n - 1)[None]
+    return par[None], rng.permutation(n - 1)[None] + 1
 
 
 @pytest.mark.parametrize(
@@ -435,19 +437,18 @@ def _one_uniform_tree(n):
     [(n, _special_trees) for n in (2, 3, 5, 50, 300)]
     + [(6, _every_tree_in_three_orders), (100_000, _one_uniform_tree)],
     ids=["2", "3", "5", "50", "300", "6-every-tree", "100000-uniform"])
-def test_tree_rows_match_the_walk_row_by_row(n, trees):
-    # both tree kernels, `tree_rows` over the block and `tree_replay` on
-    # each row, against the union-find reference walk
-    par, perm = trees(n)
-    top = perm + 1
+def test_tree_replay_matches_the_walk_row_by_row(n, trees):
+    # `tree_replay` over the whole block and on each row's 1-D arrays,
+    # against the union-find reference walk
+    par, top = trees(n)
     bottom = np.take_along_axis(par, top, axis=1)
-    lockstep = _replay.tree_rows(n, bottom, top)
-    assert all(col.shape == (len(top), n - 1) for col in lockstep)
+    block = _replay.tree_replay(n, bottom, top)
+    assert all(col.shape == (len(top), n - 1) for col in block)
     for r in range(len(top)):
         walk = tree_walk(n, bottom[r], top[r])
         single = _replay.tree_replay(n, bottom[r], top[r])
-        assert all(np.array_equal(col[r], w) for col, w in zip(lockstep, walk))
-        assert all(np.array_equal(got, w) for got, w in zip(single, walk))
+        assert all(np.array_equal(col[r], w) for col, w in zip(block, walk))
+        assert all(got.shape == (n - 1,) and np.array_equal(got, w) for got, w in zip(single, walk))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 50, 128])

@@ -1,5 +1,5 @@
-"""The union-find replay of edge insertion: the reference for `_replay.tree_replay`
-and `_replay.tree_rows`, which compute the same (L, R) without it."""
+"""The union-find replay of edge insertion: the reference for `_replay.tree_replay`,
+which computes the same (L, R) without it, for one tree or a block."""
 
 
 def tree_walk(n, bottom, top):
