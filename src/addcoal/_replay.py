@@ -2,8 +2,8 @@
 
 Each kernel consumes pre-drawn random inputs and replays the chain with
 deterministic integer/float arithmetic, so a given seed yields the same
-event stream whether or not numba is present.  All uniform-index picks
-use ``int(u * m)`` on ``u in [0, 1)``, i.e. plain floor.
+event stream.  All uniform-index picks use ``int(u * m)`` on
+``u in [0, 1)``, i.e. plain floor.
 
 Every replay returns the ordered split of each merge, one entry per step:
 L, the size of the size-biased side (predator / component of the edge's
@@ -15,13 +15,12 @@ The direct and parking chains each have one walk (`_direct_walk`,
 `_parking_walk`), and the tree's Prufer decode one (`_prufer_walk`).  A
 walk holds only its loop; everything fixed by the step index or by the
 loop's outputs (prey index, parking's D) is computed in numpy by the
-public kernel around it.  With numba the walk is compiled and runs over
-numpy arrays.  Without it the walk runs as plain Python over
+public kernel around it.  The walk runs as plain Python over
 ``memoryview``s of the numpy inputs and outputs, with its union-find state
 in lists below ``COMPACT_N`` places and in int32 ``memoryview``s from there
 on, so that a long chain's state fits in L2 (the direct walk's sizes stay a
-list; see `_ints`); all of them read and write the same values, so the
-streams are bit-identical.
+list; see `_ints`); both read and write the same values, so the streams
+are bit-identical.
 
 The direct chain links by union by size, which keeps every tree of s
 elements at most floor(log2 s) high whatever the inputs (Tarjan 1975;
@@ -60,76 +59,39 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-try:
-    from numba import njit
+# read by perfbench/run.py's provenance record: the walks run as plain Python only
+HAVE_NUMBA = False
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-#: n from which the interpreted walks keep their union-find state in int32 memoryviews
+#: n from which the walks keep their union-find state in int32 memoryviews
 COMPACT_N = 1 << 16
 
-# Containers the walks run over: numpy arrays for compiled code; lists and
-# memoryviews for the interpreter, which indexes them several times faster
-# than it indexes numpy arrays (each numpy read boxes a new scalar).  The
-# interpreted union-find state is a list below COMPACT_N, and an int32
-# memoryview from it: a list holds an 8-byte pointer and a 32-byte int per
-# place, so at n = 1e5 the direct walk's two link lists take 8 MB, past a
-# 2 MiB L2, where int32 takes 0.8 MB.  Below the cut the state fits in cache
-# either way, and lists index faster.  The direct walk's two link lists
-# break even between 4e4 and 65535 places, the parking walk's three
-# (parents and the empty places' two links) near 2.5e4, so parking chains
-# just below the cut run on the slower lists (the list-vs-int32 tables in
-# BENCH_compact_state.json and BENCH_parking_list.json).  The direct walk's
-# sizes stay a list at every n (`_ones`): all but a few hundred are below
+# Containers the walks run over: lists and memoryviews, which the
+# interpreter indexes several times faster than numpy arrays (each numpy
+# read boxes a new scalar).  The union-find state is a list below
+# COMPACT_N, and an int32 memoryview from it: a list holds an 8-byte
+# pointer and a 32-byte int per place, so at n = 1e5 the direct walk's two
+# link lists take 8 MB, past a 2 MiB L2, where int32 takes 0.8 MB.  Below
+# the cut the state fits in cache either way, and lists index faster.  The
+# direct walk's two link lists break even between 4e4 and 65535 places,
+# the parking walk's three (parents and the empty places' two links) near
+# 2.5e4, so parking chains just below the cut run on the slower lists (the
+# list-vs-int32 tables in BENCH_compact_state.json and
+# BENCH_parking_list.json).  The direct walk's sizes stay a list at every
+# n (`[1] * n` in `direct_chain_replay`): all but a few hundred are below
 # 257, ints CPython shares, so the list takes 8 bytes a place and its reads
 # make no new int, which speeds the walk at n = 1e5 by about 5 %.
 # n < 2**31 (`process_core._check_n`), so no index or size wraps.
-if HAVE_NUMBA:  # pragma: no cover - numba is an optional extra
-
-    def _ints(r):
-        return np.arange(r.start, r.stop, r.step)
-
-    def _ones(n):
-        return np.ones(n, np.int64)
-
-    def _view(a):
-        return a
-
-    def _state(a):
-        return a
-
-else:
-
-    def _ints(r):
-        """The ints of range r as union-find state: a list, or int32 from COMPACT_N of them."""
-        if len(r) < COMPACT_N:
-            return list(r)
-        return memoryview(np.arange(r.start, r.stop, r.step, dtype=np.int32))
-
-    def _ones(n):
-        """n sizes of 1, a list at every n."""
-        return [1] * n
-
-    _view = memoryview
-
-    def _state(a):
-        return a.tolist()
+def _ints(r):
+    """The ints of range r as union-find state: a list, or int32 from COMPACT_N of them."""
+    if len(r) < COMPACT_N:
+        return list(r)
+    return memoryview(np.arange(r.start, r.stop, r.step, dtype=np.int32))
 
 
 def _int64(a):
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-@njit(cache=True)
 def _direct_walk(elem, prey_j, parent, size, roots, L, R):
     """Union-find loop of the two-stage chain; fills L[k], R[k].
 
@@ -176,8 +138,8 @@ def direct_chain_replay(n, elem, prey_u):
     R = np.empty(m, np.int64)
     prey = _prey_index(n, prey_u)
     np.subtract(m, prey, out=prey)  # slot j sits at roots[~j], that is roots[n-1-j]
-    _direct_walk(_view(_int64(elem)), _view(prey), _ints(range(-1, -n - 1, -1)), _ones(n),
-                 _ints(range(m, -1, -1)), _view(L), _view(R))
+    _direct_walk(memoryview(_int64(elem)), memoryview(prey), _ints(range(-1, -n - 1, -1)),
+                 [1] * n, _ints(range(m, -1, -1)), memoryview(L), memoryview(R))
     return L, R
 
 
@@ -259,7 +221,6 @@ def direct_chain_rows(n, elem, prey_u):
     return L.T, R.T
 
 
-@njit(cache=True)
 def _parking_walk(tries, parent, prv, nxt, L, R, P):
     """Union-find loop of circular parking; fills P[c], L[c] and R[c].
 
@@ -322,7 +283,8 @@ def parking_replay(n, tries):
     prv[0] = m
     nxt = _ints(range(1, n + 1))
     nxt[m] = 0
-    _parking_walk(_view(tries), _ints(range(n)), prv, nxt, _view(L), _view(R), _view(P))
+    _parking_walk(memoryview(tries), _ints(range(n)), prv, nxt, memoryview(L), memoryview(R),
+                  memoryview(P))
     return _parking_splits(n, P, L, R, tries)
 
 
@@ -458,7 +420,6 @@ def parking_last_block_counts(m):
     return counts
 
 
-@njit(cache=True)
 def _prufer_walk(prufer, degree, par):
     """Decode a Prufer sequence into par, rooted at vertex 0.
 
@@ -501,7 +462,7 @@ def tree_parents_from_prufer(n, prufer):
     prufer = _int64(prufer)
     degree = np.bincount(prufer, minlength=n) + 1
     par = np.empty(n, np.int64)
-    _prufer_walk(_view(prufer), _state(degree), _view(par))
+    _prufer_walk(memoryview(prufer), degree.tolist(), memoryview(par))
     return par
 
 

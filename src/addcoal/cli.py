@@ -27,7 +27,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
-from . import __version__, _replay, acceptance
+from . import __version__, acceptance
 from .cost_engine import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_BETA_GRID,
@@ -227,7 +227,7 @@ def _write(payload: str, out_path: str) -> None:
 
 # the code that produced an output: exact rows, which draw nothing, lead with
 # this alone, and it heads the verify report
-_BUILD = {"version": __version__, "backend": "numba" if _replay.HAVE_NUMBA else "python"}
+_BUILD = {"version": __version__, "backend": "python"}
 
 
 def _provenance(config: RunConfig, n="", reps="", embedding="") -> dict:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from addcoal import _replay, cli
+from addcoal import cli
 from addcoal.cli import RunConfig, UsageError, parse_config, serialize_config
 from addcoal.smoluchowski import _choose_kmax, alpha_to_time
 
@@ -243,10 +243,9 @@ def test_simulate_names_its_workers_on_stderr(tmp_path, capsys):
         assert len(err) == 1
         records.append(json.loads(err[0]))
     assert outs[0] == outs[1]
-    backend = "numba" if _replay.HAVE_NUMBA else "python"
     for workers, record in zip((1, 2), records):
         assert record == {"seed": 11, "n": 60, "reps": 3, "embedding": "parking",
-                          "version": cli.__version__, "backend": backend, "workers": workers}
+                          "version": cli.__version__, "backend": "python", "workers": workers}
 
 
 def test_csv_and_json_carry_identical_values(tmp_path):
@@ -350,7 +349,7 @@ def test_verify_single_fast_criterion(tmp_path, capsys):
     assert [c["cid"] for c in report["criteria"]] == ["borel-limit"]
     assert list(report["criteria"][0]) == ["cid", "status", "passed", "informative", "measured",
                                            "target", "tolerance", "detail", "seconds"]
-    assert report["backend"] == ("numba" if _replay.HAVE_NUMBA else "python")
+    assert report["backend"] == "python"
     assert report["samples"] == []
     printed = capsys.readouterr().out
     assert "borel-limit" in printed and "PASS" in printed
@@ -556,8 +555,7 @@ def test_negative_seed_rejected(tmp_path, capsys):
 def test_provenance_names_backend(tmp_path):
     out = tmp_path / "sim.csv"
     assert run_cli(["simulate", "--n", "10", "--functional", "qf", "--out", out]) == 0
-    want = "numba" if _replay.HAVE_NUMBA else "python"
-    assert {r["backend"] for r in read_csv(out)} == {want}
+    assert {r["backend"] for r in read_csv(out)} == {"python"}
     # every command's rows lead with what produced them; exact rows draw nothing
     drawn = ["seed", "n", "reps", "embedding", "version", "backend"]
     for args, lead in ((["simulate", "--n", "10", "--seed", "4"], drawn),
@@ -571,7 +569,7 @@ def test_provenance_names_backend(tmp_path):
         assert run_cli(args + ["--out", out]) == 0, args
         rows = read_csv(out)
         assert rows and all(list(r)[:len(lead)] == lead for r in rows), args
-        assert {(r["version"], r["backend"]) for r in rows} == {(cli.__version__, want)}, args
+        assert {(r["version"], r["backend"]) for r in rows} == {(cli.__version__, "python")}, args
         if "seed" in lead:
             assert {r["seed"] for r in rows} == {"4"}, args
         if args[0] == "limit":  # the limits draw nothing

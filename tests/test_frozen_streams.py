@@ -23,19 +23,25 @@ from addcoal.smoluchowski import (
 # (embedding, n, reps) -> sha256 of run_monte_carlo's arrays at seed 7.  At
 # n = 2 and 8 every replication walks alone; n = 50 with 340 replications
 # replays one lockstep block of 327 rows, then 13 walks; n = 300 walks.
+# n = 65536 is `_replay.COMPACT_N`, so its direct and parking walks run over
+# int32 memoryview state where every smaller n runs over lists; the tree
+# run, which has no walk, pins one long chain's numpy replay.
 MONTE_CARLO = {
     ("direct", 2, 3): "a6d917ec92695942f8cde0f213c66be573681ffebce364ac3fb07918efdb2177",
     ("direct", 8, 5): "29cd7000eb0027a096bd5dc264ea705d4de4814e5454c00ec11d63e775e17c56",
     ("direct", 50, 340): "1b20298f5d2b91f6dcc8a844e072ea9f3014b2278f49192b7bc8ec59329d4185",
     ("direct", 300, 3): "a65b089b2deb1bbcae09fa9c14d031a174982e14e7032119ba6223fb9c85d3bb",
+    ("direct", 65536, 1): "b517ce71ffe270964adae72696e4497b1312f03a1f25de76d4d2827b1f335e64",
     ("tree", 2, 3): "a6d917ec92695942f8cde0f213c66be573681ffebce364ac3fb07918efdb2177",
     ("tree", 8, 5): "95f10b585c56b0abfbb33961a756c3c43dd7c399c585885ca55bab81d0c7c5f0",
     ("tree", 50, 340): "4530b8501e42f5ee1db0c0c87757a1422679161afd433703edf750aa5d8e9bc1",
     ("tree", 300, 3): "68aa145391cacb73ebeebca5aa18ff4854c0628e721ce83e7e2b76e45b826d55",
+    ("tree", 65536, 1): "9ba423de47ac8676670fe84aa24abc628634cbfc7aadd531a68100ee172a93a1",
     ("parking", 2, 3): "a6d917ec92695942f8cde0f213c66be573681ffebce364ac3fb07918efdb2177",
     ("parking", 8, 5): "9d080cc30c86fdf0ef661fbc51a0e7a49c6e1363e57427f3ee341deb95883e6b",
     ("parking", 50, 340): "9032d39b7a0b8ba7cbc2c21dde5176685f2b60862989d3d420ee1c618741273c",
     ("parking", 300, 3): "9af9080c937d6171582c466b8178c2cbcbd4aac453e5d71e8220e777b786f9d1",
+    ("parking", 65536, 1): "fec42be84820159698f57b31f6b06ace8f91079b1dda18384d16c0eeef9e6532",
 }
 ROOT = Path(__file__).resolve().parent.parent
 PARKING_5 = "b26db970bf21142a4192666c8cda1e545a23d6db31aff01ddf0e670955d42447"

@@ -632,23 +632,6 @@ def _walk_last_block_counts(m):
     return counts
 
 
-def test_walks_over_numpy_arrays_give_the_same_results(monkeypatch):
-    # the containers the walks get when numba is present, run interpreted
-    def results():
-        return ([_rows(simulate(200, make_rng(5), e)) for e in Embedding],
-                [a.tolist() for a in _replay.direct_chain_replay(*_binomial_chain())],
-                _walk_last_block_counts(6).tolist(),
-                exact_oracles.enumerate_parking(5).probs,
-                exact_oracles.enumerate_spanning_trees(5).probs)
-
-    expected = results()
-    monkeypatch.setattr(_replay, "_ints", lambda r: np.arange(r.start, r.stop, r.step))
-    monkeypatch.setattr(_replay, "_ones", lambda n: np.ones(n, np.int64))
-    monkeypatch.setattr(_replay, "_view", lambda a: a)
-    monkeypatch.setattr(_replay, "_state", lambda a: a)
-    assert results() == expected
-
-
 def _compact_results():
     return ([_rows(simulate(n, make_rng(n), e)) for n in (2, 3, 200, 5000) for e in Embedding],
             [a.tolist() for a in _replay.direct_chain_replay(*_binomial_chain())],
@@ -681,17 +664,15 @@ def test_compact_state_matches_lists_at_the_cut(monkeypatch, n):
         compact, lists = batches
         for col in EventBatch.__slots__[1:]:
             assert np.array_equal(getattr(compact, col), getattr(lists, col)), (embedding, col)
-    if not _replay.HAVE_NUMBA:  # int32 links, then lists; the sizes a list both times
-        assert links == [(memoryview, list, memoryview), (list, list, list)]
+    # int32 links, then lists; the sizes a list both times
+    assert links == [(memoryview, list, memoryview), (list, list, list)]
 
 
-@pytest.mark.skipif(_replay.HAVE_NUMBA, reason="compiled walks run over numpy arrays")
 def test_interpreted_state_is_compact_from_the_cut():
     cut = _replay.COMPACT_N
     # the parking walk's parents and its empty places' links, the direct
     # walk's root-slot parents and its roots
     for n in (cut - 1, cut):
-        assert _replay._ones(n) == [1] * n  # the direct walk's sizes
         ranges = (range(n), range(-1, n - 1), range(1, n + 1), range(-1, -n - 1, -1),
                   range(n - 1, -1, -1))
         for state, values in [(_replay._ints(r), list(r)) for r in ranges]:
