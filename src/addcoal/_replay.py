@@ -41,12 +41,13 @@ axis in numpy, which beats one kernel call per chain once a block holds
 at least n rows.  Each parking car takes one find: the block after a car's
 filled place ends at the next empty place, which a circular doubly linked
 list of the empty places gives.  `prufer_rows` decodes a block's Prufer
-sequences the same way; `process_core.simulate_rows` picks the
-single-chain or the lockstep kernel by that rule.  The parking and tree
-enumerations of the exact oracles run `parking_rows` and `prufer_rows`
-too.  The single-chain kernels stay for long chains; the walks are the
-lockstep kernels' test reference, and the tests keep a union-find walk of
-edge insertion as the reference for `tree_replay`.
+sequences the same way.  Every caller splits its rows by one rule,
+`row_blocks`, and `process_core.simulate_rows` picks the single-chain or
+the lockstep kernel for each block.  The parking and tree enumerations of
+the exact oracles run `parking_rows` and `prufer_rows` too.  The
+single-chain kernels stay for long chains; the walks are the lockstep
+kernels' test reference, and the tests keep a union-find walk of edge
+insertion as the reference for `tree_replay`.
 
 Parking statistics that depend only on which places the first k cars try,
 not on the order they arrive in, skip the walk: `parking_scan` reads them
@@ -164,6 +165,13 @@ BLOCK_CELLS = 1 << 14
 def block_rows(n):
     """Rows of n places that fit one block of BLOCK_CELLS (at least one)."""
     return max(1, BLOCK_CELLS // n)
+
+
+def row_blocks(n, total):
+    """(start, stop) ranges of rows 0 .. total-1 in blocks of `block_rows(n)`
+    rows: the one rule by which every replay loop splits its rows."""
+    rows = block_rows(n)
+    return [(start, min(start + rows, total)) for start in range(0, total, rows)]
 
 
 def direct_chain_rows(n, elem, prey_u):

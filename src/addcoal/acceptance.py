@@ -50,7 +50,7 @@ from .experiment import (
     regime_sweep,
     run_monte_carlo,
 )
-from ._replay import block_rows, direct_chain_rows
+from ._replay import direct_chain_rows, row_blocks
 from .process_core import Embedding, direct_picks, direct_rows
 from .process_core import simulate as simulate_direct  # noqa: F401  (perfbench/spans.py traces it)
 from .seeding import make_rng, substream_rng
@@ -381,12 +381,13 @@ def _named_workers(stderr):
         return None
 
 
-@_criterion("determinism", detail=f"direct n=2000 reps=6 seed={SEED_DETERMINISM}")
+@_criterion("determinism", detail=f"direct n=2000 reps=24 seed={SEED_DETERMINISM}")
 def criterion_determinism():
     """cmd_simulate output bytes identical across runs and worker counts.
 
     Each run's stderr is captured: it must be the one side record, naming
     the workers the run used.  A run that fails passes its error report on.
+    The 24 replications are three blocks, so 8 workers open a pool of three.
     """
     from . import cli
 
@@ -395,7 +396,7 @@ def criterion_determinism():
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"run{i}.csv") for i in range(len(workers))]
         base = [
-            "simulate", "--n", "2000", "--reps", "6",
+            "simulate", "--n", "2000", "--reps", "24",
             "--seed", str(SEED_DETERMINISM), "--embedding", "direct",
             "--format", "csv",
         ]
@@ -440,9 +441,7 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
     """
     m = 50
     counts = np.zeros(m - 1, dtype=np.int64)
-    rows = block_rows(m)
-    for start in range(0, runs, rows):
-        stop = min(start + rows, runs)
+    for start, stop in row_blocks(m, runs):
         elem, prey_u = direct_rows(m, [substream_rng(SEED_ORACLE_CHI, rep)
                                        for rep in range(start, stop)], 1)
         L, _ = direct_chain_rows(m, elem, prey_u)
@@ -474,11 +473,8 @@ def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
     law = dp_sequence_distribution(n)
     keys = sorted(law.probs)
     elem, prey_u = direct_picks(n, make_rng(SEED_CHAIN_CHI), (reps,))
-    rows = block_rows(n)
-    codes = []
-    for i in range(0, reps, rows):
-        L, R = direct_chain_rows(n, elem[i:i + rows], prey_u[i:i + rows])
-        codes.append(sequence_codes(n, L, R))
+    codes = [sequence_codes(n, *direct_chain_rows(n, elem[start:stop], prey_u[start:stop]))
+             for start, stop in row_blocks(n, reps)]
     values, tally = np.unique(np.concatenate(codes), return_counts=True)
     decoded = decode_counts(n, dict(zip(values.tolist(), tally.tolist())), 2)
     outside = sum(c for seq, c in decoded.items() if seq not in law.probs)

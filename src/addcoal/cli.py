@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -246,6 +247,9 @@ def _one_n(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     n = _one_n(config)
+    if config.out and config.raw_out and (os.path.abspath(config.out)
+                                          == os.path.abspath(config.raw_out)):
+        raise UsageError(f"out and raw-out both name {config.raw_out!r}")
     # the default grid drops its points past sqrt(n), so small n still
     # runs; a given one is an error
     beta_grid = tuple(b for b in config.beta_grid if beta_in_range(n, b))

@@ -186,11 +186,10 @@ def _count_codes(counts: Counter, codes) -> None:
 
 def _digit_blocks(n: int, width: int, total: int):
     """Rows of the `width` base-n digits (most significant first) of 0 .. total-1,
-    in lexicographic order, in blocks of `_replay.block_rows(n)` rows."""
+    in lexicographic order, in the blocks of `_replay.row_blocks(n, total)`."""
     place = n ** np.arange(width - 1, -1, -1)
-    rows = _replay.block_rows(n)
-    for start in range(0, total, rows):
-        yield np.arange(start, min(start + rows, total))[:, None] // place % n
+    for start, stop in _replay.row_blocks(n, total):
+        yield np.arange(start, stop)[:, None] // place % n
 
 
 def enumerate_parking(n: int) -> EventSequenceDistribution:
@@ -226,7 +225,7 @@ def enumerate_spanning_trees(n: int) -> EventSequenceDistribution:
     in the identity order with the same (L, R) at every step (Pitman 1999).
     So every edge order gives the same law, and each tree is replayed once,
     in the identity order (top = 1..n-1, bottom = par[top]), counting 1
-    over n**(n-2).  Each block of `_replay.block_rows(n)` Prufer sequences
+    over n**(n-2).  Each block of `_replay.row_blocks` Prufer sequences
     is decoded by `_replay.prufer_rows`, replayed by one `_replay.tree_replay`
     call and counted by its rows' `sequence_codes` before the next one.
     """

@@ -23,7 +23,8 @@ from .cost_engine import (
     event_costs,
 )
 from . import _replay
-from .process_core import Embedding, _check_n, parking_tries, simulate, simulate_rows
+from .process_core import Embedding, _check_n, parking_tries, simulate_rows
+from .process_core import simulate  # noqa: F401  (perfbench/spans.py traces it)
 from .seeding import substream_rng
 
 _Z95 = 1.959963984540054
@@ -108,21 +109,6 @@ class ExperimentSpec:
             raise ValueError("beta grid must lie in [0, sqrt(n)]")
 
 
-def _blocks(n, reps, embedding):
-    """(start, stop) replication ranges, one per `_one_rep` call.
-
-    Blocks of `_replay.block_rows(n)` rows where those reach n rows, so
-    that `simulate_rows` replays them in lockstep, and for tree runs, which
-    replay a block in one `tree_replay` call, at every n; otherwise one
-    replication per block, so that workers still share out the walks one
-    at a time.
-    """
-    rows = _replay.block_rows(n)
-    if rows < n and embedding is not Embedding.TREE:
-        rows = 1
-    return [(start, min(start + rows, reps)) for start in range(0, reps, rows)]
-
-
 def _checkpoints(spec):
     """(kind, point, step, scale) per checkpoint, in the order of every result and row:
     each alpha point reads C/n at step ceil(alpha n), then each beta point
@@ -140,7 +126,7 @@ def _one_rep(spec, start, stop):
     replication draws from its own substream, so a block gives the rows
     that one replication at a time would.  A parking run that reads only
     the displacement total takes the scan; every other block is one
-    `simulate_rows` call, which replays it in lockstep or walks it.
+    `simulate_rows` call, which replays it in lockstep or walks each row.
     """
     n, embedding, functionals = spec.n, spec.embedding, spec.functionals
     checkpoints = _checkpoints(spec)
@@ -207,8 +193,8 @@ def _map_blocks(spec, blocks):
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloResult:
-    """Execute spec.reps independent replications (optionally in parallel)."""
-    blocks = _blocks(spec.n, spec.reps, spec.embedding)
+    """spec.reps independent replications, one `_one_rep` call per `_replay.row_blocks` block."""
+    blocks = _replay.row_blocks(spec.n, spec.reps)
     na = len(spec.alpha_grid)
     values = np.empty((len(spec.functionals), spec.reps, na + len(spec.beta_grid)))
     totals = np.empty((len(spec.functionals), spec.reps))
@@ -348,29 +334,35 @@ class RegimeRow:
 
 def regime_sweep(n_list, eps: float, reps: int = 100, seed: int = 0,
                  embedding: Embedding = Embedding.DIRECT) -> list:
-    """Mean largest-cluster fraction at the two regime checkpoints per n."""
+    """Mean largest-cluster fraction at the two regime checkpoints per n.
+
+    Replication rep of the i-th n draws from substream i * reps + rep; each
+    n's replications replay in the blocks of `_replay.row_blocks`."""
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must be in (0, 1/2)")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    for n in n_list:
+        _check_n(n)
     embedding = Embedding(embedding)
     rows = []
     for i, n in enumerate(n_list):
         k_sparse = min(n - 1, max(0, int(math.floor(n - n ** (0.5 + eps)))))
         k_full = min(n - 1, max(0, int(math.floor(n - n ** (0.5 - eps)))))
-        st_sparse = SummaryStats()
-        st_full = SummaryStats()
-        for rep in range(reps):
-            rng = substream_rng(seed, i * reps + rep)
+        sizes = []  # (2, rows) per block: the largest cluster at k_sparse and at k_full
+        for start, stop in _replay.row_blocks(n, reps):
+            rngs = [substream_rng(seed, i * reps + rep) for rep in range(start, stop)]
             if embedding is Embedding.PARKING:
                 # the blocks after k cars depend only on the first k tries' histogram
-                tries = parking_tries(n, rng)
-                h = np.stack([np.bincount(tries[:k], minlength=n) for k in (k_sparse, k_full)])
-                sparse, full = _replay.parking_largest_block(h)
+                tries = [parking_tries(n, rng) for rng in rngs]
+                h = np.stack([np.bincount(t[:k], minlength=n) for k in (k_sparse, k_full)
+                              for t in tries])
+                sizes.append(_replay.parking_largest_block(h).reshape(2, -1))
             else:
-                batch = simulate(n, rng, embedding)
-                sparse, full = batch.largest_cluster_at(k_sparse), batch.largest_cluster_at(k_full)
-            st_sparse.push(sparse / n)
-            st_full.push(full / n)
-        rows.append(RegimeRow(n, k_sparse, k_full, st_sparse, st_full))
+                batch = simulate_rows(n, rngs, embedding)
+                # the largest cluster after k merges: the largest of k merged sizes, or 1
+                merged = batch.L + batch.R
+                sizes.append([merged[:, :k].max(axis=1, initial=1) for k in (k_sparse, k_full)])
+        sparse, full = map(SummaryStats.from_values, np.hstack(sizes) / n)
+        rows.append(RegimeRow(n, k_sparse, k_full, sparse, full))
     return rows

@@ -93,6 +93,13 @@ def test_criterion_12_determinism():
     assert _report(acceptance.criterion_determinism()).passed
 
 
+def test_determinism_runs_eight_workers_in_a_pool(pool_sizes):
+    # 24 replications at n = 2000 are three blocks of 8 rows, so the 8-worker
+    # run, and it alone, opens a pool, of three workers
+    assert acceptance.criterion_determinism().passed
+    assert pool_sizes == [3]
+
+
 def test_supplementary_pmk_chi_square():
     # simulated final-merge predator size at m = 50 vs the exact law
     assert _report(acceptance.criterion_pmk_chi_square()).passed

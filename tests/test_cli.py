@@ -281,6 +281,19 @@ def test_raw_output_stream(tmp_path):
     assert len(lines) == 1 + 2 * 3  # 2 reps x (alpha, beta, total)
 
 
+def test_raw_output_may_not_overwrite_the_summary(tmp_path, monkeypatch, capsys):
+    def run(spec):
+        raise AssertionError("simulated before the check")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", run)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "sum.csv"
+    # the same file, named once by its absolute path and once relative to the cwd
+    assert run_cli(["simulate", "--n", "10", "--out", out, "--raw-out", "sum.csv"]) == 1
+    assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+    assert not out.exists()
+
+
 def test_limit_table(tmp_path):
     out = tmp_path / "limit.csv"
     assert run_cli(

@@ -54,7 +54,8 @@ def test_run_monte_carlo_n2_trivial():
 
 
 def test_run_monte_carlo_deterministic_and_worker_invariant():
-    base = dict(n=500, reps=6, seed=41, alpha_grid=(0.25, 0.75), beta_grid=(0.0, 2.0))
+    # three blocks of 32, 32 and 6 rows, so three workers share them
+    base = dict(n=500, reps=70, seed=41, alpha_grid=(0.25, 0.75), beta_grid=(0.0, 2.0))
     r1 = run_monte_carlo(ExperimentSpec(**base, workers=1))
     r2 = run_monte_carlo(ExperimentSpec(**base, workers=1))
     r3 = run_monte_carlo(ExperimentSpec(**base, workers=3))
@@ -67,29 +68,13 @@ def test_run_monte_carlo_deterministic_and_worker_invariant():
     assert not np.array_equal(r1.totals[Functional.QF], r4.totals[Functional.QF])
 
 
-def test_pool_opens_no_more_workers_than_blocks(monkeypatch):
+def test_pool_opens_no_more_workers_than_blocks(pool_sizes):
     # the pool forks all its workers at the first submit, so it is sized to the blocks
-    opened = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
-    base = dict(n=500, reps=3, seed=41, alpha_grid=(0.25, 0.75), beta_grid=(0.0, 2.0))
+    base = dict(n=500, reps=70, seed=41, alpha_grid=(0.25, 0.75), beta_grid=(0.0, 2.0))
     wide = run_monte_carlo(ExperimentSpec(**base, workers=64))
-    assert opened == [3]  # three walk blocks, one replication each
+    assert pool_sizes == [3]  # three blocks of 32, 32 and 6 rows
     one = run_monte_carlo(ExperimentSpec(**base, workers=1))
-    assert opened == [3]
+    assert pool_sizes == [3]
     assert all(np.array_equal(a, b) for a, b in zip(_mc_arrays(wide), _mc_arrays(one)))
 
 
@@ -232,11 +217,19 @@ def test_regime_sweep_degenerate_n2():
     assert row.full.mean in (0.5, 1.0)
 
 
-def test_regime_sweep_validation():
+def test_regime_sweep_validation(monkeypatch):
+    def draw(*args):
+        raise AssertionError("substream drawn")
+
+    monkeypatch.setattr(experiment, "substream_rng", draw)
     with pytest.raises(ValueError):
         regime_sweep([100], 0.6)
     with pytest.raises(ValueError, match="reps must be >= 1"):
         regime_sweep([100], 0.15, reps=0)
+    # every n is checked before the first draw
+    for n_list in ([0], [100, 1]):
+        with pytest.raises(ValueError, match="2 <= n < 2\\*\\*31"):
+            regime_sweep(n_list, 0.15)
 
 
 def test_regime_sweep_direction():
@@ -261,16 +254,32 @@ def test_parking_totals_scan_matches_replay():
             assert np.array_equal(getattr(scan, field)[disp], getattr(replay, field)[disp])
 
 
-def test_parking_regime_sweep_matches_replay():
-    n_list, eps, reps, seed = (2, 50, 3000), 0.15, 3, 4
-    rows = regime_sweep(n_list, eps, reps=reps, seed=seed, embedding=Embedding.PARKING)
+@pytest.mark.parametrize("embedding", list(Embedding))
+def test_regime_sweep_matches_replay(embedding):
+    # n = 2 and 10 replay their 12 replications in lockstep, and n = 3000 in
+    # walked blocks of 5, 5 and 2 rows; the reference replays one run at a time
+    n_list, eps, reps, seed = (2, 10, 3000), 0.15, 12, 4
+    rows = regime_sweep(n_list, eps, reps=reps, seed=seed, embedding=embedding)
     for i, (n, row) in enumerate(zip(n_list, rows)):
         sparse, full = SummaryStats(), SummaryStats()
         for rep in range(reps):
-            batch = simulate(n, substream_rng(seed, i * reps + rep), Embedding.PARKING)
+            batch = simulate(n, substream_rng(seed, i * reps + rep), embedding)
             sparse.push(batch.largest_cluster_at(row.k_sparse) / n)
             full.push(batch.largest_cluster_at(row.k_full) / n)
         assert (row.sparse, row.full) == (sparse, full)
+
+
+def test_tree_regime_sweep_replays_a_block_in_one_call(monkeypatch):
+    calls = []
+    tree_replay = _replay.tree_replay
+
+    def counted(n, bottom, top):
+        calls.append(np.shape(top))
+        return tree_replay(n, bottom, top)
+
+    monkeypatch.setattr(_replay, "tree_replay", counted)
+    regime_sweep([300], 0.15, reps=25, seed=1, embedding=Embedding.TREE)
+    assert calls == [(25, 299)]
 
 
 def test_order_free_parking_statistics_skip_the_walk(monkeypatch):
@@ -300,7 +309,7 @@ def test_lockstep_blocks_match_one_replication_at_a_time(monkeypatch, workers):
                           functionals=(Functional.QF, Functional.PREDATOR, Functional.DISPLACEMENT),
                           alpha_grid=(0.0, 0.3, 0.9), beta_grid=(0.0, 1.5, math.sqrt(n)))
     results = []
-    # room for n - 1 rows: blocks of one replication, each on the walk;
+    # room for n - 1 rows: blocks of 19, 19, 19 and 18 rows, each walked;
     # 30 rows: blocks of 30, 30 and 15 rows, the last one below n rows;
     # the default budget: one lockstep block of 75 rows
     for cells in (n * (n - 1), 30 * n, _replay.BLOCK_CELLS):
@@ -350,10 +359,12 @@ def test_parking_blocks_of_n_rows_skip_the_walk_and_match_it(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_empty_grids_give_totals_only(workers):
-    # a lockstep block, the parking scan and tree walks (in a pool at two workers)
-    for embedding, functionals, reps in ((Embedding.DIRECT, tuple(Functional), 30),
-                                         (Embedding.PARKING, (Functional.DISPLACEMENT,), 3),
-                                         (Embedding.TREE, (Functional.QF, Functional.PREDATOR), 3)):
+    # two blocks, in a pool at two workers: a lockstep one and one of 3 walked
+    # rows; parking reads its totals from the scan
+    reps = _replay.block_rows(20) + 3
+    for embedding, functionals in ((Embedding.DIRECT, tuple(Functional)),
+                                   (Embedding.PARKING, (Functional.DISPLACEMENT,)),
+                                   (Embedding.TREE, (Functional.QF, Functional.PREDATOR))):
         base = dict(n=20, embedding=embedding, functionals=functionals, reps=reps, seed=5)
         empty = run_monte_carlo(ExperimentSpec(**base, alpha_grid=(), beta_grid=(),
                                                workers=workers))
@@ -364,17 +375,23 @@ def test_empty_grids_give_totals_only(workers):
         assert [kind for _, kind, _, _ in empty.rows()] == ["total"] * len(functionals)
 
 
-def test_only_lockstep_blocks_hold_several_replications():
-    from addcoal.experiment import _blocks
+def test_every_embedding_replays_the_row_blocks(monkeypatch):
+    # one rule for every embedding and n: blocks of block_rows(n) rows, which
+    # simulate_rows replays in lockstep from n rows on and walks below
+    assert _replay.row_blocks(500, 70) == [(0, 32), (32, 64), (64, 70)]
+    assert _replay.row_blocks(100_000, 3) == [(0, 1), (1, 2), (2, 3)]
+    blocks = []
+    one_rep = experiment._one_rep
 
-    # walk replays go out one replication per task, so several workers share
-    # them; tree blocks replay in one call, so they hold block_rows(n) rows
-    # at every n
-    for embedding in (Embedding.DIRECT, Embedding.PARKING):
-        assert _blocks(500, 6, embedding) == [(r, r + 1) for r in range(6)]
-    assert _blocks(500, 6, Embedding.TREE) == [(0, 6)]
-    assert _blocks(500, 40, Embedding.TREE) == [(0, 32), (32, 40)]
+    def recorded(spec, start, stop):
+        blocks.append((start, stop))
+        return one_rep(spec, start, stop)
+
+    monkeypatch.setattr(experiment, "_one_rep", recorded)
     rows = _replay.block_rows(50)
     for embedding in Embedding:
-        assert _blocks(50, 3, embedding) == [(0, 3)]
-        assert _blocks(50, rows + 5, embedding) == [(0, rows), (rows, rows + 5)]
+        for n, reps in ((500, 40), (50, 3), (50, rows + 5)):
+            blocks.clear()
+            run_monte_carlo(ExperimentSpec(n=n, embedding=embedding, reps=reps, seed=2))
+            assert blocks == _replay.row_blocks(n, reps), (embedding, n, reps)
+        assert blocks == [(0, rows), (rows, rows + 5)]

@@ -12,7 +12,8 @@ import pytest
 
 from addcoal.cost_engine import ALL_FUNCTIONALS, DEFAULT_ALPHA_GRID, Functional
 from addcoal.exact_oracles import enumerate_parking
-from addcoal.experiment import ExperimentSpec, run_monte_carlo
+from addcoal.experiment import ExperimentSpec, regime_sweep, run_monte_carlo
+from addcoal.process_core import Embedding
 from addcoal.smoluchowski import (
     phi_classical_table,
     phi_closed_form,
@@ -20,9 +21,10 @@ from addcoal.smoluchowski import (
     phi_curve_quadrature,
 )
 
-# (embedding, n, reps) -> sha256 of run_monte_carlo's arrays at seed 7.  At
-# n = 2 and 8 every replication walks alone; n = 50 with 340 replications
-# replays one lockstep block of 327 rows, then 13 walks; n = 300 walks.
+# (embedding, n, reps) -> sha256 of run_monte_carlo's arrays at seed 7.  Each
+# run is one block but n = 50's: n = 2 replays in lockstep, and n = 8 and 300
+# walk every row; n = 50 with 340 replications replays one lockstep block of
+# 327 rows, then walks a block of 13.
 # n = 65536 is `_replay.COMPACT_N`, so its direct and parking walks run over
 # int32 memoryview state where every smaller n runs over lists; the tree
 # run, which has no walk, pins one long chain's numpy replay.
@@ -43,6 +45,15 @@ MONTE_CARLO = {
     ("parking", 300, 3): "9af9080c937d6171582c466b8178c2cbcbd4aac453e5d71e8220e777b786f9d1",
     ("parking", 65536, 1): "fec42be84820159698f57b31f6b06ace8f91079b1dda18384d16c0eeef9e6532",
 }
+# embedding -> sha256 of regime_sweep((2, 20, 300), 0.15, reps=25, seed=7): each
+# row's n, k_sparse, k_full and SummaryStats fields as float64 bytes.  With 25
+# replications n = 20 is one lockstep block, n = 300 one walked block, and
+# n = 2 the degenerate chain of one merge.
+REGIME = {
+    "direct": "8b96362774eb3a8c9ca29321947b11fc93fff955be4a26498c837ff91ef979f3",
+    "tree": "ed3dd9e1cab722d28c837b575726a4263d184f318f14e372b21484e02bcaa972",
+    "parking": "25b442e03ca7744df298d1ce24f39bdd9f3dac498cf5ab26d2a35f77c91e85a2",
+}
 ROOT = Path(__file__).resolve().parent.parent
 PARKING_5 = "b26db970bf21142a4192666c8cda1e545a23d6db31aff01ddf0e670955d42447"
 
@@ -58,6 +69,16 @@ def test_monte_carlo_arrays_keep_their_digest(embedding, n, reps):
             h.update(functional.value.encode())
             h.update(np.ascontiguousarray(array).tobytes())
     assert h.hexdigest() == MONTE_CARLO[embedding, n, reps]
+
+
+@pytest.mark.parametrize("embedding", list(REGIME))
+def test_regime_sweep_keeps_its_digest(embedding):
+    h = hashlib.sha256()
+    for r in regime_sweep((2, 20, 300), 0.15, reps=25, seed=7, embedding=Embedding(embedding)):
+        values = [r.n, r.k_sparse, r.k_full] + [getattr(st, k) for st in (r.sparse, r.full)
+                                                for k in ("count", "mean", "m2", "min", "max")]
+        h.update(np.array(values, np.float64).tobytes())
+    assert h.hexdigest() == REGIME[embedding]
 
 
 def test_parking_enumeration_keeps_its_digest():
