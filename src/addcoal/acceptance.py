@@ -53,7 +53,8 @@ from .experiment import (
 from ._replay import direct_chain_rows, row_blocks
 from .process_core import Embedding, direct_picks, direct_rows
 from .process_core import simulate as simulate_direct  # noqa: F401  (perfbench/spans.py traces it)
-from .seeding import make_rng, substream_rng
+from .seeding import make_rng, substream_bits
+from .seeding import substream_rng  # noqa: F401  (perfbench/spans.py traces it)
 from .smoluchowski import (
     moment,
     phi_comparison_curve,
@@ -433,7 +434,8 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
     """Final-merge predator size at m=50 vs the exact formula (level 0.01).
 
     Run r draws its predator elements and prey picks from substream r, a
-    block's runs in one raw call each (`process_core.direct_rows`), and the
+    block's runs in one raw call on each of their PCG64 bit generators
+    (`seeding.substream_bits`, `process_core.direct_rows`), and the
     runs replay in lockstep blocks (u and u' come later in a run's draws,
     so they are not drawn).  With mutate=True the null is perturbed; the
     test must then reject, demonstrating the harness has power (mutation
@@ -442,8 +444,7 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
     m = 50
     counts = np.zeros(m - 1, dtype=np.int64)
     for start, stop in row_blocks(m, runs):
-        elem, prey_u = direct_rows(m, [substream_rng(SEED_ORACLE_CHI, rep)
-                                       for rep in range(start, stop)], 1)
+        elem, prey_u = direct_rows(m, substream_bits(SEED_ORACLE_CHI, range(start, stop)), 1)
         L, _ = direct_chain_rows(m, elem, prey_u)
         counts += np.bincount(L[:, -1] - 1, minlength=m - 1)
     probs = np.array(p_mk_row(m), dtype=np.float64)

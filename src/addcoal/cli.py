@@ -36,8 +36,14 @@ from .cost_engine import (
     alpha_in_range,
 )
 from .exact_oracles import DP_MAX, PMK_EXACT_MAX, p_mk_row, partition_dp
-from .experiment import ExperimentSpec, beta_in_range, regime_sweep, run_monte_carlo
-from .process_core import Embedding, _check_n
+from .experiment import (
+    ExperimentSpec,
+    beta_in_range,
+    check_sweep,
+    regime_sweep,
+    run_monte_carlo,
+)
+from .process_core import Embedding
 from .smoluchowski import (
     check_alpha_grid,
     phi_closed_form,
@@ -431,10 +437,7 @@ def cmd_sweep(config: RunConfig) -> int:
     if not config.n:
         raise UsageError("sweep needs at least one n (comma-separated for several)")
     with _validating():
-        for n in config.n:
-            _check_n(n)
-    if not 0.0 < config.eps < 0.5:
-        raise UsageError("eps must be in (0, 1/2)")
+        check_sweep(config.n, config.eps, config.reps)
     rows_out = []
     for row in regime_sweep(
         config.n, config.eps, reps=config.reps, seed=config.seed,

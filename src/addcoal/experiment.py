@@ -1,7 +1,8 @@
 """Monte Carlo orchestration, summary statistics, and statistical tests.
 
 Replications are deterministic functions of (master seed, replication
-index): each owns a substream generator, so results are byte-identical
+index): each owns a substream (a PCG64 bit generator from
+`seeding.substream_bits`), so results are byte-identical
 for a fixed spec regardless of worker count or scheduling.  Aggregation
 is an ordered fold over replication indices.
 """
@@ -25,7 +26,8 @@ from .cost_engine import (
 from . import _replay
 from .process_core import Embedding, _check_n, parking_tries, simulate_rows
 from .process_core import simulate  # noqa: F401  (perfbench/spans.py traces it)
-from .seeding import substream_rng
+from .seeding import substream_bits
+from .seeding import substream_rng  # noqa: F401  (perfbench/spans.py traces it)
 
 _Z95 = 1.959963984540054
 
@@ -132,18 +134,19 @@ def _one_rep(spec, start, stop):
     checkpoints = _checkpoints(spec)
     steps = np.array([step for _, _, step, _ in checkpoints], np.int64)
     scales = np.array([scale for _, _, _, scale in checkpoints], np.float64)
-    rngs = [substream_rng(spec.seed, rep) for rep in range(start, stop)]
+    bits = substream_bits(spec.seed, range(start, stop))
     rows = stop - start
     if (embedding is Embedding.PARKING and set(functionals) == {Functional.DISPLACEMENT}
             and set(steps.tolist()) <= {0, n - 1}):
         # only the total displacement is read, and it is order-free: a
         # constant view stands in for the cumulative cost at step n - 1
         carry, _ = _replay.parking_scan(
-            np.stack([np.bincount(parking_tries(n, rng), minlength=n) for rng in rngs]))
+            np.stack([np.bincount(parking_tries(n, np.random.Generator(bit)), minlength=n)
+                      for bit in bits]))
         total = carry.sum(axis=1, dtype=np.int64)  # int32 carries; the total grows like n**1.5
         csums = [np.broadcast_to(total[:, None], (rows, n - 1))] * len(functionals)
     else:
-        batch = simulate_rows(n, rngs, embedding)
+        batch = simulate_rows(n, bits, embedding)
         csums = (np.cumsum(event_costs(functional, batch), axis=1) for functional in functionals)
     values = np.empty((len(functionals), rows, len(steps)))
     totals = np.empty((len(functionals), rows))
@@ -332,18 +335,25 @@ class RegimeRow:
     full: SummaryStats  # B/n at k_full
 
 
-def regime_sweep(n_list, eps: float, reps: int = 100, seed: int = 0,
-                 embedding: Embedding = Embedding.DIRECT) -> list:
-    """Mean largest-cluster fraction at the two regime checkpoints per n.
-
-    Replication rep of the i-th n draws from substream i * reps + rep; each
-    n's replications replay in the blocks of `_replay.row_blocks`."""
+def check_sweep(n_list, eps: float, reps: int) -> None:
+    """Raise ValueError unless 0 < eps < 1/2, reps >= 1 and every n is a chain
+    size (`_check_n`): the arguments of `regime_sweep`, which checks them
+    before its first draw."""
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must be in (0, 1/2)")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     for n in n_list:
         _check_n(n)
+
+
+def regime_sweep(n_list, eps: float, reps: int = 100, seed: int = 0,
+                 embedding: Embedding = Embedding.DIRECT) -> list:
+    """Mean largest-cluster fraction at the two regime checkpoints per n.
+
+    Replication rep of the i-th n draws from substream i * reps + rep; each
+    n's replications replay in the blocks of `_replay.row_blocks`."""
+    check_sweep(n_list, eps, reps)
     embedding = Embedding(embedding)
     rows = []
     for i, n in enumerate(n_list):
@@ -351,15 +361,15 @@ def regime_sweep(n_list, eps: float, reps: int = 100, seed: int = 0,
         k_full = min(n - 1, max(0, int(math.floor(n - n ** (0.5 - eps)))))
         sizes = []  # (2, rows) per block: the largest cluster at k_sparse and at k_full
         for start, stop in _replay.row_blocks(n, reps):
-            rngs = [substream_rng(seed, i * reps + rep) for rep in range(start, stop)]
+            bits = substream_bits(seed, range(i * reps + start, i * reps + stop))
             if embedding is Embedding.PARKING:
                 # the blocks after k cars depend only on the first k tries' histogram
-                tries = [parking_tries(n, rng) for rng in rngs]
+                tries = [parking_tries(n, np.random.Generator(bit)) for bit in bits]
                 h = np.stack([np.bincount(t[:k], minlength=n) for k in (k_sparse, k_full)
                               for t in tries])
                 sizes.append(_replay.parking_largest_block(h).reshape(2, -1))
             else:
-                batch = simulate_rows(n, rngs, embedding)
+                batch = simulate_rows(n, bits, embedding)
                 # the largest cluster after k merges: the largest of k merged sizes, or 1
                 merged = batch.L + batch.R
                 sizes.append([merged[:, :k].max(axis=1, initial=1) for k in (k_sparse, k_full)])

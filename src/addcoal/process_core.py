@@ -14,9 +14,12 @@ and a displacement D uniform on {0, ..., L-1} given L: floor(u' L) for a
 drawn uniform u' in the direct and tree runs, the physical probe distance
 in the parking model.
 
-`simulate_rows` is the one path from generators to an `EventBatch`: it
-draws a block of runs, replays them in lockstep or one by one,
-and `simulate` reads one run as a one-row block.
+`simulate_rows` is the one path from random streams to an `EventBatch`:
+it draws a block of runs, one per PCG64 bit generator, replays them in
+lockstep or one by one, and `simulate` reads one run as a one-row block.
+Lockstep direct and parking blocks read raw words from the bit generators;
+a `np.random.Generator` is wrapped around one only where a numpy
+distribution method draws (walked rows, tree runs, a redrawn row).
 """
 
 import enum
@@ -127,33 +130,35 @@ def _lemire32(raw, n):
     return (scaled >> np.uint64(32)).astype(np.int64), (scaled & _LOW32) < (2**32 - n) % n
 
 
-def direct_rows(n: int, rngs, uniforms: int):
+def direct_rows(n: int, bits, uniforms: int):
     """`direct_picks` (uniforms=1) or `direct_inputs` (uniforms=3) of one
-    run per generator, stacked: arrays of shape (len(rngs), n-1).
+    run per PCG64 bit generator, stacked: arrays of shape (len(bits), n-1).
 
-    Each generator gives one `random_raw` call of ceil((n-1)/2) words for
-    the elements plus n-1 words per uniform array, and the block rebuilds
-    numpy's values from them: the elements by `_lemire32`, each double as
-    (word >> 11) * 2**-53.  A row with a rejected element draw (about 1e-8
-    per draw at n = 50) is rewound and drawn again by numpy, so the values
-    never depend on copying numpy's rejection loop.  The generators must
-    not hold a buffered 32-bit half word, as fresh ones do not; they end
-    where numpy's own draws leave them, without its buffered upper half of
-    the last element word when n-1 is odd.
+    Each bit generator gives one `random_raw` call of ceil((n-1)/2) words
+    for the elements plus n-1 words per uniform array, and the block
+    rebuilds numpy's values from them: the elements by `_lemire32`, each
+    double as (word >> 11) * 2**-53.  No Generator is built unless a row
+    has a rejected element draw (about 1e-8 per draw at n = 50): that row
+    is rewound and drawn again by numpy through a Generator around its bit
+    generator, so the values never depend on copying numpy's rejection
+    loop.  The bit generators must not hold a buffered 32-bit half word,
+    as fresh ones do not; they end where numpy's own draws leave them,
+    without its buffered upper half of the last element word when n-1 is
+    odd.
     """
     redraw = {1: direct_picks, 3: direct_inputs}[uniforms]
     _check_n(n)
-    rngs = list(rngs)
+    bits = list(bits)
     half = n // 2  # ceil((n-1)/2) words hold the n-1 uint32 element draws
     words = half + uniforms * (n - 1)
-    raw = np.array([rng.bit_generator.random_raw(words) for rng in rngs], np.uint64)
+    raw = np.array([bit.random_raw(words) for bit in bits], np.uint64)
     elem, rejected = _lemire32(raw[:, :half], n)
     elem = elem[:, :n - 1]
     doubles = (raw[:, half:] >> np.uint64(11)) * 2.0**-53
-    out = (elem, *doubles.reshape(len(rngs), uniforms, n - 1).transpose(1, 0, 2))
+    out = (elem, *doubles.reshape(len(bits), uniforms, n - 1).transpose(1, 0, 2))
     for row in np.flatnonzero(rejected[:, :n - 1].any(axis=1)):
-        rngs[row].bit_generator.advance(-words)
-        for col, values in zip(out, redraw(n, rngs[row])):
+        bits[row].advance(-words)
+        for col, values in zip(out, redraw(n, np.random.Generator(bits[row]))):
             col[row] = values
     return out
 
@@ -184,30 +189,33 @@ def _stack(runs):
     return tuple(np.stack(col) for col in zip(*runs))
 
 
-def simulate_rows(n: int, rngs, embedding) -> EventBatch:
-    """Full runs of one embedding, one per generator of the sequence rngs:
-    every column has shape (len(rngs), n-1), a row per run.
+def simulate_rows(n: int, bits, embedding) -> EventBatch:
+    """Full runs of one embedding, one per PCG64 bit generator of the
+    sequence bits: every column has shape (len(bits), n-1), a row per run.
 
-    Each generator draws as `direct_inputs`, `tree_inputs` or, for parking,
-    `direct_picks` does (a parking run's first tries and u).  A block of at
-    least n rows replays in lockstep (`_replay.*_rows`, a tree's Prufer
-    decode too: `prufer_rows`), direct and parking draws from one raw call
-    per generator (`direct_rows`; a tree's `permutation` has a varying
-    range); a smaller block replays each direct and parking row alone by
-    its walk (`_replay.direct_chain_replay`, `parking_replay`) and decodes
-    each tree row by the walk `tree_parents_from_prufer`.  Every tree block
-    replays in one walk-free `tree_replay` call.
+    Each bit generator draws as `direct_inputs`, `tree_inputs` or, for
+    parking, `direct_picks` does (a parking run's first tries and u).  A
+    block of at least n rows replays in lockstep (`_replay.*_rows`, a
+    tree's Prufer decode too: `prufer_rows`), direct and parking draws from
+    one raw call per bit generator (`direct_rows`, which builds no
+    Generator; a tree's `permutation` has a varying range); a smaller block
+    replays each direct and parking row alone by its walk
+    (`_replay.direct_chain_replay`, `parking_replay`) and decodes each tree
+    row by the walk `tree_parents_from_prufer`.  Every tree block replays
+    in one walk-free `tree_replay` call.  Walked rows and tree rows draw
+    through a `np.random.Generator` wrapped around their bit generator.
     """
     embedding = Embedding(embedding)
-    lockstep = len(rngs) >= n
+    lockstep = len(bits) >= n
     if embedding is Embedding.PARKING:
-        tries, u = (direct_rows(n, rngs, 1) if lockstep
-                    else _stack(direct_picks(n, rng) for rng in rngs))
+        tries, u = (direct_rows(n, bits, 1) if lockstep
+                    else _stack(direct_picks(n, np.random.Generator(bit)) for bit in bits))
         L, R, D = (_replay.parking_rows(n, tries) if lockstep
                    else _stack(_replay.parking_replay(n, row) for row in tries))
         return EventBatch(n, L, R, u, D)
     if embedding is Embedding.TREE:
-        prufer, top, u, uprime = _stack(tree_inputs(n, rng) for rng in rngs)
+        prufer, top, u, uprime = _stack(tree_inputs(n, np.random.Generator(bit))
+                                        for bit in bits)
         top += 1  # the k-th inserted edge joins vertex perm[k] + 1 to its parent
         par = (_replay.prufer_rows(n, prufer) if lockstep
                else np.stack([_replay.tree_parents_from_prufer(n, p) for p in prufer]))
@@ -215,14 +223,17 @@ def simulate_rows(n: int, rngs, embedding) -> EventBatch:
         del prufer, par  # freed before the replay, whose peak a long chain's run sets
         L, R = _replay.tree_replay(n, bottom, top)
     else:
-        elem, prey_u, u, uprime = (direct_rows(n, rngs, 3) if lockstep
-                                   else _stack(direct_inputs(n, rng) for rng in rngs))
+        elem, prey_u, u, uprime = (direct_rows(n, bits, 3) if lockstep
+                                   else _stack(direct_inputs(n, np.random.Generator(bit))
+                                               for bit in bits))
         L, R = (_replay.direct_chain_rows(n, elem, prey_u) if lockstep
                 else _stack(_replay.direct_chain_replay(n, e, p) for e, p in zip(elem, prey_u)))
     return EventBatch(n, L, R, u, _floor_displacement(uprime, L))
 
 
 def simulate(n: int, rng, embedding=Embedding.DIRECT) -> EventBatch:
-    """One full run: row 0 of a one-row `simulate_rows` block, as 1-D views."""
-    batch = simulate_rows(n, [rng], embedding)
+    """One full run drawn from the Generator rng: row 0 of a one-row
+    `simulate_rows` block of its bit generator, as 1-D views.  rng ends
+    where numpy's draws leave it."""
+    batch = simulate_rows(n, [rng.bit_generator], embedding)
     return EventBatch(n, batch.L[0], batch.R[0], batch.u[0], batch.D[0])

@@ -7,8 +7,12 @@ replications execute in any order or degree of parallelism.
 
 `substream_seed`, `splitmix64` and `make_rng` are the scalar reference:
 the substream of index i is `PCG64(substream_seed(master, i))`.
-`substream_rng` builds exactly that generator without a
-`np.random.SeedSequence` per call.  PCG64 takes its four state words from
+`substream_bits` builds exactly those bit generators for a range of
+indices without a `np.random.SeedSequence` per index, and without a
+`np.random.Generator`: callers that only read raw words never need one,
+and the others wrap a bit generator in a Generator where they call a
+numpy distribution method (`substream_rng` does so for one index).  The
+generator stays numpy's PCG64.  PCG64 takes its four state words from
 `SeedSequence(seed).generate_state(4, np.uint64)`, and that hash is fixed
 uint32 arithmetic on the seed's two 32-bit halves.  So `_block_states`
 hashes the seeds of a block of `BLOCK` consecutive indices in one numpy
@@ -136,9 +140,25 @@ class _State(ISeedSequence):
         return self.words
 
 
+def substream_bits(master_seed: int, indices: range) -> list:
+    """PCG64 bit generators of the substreams indices.start .. indices.stop - 1,
+    in order: item j equals `PCG64(substream_seed(master_seed, indices.start + j))`.
+
+    Each is seeded from its `_block_states` row; no Generator is built.
+    """
+    start, stop = indices.start, max(indices.start, indices.stop)
+    if start < 0:
+        raise ValueError("substream index must be >= 0")
+    if indices.step != 1:
+        raise ValueError("substreams are taken from a range of step 1")
+    bits = []
+    for block in range(start // BLOCK, (stop + BLOCK - 1) // BLOCK):
+        base = block * BLOCK
+        rows = _block_states(master_seed, block)[max(start - base, 0):stop - base]
+        bits += [np.random.PCG64(_State(words)) for words in rows]
+    return bits
+
+
 def substream_rng(master_seed: int, index: int) -> np.random.Generator:
     """Generator of the `index`-th substream: `make_rng(substream_seed(master_seed, index))`."""
-    if index < 0:
-        raise ValueError("substream index must be >= 0")
-    block, row = divmod(index, BLOCK)
-    return np.random.Generator(np.random.PCG64(_State(_block_states(master_seed, block)[row])))
+    return np.random.Generator(substream_bits(master_seed, range(index, index + 1))[0])

@@ -101,8 +101,12 @@ def test_determinism_runs_eight_workers_in_a_pool(pool_sizes):
 
 
 def test_supplementary_pmk_chi_square():
-    # simulated final-merge predator size at m = 50 vs the exact law
-    assert _report(acceptance.criterion_pmk_chi_square()).passed
+    # simulated final-merge predator size at m = 50 vs the exact law; the
+    # strings pin every draw of the default sample and of a 3000-run one
+    result = _report(acceptance.criterion_pmk_chi_square())
+    assert result.passed
+    assert result.measured == "chi2 59.3 df 48 p 0.1264"
+    assert acceptance.criterion_pmk_chi_square(runs=3000).measured == "chi2 50.0 df 48 p 0.3937"
 
 
 def test_supplementary_chain_chi_square():

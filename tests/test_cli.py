@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from addcoal import cli
+from addcoal import cli, experiment
 from addcoal.cli import RunConfig, UsageError, parse_config, serialize_config
 from addcoal.smoluchowski import _choose_kmax, alpha_to_time
 
@@ -606,6 +606,26 @@ def test_sweep_rejects_a_repeated_n(tmp_path, capsys):
     assert run_cli(["sweep", "--n", "100,100", "--reps", "2", "--out", out]) == 1
     assert "n lists a value more than once" in _stderr_json(capsys)["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n, eps, reps, message", [
+    (1, 0.15, 2, "simulation needs 2 <= n < 2**31, got n = 1"),
+    (100, 0.0, 2, "eps must be in (0, 1/2)"),
+    (100, 0.5, 2, "eps must be in (0, 1/2)"),
+    (100, 0.15, 0, "reps must be >= 1"),
+])
+def test_sweep_arguments_are_checked_before_any_draw(monkeypatch, capsys, n, eps, reps, message):
+    def draw(*args):
+        raise AssertionError("substream drawn")
+
+    monkeypatch.setattr(experiment, "substream_bits", draw)
+    with pytest.raises(ValueError) as raised:
+        experiment.regime_sweep([n], eps, reps=reps)
+    assert str(raised.value) == message
+    assert run_cli(["sweep", "--n", n, "--eps", eps, "--reps", reps]) == 1
+    # reps = 0 meets the CLI's config check first, which names workers too
+    cli_message = "reps and workers must be >= 1" if reps < 1 else message
+    assert _stderr_json(capsys) == {"error": cli_message, "kind": "usage"}
 
 
 def test_repeated_functional_rejected(tmp_path, capsys):

@@ -32,7 +32,7 @@ def fold(monkeypatch, batch, functionals, alpha_grid=(), beta_grid=()):
     """experiment._one_rep's (alpha, beta, totals) over a given batch: the
     one row of a block holding replication 0 alone."""
     row = EventBatch(batch.n, *(col[None] for col in (batch.L, batch.R, batch.u, batch.D)))
-    monkeypatch.setattr(experiment, "simulate_rows", lambda n, rngs, embedding: row)
+    monkeypatch.setattr(experiment, "simulate_rows", lambda n, bits, embedding: row)
     spec = ExperimentSpec(n=batch.n, functionals=tuple(functionals), alpha_grid=alpha_grid,
                           beta_grid=beta_grid)
     values, totals = experiment._one_rep(spec, 0, 1)

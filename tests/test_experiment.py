@@ -221,7 +221,7 @@ def test_regime_sweep_validation(monkeypatch):
     def draw(*args):
         raise AssertionError("substream drawn")
 
-    monkeypatch.setattr(experiment, "substream_rng", draw)
+    monkeypatch.setattr(experiment, "substream_bits", draw)
     with pytest.raises(ValueError):
         regime_sweep([100], 0.6)
     with pytest.raises(ValueError, match="reps must be >= 1"):

@@ -22,7 +22,7 @@ from addcoal.process_core import (
     simulate,
     simulate_rows,
 )
-from addcoal.seeding import make_rng, substream_rng
+from addcoal.seeding import make_rng, substream_bits, substream_rng
 from tree_walk import tree_walk
 
 ALL_SIMS = [functools.partial(simulate, embedding=embedding) for embedding in Embedding]
@@ -44,7 +44,7 @@ def test_monodisperse_basics():
 
 
 def test_snapshots_reject_a_batch_of_several_runs():
-    batch = simulate_rows(5, [substream_rng(0, rep) for rep in range(6)], Embedding.DIRECT)
+    batch = simulate_rows(5, substream_bits(0, range(6)), Embedding.DIRECT)
     for snapshot in (batch.largest_cluster_at, batch.spectrum_at):
         with pytest.raises(ValueError, match=r"one run, not a batch of shape \(6, 4\)"):
             snapshot(2)
@@ -260,21 +260,21 @@ def _per_generator_draws(n, rngs, uniforms):
     return [np.stack(col) for col in zip(*(draw(n, rng) for rng in rngs))]
 
 
-def _pcg_position(rng):
-    return rng.bit_generator.state["state"]
+def _pcg_position(bit):
+    return bit.state["state"]
 
 
 def _assert_same_draws(n, master, reps, uniforms):
-    rngs = [substream_rng(master, rep) for rep in reps]
-    got = direct_rows(n, rngs, uniforms)
+    bits = substream_bits(master, reps)
+    got = direct_rows(n, bits, uniforms)
     refs = [substream_rng(master, rep) for rep in reps]
     want = _per_generator_draws(n, refs, uniforms)
     assert len(got) == uniforms + 1
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape == (len(reps), n - 1)
         assert np.array_equal(g, w)
-    # each generator ends where numpy's draws leave it
-    assert [_pcg_position(r) for r in rngs] == [_pcg_position(r) for r in refs]
+    # each bit generator ends where numpy's draws leave it
+    assert [_pcg_position(b) for b in bits] == [_pcg_position(r.bit_generator) for r in refs]
 
 
 @pytest.mark.parametrize("uniforms", [1, 3])
@@ -351,12 +351,12 @@ def test_a_real_rejection_takes_the_redraw():
     n = 50
     # row 1's first raw word is 0: both of its uint32 halves leave remainder
     # 0 < (2**32 - 50) % 50 and are rejected; rows 0 and 2 are ordinary
-    rngs = [make_rng(1), _emitting(0), make_rng(2)]
+    bits = [rng.bit_generator for rng in (make_rng(1), _emitting(0), make_rng(2))]
     refs = [make_rng(1), _emitting(0), make_rng(2)]
     assert _lemire32(np.zeros(1, np.uint64), n)[1].all()
-    got = direct_rows(n, rngs, 3)
+    got = direct_rows(n, bits, 3)
     assert all(np.array_equal(g, w) for g, w in zip(got, _per_generator_draws(n, refs, 3)))
-    assert [_pcg_position(r) for r in rngs] == [_pcg_position(r) for r in refs]
+    assert [_pcg_position(b) for b in bits] == [_pcg_position(r.bit_generator) for r in refs]
 
 
 @pytest.mark.parametrize("embedding", list(Embedding))
@@ -364,12 +364,35 @@ def test_blocks_draw_as_single_runs(embedding):
     # 20 generators replay in lockstep; 7, fewer than n, walk row by row
     n = 20
     for reps in (range(4090, 4110), range(4090, 4097)):
-        batch = simulate_rows(n, [substream_rng(3, rep) for rep in reps], embedding)
+        bits = substream_bits(3, reps)
+        batch = simulate_rows(n, bits, embedding)
         assert batch.L.shape == (len(reps), n - 1)
         for row, rep in enumerate(reps):
-            single = simulate(n, substream_rng(3, rep), embedding)
+            rng = substream_rng(3, rep)
+            single = simulate(n, rng, embedding)
             assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))
                        for col in ("L", "R", "u", "D"))
+            # each bit generator ends where numpy's draws leave it
+            assert _pcg_position(bits[row]) == _pcg_position(rng.bit_generator)
+
+
+def test_lockstep_blocks_build_no_generator(monkeypatch):
+    # lockstep direct and parking blocks read raw words from the bit
+    # generators; only walked rows wrap theirs in a Generator
+    built = []
+    generator = np.random.Generator
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return generator(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", counting)
+    n = 20
+    for embedding in (Embedding.DIRECT, Embedding.PARKING):
+        simulate_rows(n, substream_bits(3, range(n)), embedding)
+    assert built == []
+    simulate_rows(n, substream_bits(3, range(n - 1)), Embedding.DIRECT)
+    assert len(built) == n - 1
 
 
 @pytest.mark.parametrize("n", [5, 50])
@@ -377,7 +400,7 @@ def test_tree_blocks_decode_in_lockstep_as_single_runs(n):
     # a block of n + 3 generators decodes its Prufer sequences with
     # `prufer_rows`; each single run walks `tree_parents_from_prufer`
     reps = range(4090, 4093 + n)
-    batch = simulate_rows(n, [substream_rng(3, rep) for rep in reps], Embedding.TREE)
+    batch = simulate_rows(n, substream_bits(3, reps), Embedding.TREE)
     for row, rep in enumerate(reps):
         single = simulate(n, substream_rng(3, rep), Embedding.TREE)
         assert all(np.array_equal(getattr(batch, col)[row], getattr(single, col))

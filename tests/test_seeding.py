@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from addcoal import seeding
-from addcoal.seeding import make_rng, splitmix64, substream_rng, substream_seed
+from addcoal.seeding import make_rng, splitmix64, substream_bits, substream_rng, substream_seed
 
 
 def test_splitmix64_is_64_bit():
@@ -27,6 +27,15 @@ def test_substream_rejects_negative_index():
         substream_seed(0, -1)
     with pytest.raises(ValueError):
         substream_rng(0, -1)
+    with pytest.raises(ValueError):
+        substream_bits(0, range(-1, 3))
+    with pytest.raises(ValueError):
+        substream_bits(0, range(0, 6, 2))
+
+
+def test_substream_bits_of_an_empty_range():
+    assert substream_bits(0, range(0)) == []
+    assert substream_bits(7, range(4096, 4096)) == []
 
 
 def test_rng_reproducible():
@@ -45,6 +54,17 @@ def test_substream_rng_matches_scalar_reference(master):
     for index in (0, 1, 4095, 4096, 4097, 3 * 4096 + 7, 2**40):
         state = substream_rng(master, index).bit_generator.state
         assert state == np.random.PCG64(substream_seed(master, index)).state, index
+
+
+@pytest.mark.parametrize("master", [0, 7, 2**63 + 5, 2**64 - 1])
+def test_substream_bits_match_scalar_reference(master):
+    # indices 4090..4101 cross the first `_block_states` block
+    indices = range(4090, 4102)
+    bits = substream_bits(master, indices)
+    assert len(bits) == len(indices)
+    for bit, index in zip(bits, indices):
+        assert isinstance(bit, np.random.PCG64)
+        assert bit.state == np.random.PCG64(substream_seed(master, index)).state, index
 
 
 def test_block_hash_matches_seed_sequence():
