@@ -51,7 +51,7 @@ from .experiment import (
     run_monte_carlo,
 )
 from ._replay import direct_chain_rows, row_blocks
-from .process_core import Embedding, direct_picks, direct_rows
+from .process_core import Embedding, direct_draws, direct_rows
 from .process_core import simulate as simulate_direct  # noqa: F401  (perfbench/spans.py traces it)
 from .seeding import make_rng, substream_bits
 from .seeding import substream_rng  # noqa: F401  (perfbench/spans.py traces it)
@@ -434,10 +434,9 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
     """Final-merge predator size at m=50 vs the exact formula (level 0.01).
 
     Run r draws its predator elements and prey picks from substream r, a
-    block's runs in one raw call on each of their PCG64 bit generators
-    (`seeding.substream_bits`, `process_core.direct_rows`), and the
-    runs replay in lockstep blocks (u and u' come later in a run's draws,
-    so they are not drawn).  With mutate=True the null is perturbed; the
+    block's runs by one `process_core.direct_rows` call on their PCG64 bit
+    generators (`seeding.substream_bits`), and the runs replay in lockstep
+    blocks (u and u' come later in a run's draws, so they are not drawn).  With mutate=True the null is perturbed; the
     test must then reject, demonstrating the harness has power (mutation
     test mode).  The sample is drawn at every call.
     """
@@ -461,9 +460,9 @@ def criterion_pmk_chi_square(mutate: bool = False, runs: int = 100_000):
 def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
     """Simulated full event-sequence frequencies at n = 5 vs the exact law.
 
-    All replications draw from one shared stream in two calls, the
-    predator elements as one (reps, n-1) array and then the prey uniforms,
-    and replay in lockstep blocks.  Their `sequence_codes` are tallied and
+    All replications draw from one shared stream in two calls
+    (`process_core.direct_draws`), the predator elements as one (reps, n-1)
+    array and then the prey uniforms, and replay in lockstep blocks.  Their `sequence_codes` are tallied and
     decoded by `decode_counts`; a sequence outside the law's support raises
     RuntimeError, and the frequencies are tested against the partition-chain
     enumeration at level 0.01.  With mutate=True the null
@@ -473,7 +472,7 @@ def criterion_chain_chi_square(mutate: bool = False, reps: int = 1_000_000):
     n = 5
     law = dp_sequence_distribution(n)
     keys = sorted(law.probs)
-    elem, prey_u = direct_picks(n, make_rng(SEED_CHAIN_CHI), (reps,))
+    elem, prey_u = direct_draws(n, make_rng(SEED_CHAIN_CHI), 1, (reps,))
     codes = [sequence_codes(n, *direct_chain_rows(n, elem[start:stop], prey_u[start:stop]))
              for start, stop in row_blocks(n, reps)]
     values, tally = np.unique(np.concatenate(codes), return_counts=True)

@@ -38,7 +38,6 @@ from .cost_engine import (
 from .exact_oracles import DP_MAX, PMK_EXACT_MAX, p_mk_row, partition_dp
 from .experiment import (
     ExperimentSpec,
-    beta_in_range,
     check_sweep,
     regime_sweep,
     run_monte_carlo,
@@ -256,12 +255,6 @@ def cmd_simulate(config: RunConfig) -> int:
     if config.out and config.raw_out and (os.path.abspath(config.out)
                                           == os.path.abspath(config.raw_out)):
         raise UsageError(f"out and raw-out both name {config.raw_out!r}")
-    # the default grid drops its points past sqrt(n), so small n still
-    # runs; a given one is an error
-    beta_grid = tuple(b for b in config.beta_grid if beta_in_range(n, b))
-    if config.beta_grid != DEFAULT_BETA_GRID and beta_grid != config.beta_grid:
-        raise UsageError(f"beta-grid points must lie in [0, sqrt(n)] for n = {n}, got "
-                         f"{[b for b in config.beta_grid if not beta_in_range(n, b)]}")
     with _validating():
         spec = ExperimentSpec(
             n=n,
@@ -270,7 +263,7 @@ def cmd_simulate(config: RunConfig) -> int:
             reps=config.reps,
             seed=config.seed,
             alpha_grid=config.alpha_grid,
-            beta_grid=beta_grid,
+            beta_grid=config.beta_grid,
             workers=config.workers,
         )
     result = run_monte_carlo(spec)

@@ -24,7 +24,7 @@ from .cost_engine import (
     event_costs,
 )
 from . import _replay
-from .process_core import Embedding, _check_n, parking_tries, simulate_rows
+from .process_core import Embedding, _check_n, direct_rows, simulate_rows
 from .process_core import simulate  # noqa: F401  (perfbench/spans.py traces it)
 from .seeding import substream_bits
 from .seeding import substream_rng  # noqa: F401  (perfbench/spans.py traces it)
@@ -101,14 +101,20 @@ class ExperimentSpec:
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
         _check_n(self.n)
+        if self.beta_grid == DEFAULT_BETA_GRID:
+            # the default grid drops its points past sqrt(n), so small n still runs
+            object.__setattr__(self, "beta_grid",
+                               tuple(b for b in self.beta_grid if beta_in_range(self.n, b)))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not all(alpha_in_range(a) for a in self.alpha_grid):
             raise ValueError("alpha grid must lie in [0, 1)")
-        if not all(beta_in_range(self.n, b) for b in self.beta_grid):
-            raise ValueError("beta grid must lie in [0, sqrt(n)]")
+        outside = [b for b in self.beta_grid if not beta_in_range(self.n, b)]
+        if outside:
+            raise ValueError(f"beta-grid points must lie in [0, sqrt(n)] for n = {self.n}, "
+                             f"got {outside}")
 
 
 def _checkpoints(spec):
@@ -127,8 +133,10 @@ def _one_rep(spec, start, stop):
     `_checkpoints` value, totals (functionals, rows) the raw totals.  Each
     replication draws from its own substream, so a block gives the rows
     that one replication at a time would.  A parking run that reads only
-    the displacement total takes the scan; every other block is one
-    `simulate_rows` call, which replays it in lockstep or walks each row.
+    the displacement total takes the scan, which draws only the first
+    tries (`direct_rows(n, bits, 0)`: raw words from n rows on, a
+    Generator per row below); every other block is one `simulate_rows`
+    call, which draws and replays it in lockstep or walks each row.
     """
     n, embedding, functionals = spec.n, spec.embedding, spec.functionals
     checkpoints = _checkpoints(spec)
@@ -140,9 +148,10 @@ def _one_rep(spec, start, stop):
             and set(steps.tolist()) <= {0, n - 1}):
         # only the total displacement is read, and it is order-free: a
         # constant view stands in for the cumulative cost at step n - 1
-        carry, _ = _replay.parking_scan(
-            np.stack([np.bincount(parking_tries(n, np.random.Generator(bit)), minlength=n)
-                      for bit in bits]))
+        tries, = direct_rows(n, bits, 0)
+        h = np.stack([np.bincount(t, minlength=n) for t in tries])
+        del tries  # freed first: the scan's arrays reuse its pages (held, +45 % at n = 1e5)
+        carry, _ = _replay.parking_scan(h)
         total = carry.sum(axis=1, dtype=np.int64)  # int32 carries; the total grows like n**1.5
         csums = [np.broadcast_to(total[:, None], (rows, n - 1))] * len(functionals)
     else:
@@ -364,15 +373,13 @@ def regime_sweep(n_list, eps: float, reps: int = 100, seed: int = 0,
             bits = substream_bits(seed, range(i * reps + start, i * reps + stop))
             if embedding is Embedding.PARKING:
                 # the blocks after k cars depend only on the first k tries' histogram
-                tries = [parking_tries(n, np.random.Generator(bit)) for bit in bits]
+                tries, = direct_rows(n, bits, 0)
                 h = np.stack([np.bincount(t[:k], minlength=n) for k in (k_sparse, k_full)
                               for t in tries])
                 sizes.append(_replay.parking_largest_block(h).reshape(2, -1))
             else:
                 batch = simulate_rows(n, bits, embedding)
-                # the largest cluster after k merges: the largest of k merged sizes, or 1
-                merged = batch.L + batch.R
-                sizes.append([merged[:, :k].max(axis=1, initial=1) for k in (k_sparse, k_full)])
+                sizes.append([batch.largest_cluster_at(k) for k in (k_sparse, k_full)])
         sparse, full = map(SummaryStats.from_values, np.hstack(sizes) / n)
         rows.append(RegimeRow(n, k_sparse, k_full, sparse, full))
     return rows

@@ -17,9 +17,10 @@ in the parking model.
 `simulate_rows` is the one path from random streams to an `EventBatch`:
 it draws a block of runs, one per PCG64 bit generator, replays them in
 lockstep or one by one, and `simulate` reads one run as a one-row block.
-Lockstep direct and parking blocks read raw words from the bit generators;
-a `np.random.Generator` is wrapped around one only where a numpy
-distribution method draws (walked rows, tree runs, a redrawn row).
+Direct and parking runs draw alike (`direct_draws`: n-1 picks in [0, n),
+then arrays of uniforms), and `direct_rows` is the one reader of a block of
+their bit generators: raw words from n rows on, below that a
+`np.random.Generator` per row, as for every tree run.
 """
 
 import enum
@@ -42,8 +43,8 @@ class EventBatch:
 
     `simulate_rows` fills it with a block of runs, one per row of
     (runs, n-1) columns; `simulate` gives one run's 1-D columns.
-    `event_costs` reads either shape.  The snapshot methods read one run
-    and reject a batch of several.
+    `event_costs` and `largest_cluster_at` read either shape;
+    `spectrum_at` reads one run and rejects a batch of several.
     """
 
     __slots__ = ("n", "L", "R", "u", "D")
@@ -58,24 +59,24 @@ class EventBatch:
     def __len__(self):
         return self.n - 1
 
-    def _check_snapshot(self, step):
-        """Raise ValueError unless the batch holds one run and 0 <= step <= n-1."""
-        if self.L.ndim != 1:
-            raise ValueError(f"snapshots read one run, not a batch of shape {self.L.shape}")
+    def _check_step(self, step):
+        """Raise ValueError unless 0 <= step <= n-1."""
         if not 0 <= step <= len(self):
             raise ValueError(f"step must be in [0, {len(self)}]")
 
     def largest_cluster_at(self, step):
-        """Size of the largest cluster after `step` merges (0 <= step <= n-1)."""
-        self._check_snapshot(step)
-        if step == 0:
-            return 1
+        """Size of the largest cluster after `step` merges (0 <= step <= n-1):
+        an int for one run, an int64 array with one entry per row for a batch."""
+        self._check_step(step)
         # merged sizes only ever grow, so the running max is the largest cluster
-        return int(np.max(self.L[:step] + self.R[:step]))
+        largest = np.max(self.L[..., :step] + self.R[..., :step], axis=-1, initial=1)
+        return int(largest) if self.L.ndim == 1 else largest
 
     def spectrum_at(self, step):
-        """Cluster-size spectrum {size: count} after `step` merges."""
-        self._check_snapshot(step)
+        """Cluster-size spectrum {size: count} of one run after `step` merges."""
+        if self.L.ndim != 1:
+            raise ValueError(f"spectrum_at reads one run, not a batch of shape {self.L.shape}")
+        self._check_step(step)
         L, R = self.L[:step], self.R[:step]
         size_range = self.n + 1
         # each merge adds a cluster of size L + R and removes one each of sizes L and R
@@ -92,26 +93,28 @@ def _check_n(n):
         raise ValueError(f"simulation needs 2 <= n < 2**31, got n = {n}")
 
 
-def direct_picks(n: int, rng, shape=()):
-    """The predator elements and prey uniforms: the first two draws of a direct run.
+def direct_draws(n: int, rng, uniforms: int, shape=()):
+    """The first draws of a direct or parking run from the Generator rng,
+    in order: n-1 uniform picks in [0, n), then `uniforms` arrays of n-1
+    uniforms.
 
-    L and R need only these; u and u' are drawn after them, so leaving
-    those undrawn changes no value drawn before.  Both arrays have shape
-    (*shape, n-1): a leading shape draws several runs' picks in two calls.
+    A direct run draws its predator elements, prey picks, u and u'
+    (uniforms=3); a parking run its first tries and u (uniforms=1).
+    Readers that need fewer stop early: draws made later change no value
+    drawn before them, so the direct chain's (L, R) needs only the elements
+    and prey picks (uniforms=1) and the order-free parking statistics
+    (`_replay.parking_scan`, `parking_largest_block`) only the tries
+    (uniforms=0).  Every array has shape (*shape, n-1): a leading shape
+    draws several runs' values in one call per array.
     """
     _check_n(n)
-    return rng.integers(0, n, size=(*shape, n - 1)), rng.random((*shape, n - 1))
+    size = (*shape, n - 1)
+    return (rng.integers(0, n, size=size), *(rng.random(size) for _ in range(uniforms)))
 
 
 def _floor_displacement(uprime, L):
     """The direct and tree runs' D = floor(u' L), uniform on {0, ..., L-1} given L."""
     return (uprime * L).astype(np.int64)
-
-
-def direct_inputs(n: int, rng):
-    """All draws of a direct run, in order: elements, prey picks, u, u'."""
-    elem, prey_u = direct_picks(n, rng)
-    return elem, prey_u, rng.random(n - 1), rng.random(n - 1)
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -131,24 +134,26 @@ def _lemire32(raw, n):
 
 
 def direct_rows(n: int, bits, uniforms: int):
-    """`direct_picks` (uniforms=1) or `direct_inputs` (uniforms=3) of one
-    run per PCG64 bit generator, stacked: arrays of shape (len(bits), n-1).
+    """`direct_draws(n, rng, uniforms)` of one run per PCG64 bit generator,
+    stacked: 1 + uniforms arrays of shape (len(bits), n-1).
 
-    Each bit generator gives one `random_raw` call of ceil((n-1)/2) words
-    for the elements plus n-1 words per uniform array, and the block
+    A block of fewer than n rows draws each row through a
+    `np.random.Generator` wrapped around its bit generator.  From n rows
+    on, each bit generator gives one `random_raw` call of ceil((n-1)/2)
+    words for the elements plus n-1 words per uniform array, and the block
     rebuilds numpy's values from them: the elements by `_lemire32`, each
-    double as (word >> 11) * 2**-53.  No Generator is built unless a row
-    has a rejected element draw (about 1e-8 per draw at n = 50): that row
-    is rewound and drawn again by numpy through a Generator around its bit
-    generator, so the values never depend on copying numpy's rejection
-    loop.  The bit generators must not hold a buffered 32-bit half word,
-    as fresh ones do not; they end where numpy's own draws leave them,
-    without its buffered upper half of the last element word when n-1 is
-    odd.
+    double as (word >> 11) * 2**-53.  This path builds no Generator unless
+    a row has a rejected element draw (about 1e-8 per draw at n = 50): that
+    row is rewound and drawn again by numpy, so the values never depend on
+    copying numpy's rejection loop.  The bit generators must not hold a
+    buffered 32-bit half word, as fresh ones do not; they end where numpy's
+    own draws leave them, without its buffered upper half of the last
+    element word when n-1 is odd.
     """
-    redraw = {1: direct_picks, 3: direct_inputs}[uniforms]
     _check_n(n)
     bits = list(bits)
+    if len(bits) < n:
+        return _stack(direct_draws(n, np.random.Generator(bit), uniforms) for bit in bits)
     half = n // 2  # ceil((n-1)/2) words hold the n-1 uint32 element draws
     words = half + uniforms * (n - 1)
     raw = np.array([bit.random_raw(words) for bit in bits], np.uint64)
@@ -158,20 +163,9 @@ def direct_rows(n: int, bits, uniforms: int):
     out = (elem, *doubles.reshape(len(bits), uniforms, n - 1).transpose(1, 0, 2))
     for row in np.flatnonzero(rejected[:, :n - 1].any(axis=1)):
         bits[row].advance(-words)
-        for col, values in zip(out, redraw(n, np.random.Generator(bits[row]))):
+        for col, values in zip(out, direct_draws(n, np.random.Generator(bits[row]), uniforms)):
             col[row] = values
     return out
-
-
-def parking_tries(n: int, rng) -> np.ndarray:
-    """The n-1 cars' uniform first tries: the first draw of a parking run.
-
-    Statistics that need only the tries (`_replay.parking_scan`) stop
-    here: u is drawn after the tries, so leaving it undrawn changes no
-    value drawn before it.
-    """
-    _check_n(n)
-    return rng.integers(0, n, size=n - 1)
 
 
 def tree_inputs(n: int, rng):
@@ -193,23 +187,21 @@ def simulate_rows(n: int, bits, embedding) -> EventBatch:
     """Full runs of one embedding, one per PCG64 bit generator of the
     sequence bits: every column has shape (len(bits), n-1), a row per run.
 
-    Each bit generator draws as `direct_inputs`, `tree_inputs` or, for
-    parking, `direct_picks` does (a parking run's first tries and u).  A
-    block of at least n rows replays in lockstep (`_replay.*_rows`, a
-    tree's Prufer decode too: `prufer_rows`), direct and parking draws from
-    one raw call per bit generator (`direct_rows`, which builds no
-    Generator; a tree's `permutation` has a varying range); a smaller block
-    replays each direct and parking row alone by its walk
-    (`_replay.direct_chain_replay`, `parking_replay`) and decodes each tree
-    row by the walk `tree_parents_from_prufer`.  Every tree block replays
-    in one walk-free `tree_replay` call.  Walked rows and tree rows draw
-    through a `np.random.Generator` wrapped around their bit generator.
+    Direct and parking blocks draw by `direct_rows` (uniforms 3 and 1: a
+    parking run's first tries and u), which reads raw words from n rows on
+    and wraps a `np.random.Generator` around each bit generator below;
+    tree blocks draw by `tree_inputs` through a Generator per row (a
+    `permutation` has a varying range).  A block of at least n rows
+    replays in lockstep (`_replay.*_rows`, a tree's Prufer decode too:
+    `prufer_rows`); a smaller block replays each direct and parking row
+    alone by its walk (`_replay.direct_chain_replay`, `parking_replay`) and
+    decodes each tree row by the walk `tree_parents_from_prufer`.  Every
+    tree block replays in one walk-free `tree_replay` call.
     """
     embedding = Embedding(embedding)
     lockstep = len(bits) >= n
     if embedding is Embedding.PARKING:
-        tries, u = (direct_rows(n, bits, 1) if lockstep
-                    else _stack(direct_picks(n, np.random.Generator(bit)) for bit in bits))
+        tries, u = direct_rows(n, bits, 1)
         L, R, D = (_replay.parking_rows(n, tries) if lockstep
                    else _stack(_replay.parking_replay(n, row) for row in tries))
         return EventBatch(n, L, R, u, D)
@@ -223,9 +215,7 @@ def simulate_rows(n: int, bits, embedding) -> EventBatch:
         del prufer, par  # freed before the replay, whose peak a long chain's run sets
         L, R = _replay.tree_replay(n, bottom, top)
     else:
-        elem, prey_u, u, uprime = (direct_rows(n, bits, 3) if lockstep
-                                   else _stack(direct_inputs(n, np.random.Generator(bit))
-                                               for bit in bits))
+        elem, prey_u, u, uprime = direct_rows(n, bits, 3)
         L, R = (_replay.direct_chain_rows(n, elem, prey_u) if lockstep
                 else _stack(_replay.direct_chain_replay(n, e, p) for e, p in zip(elem, prey_u)))
     return EventBatch(n, L, R, u, _floor_displacement(uprime, L))

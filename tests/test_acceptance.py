@@ -124,11 +124,11 @@ def test_supplementary_mutation_mode_has_power():
 def test_chain_counts_by_mixed_radix_match_tuple_keys():
     from addcoal._replay import direct_chain_rows
     from addcoal.exact_oracles import decode_counts, sequence_codes
-    from addcoal.process_core import direct_picks
+    from addcoal.process_core import direct_draws
     from addcoal.seeding import make_rng
 
     n = 5
-    elem, prey_u = direct_picks(n, make_rng(1), (3000,))
+    elem, prey_u = direct_draws(n, make_rng(1), 1, (3000,))
     L, R = direct_chain_rows(n, elem, prey_u)
     expected = Counter(tuple((min(l, r), max(l, r), l) for l, r in zip(l_row, r_row))
                        for l_row, r_row in zip(L.tolist(), R.tolist()))

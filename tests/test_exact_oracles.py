@@ -168,7 +168,7 @@ def test_parking_enumeration_matches_every_first_try_vector():
     assert enumerate_parking(n).probs == dict(law)
 
 
-def _direct_inputs(n, codes):
+def _coded_chain_inputs(n, codes):
     """Element and prey-uniform rows of the direct chain's inputs numbered `codes`.
 
     Code c counts, in mixed radix, the n**(n-1) (n-1)! equally likely
@@ -195,12 +195,12 @@ def test_direct_kernels_replay_the_exact_chain_law(n):
     counts = Counter()
     rows = _replay.block_rows(n)
     for start in range(0, total, rows):
-        elem, prey_u = _direct_inputs(n, np.arange(start, min(start + rows, total)))
+        elem, prey_u = _coded_chain_inputs(n, np.arange(start, min(start + rows, total)))
         L, R = _replay.direct_chain_rows(n, elem, prey_u)
         counts.update(map(tuple, np.hstack([L, R]).tolist()))
     assert _law(counts, total) == law
     if n <= 5:
-        elem, prey_u = _direct_inputs(n, np.arange(total))
+        elem, prey_u = _coded_chain_inputs(n, np.arange(total))
         walks = Counter((*L, *R) for L, R in (
             _replay.direct_chain_replay(n, e, u) for e, u in zip(elem, prey_u)))
         assert _law(walks, total) == law

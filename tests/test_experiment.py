@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from addcoal.cost_engine import Functional
+from addcoal.cost_engine import DEFAULT_BETA_GRID, Functional
 from addcoal.experiment import (
     ExperimentSpec,
     SummaryStats,
@@ -40,6 +40,16 @@ def test_spec_validation():
         ExperimentSpec(n=100, beta_grid=(11.0,))
     with pytest.raises(ValueError):
         ExperimentSpec(n=100, workers=0)
+
+
+def test_default_beta_grid_keeps_its_points_up_to_sqrt_n():
+    # sqrt(10) = 3.16: the default grid's points 3.25 .. 4 are dropped, not refused
+    trimmed = tuple(0.25 * i for i in range(13))
+    assert ExperimentSpec(n=10).beta_grid == trimmed
+    assert ExperimentSpec(n=10, beta_grid=DEFAULT_BETA_GRID).beta_grid == trimmed
+    assert ExperimentSpec(n=16).beta_grid == DEFAULT_BETA_GRID
+    with pytest.raises(ValueError, match=r"for n = 10, got \[3.5\]"):
+        ExperimentSpec(n=10, beta_grid=(0.0, 3.5))
 
 
 def test_run_monte_carlo_n2_trivial():

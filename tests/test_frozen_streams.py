@@ -54,8 +54,25 @@ REGIME = {
     "tree": "ed3dd9e1cab722d28c837b575726a4263d184f318f14e372b21484e02bcaa972",
     "parking": "25b442e03ca7744df298d1ce24f39bdd9f3dac498cf5ab26d2a35f77c91e85a2",
 }
+# (n, reps) -> sha256 of the displacement-only parking run at seed 7, which
+# takes the order-free scan of the first tries and no replay: n = 20 with 25
+# replications reads one lockstep block of raw words, n = 300 with 3 a
+# block of one Generator per row.
+SCAN = {
+    (20, 25): "55a40757741fa087d5863d2f6a7946baa1a8c527d465bc40b9d0aafcceec2cd5",
+    (300, 3): "ac31823ab0b3997f36a4c4f0f81aaaf768cbf610354a07accaaa8ba85a7e097a",
+}
 ROOT = Path(__file__).resolve().parent.parent
 PARKING_5 = "b26db970bf21142a4192666c8cda1e545a23d6db31aff01ddf0e670955d42447"
+
+
+def _result_digest(result):
+    h = hashlib.sha256()
+    for values in (result.alpha_values, result.beta_values, result.totals):
+        for functional, array in values.items():
+            h.update(functional.value.encode())
+            h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("embedding, n, reps", list(MONTE_CARLO))
@@ -63,12 +80,14 @@ def test_monte_carlo_arrays_keep_their_digest(embedding, n, reps):
     beta_grid = tuple(b for b in (0.0, 1.0, 2.0) if b * b <= n)
     result = run_monte_carlo(ExperimentSpec(n=n, embedding=embedding, reps=reps, seed=7,
                                             beta_grid=beta_grid))
-    h = hashlib.sha256()
-    for values in (result.alpha_values, result.beta_values, result.totals):
-        for functional, array in values.items():
-            h.update(functional.value.encode())
-            h.update(np.ascontiguousarray(array).tobytes())
-    assert h.hexdigest() == MONTE_CARLO[embedding, n, reps]
+    assert _result_digest(result) == MONTE_CARLO[embedding, n, reps]
+
+
+@pytest.mark.parametrize("n, reps", list(SCAN))
+def test_parking_scan_keeps_its_digest(n, reps):
+    result = run_monte_carlo(ExperimentSpec(n, embedding="parking", functionals=("displacement",),
+                                            reps=reps, seed=7, alpha_grid=(), beta_grid=(0.0,)))
+    assert _result_digest(result) == SCAN[n, reps]
 
 
 @pytest.mark.parametrize("embedding", list(REGIME))

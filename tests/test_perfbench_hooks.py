@@ -15,6 +15,18 @@ def test_every_traced_name_exists(monkeypatch):
     assert not missing
 
 
+def test_benchmark_only_imports_are_traced(monkeypatch):
+    # an import kept only for the tracer is dead once no span patches it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    patched = {(owner.__name__, attr) for owner, attr, _, _ in spans.PATCHES}
+    tag = "# noqa: F401  (perfbench/spans.py traces it)"
+    kept = [(f"addcoal.{path.stem}", line.split("#")[0].split()[-1])
+            for path in sorted((PERFBENCH.parent / "src" / "addcoal").glob("*.py"))
+            for line in path.read_text().splitlines() if line.endswith(tag)]
+    assert kept and [k for k in kept if k not in patched] == []
+
+
 def test_traced_replays_take_n_first_and_return_n_minus_1_events(monkeypatch):
     # spans._n_minus_1 counts a traced replay's merges as its first argument
     # minus 1, which replay.*.ns_per_merge divides by

@@ -8,17 +8,16 @@ import pytest
 
 from addcoal import exact_oracles
 from addcoal import _replay
-from addcoal.experiment import ExperimentSpec
+from addcoal.cost_engine import Functional
+from addcoal.experiment import ExperimentSpec, regime_sweep, run_monte_carlo
 from addcoal import process_core
 from addcoal.process_core import (
     Embedding,
     EventBatch,
     _check_n,
     _lemire32,
-    direct_inputs,
-    direct_picks,
+    direct_draws,
     direct_rows,
-    parking_tries,
     simulate,
     simulate_rows,
 )
@@ -45,9 +44,16 @@ def test_monodisperse_basics():
 
 def test_snapshots_reject_a_batch_of_several_runs():
     batch = simulate_rows(5, substream_bits(0, range(6)), Embedding.DIRECT)
-    for snapshot in (batch.largest_cluster_at, batch.spectrum_at):
-        with pytest.raises(ValueError, match=r"one run, not a batch of shape \(6, 4\)"):
-            snapshot(2)
+    with pytest.raises(ValueError, match=r"one run, not a batch of shape \(6, 4\)"):
+        batch.spectrum_at(2)
+    # the largest cluster reads a batch: one value per row, each a single run's
+    for step in range(5):
+        largest = batch.largest_cluster_at(step)
+        assert largest.shape == (6,)
+        assert largest.tolist() == [simulate(5, substream_rng(0, rep)).largest_cluster_at(step)
+                                    for rep in range(6)]
+    with pytest.raises(ValueError, match=r"step must be in \[0, 4\]"):
+        batch.largest_cluster_at(5)
 
 
 def test_monodisperse_rejects_zero():
@@ -256,8 +262,7 @@ def test_direct_rows_match_the_walk_row_by_row(n):
 
 def _per_generator_draws(n, rngs, uniforms):
     """The reference for `direct_rows`: numpy's own draws, one generator at a time."""
-    draw = direct_picks if uniforms == 1 else direct_inputs
-    return [np.stack(col) for col in zip(*(draw(n, rng) for rng in rngs))]
+    return [np.stack(col) for col in zip(*(direct_draws(n, rng, uniforms) for rng in rngs))]
 
 
 def _pcg_position(bit):
@@ -277,13 +282,14 @@ def _assert_same_draws(n, master, reps, uniforms):
     assert [_pcg_position(b) for b in bits] == [_pcg_position(r.bit_generator) for r in refs]
 
 
-@pytest.mark.parametrize("uniforms", [1, 3])
-@pytest.mark.parametrize("n", [2, 3, 5, 50, 51, 4097])
+@pytest.mark.parametrize("uniforms", [0, 1, 3])
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 51, 301])
 def test_raw_block_draws_equal_per_generator_draws(n, uniforms):
-    # rows on both sides of the 4096-index seeding block
-    reps = range(4096 - 4, 4096 + 4) if n > 1000 else range(4096 - 30, 4096 + 30)
-    for master in (0, 7, 2**63 + 5, 2**64 - 1):
-        _assert_same_draws(n, master, reps, uniforms)
+    # rows on both sides of the 4096-index seeding block; a block of at
+    # least n rows reads raw words, a smaller one a Generator per row
+    for reps in (range(4096 - 4, 4096 + 4), range(4096 - 160, 4096 + 160)):
+        for master in (0, 7, 2**63 + 5, 2**64 - 1):
+            _assert_same_draws(n, master, reps, uniforms)
 
 
 def _emitting(word):
@@ -335,7 +341,7 @@ def test_lemire_rule_keeps_numpys_values(n, seed):
         assert 0.3 < rejected.mean() < 0.37
 
 
-@pytest.mark.parametrize("uniforms", [1, 3])
+@pytest.mark.parametrize("uniforms", [0, 1, 3])
 def test_rows_with_a_rejection_are_drawn_again_by_numpy(monkeypatch, uniforms):
     # a detector that flags every draw sends every row through rewind and redraw
     def rejecting_all(raw, n):
@@ -344,15 +350,16 @@ def test_rows_with_a_rejection_are_drawn_again_by_numpy(monkeypatch, uniforms):
 
     monkeypatch.setattr(process_core, "_lemire32", rejecting_all)
     for n in (2, 5, 50, 51):
-        _assert_same_draws(n, 7, range(4090, 4102), uniforms)
+        _assert_same_draws(n, 7, range(4070, 4122), uniforms)  # 52 rows: raw words
 
 
 def test_a_real_rejection_takes_the_redraw():
     n = 50
     # row 1's first raw word is 0: both of its uint32 halves leave remainder
-    # 0 < (2**32 - 50) % 50 and are rejected; rows 0 and 2 are ordinary
-    bits = [rng.bit_generator for rng in (make_rng(1), _emitting(0), make_rng(2))]
-    refs = [make_rng(1), _emitting(0), make_rng(2)]
+    # 0 < (2**32 - 50) % 50 and are rejected; the other n - 1 rows are ordinary
+    seeds = [1, None, *range(2, n)]
+    refs = [_emitting(0) if s is None else make_rng(s) for s in seeds]
+    bits = [(_emitting(0) if s is None else make_rng(s)).bit_generator for s in seeds]
     assert _lemire32(np.zeros(1, np.uint64), n)[1].all()
     got = direct_rows(n, bits, 3)
     assert all(np.array_equal(g, w) for g, w in zip(got, _per_generator_draws(n, refs, 3)))
@@ -377,8 +384,9 @@ def test_blocks_draw_as_single_runs(embedding):
 
 
 def test_lockstep_blocks_build_no_generator(monkeypatch):
-    # lockstep direct and parking blocks read raw words from the bit
-    # generators; only walked rows wrap theirs in a Generator
+    # lockstep direct and parking blocks, and the parking scans' blocks of
+    # first tries, read raw words from the bit generators; only a block of
+    # fewer than n rows wraps each of its bit generators in a Generator
     built = []
     generator = np.random.Generator
 
@@ -388,11 +396,19 @@ def test_lockstep_blocks_build_no_generator(monkeypatch):
 
     monkeypatch.setattr(np.random, "Generator", counting)
     n = 20
-    for embedding in (Embedding.DIRECT, Embedding.PARKING):
-        simulate_rows(n, substream_bits(3, range(n)), embedding)
-    assert built == []
-    simulate_rows(n, substream_bits(3, range(n - 1)), Embedding.DIRECT)
-    assert len(built) == n - 1
+    readers = [  # each reads one block of `rows` runs
+        lambda rows: simulate_rows(n, substream_bits(3, range(rows)), Embedding.DIRECT),
+        lambda rows: simulate_rows(n, substream_bits(3, range(rows)), Embedding.PARKING),
+        lambda rows: run_monte_carlo(ExperimentSpec(  # the displacement scan
+            n, embedding=Embedding.PARKING, functionals=(Functional.DISPLACEMENT,),
+            reps=rows, seed=3, alpha_grid=(), beta_grid=(0.0,))),
+        lambda rows: regime_sweep((n,), 0.15, reps=rows, seed=3, embedding=Embedding.PARKING),
+    ]
+    for reader in readers:
+        for rows in (n, n - 1):
+            built.clear()
+            reader(rows)
+            assert len(built) == (0 if rows == n else rows)
 
 
 @pytest.mark.parametrize("n", [5, 50])
@@ -763,7 +779,7 @@ def test_sparse_regime_largest_cluster_shrinks():
 def test_parking_scan_matches_replay(n):
     # total displacement and largest block read from the tries' histogram
     for rep in range(5):
-        tries = parking_tries(n, substream_rng(n, rep))
+        tries, = direct_draws(n, substream_rng(n, rep), 0)
         batch = simulate(n, substream_rng(n, rep), Embedding.PARKING)
         carry, occupied = _replay.parking_scan(np.bincount(tries, minlength=n)[None])
         assert carry.sum() == batch.D.sum()
